@@ -12,7 +12,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rta_core::{analyze_bounds, analyze_exact_spp, holistic::holistic_schedulable, AnalysisConfig};
+use rta_core::bounds::bounds_schedulable;
+use rta_core::{analyze_exact_spp, holistic::holistic_schedulable, AnalysisConfig};
 use rta_model::jobshop::{generate, ShopConfig, ShopSampler};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::SchedulerKind;
@@ -76,11 +77,11 @@ fn decide(sys: &mut rta_model::TaskSystem, method: Method, acfg: &AnalysisConfig
         Method::SppExact => analyze_exact_spp(sys, acfg)
             .map(|r| r.all_schedulable())
             .unwrap_or(false),
-        Method::SpnpApp | Method::FcfsApp => analyze_bounds(sys, acfg)
-            .map(|r| r.all_schedulable())
-            .unwrap_or(false),
-        // Verdict-only driver: same fixed point as `analyze_holistic`, no
-        // report or seed assembly — the sweep only keeps the boolean.
+        // Verdict-only drivers: the same analyses as `analyze_bounds` and
+        // `analyze_holistic`, minus the report (and, for the bounds pass,
+        // the work after the first job that cannot meet its deadline) —
+        // the sweep only keeps the boolean.
+        Method::SpnpApp | Method::FcfsApp => bounds_schedulable(sys, acfg).unwrap_or(false),
         Method::SppSL => holistic_schedulable(sys, acfg).unwrap_or(false),
     }
 }
@@ -95,7 +96,7 @@ fn decide(sys: &mut rta_model::TaskSystem, method: Method, acfg: &AnalysisConfig
 /// pool sizes itself), and the estimate is a pure function of
 /// `(base, method, sets, master_seed, acfg)` — each seed depends only on
 /// its index, never on which worker ran it, so the result is identical to
-/// the per-seed [`admits`] loop and to [`admission_probability_strided`].
+/// the per-seed [`admits`] loop.
 pub fn admission_probability(
     base: &ShopConfig,
     method: Method,
@@ -154,42 +155,6 @@ pub fn admission_probability_batched(
         .filter(|&a| a)
         .count();
     admitted as f64 / sets as f64
-}
-
-/// The pre-pool estimator: strided scoped threads spawned per call. Kept as
-/// the cold baseline for the incremental-engine benchmarks; produces the
-/// same estimate as [`admission_probability`].
-pub fn admission_probability_strided(
-    base: &ShopConfig,
-    method: Method,
-    sets: u32,
-    master_seed: u64,
-    threads: usize,
-    acfg: &AnalysisConfig,
-) -> f64 {
-    assert!(sets >= 1);
-    let threads = threads.max(1);
-    let counter = std::sync::atomic::AtomicU32::new(0);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let counter = &counter;
-            scope.spawn(move || {
-                let mut local = 0u32;
-                let mut i = t as u32;
-                while i < sets {
-                    let seed = master_seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(i as u64);
-                    if admits(base, method, seed, acfg) {
-                        local += 1;
-                    }
-                    i += threads as u32;
-                }
-                counter.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
-            });
-        }
-    });
-    counter.load(std::sync::atomic::Ordering::Relaxed) as f64 / sets as f64
 }
 
 /// Default thread count: all cores (the estimator is CPU-bound).
@@ -259,12 +224,18 @@ mod tests {
     }
 
     #[test]
-    fn pooled_strided_and_batched_estimators_agree() {
+    fn pooled_per_seed_and_batched_estimators_agree() {
         let acfg = AnalysisConfig::default();
         let pooled = admission_probability(&base(0.6), Method::SppExact, 30, 42, 2, &acfg);
-        let strided = admission_probability_strided(&base(0.6), Method::SppExact, 30, 42, 2, &acfg);
+        let per_seed = (0..30u64)
+            .filter(|&i| {
+                let seed = 42u64.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i);
+                admits(&base(0.6), Method::SppExact, seed, &acfg)
+            })
+            .count() as f64
+            / 30.0;
         let batched = admission_probability_batched(&base(0.6), Method::SppExact, 30, 42, &acfg);
-        assert_eq!(pooled, strided);
+        assert_eq!(pooled, per_seed);
         assert_eq!(pooled, batched);
         // Also over the S&L holistic path, which exercises the sequential
         // per-set driver inside the batched sweep.

@@ -10,13 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rta_bench::admission::{
-    admission_probability, admission_probability_batched, admission_probability_strided, Method,
-};
+use rta_bench::admission::{admission_probability, admission_probability_batched, Method};
+use rta_bench::figures;
 use rta_bench::harness::Bench;
 use rta_core::sensitivity::region::{explore_region, RegionConfig};
 use rta_core::sensitivity::Oracle;
-use rta_core::{analyze_exact_spp, AnalysisConfig, AnalysisSession};
+use rta_core::{analyze_bounds, analyze_exact_spp, AnalysisConfig, AnalysisSession};
 use rta_curves::arena::Scratch;
 use rta_curves::convolution::{convolve, convolve_decomposed_into, min_plus_convolve_lattice};
 use rta_curves::ops::linear_combine_into;
@@ -292,6 +291,29 @@ fn main() {
         rta_core::fixpoint::analyze_with_loops(&spnp, &AnalysisConfig::default(), 4).unwrap()
     });
 
+    // The cold one-pass Theorem-4 driver on one set of the 4-stage Fig. 3
+    // panel (deadline 4× period) at utilization 0.6 — the per-set work of
+    // the SPNP/App and FCFS/App series.
+    let fig3_4stage = figures::fig3_panels()
+        .into_iter()
+        .find(|p| p.base.stages == 4)
+        .expect("Fig. 3 has a 4-stage panel")
+        .base;
+    for (kind, label) in [(SchedulerKind::Spnp, "spnp"), (SchedulerKind::Fcfs, "fcfs")] {
+        let cfg = ShopConfig {
+            scheduler: kind,
+            utilization: 0.6,
+            ..fig3_4stage.clone()
+        };
+        let mut sys = generate(&cfg, &mut StdRng::seed_from_u64(42)).unwrap();
+        if kind.uses_priorities() {
+            assign_priorities(&mut sys, PriorityPolicy::RelativeDeadlineMonotonic).unwrap();
+        }
+        b.run(&format!("analysis/bounds_{label}_fig3_4stage"), || {
+            analyze_bounds(&sys, &AnalysisConfig::default()).unwrap()
+        });
+    }
+
     let json = b.to_json(&[
         ("suite", "BENCH_curves"),
         ("package", "rta-bench"),
@@ -431,13 +453,10 @@ fn incremental_suite() {
         masks
     });
 
-    // The paper's 1,000-set admission sweep. `strided` is the retired
-    // cold path (scoped threads per call, fresh `TaskSystem` per seed),
-    // kept as the oracle baseline. `pooled` is the production
-    // `admission_probability`, which now runs on the batched scenario
-    // engine; `batched` measures the `BatchAnalyzer` entry point directly.
-    // The last two should coincide — the wrapper must add nothing — and
-    // both must dominate the strided baseline.
+    // The paper's 1,000-set admission sweep. `pooled` is the production
+    // `admission_probability`, which runs on the batched scenario engine;
+    // `batched` measures the `BatchAnalyzer` entry point directly. The two
+    // should coincide — the wrapper must add nothing.
     let base = ShopConfig {
         stages: 1,
         procs_per_stage: 2,
@@ -451,9 +470,6 @@ fn incremental_suite() {
         ticks_per_unit: 200,
     };
     let threads = rta_core::par::pool_threads();
-    b.run("admission/1000sets_strided", || {
-        admission_probability_strided(&base, Method::SppSL, 1000, 7, threads, &acfg)
-    });
     b.run("admission/1000sets_pooled", || {
         admission_probability(&base, Method::SppSL, 1000, 7, threads, &acfg)
     });

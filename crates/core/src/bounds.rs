@@ -16,43 +16,40 @@
 //! *envelope-relative*: each hop is charged as if its arrivals were the
 //! earliest the envelope admits, which dominates every conforming trace —
 //! the classical network-calculus delay argument (Cruz).
+//!
+//! ## Pipeline
+//!
+//! One topological pass over the subjob dependency DAG runs on the
+//! structure-of-arrays workspace the fixpoint driver uses (DESIGN.md §4g),
+//! shared through [`crate::fixpoint`]'s per-thread `LoopWorkspace`: dense
+//! per-subjob tables, the first-hop envelopes built once from the release
+//! times, each later hop's envelope taken by SoA `floor_div` of its
+//! upstream upper bound (Lemma 2) as soon as that bound exists, the policy
+//! kernel's `service_bounds_soa_into` per node with its higher-priority
+//! inputs read straight out of the retained SoA slots, and the Eq. 12
+//! sweep right after each node. [`bounds_schedulable`] runs the same pass
+//! and stops at the first job whose partial Eq. 11 sum is unbounded or past
+//! its deadline.
 
 use crate::config::AnalysisConfig;
 use crate::depgraph::{evaluation_order, SubjobIndex};
 use crate::error::AnalysisError;
-use crate::policy::{policy_for, BoundsInputs, PeerInputs, ProcessorContexts};
+use crate::fixpoint::{ensure_bounds, ensure_soa_curves, with_workspace, LoopWorkspace};
+use crate::policy::{PeerInputs, ProcessorContexts, SoaBoundsInputs};
 use crate::report::{BoundsReport, JobBound};
-use crate::spnp::ServiceBounds;
-use rta_curves::{Curve, CurveCursor, SoaCursor, SoaCurve, Time};
-use rta_model::{JobId, SubjobRef, TaskSystem};
+use rta_curves::{Curve, SoaCursor, SoaCurve, Time};
+use rta_model::{JobId, ProcessorId, TaskSystem};
 
 /// The per-hop worst-case delay of Equation 12: the maximal horizontal
 /// deviation `max_m ( f̲⁻¹_dep(m) − f̄⁻¹_arr(m) )` over the first
 /// `n_instances` instances, or `None` if any instance is unresolved within
 /// the horizon. The sweep is cursor-based: amortized O(1) per instance.
-pub(crate) fn hop_delay(arr_env: &Curve, dep_lower: &Curve, n_instances: i64) -> Option<Time> {
-    let mut arr_cur = CurveCursor::new(arr_env);
-    let mut dep_cur = CurveCursor::new(dep_lower);
-    let mut d = Time::ZERO;
-    for m in 1..=n_instances {
-        let early = arr_cur.inverse_at(m)?;
-        let late = dep_cur.inverse_at(m)?;
-        d = d.max(late - early);
-    }
-    Some(d)
-}
-
-/// [`hop_delay`] with the departure bound in structure-of-arrays form, so
-/// the fixpoint driver's Eq. 12 sweep reads the `floor_div` result
-/// straight out of its workspace SoA buffer without converting back.
-/// [`SoaCursor`] is pinned step-identical to [`CurveCursor`], so both
-/// sweeps resolve the same instants.
 pub(crate) fn hop_delay_soa(
-    arr_env: &Curve,
+    arr_env: &SoaCurve,
     dep_lower: &SoaCurve,
     n_instances: i64,
 ) -> Option<Time> {
-    let mut arr_cur = CurveCursor::new(arr_env);
+    let mut arr_cur = SoaCursor::new(arr_env);
     let mut dep_cur = SoaCursor::new(dep_lower);
     let mut d = Time::ZERO;
     for m in 1..=n_instances {
@@ -63,112 +60,142 @@ pub(crate) fn hop_delay_soa(
     Some(d)
 }
 
-struct NodeData {
-    arr_env: Curve,
-    bounds: ServiceBounds,
-    dep_lower: Curve,
-    arr_next: Curve,
-}
-
-/// Run the node-computation pass shared by [`analyze_bounds`] and the
-/// network-calculus composition ([`crate::nc`]): per-subjob arrival
-/// envelopes and service bounds in `SubjobIndex` order.
-fn compute_nodes(
+/// The one-pass node sweep on frame `(window, horizon)`: per subjob in
+/// dependency order, its service bounds into `ws.cur`, its Eq. 12 delay
+/// into `ws.hop`, its successor's Lemma-2 envelope into `ws.arr_env`, and
+/// its job's partial Eq. 11 sum into `ws.e2e`.
+///
+/// With `stop_at_miss` the pass returns `Ok(false)` as soon as some job's
+/// partial sum is unbounded or past its deadline — hop delays are
+/// nonnegative, so that job can no longer meet it. Otherwise it returns
+/// `Ok(true)` once every subjob is done; under `stop_at_miss` that means
+/// every job's full sum was checked against its deadline.
+fn node_pass(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
-    idx: &SubjobIndex,
-) -> Result<Vec<NodeData>, AnalysisError> {
-    let (window, horizon) = cfg.resolve(sys);
-    let order = evaluation_order(sys, idx)?;
+    window: Time,
+    horizon: Time,
+    ws: &mut LoopWorkspace,
+    stop_at_miss: bool,
+) -> Result<bool, AnalysisError> {
+    let order = evaluation_order(sys, &SubjobIndex::new(sys))?;
+    let n = ws.index_system(sys);
+    ensure_bounds(&mut ws.cur, n);
+    ensure_soa_curves(&mut ws.arr_env, n);
+    ws.hop.clear();
+    ws.hop.resize(n, None);
+    ws.e2e.clear();
+    ws.e2e.resize(sys.jobs().len(), Some(Time::ZERO));
 
-    let mut nodes: Vec<Option<NodeData>> = Vec::with_capacity(idx.len());
-    nodes.resize_with(idx.len(), || None);
-    let mut ctxs = ProcessorContexts::new();
-
-    // Arrival envelope of a subjob whose predecessor (if any) has been
-    // processed.
-    let arr_env_of = |nodes: &[Option<NodeData>], r: SubjobRef| -> Curve {
-        if r.index == 0 {
-            sys.job(r.job).arrival.arrival_curve(window)
-        } else {
-            let pred = SubjobRef {
-                job: r.job,
-                index: r.index - 1,
-            };
-            nodes[idx.index(pred)]
-                .as_ref()
-                .expect("dependency order")
-                .arr_next
-                .clone()
-        }
-    };
-
-    for i in order {
-        let r = idx.subjob(i);
-        let subjob = sys.subjob(r);
-        let tau = subjob.exec;
-        let arr_env = arr_env_of(&nodes, r);
-        let workload = arr_env.scale(tau.ticks());
-
-        let policy = policy_for(sys.processor(subjob.processor).scheduler);
-
-        let (hp_lower, hp_upper): (Vec<&Curve>, Vec<&Curve>) = match policy.peer_inputs() {
-            PeerInputs::HigherPriorityServices => {
-                let hp = sys.higher_priority_peers(r);
-                (
-                    hp.iter()
-                        .map(|h| &nodes[idx.index(*h)].as_ref().expect("order").bounds.lower)
-                        .collect(),
-                    hp.iter()
-                        .map(|h| &nodes[idx.index(*h)].as_ref().expect("order").bounds.upper)
-                        .collect(),
-                )
-            }
-            PeerInputs::SharedWorkloads => {
-                let mut workload_of =
-                    |o: SubjobRef| arr_env_of(&nodes, o).scale(sys.subjob(o).exec.ticks());
-                ctxs.ensure(sys, subjob.processor, horizon, &mut workload_of)?;
-                (Vec::new(), Vec::new())
-            }
-        };
-        let bounds = policy.service_bounds(&BoundsInputs {
-            workload: &workload,
-            tau,
-            weight: subjob.weight(),
-            blocking: policy.blocking(sys, r),
-            hp_lower: &hp_lower,
-            hp_upper: &hp_upper,
-            variant: cfg.spnp_availability,
-            ctx: ctxs.get(subjob.processor),
-            horizon,
-            processor: subjob.processor,
-        })?;
-
-        let dep_lower = bounds.lower.floor_div(tau.ticks(), horizon)?;
-        let arr_next = bounds.upper.floor_div(tau.ticks(), horizon)?;
-        nodes[i] = Some(NodeData {
-            arr_env,
-            bounds,
-            dep_lower,
-            arr_next,
-        });
+    // First-hop envelopes: the jobs' own arrival patterns. Built up front
+    // because shared-workload contexts read peers' envelopes before those
+    // peers are evaluated.
+    ws.instances.clear();
+    for (k, job) in sys.jobs().iter().enumerate() {
+        job.arrival.release_times_into(window, &mut ws.times);
+        ws.instances.push(ws.times.len() as i64);
+        Curve::from_event_times_into(&ws.times, &mut ws.stage);
+        ws.arr_env[ws.job_start[k]].copy_from_curve(&ws.stage);
     }
-    Ok(nodes
-        .into_iter()
-        .map(|n| n.expect("all computed"))
-        .collect())
+
+    let mut ctxs = ProcessorContexts::new();
+    let LoopWorkspace {
+        scratch,
+        refs,
+        job_start,
+        stage,
+        stage_soa,
+        dep_soa,
+        arr_env,
+        policy,
+        tau,
+        weight,
+        blocking,
+        processor,
+        hp_flat,
+        hp_start,
+        cur,
+        hop,
+        instances,
+        e2e,
+        node,
+        ..
+    } = ws;
+    for i in order {
+        let k = refs[i].job.0;
+        let p = ProcessorId(processor[i]);
+        // The workload `c̄ = f̄_arr · τ`; on shared-workload processors also
+        // in AoS, the layout their contexts and kernels read.
+        arr_env[i].scale_into(tau[i].ticks(), stage_soa);
+        let shared = policy[i].peer_inputs() == PeerInputs::SharedWorkloads;
+        if shared {
+            stage_soa.write_to_curve(stage);
+            let (arr_env, job_start) = (&*arr_env, &*job_start);
+            ctxs.ensure(sys, p, horizon, &mut |o| {
+                arr_env[job_start[o.job.0] + o.index]
+                    .to_curve()
+                    .scale(sys.subjob(o).exec.ticks())
+            })?;
+        }
+        let hp = &hp_flat[hp_start[i]..hp_start[i + 1]];
+        let hp_lower: Vec<&SoaCurve> = hp.iter().map(|&h| &cur[h].lower).collect();
+        let hp_upper: Vec<&SoaCurve> = hp.iter().map(|&h| &cur[h].upper).collect();
+        policy[i].service_bounds_soa_into(
+            &SoaBoundsInputs {
+                workload: stage_soa,
+                workload_aos: shared.then_some(&*stage),
+                tau: tau[i],
+                weight: weight[i],
+                blocking: blocking[i],
+                hp_lower: &hp_lower,
+                hp_upper: &hp_upper,
+                variant: cfg.spnp_availability,
+                ctx: ctxs.get(p),
+                horizon,
+                processor: p,
+            },
+            scratch,
+            node,
+        )?;
+        // Retained slots are filled by copy: the kernel's writer sizes its
+        // output for the worst case, and that capacity stays in `node`.
+        cur[i].lower.copy_from(&node.lower);
+        cur[i].upper.copy_from(&node.upper);
+
+        // Lemma 1 departure lower bound, then Lemma 2's envelope for the
+        // next hop of the same job.
+        node.lower
+            .floor_div_into(tau[i].ticks(), horizon, dep_soa)?;
+        if i + 1 < n && refs[i + 1].job.0 == k {
+            node.upper
+                .floor_div_into(tau[i].ticks(), horizon, &mut arr_env[i + 1])?;
+        }
+        let d = hop_delay_soa(&arr_env[i], dep_soa, instances[k]);
+        hop[i] = d;
+        e2e[k] = e2e[k].zip(d).map(|(sum, d)| sum + d);
+        if stop_at_miss && !matches!(e2e[k], Some(sum) if sum <= sys.job(JobId(k)).deadline) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
-/// Per-subjob lower service bounds in `SubjobIndex` order — consumed by
-/// the network-calculus composition in [`crate::nc`].
-pub(crate) fn lower_service_curves(
+/// Per-subjob lower service bounds `S̲` of the one-pass analysis, in
+/// [`crate::depgraph::SubjobIndex`] order — the per-hop guarantees the
+/// network-calculus composition in [`crate::nc`] convolves.
+pub fn lower_service_curves(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
 ) -> Result<Vec<Curve>, AnalysisError> {
     sys.validate(true)?;
-    let idx = SubjobIndex::new(sys);
-    let nodes = compute_nodes(sys, cfg, &idx)?;
-    Ok(nodes.into_iter().map(|n| n.bounds.lower).collect())
+    let (window, horizon) = cfg.resolve(sys);
+    with_workspace(|ws| {
+        node_pass(sys, cfg, window, horizon, ws, false)?;
+        Ok(ws.cur[..ws.refs.len()]
+            .iter()
+            .map(|b| b.lower.to_curve())
+            .collect())
+    })
 }
 
 /// Run the approximate (bounds) analysis on a system whose processors may
@@ -179,38 +206,41 @@ pub fn analyze_bounds(
 ) -> Result<BoundsReport, AnalysisError> {
     sys.validate(true)?;
     let (window, horizon) = cfg.resolve(sys);
-    let idx = SubjobIndex::new(sys);
-    let nodes = compute_nodes(sys, cfg, &idx)?;
-
-    // Equations 11 and 12 per job.
-    let mut jobs = Vec::with_capacity(sys.jobs().len());
-    for (k, job) in sys.jobs().iter().enumerate() {
-        let job_id = JobId(k);
-        let n_instances = job.arrival.release_times(window).len() as i64;
-        let mut hop_delays = Vec::with_capacity(job.subjobs.len());
-        for j in 0..job.subjobs.len() {
-            let node = &nodes[idx.index(SubjobRef {
-                job: job_id,
-                index: j,
-            })];
-            hop_delays.push(hop_delay(&node.arr_env, &node.dep_lower, n_instances));
-        }
-        let e2e_bound = hop_delays
+    with_workspace(|ws| {
+        node_pass(sys, cfg, window, horizon, ws, false)?;
+        // Equations 11 and 12 per job.
+        let jobs = sys
+            .jobs()
             .iter()
-            .try_fold(Time::ZERO, |acc, d| d.map(|d| acc + d));
-        jobs.push(JobBound {
-            job: job_id,
-            hop_delays,
-            e2e_bound,
-            deadline: job.deadline,
-        });
-    }
-
-    Ok(BoundsReport {
-        window,
-        horizon,
-        jobs,
+            .enumerate()
+            .map(|(k, job)| {
+                let start = ws.job_start[k];
+                JobBound {
+                    job: JobId(k),
+                    hop_delays: ws.hop[start..start + job.subjobs.len()].to_vec(),
+                    e2e_bound: ws.e2e[k],
+                    deadline: job.deadline,
+                }
+            })
+            .collect();
+        Ok(BoundsReport {
+            window,
+            horizon,
+            jobs,
+        })
     })
+}
+
+/// Verdict-only bounds analysis: `true` iff every job's end-to-end bound
+/// is finite and within its deadline. The verdict equals
+/// `analyze_bounds(..)?.all_schedulable()` whenever that returns `Ok`, but
+/// the pass stops at the first job whose partial hop-delay sum is
+/// unbounded or past its deadline and assembles no report — the form the
+/// admission sweeps want, where only the verdict survives the set.
+pub fn bounds_schedulable(sys: &TaskSystem, cfg: &AnalysisConfig) -> Result<bool, AnalysisError> {
+    sys.validate(true)?;
+    let (window, horizon) = cfg.resolve(sys);
+    with_workspace(|ws| node_pass(sys, cfg, window, horizon, ws, true))
 }
 
 #[cfg(test)]
@@ -218,13 +248,36 @@ mod tests {
     use super::*;
     use crate::exact::analyze_exact_spp;
     use rta_model::priority::{assign_priorities, PriorityPolicy};
-    use rta_model::{ArrivalPattern, SchedulerKind, SystemBuilder};
+    use rta_model::{ArrivalPattern, SchedulerKind, SubjobRef, SystemBuilder};
 
     fn periodic(p: i64) -> ArrivalPattern {
         ArrivalPattern::Periodic {
             period: Time(p),
             offset: Time::ZERO,
         }
+    }
+
+    #[test]
+    fn consecutive_fcfs_hops_are_refused_as_a_cycle() {
+        let mut b = SystemBuilder::new();
+        let p = b.add_processor("P1", SchedulerKind::Fcfs);
+        b.add_job(
+            "T1",
+            Time(60),
+            periodic(30),
+            vec![(p, Time(3)), (p, Time(4))],
+        );
+        b.add_job("T2", Time(60), periodic(20), vec![(p, Time(2))]);
+        let sys = b.build().unwrap();
+        let cfg = AnalysisConfig::default();
+        assert!(matches!(
+            analyze_bounds(&sys, &cfg),
+            Err(AnalysisError::CyclicDependency { .. })
+        ));
+        assert!(matches!(
+            bounds_schedulable(&sys, &cfg),
+            Err(AnalysisError::CyclicDependency { .. })
+        ));
     }
 
     #[test]

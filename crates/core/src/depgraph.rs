@@ -84,16 +84,17 @@ pub fn dependency_edges(sys: &TaskSystem, idx: &SubjobIndex) -> Vec<(usize, usiz
             PeerInputs::SharedWorkloads => {
                 // Need every sharing subjob's arrival, i.e. its predecessor's
                 // departure (first hops have primary arrivals — no edge).
+                // When that predecessor is this subjob itself (its own next
+                // hop shares the processor), the edge is a self-loop: the
+                // subjob's context would read its own departure, a physical
+                // loop (Section 6) that the one-pass analyses must refuse.
                 for o in sys.subjobs_on(s.processor) {
                     if o != r && o.index > 0 {
                         let pred = SubjobRef {
                             job: o.job,
                             index: o.index - 1,
                         };
-                        let p = idx.index(pred);
-                        if p != i {
-                            edges.push((p, i));
-                        }
+                        edges.push((idx.index(pred), i));
                     }
                 }
             }
@@ -309,6 +310,28 @@ mod tests {
         let t2h0 = idx.index(SubjobRef { job: t2, index: 0 });
         assert!(edges.contains(&(t1h0, t2h0)));
         assert!(evaluation_order(&sys, &idx).is_ok());
+    }
+
+    #[test]
+    fn consecutive_hops_on_one_fcfs_processor_are_a_loop() {
+        // T1 visits the FCFS processor P1 twice in a row: its first hop's
+        // context needs the second hop's arrival, i.e. its own departure.
+        let mut b = SystemBuilder::new();
+        let p1 = b.add_processor("P1", SchedulerKind::Fcfs);
+        let t1 = b.add_job(
+            "T1",
+            Time(50),
+            periodic(50),
+            vec![(p1, Time(5)), (p1, Time(5))],
+        );
+        let sys = b.build().unwrap();
+        let idx = SubjobIndex::new(&sys);
+        let first = idx.index(SubjobRef { job: t1, index: 0 });
+        assert!(dependency_edges(&sys, &idx).contains(&(first, first)));
+        assert!(matches!(
+            evaluation_order(&sys, &idx),
+            Err(AnalysisError::CyclicDependency { .. })
+        ));
     }
 
     #[test]

@@ -25,16 +25,19 @@
 use rta_curves::compose::compose;
 use rta_curves::{Curve, CurveError, Time};
 
-/// Per-processor FCFS context: the total workload `G` and utilization `U`.
+/// Per-processor FCFS context: the total workload `G`, the utilization
+/// `U`, and the two serving frontiers of Theorems 8/9, which depend only
+/// on the processor and so are shared by every subjob's bounds.
 #[derive(Clone, Debug)]
 pub struct FcfsProcessor {
     /// Total (upper-bounded) workload `G = Σ c̄` (Eq. 21).
     pub total_workload: Curve,
     /// Utilization function `U` (Theorem 7, left-limit reading).
     pub utilization: Curve,
-    /// `G` extended with a sentinel jump past the horizon so that inverse
-    /// queries beyond the final arrival resolve to "after everything".
-    g_extended_inverse: Curve,
+    /// Theorem 8 frontier `v(t) = G⁻¹(U(t) + 1)`.
+    lower_frontier: Curve,
+    /// Theorem 9 frontier `s*(t) = G⁻¹(U(t))`.
+    upper_frontier: Curve,
 }
 
 impl FcfsProcessor {
@@ -54,9 +57,10 @@ impl FcfsProcessor {
             .clamp_min(0);
         debug_assert!(u.is_nondecreasing(), "utilization must be nondecreasing");
 
-        // Sentinel: pretend an enormous batch arrives just past the horizon,
-        // so G⁻¹(y) for y beyond the real total resolves to horizon + 1 and
-        // the workload composition below yields "all of c" there.
+        // The frontiers invert `G` extended with a sentinel: pretend an
+        // enormous batch arrives just past the horizon, so G⁻¹(y) for y
+        // beyond the real total resolves to horizon + 1 and the workload
+        // compositions in `service_bounds` yield "all of c" there.
         let total = g.sup_on(horizon);
         let sentinel = total + horizon.ticks() + 2;
         let g_ext = g.truncate_after(horizon).add(&Curve::step_from_points(
@@ -64,10 +68,13 @@ impl FcfsProcessor {
             &[(horizon + Time::ONE, sentinel)],
         ));
         let g_ext_inv = g_ext.inverse_curve()?;
+        let lower_frontier = compose(&g_ext_inv, &u.add_const(1))?;
+        let upper_frontier = compose(&g_ext_inv, &u)?;
         Ok(FcfsProcessor {
             total_workload: g,
             utilization: u,
-            g_extended_inverse: g_ext_inv,
+            lower_frontier,
+            upper_frontier,
         })
     }
 
@@ -79,19 +86,17 @@ impl FcfsProcessor {
         workload: &Curve,
         tau: Time,
     ) -> Result<crate::spnp::ServiceBounds, CurveError> {
-        // Lower: frontier v(t) = G⁻¹(U(t) + 1); served ≥ c(v⁻) = c_prev(v).
-        let v = compose(&self.g_extended_inverse, &self.utilization.add_const(1))?;
+        // Lower: served ≥ c(v⁻) = c_prev(v) at the frontier v.
         let c_prev = workload.shift_right(Time::ONE, 0);
-        let lower_raw = compose(&c_prev, &v)?;
+        let lower_raw = compose(&c_prev, &self.lower_frontier)?;
         let lower = lower_raw
             .min_with(workload)
             .min_with(&Curve::identity())
             .clamp_min(0)
             .running_max();
 
-        // Upper: frontier s*(t) = G⁻¹(U(t)); served ≤ c(s*) + τ, and ≤ t.
-        let s_star = compose(&self.g_extended_inverse, &self.utilization)?;
-        let upper_raw = compose(workload, &s_star)?.add_const(tau.ticks());
+        // Upper: served ≤ c(s*) + τ at the frontier s*, and ≤ t.
+        let upper_raw = compose(workload, &self.upper_frontier)?.add_const(tau.ticks());
         let upper = upper_raw
             .min_with(&Curve::identity())
             .min_with(workload)

@@ -19,9 +19,11 @@
 //!   Every round's output is sound, and rounds only tighten, so the
 //!   iteration can stop at any budget; it converges when no curve changes.
 //!
-//! The result is looser than [`crate::analyze_bounds`] on acyclic systems
-//! (which chains the tighter Lemma-2 envelopes hop by hop) but is defined
-//! for arbitrary topologies.
+//! On acyclic systems neither this bound nor [`crate::analyze_bounds`]
+//! dominates the other: the one-pass driver chains Lemma-2 envelopes hop by
+//! hop, this one shifts the primary envelope by the upstream minimum
+//! processing, and either can be the tighter one for a given job. Unlike
+//! the one-pass driver, this one is defined for arbitrary topologies.
 //!
 //! ## Warm starts
 //!
@@ -44,7 +46,8 @@
 //!
 //! All interior state — dense subjob tables, arrival/workload curves,
 //! double-buffered bound iterates and the curve [`Scratch`] — lives in a
-//! per-thread [`LoopWorkspace`] that is reused across calls. Small systems
+//! per-thread [`LoopWorkspace`] that is reused across calls (and shared
+//! with the one-pass bounds driver, [`crate::bounds`]). Small systems
 //! (below [`PAR_THRESHOLD`] subjobs) run the rounds sequentially through
 //! the `_into` kernels: after a warm-up call on the same frame, a seeded
 //! re-analysis performs O(1) heap allocations (see DESIGN.md §4d and the
@@ -93,48 +96,121 @@ impl LoopSeed {
     }
 }
 
-/// Per-thread state of the fixpoint driver, reused across calls so a warm
-/// seeded re-analysis allocates nothing: dense subjob tables (the `i`-th
+/// Per-thread state of the bounds drivers — this module's fixpoint and the
+/// one-pass Theorem-4 pass in [`crate::bounds`] — reused across calls so a
+/// warm re-analysis allocates nothing: dense subjob tables (the `i`-th
 /// entry of every vector describes subjob `refs[i]`, in `all_subjobs`
-/// order), the cycle-free envelopes, the double-buffered bound iterates
-/// (`cur`/`next`), and the curve scratch arena.
+/// order), arrival envelopes and workloads, the per-subjob bound slots
+/// (`cur`, plus the fixpoint's `next` iterate), and the curve scratch
+/// arena. Each driver rewrites every slot it reads before reading it.
 #[derive(Default)]
-struct LoopWorkspace {
-    scratch: Scratch,
-    refs: Vec<SubjobRef>,
+pub(crate) struct LoopWorkspace {
+    pub(crate) scratch: Scratch,
+    pub(crate) refs: Vec<SubjobRef>,
     /// `job_start[k] + j` is the dense index of subjob `j` of job `k`.
-    job_start: Vec<usize>,
-    times: Vec<Time>,
-    stage: Curve,
-    /// SoA staging pair: round-0 cold-init temporaries, then the Eq. 12
-    /// `floor_div` departure curve.
-    stage_soa: SoaCurve,
-    dep_soa: SoaCurve,
-    arr_env: Vec<Curve>,
+    pub(crate) job_start: Vec<usize>,
+    pub(crate) times: Vec<Time>,
+    /// AoS staging: first-hop envelopes, then (one-pass driver) the
+    /// current node's workload.
+    pub(crate) stage: Curve,
+    /// SoA staging pair: first-hop envelopes and round-0 cold-init
+    /// temporaries (one-pass driver: the current node's workload), then
+    /// the Eq. 12 `floor_div` departure curve.
+    pub(crate) stage_soa: SoaCurve,
+    pub(crate) dep_soa: SoaCurve,
+    /// Per-subjob arrival envelopes: the fixpoint's cycle-free ones, the
+    /// one-pass driver's Lemma-2 ones.
+    pub(crate) arr_env: Vec<SoaCurve>,
     /// Per-subjob workloads in both layouts, built once at model ingest:
     /// the SoA copy feeds the rounds, the AoS copy feeds shared-workload
     /// policy contexts and the conversion fallback (DESIGN.md §4g).
-    workload: Vec<Curve>,
-    workload_soa: Vec<SoaCurve>,
-    policy: Vec<&'static dyn ServicePolicy>,
-    tau: Vec<Time>,
-    weight: Vec<u32>,
-    blocking: Vec<Time>,
-    processor: Vec<usize>,
+    pub(crate) workload: Vec<Curve>,
+    pub(crate) workload_soa: Vec<SoaCurve>,
+    pub(crate) policy: Vec<&'static dyn ServicePolicy>,
+    pub(crate) tau: Vec<Time>,
+    pub(crate) weight: Vec<u32>,
+    pub(crate) blocking: Vec<Time>,
+    pub(crate) processor: Vec<usize>,
     /// Flattened higher-priority peer indices; node `i`'s peers are
     /// `hp_flat[hp_start[i]..hp_start[i + 1]]`.
-    hp_flat: Vec<usize>,
-    hp_start: Vec<usize>,
-    /// Double-buffered bound iterates, in SoA layout end-to-end: a warm
-    /// round never materializes an AoS segment array.
-    cur: Vec<SoaServiceBounds>,
+    pub(crate) hp_flat: Vec<usize>,
+    pub(crate) hp_start: Vec<usize>,
+    /// Per-subjob service bounds, in SoA layout end-to-end: the fixpoint's
+    /// double-buffered iterates (`cur`/`next`), the one-pass driver's
+    /// node results (`cur`).
+    pub(crate) cur: Vec<SoaServiceBounds>,
     next: Vec<SoaServiceBounds>,
     stale: Vec<bool>,
     changed: Vec<bool>,
+    /// The one-pass driver's tables ([`crate::bounds`]): per-subjob Eq. 12
+    /// hop delays, per-job instance counts and partial Eq. 11 sums, and
+    /// the node's output bounds before they are copied into `cur`.
+    pub(crate) hop: Vec<Option<Time>>,
+    pub(crate) instances: Vec<i64>,
+    pub(crate) e2e: Vec<Option<Time>>,
+    pub(crate) node: SoaServiceBounds,
 }
 
 thread_local! {
     static LOOP_WS: RefCell<LoopWorkspace> = RefCell::new(LoopWorkspace::default());
+}
+
+/// Run `f` on this thread's [`LoopWorkspace`].
+pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut LoopWorkspace) -> R) -> R {
+    LOOP_WS.with(|ws| f(&mut ws.borrow_mut()))
+}
+
+impl LoopWorkspace {
+    /// Fill the dense subjob tables for `sys`: `refs`/`job_start`, and per
+    /// subjob its policy, execution time, weight, blocking term, processor
+    /// and higher-priority peers (enumerated in `higher_priority_peers`
+    /// order). Returns the subjob count.
+    pub(crate) fn index_system(&mut self, sys: &TaskSystem) -> usize {
+        self.refs.clear();
+        self.job_start.clear();
+        for (k, job) in sys.jobs().iter().enumerate() {
+            self.job_start.push(self.refs.len());
+            for j in 0..job.subjobs.len() {
+                self.refs.push(SubjobRef {
+                    job: JobId(k),
+                    index: j,
+                });
+            }
+        }
+        let n = self.refs.len();
+        self.policy.clear();
+        self.tau.clear();
+        self.weight.clear();
+        self.blocking.clear();
+        self.processor.clear();
+        self.hp_flat.clear();
+        self.hp_start.clear();
+        for i in 0..n {
+            let r = self.refs[i];
+            let s = sys.subjob(r);
+            let policy = policy_for(sys.processor(s.processor).scheduler);
+            self.hp_start.push(self.hp_flat.len());
+            if policy.peer_inputs() == PeerInputs::HigherPriorityServices {
+                let phi = s.priority.expect("validated: priorities assigned");
+                for (h, &o) in self.refs.iter().enumerate() {
+                    if o == r {
+                        continue;
+                    }
+                    let os = sys.subjob(o);
+                    if os.processor == s.processor && os.priority.expect("assigned") < phi {
+                        self.hp_flat.push(h);
+                    }
+                }
+            }
+            self.policy.push(policy);
+            self.tau.push(s.exec);
+            self.weight.push(s.weight());
+            self.blocking.push(policy.blocking(sys, r));
+            self.processor.push(s.processor.0);
+        }
+        self.hp_start.push(self.hp_flat.len());
+        n
+    }
 }
 
 fn ensure_curves(v: &mut Vec<Curve>, n: usize) {
@@ -143,13 +219,13 @@ fn ensure_curves(v: &mut Vec<Curve>, n: usize) {
     }
 }
 
-fn ensure_soa_curves(v: &mut Vec<SoaCurve>, n: usize) {
+pub(crate) fn ensure_soa_curves(v: &mut Vec<SoaCurve>, n: usize) {
     if v.len() < n {
         v.resize_with(n, SoaCurve::zero);
     }
 }
 
-fn ensure_bounds(v: &mut Vec<SoaServiceBounds>, n: usize) {
+pub(crate) fn ensure_bounds(v: &mut Vec<SoaServiceBounds>, n: usize) {
     if v.len() < n {
         v.resize_with(n, SoaServiceBounds::zeroed);
     }
@@ -201,10 +277,7 @@ pub fn analyze_with_loops_seeded(
     max_rounds: usize,
     seed: Option<&LoopSeed>,
 ) -> Result<(BoundsReport, LoopSeed), AnalysisError> {
-    LOOP_WS.with(|ws| {
-        let mut ws = ws.borrow_mut();
-        analyze_seeded_in(sys, cfg, max_rounds, seed, &mut ws, PAR_THRESHOLD)
-    })
+    with_workspace(|ws| analyze_seeded_in(sys, cfg, max_rounds, seed, ws, PAR_THRESHOLD))
 }
 
 /// [`analyze_with_loops`] forced onto the retained AoS kernels (the
@@ -234,71 +307,28 @@ fn analyze_seeded_in(
     assert!(max_rounds >= 1);
     let (window, horizon) = cfg.resolve(sys);
 
-    // ---- Dense subjob tables (all_subjobs order). ----
-    ws.refs.clear();
-    ws.job_start.clear();
-    for (k, job) in sys.jobs().iter().enumerate() {
-        ws.job_start.push(ws.refs.len());
-        for j in 0..job.subjobs.len() {
-            ws.refs.push(SubjobRef {
-                job: JobId(k),
-                index: j,
-            });
-        }
-    }
-    let n = ws.refs.len();
+    let n = ws.index_system(sys);
 
     // ---- Cycle-free arrival envelopes and workloads. This is the single
     // AoS→SoA ingest boundary: the workloads convert here, once, and the
     // rounds run on the flat arrays. ----
-    ensure_curves(&mut ws.arr_env, n);
+    ensure_soa_curves(&mut ws.arr_env, n);
     ensure_curves(&mut ws.workload, n);
     ensure_soa_curves(&mut ws.workload_soa, n);
-    for i in 0..n {
-        let r = ws.refs[i];
-        let job = sys.job(r.job);
+    for (k, job) in sys.jobs().iter().enumerate() {
         job.arrival.release_times_into(window, &mut ws.times);
         Curve::from_event_times_into(&ws.times, &mut ws.stage);
-        let min_shift: Time = job.subjobs[..r.index].iter().map(|s| s.exec).sum();
-        ws.stage.shift_right_into(min_shift, 0, &mut ws.arr_env[i]);
-        ws.arr_env[i].scale_into(sys.subjob(r).exec.ticks(), &mut ws.workload[i]);
-        ws.workload_soa[i].copy_from_curve(&ws.workload[i]);
-    }
-
-    // ---- Per-node policy metadata. Higher-priority peer slots are the
-    // only cross-subjob inputs of a round, so they drive the staleness
-    // tracking; the enumeration order matches `higher_priority_peers`. ----
-    ws.policy.clear();
-    ws.tau.clear();
-    ws.weight.clear();
-    ws.blocking.clear();
-    ws.processor.clear();
-    ws.hp_flat.clear();
-    ws.hp_start.clear();
-    for i in 0..n {
-        let r = ws.refs[i];
-        let s = sys.subjob(r);
-        let policy = policy_for(sys.processor(s.processor).scheduler);
-        ws.hp_start.push(ws.hp_flat.len());
-        if policy.peer_inputs() == PeerInputs::HigherPriorityServices {
-            let phi = s.priority.expect("validated: priorities assigned");
-            for (h, &o) in ws.refs.iter().enumerate() {
-                if o == r {
-                    continue;
-                }
-                let os = sys.subjob(o);
-                if os.processor == s.processor && os.priority.expect("assigned") < phi {
-                    ws.hp_flat.push(h);
-                }
-            }
+        ws.stage_soa.copy_from_curve(&ws.stage);
+        let mut min_shift = Time::ZERO;
+        for (j, s) in job.subjobs.iter().enumerate() {
+            let i = ws.job_start[k] + j;
+            ws.stage_soa
+                .shift_right_into(min_shift, 0, &mut ws.arr_env[i]);
+            ws.arr_env[i].scale_into(s.exec.ticks(), &mut ws.workload_soa[i]);
+            ws.workload_soa[i].write_to_curve(&mut ws.workload[i]);
+            min_shift += s.exec;
         }
-        ws.policy.push(policy);
-        ws.tau.push(s.exec);
-        ws.weight.push(s.weight());
-        ws.blocking.push(policy.blocking(sys, r));
-        ws.processor.push(s.processor.0);
     }
-    ws.hp_start.push(ws.hp_flat.len());
 
     // Shared-workload policy contexts (FCFS, IWRR) depend only on the
     // (round-invariant) peer workloads: build each processor's context
@@ -390,7 +420,7 @@ fn analyze_seeded_in(
                     policy[i].service_bounds_soa_into(
                         &SoaBoundsInputs {
                             workload: &workload_soa[i],
-                            workload_aos: &workload[i],
+                            workload_aos: Some(&workload[i]),
                             tau: tau[i],
                             weight: weight[i],
                             blocking: blocking[i],
@@ -643,14 +673,30 @@ mod tests {
         let lo = analyze_with_loops(&sys, &AnalysisConfig::default(), 6).unwrap();
         let direct = crate::analyze_bounds(&sys, &AnalysisConfig::default()).unwrap();
         for k in 0..2 {
-            let (a, b) = (
-                lo.jobs[k].e2e_bound.expect("bounded"),
-                direct.jobs[k].e2e_bound.expect("bounded"),
-            );
-            // Both sound; the fixpoint variant may be looser but must agree
-            // on schedulability here.
             assert!(lo.jobs[k].schedulable() && direct.jobs[k].schedulable());
-            let _ = (a, b);
+        }
+
+        // Neither bound dominates the other in general (module docs), but
+        // both dominate the exact worst-case response on a single-stage
+        // all-SPP system, where the envelope shift is zero.
+        let mut b = SystemBuilder::new();
+        let p = b.add_processor("P1", SchedulerKind::Spp);
+        b.add_job("T1", Time(20), periodic(20), vec![(p, Time(4))]);
+        b.add_job("T2", Time(30), periodic(30), vec![(p, Time(7))]);
+        b.add_job("T3", Time(60), periodic(60), vec![(p, Time(9))]);
+        let mut sys = b.build().unwrap();
+        assign_priorities(&mut sys, PriorityPolicy::DeadlineMonotonic).unwrap();
+        let cfg = AnalysisConfig::default();
+        let exact = crate::analyze_exact_spp(&sys, &cfg).unwrap();
+        let lo = analyze_with_loops(&sys, &cfg, 8).unwrap();
+        let direct = crate::analyze_bounds(&sys, &cfg).unwrap();
+        for k in 0..3 {
+            let wcrt = exact.jobs[k].wcrt.expect("resolved");
+            assert!(lo.jobs[k].e2e_bound.expect("bounded") >= wcrt, "job {k}");
+            assert!(
+                direct.jobs[k].e2e_bound.expect("bounded") >= wcrt,
+                "job {k}"
+            );
         }
     }
 

@@ -121,16 +121,18 @@ pub struct BoundsInputs<'a> {
 /// evaluation — [`BoundsInputs`] with the curves in structure-of-arrays
 /// layout (DESIGN.md §4g).
 ///
-/// `workload_aos` carries the same curve as `workload` in AoS form: the
-/// fixpoint drivers keep both (the AoS copy is built once at model
-/// ingest), so policies falling back on the AoS kernels — the default
-/// implementation, FCFS's context path — never pay a per-round
-/// conversion of the workload.
+/// `workload_aos` carries the same curve as `workload` in AoS form when
+/// the driver holds one: the fixpoint driver keeps both (the AoS copy is
+/// built once at model ingest, so its rounds never pay a per-round
+/// conversion), and the one-pass driver builds one on shared-workload
+/// processors, whose contexts need it anyway. Policies falling back on
+/// the AoS kernels — the default implementation — convert `workload`
+/// themselves when it is `None`.
 pub struct SoaBoundsInputs<'a> {
     /// The subjob's (upper-bounded) workload `c̄ = f̄_arr · τ`.
     pub workload: &'a SoaCurve,
-    /// The same workload in AoS layout (ingest-time conversion).
-    pub workload_aos: &'a Curve,
+    /// The same workload in AoS layout, when the driver holds one.
+    pub workload_aos: Option<&'a Curve>,
     /// The subjob's execution time `τ`.
     pub tau: Time,
     /// The subjob's round-robin weight (1 unless assigned).
@@ -241,8 +243,16 @@ pub trait ServicePolicy: Send + Sync {
         let hp_upper: Vec<Curve> = inputs.hp_upper.iter().map(|c| c.to_curve()).collect();
         let hp_lo_refs: Vec<&Curve> = hp_lower.iter().collect();
         let hp_up_refs: Vec<&Curve> = hp_upper.iter().collect();
+        let converted;
+        let workload = match inputs.workload_aos {
+            Some(c) => c,
+            None => {
+                converted = inputs.workload.to_curve();
+                &converted
+            }
+        };
         let aos_inputs = BoundsInputs {
-            workload: inputs.workload_aos,
+            workload,
             tau: inputs.tau,
             weight: inputs.weight,
             blocking: inputs.blocking,
@@ -463,6 +473,56 @@ pub trait SimScheduler: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_soa_path_converts_a_missing_aos_workload() {
+        // Shared-workload policies run the default SoA entry; without an
+        // AoS copy of the workload it must convert one itself and agree
+        // with the run that was handed the copy.
+        let times = [Time(0), Time(6)];
+        let c = Curve::from_event_times(&times).scale(4);
+        let soa = SoaCurve::from_curve(&c);
+        let horizon = Time(60);
+        for kind in [SchedulerKind::Fcfs, SchedulerKind::Iwrr] {
+            let mut b = rta_model::SystemBuilder::new();
+            let p = b.add_processor("P1", kind);
+            b.add_job(
+                "T1",
+                Time(50),
+                rta_model::ArrivalPattern::Trace(times.to_vec()),
+                vec![(p, Time(4))],
+            );
+            let sys = b.build().unwrap();
+            let policy = policy_for(kind);
+            let ctx = policy
+                .build_context(&sys, p, &sys.subjobs_on(p), &[&c], horizon)
+                .unwrap();
+            let run = |workload_aos| {
+                let mut out = SoaServiceBounds::zeroed();
+                policy
+                    .service_bounds_soa_into(
+                        &SoaBoundsInputs {
+                            workload: &soa,
+                            workload_aos,
+                            tau: Time(4),
+                            weight: 1,
+                            blocking: Time::ZERO,
+                            hp_lower: &[],
+                            hp_upper: &[],
+                            variant: SpnpAvailability::Conservative,
+                            ctx: ctx.as_ref(),
+                            horizon,
+                            processor: p,
+                        },
+                        &mut Scratch::new(),
+                        &mut out,
+                    )
+                    .unwrap();
+                out
+            };
+            assert_eq!(run(Some(&c)), run(None), "{kind}");
+        }
+    }
 
     #[test]
     fn registry_round_trips_every_kind() {

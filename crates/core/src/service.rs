@@ -455,7 +455,8 @@ impl AdmissionService {
 
     /// Explore the (execution-scale × burst-length) schedulability region
     /// of the tenant's *current* system (read-only: the tenant's session
-    /// and generation are untouched).
+    /// and generation are untouched), under the oracle behind the tenant's
+    /// verdicts — including the fixed-point fallback of a cyclic tenant.
     pub fn region(
         &mut self,
         tenant: &str,
@@ -463,11 +464,9 @@ impl AdmissionService {
         bursts: (u32, u32, usize),
     ) -> Result<RegionReport, ServiceError> {
         let base = self.cfg.analysis.clone();
-        let max_rounds = self.cfg.max_rounds;
         let t = self.tenant_mut(tenant)?;
-        let oracle = AdmissionService::pick_oracle(t.session.system(), max_rounds);
         let region = RegionConfig::grid(
-            scales.0, scales.1, scales.2, bursts.0, bursts.1, bursts.2, oracle,
+            scales.0, scales.1, scales.2, bursts.0, bursts.1, bursts.2, t.oracle,
         );
         Ok(explore_region(t.session.system(), &base, &region)?)
     }

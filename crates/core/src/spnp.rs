@@ -60,7 +60,7 @@ impl Eq for ServiceBounds {}
 /// SoA kernels are segment-identical to their AoS oracles, so a
 /// `SoaServiceBounds` and the `ServiceBounds` it converts to/from always
 /// describe the same pair of curves.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SoaServiceBounds {
     /// Guaranteed (lower-bounded) service `S̲`.
     pub lower: SoaCurve,

@@ -6,157 +6,22 @@
 //! through a per-processor `FcfsProcessor` slot map — and
 //! `analyze_exact_spp` called `spp::exact_service` inline. Those kernels
 //! are still public, so this suite *reimplements the old dispatch verbatim*
-//! on top of them and checks that the trait drivers produce the same
+//! on top of them (the bounds pass lives in `support/`, shared with
+//! `bounds_driver.rs`) and checks that the trait drivers produce the same
 //! reports curve-for-curve and tick-for-tick, on deterministic job-shop /
 //! bursty fixtures and on randomized systems. Any divergence means the
 //! refactor changed analysis results, not just code shape.
 
-use std::collections::HashMap;
+mod support;
 
 use proptest::prelude::*;
 use rta_core::depgraph::{evaluation_order, SubjobIndex};
-use rta_core::fcfs::FcfsProcessor;
-use rta_core::spnp::{spnp_bounds, ServiceBounds};
 use rta_core::spp::exact_service;
 use rta_core::{analyze_bounds, analyze_exact_spp, AnalysisConfig};
 use rta_curves::{Curve, CurveCursor, Time};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::{ArrivalPattern, JobId, SchedulerKind, SubjobRef, SystemBuilder, TaskSystem};
-
-// ---------------------------------------------------------------------------
-// The legacy (pre-refactor) bounds pass: explicit enum dispatch.
-// ---------------------------------------------------------------------------
-
-struct LegacyNode {
-    arr_env: Curve,
-    bounds: ServiceBounds,
-    dep_lower: Curve,
-    arr_next: Curve,
-}
-
-/// What `compute_nodes` looked like before the `ServicePolicy` seam: a
-/// `match` on the scheduler kind, with the FCFS slot map built at the first
-/// subjob of each FCFS processor.
-fn legacy_compute_nodes(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<LegacyNode> {
-    let (window, horizon) = cfg.resolve(sys);
-    let idx = SubjobIndex::new(sys);
-    let order = evaluation_order(sys, &idx).expect("acyclic fixture");
-
-    let mut nodes: Vec<Option<LegacyNode>> = Vec::with_capacity(idx.len());
-    nodes.resize_with(idx.len(), || None);
-    let mut fcfs: HashMap<usize, FcfsProcessor> = HashMap::new();
-
-    let arr_env_of = |nodes: &[Option<LegacyNode>], r: SubjobRef| -> Curve {
-        if r.index == 0 {
-            sys.job(r.job).arrival.arrival_curve(window)
-        } else {
-            let pred = SubjobRef {
-                job: r.job,
-                index: r.index - 1,
-            };
-            nodes[idx.index(pred)]
-                .as_ref()
-                .expect("dependency order")
-                .arr_next
-                .clone()
-        }
-    };
-
-    for i in order {
-        let r = idx.subjob(i);
-        let subjob = sys.subjob(r);
-        let tau = subjob.exec;
-        let arr_env = arr_env_of(&nodes, r);
-        let workload = arr_env.scale(tau.ticks());
-
-        let bounds = match sys.processor(subjob.processor).scheduler {
-            kind @ (SchedulerKind::Spp | SchedulerKind::Spnp) => {
-                let hp = sys.higher_priority_peers(r);
-                let hp_lower: Vec<&Curve> = hp
-                    .iter()
-                    .map(|h| &nodes[idx.index(*h)].as_ref().expect("order").bounds.lower)
-                    .collect();
-                let hp_upper: Vec<&Curve> = hp
-                    .iter()
-                    .map(|h| &nodes[idx.index(*h)].as_ref().expect("order").bounds.upper)
-                    .collect();
-                let blocking = if kind == SchedulerKind::Spnp {
-                    sys.blocking_time(r)
-                } else {
-                    Time::ZERO
-                };
-                spnp_bounds(
-                    &workload,
-                    &hp_lower,
-                    &hp_upper,
-                    blocking,
-                    cfg.spnp_availability,
-                )
-                .expect("paired peer slices")
-            }
-            SchedulerKind::Fcfs => {
-                let proc = fcfs.entry(subjob.processor.0).or_insert_with(|| {
-                    let peers = sys.subjobs_on(subjob.processor);
-                    let workloads: Vec<Curve> = peers
-                        .iter()
-                        .map(|&o| arr_env_of(&nodes, o).scale(sys.subjob(o).exec.ticks()))
-                        .collect();
-                    let refs: Vec<&Curve> = workloads.iter().collect();
-                    FcfsProcessor::new(&refs, horizon).expect("fcfs slot map")
-                });
-                proc.service_bounds(&workload, tau).expect("fcfs bounds")
-            }
-            other => panic!("legacy dispatch has no arm for {other:?}"),
-        };
-
-        let dep_lower = bounds.lower.floor_div(tau.ticks(), horizon).unwrap();
-        let arr_next = bounds.upper.floor_div(tau.ticks(), horizon).unwrap();
-        nodes[i] = Some(LegacyNode {
-            arr_env,
-            bounds,
-            dep_lower,
-            arr_next,
-        });
-    }
-    nodes
-        .into_iter()
-        .map(|n| n.expect("all computed"))
-        .collect()
-}
-
-/// Legacy `analyze_bounds`: Eq. 12 hop delays summed per Eq. 11.
-fn legacy_bounds(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<(Vec<Option<Time>>, Option<Time>)> {
-    let (window, _) = cfg.resolve(sys);
-    let idx = SubjobIndex::new(sys);
-    let nodes = legacy_compute_nodes(sys, cfg);
-
-    let mut out = Vec::with_capacity(sys.jobs().len());
-    for (k, job) in sys.jobs().iter().enumerate() {
-        let n_instances = job.arrival.release_times(window).len() as i64;
-        let mut hop_delays = Vec::with_capacity(job.subjobs.len());
-        for j in 0..job.subjobs.len() {
-            let node = &nodes[idx.index(SubjobRef {
-                job: JobId(k),
-                index: j,
-            })];
-            let mut arr_cur = CurveCursor::new(&node.arr_env);
-            let mut dep_cur = CurveCursor::new(&node.dep_lower);
-            let mut d = Some(Time::ZERO);
-            for m in 1..=n_instances {
-                d = match (d, arr_cur.inverse_at(m), dep_cur.inverse_at(m)) {
-                    (Some(d), Some(early), Some(late)) => Some(d.max(late - early)),
-                    _ => None,
-                };
-            }
-            hop_delays.push(d);
-        }
-        let e2e = hop_delays
-            .iter()
-            .try_fold(Time::ZERO, |acc, d| d.map(|d| acc + d));
-        out.push((hop_delays, e2e));
-    }
-    out
-}
+use support::legacy_bounds;
 
 /// Legacy `analyze_exact_spp`: Theorem 3 service functions called inline,
 /// Theorem 1 responses read off the chain ends. Returns per-subjob

@@ -12,10 +12,15 @@
 //!   variant; FCFS at the first hop), and the approximation quality of the
 //!   remaining paths (paper-verbatim SPNP, multi-hop FCFS) is measured and
 //!   pinned — see DESIGN.md §5.
+//! * Section 6 fixed point ([`analyze_with_loops`], the daemon's verdict
+//!   oracle for every tenant that is not all-SPP): the same dominance
+//!   where it holds, and its one documented exception pinned.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rta_core::{analyze_bounds, analyze_exact_spp, AnalysisConfig, SpnpAvailability};
+use rta_core::fixpoint::analyze_with_loops;
+use rta_core::service::DEFAULT_MAX_ROUNDS;
+use rta_core::{analyze_bounds, analyze_exact_spp, AnalysisConfig, BoundsReport, SpnpAvailability};
 use rta_curves::Time;
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
@@ -132,8 +137,27 @@ fn exact_spp_service_curves_match_observed() {
 }
 
 /// Count (violations, instances, worst excess ratio) of simulated responses
-/// above the analysis bound.
+/// above the Theorem 4 bound.
 fn violation_stats(
+    scheduler: SchedulerKind,
+    variant: SpnpAvailability,
+    seeds: std::ops::Range<u64>,
+    cases: &[(usize, f64)],
+    bursty: bool,
+) -> (usize, usize, f64) {
+    violation_stats_of(
+        |sys, acfg| analyze_bounds(sys, acfg).unwrap(),
+        scheduler,
+        variant,
+        seeds,
+        cases,
+        bursty,
+    )
+}
+
+/// [`violation_stats`] against the bounds of any analysis.
+fn violation_stats_of(
+    analyze: impl Fn(&TaskSystem, &AnalysisConfig) -> BoundsReport,
     scheduler: SchedulerKind,
     variant: SpnpAvailability,
     seeds: std::ops::Range<u64>,
@@ -150,7 +174,7 @@ fn violation_stats(
                 ..Default::default()
             };
             let (window, horizon) = acfg.resolve(&sys);
-            let report = analyze_bounds(&sys, &acfg).unwrap();
+            let report = analyze(&sys, &acfg);
             let sim = simulate(&sys, &SimConfig { window, horizon });
             for (k, jb) in report.jobs.iter().enumerate() {
                 let Some(bound) = jb.e2e_bound else { continue };
@@ -437,5 +461,70 @@ fn bursty_bounds_quality() {
             "{scheduler}: violation rate {bad}/{total}"
         );
         assert!(ratio < 1.6, "{scheduler}: worst excess ratio {ratio}");
+    }
+}
+
+/// The daemon's fixed-point oracle, at the service's round budget.
+fn fixpoint(sys: &TaskSystem, acfg: &AnalysisConfig) -> BoundsReport {
+    analyze_with_loops(sys, acfg, DEFAULT_MAX_ROUNDS).unwrap()
+}
+
+#[test]
+fn fixpoint_bounds_dominate_simulation() {
+    // Where the one-pass bounds are sound, the Section 6 fixed point must
+    // be too: conservative SPNP at one to three stages, and FCFS and IWRR
+    // at a single stage (exact first-hop arrivals), periodic and bursty.
+    let cases: [(SchedulerKind, &[(usize, f64)]); 3] = [
+        (SchedulerKind::Spnp, &[(1, 0.5), (2, 0.6), (3, 0.4)]),
+        (SchedulerKind::Fcfs, &[(1, 0.4), (1, 0.7), (1, 0.9)]),
+        (SchedulerKind::Iwrr, &[(1, 0.4), (1, 0.6), (1, 0.8)]),
+    ];
+    for (kind, stages) in cases {
+        for (bursty, seeds) in [(false, 0..30), (true, 300..330)] {
+            let (bad, total, worst) = violation_stats_of(
+                fixpoint,
+                kind,
+                SpnpAvailability::Conservative,
+                seeds,
+                stages,
+                bursty,
+            );
+            assert!(total > 1_000, "{kind:?} bursty={bursty}: coverage {total}");
+            assert_eq!(
+                bad, 0,
+                "{kind:?} bursty={bursty}: {bad}/{total} instances exceeded the \
+                 fixed-point bound (worst {worst:.3}×)"
+            );
+        }
+    }
+}
+
+#[test]
+fn fixpoint_can_underestimate_multi_stage_spp() {
+    // Regression-documented finding (DESIGN.md §5, finding 4): on
+    // multi-stage all-SPP shops the fixed point's cycle-free envelopes —
+    // the primary arrivals shifted by the upstream minimum processing —
+    // can bound a job below its exact (= simulated) worst-case response
+    // time, e.g. 57 against an exact 60 for job 3 of seed 5 at two stages.
+    // The daemon uses this oracle for all-SPP tenants only when their
+    // topology is cyclic. The shift vanishes at a single stage, so only two
+    // and three stages are counted here.
+    for stages in [2usize, 3] {
+        let (bad, total, worst) = violation_stats_of(
+            fixpoint,
+            SchedulerKind::Spp,
+            SpnpAvailability::Conservative,
+            0..40,
+            &[(stages, 0.6)],
+            false,
+        );
+        assert!(total > 1_000, "{stages} stages: coverage {total}");
+        assert!(
+            bad > 0,
+            "{stages} stages: expected the fixed point to underestimate somewhere"
+        );
+        // Rare and modest where it happens.
+        assert!((bad as f64) < 0.05 * total as f64, "{bad}/{total}");
+        assert!(worst < 2.0, "worst excess ratio {worst}");
     }
 }

@@ -364,3 +364,44 @@ ADMIT b job C deadline 120 periodic 60 0 hop Q1 2
         lines[4]
     );
 }
+
+#[test]
+fn region_on_a_cyclic_spp_tenant_uses_its_fixpoint_oracle() {
+    // The crossed-priority figure-eight: all-SPP, so the exact oracle is
+    // the first pick, but its dependency graph is cyclic and LOAD falls
+    // back to the fixed point. REGION must explore under that fallback,
+    // not re-pick the exact oracle and fail on the cycle.
+    let input = "\
+LOAD eight 4
+processor P1 spp
+processor P2 spp
+job T1 deadline 200 periodic 40 0 hop P1 4 prio 2 hop P2 4 prio 1
+job T2 deadline 200 periodic 40 0 hop P2 4 prio 2 hop P1 4 prio 1
+REGION eight 0.5 1.5 3 1 4 4
+";
+    let lines = serve_lines(input);
+    assert_eq!(lines.len(), 2, "{lines:#?}");
+    assert!(lines[0].starts_with("OK LOAD eight "), "{}", lines[0]);
+    assert!(lines[1].starts_with("OK REGION eight "), "{}", lines[1]);
+}
+
+#[test]
+fn consecutive_hops_on_one_fcfs_processor_fall_back_to_the_fixpoint() {
+    // A job visiting the same FCFS processor twice in a row makes its
+    // first hop's context read its own departure — a physical loop. LOAD
+    // must answer through the fixed-point fallback, and the daemon must
+    // keep serving.
+    let input = "\
+LOAD t 3
+processor P1 fcfs
+job T1 deadline 60 periodic 30 0 hop P1 3 hop P1 4
+job T2 deadline 60 periodic 20 0 hop P1 2
+ADMIT t job X deadline 100 periodic 50 0 hop P1 1
+PING
+";
+    let lines = serve_lines(input);
+    assert_eq!(lines.len(), 3, "{lines:#?}");
+    assert!(lines[0].starts_with("OK LOAD t "), "{}", lines[0]);
+    assert!(lines[1].starts_with("OK ADMIT t "), "{}", lines[1]);
+    assert_eq!(lines[2], "PONG");
+}
