@@ -3,8 +3,8 @@
 //! Compiled only under the `alloc_stats` feature: installs a counting
 //! wrapper around the system allocator as the crate's global allocator, so
 //! benches and tests can assert *allocation budgets* — e.g. that a warm
-//! seeded `analyze_with_loops_seeded` call stays within a handful of heap
-//! allocations (see `tests/alloc_budget.rs`).
+//! memoized `AnalysisSession::analyze_with_loops` call stays within a
+//! handful of heap allocations (see `tests/alloc_budget.rs`).
 //!
 //! The counter tallies `alloc` and `realloc` calls (a `realloc` that moves
 //! is the same allocator round-trip as a fresh `alloc`); `dealloc` is free.

@@ -22,7 +22,7 @@ use rta_curves::ops::linear_combine_into;
 use rta_curves::{Curve, CurveCursor, SoaCurve, Time};
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
-use rta_model::{ArrivalPattern, SchedulerKind, SystemBuilder, TaskSystem};
+use rta_model::{ArrivalPattern, Job, SchedulerKind, Subjob, SystemBuilder, TaskSystem};
 
 fn arrivals(n: i64, gap: i64) -> Curve {
     let times: Vec<Time> = (0..n).map(|i| Time(i * gap)).collect();
@@ -345,11 +345,12 @@ fn incremental_suite() {
     // verdict memo.
     let iters = 64;
 
-    // Bisection sweep, loop-tolerant oracle, frame pinned so fixpoint
-    // seeds stay valid across scale probes. An 8-stage pipeline makes the
-    // fixpoint deep (rounds dominate setup) and coarse ticks keep the
-    // probe space small, as in the paper's unit-scale experiments. Cold:
-    // clone + full fixpoint per probe.
+    // Bisection sweep, loop-tolerant oracle, frame pinned as in the
+    // service. An 8-stage pipeline makes the fixpoint's priority chains
+    // deep and coarse ticks keep the probe space small, as in the paper's
+    // unit-scale experiments. Cold: clone + full fixpoint per probe; the
+    // session adds the verdict memo (a scale probe drops the whole
+    // fixpoint memo).
     let spnp = shop_at_ticks(SchedulerKind::Spnp, 8, 6, 8);
     let (w, h) = AnalysisConfig::default().resolve(&spnp);
     let pinned = AnalysisConfig {
@@ -371,12 +372,11 @@ fn incremental_suite() {
             .unwrap()
     });
 
-    // The allocation-free steady state: one warm, seeded fixpoint run per
-    // iteration on a session whose seed has already converged. The 2-stage
-    // shop (12 subjobs) stays below the fixpoint's parallel-dispatch
-    // threshold, so this times the sequential in-workspace path — the
-    // per-scenario unit cost inside every batched sweep; the `alloc_budget`
-    // test pins the warm path's heap traffic.
+    // The allocation-free steady state: one warm fixpoint run per
+    // iteration on a session whose per-processor memo is complete, so the
+    // run copies every subjob's bounds and assembles the report — the
+    // floor under every warm verdict; the `alloc_budget` test pins its
+    // heap traffic.
     let small = shop_at_ticks(SchedulerKind::Spnp, 2, 6, 8);
     let (sw, sh) = AnalysisConfig::default().resolve(&small);
     let small_pinned = AnalysisConfig {
@@ -389,6 +389,36 @@ fn incremental_suite() {
         warm.analyze_with_loops(rounds).unwrap();
         b.run("fixpoint_loops/alloc_free", move || {
             warm.analyze_with_loops(rounds).unwrap()
+        });
+    }
+
+    // A warm admission probe as the service runs one: add a lowest-priority
+    // one-hop candidate to a pinned session, ask for the verdict, remove
+    // it. The exact oracle recomputes the candidate's subjob alone; the
+    // fixpoint re-evaluates the candidate's processor and copies the rest.
+    for (kind, oracle, label) in [
+        (SchedulerKind::Spp, Oracle::Exact, "exact_spp"),
+        (
+            SchedulerKind::Spnp,
+            Oracle::Loops { max_rounds: 8 },
+            "fixpoint_spnp",
+        ),
+    ] {
+        let sys = shop(kind, 2, 6);
+        let (w, h) = AnalysisConfig::default().resolve(&sys);
+        let pinned = AnalysisConfig {
+            arrival_window: Some(w),
+            horizon: Some(h),
+            ..AnalysisConfig::default()
+        };
+        let probe = lowest_priority_probe(&sys);
+        let mut warm = AnalysisSession::pinned(sys, pinned);
+        warm.schedulable(oracle).unwrap();
+        b.run(&format!("admit_probe/{label}_2stage_6job"), move || {
+            let id = warm.add_job(probe.clone());
+            let verdict = warm.schedulable(oracle).unwrap();
+            warm.remove_job(id);
+            verdict
         });
     }
 
@@ -493,7 +523,7 @@ fn incremental_suite() {
             warm.analyze_with_loops(rounds).unwrap();
         }
         let per = (rta_bench::alloc_stats::alloc_count() - before) as f64 / RUNS as f64;
-        println!("\nallocs/analysis (warm seeded fixpoint): {per:.2}");
+        println!("\nallocs/analysis (warm memoized fixpoint): {per:.2}");
     }
 
     let json = b.to_json(&[
@@ -509,6 +539,30 @@ fn incremental_suite() {
             "\nwrote BENCH_incremental.json ({} benchmarks)",
             b.results().len()
         );
+    }
+}
+
+/// A one-hop candidate below every resident of job 0's first processor,
+/// with a quarter of that hop's execution time and job 0's arrivals.
+fn lowest_priority_probe(sys: &TaskSystem) -> Job {
+    let first = &sys.jobs()[0];
+    let hop = &first.subjobs[0];
+    let lowest = sys
+        .subjobs_on(hop.processor)
+        .iter()
+        .filter_map(|&r| sys.subjob(r).priority)
+        .max()
+        .unwrap_or(0);
+    Job {
+        name: "probe".into(),
+        deadline: first.deadline,
+        arrival: first.arrival.clone(),
+        subjobs: vec![Subjob {
+            processor: hop.processor,
+            exec: Time((hop.exec.ticks() / 4).max(1)),
+            priority: Some(lowest + 1),
+            weight: None,
+        }],
     }
 }
 

@@ -1,9 +1,9 @@
 //! Tight warm-fixpoint loop for sampling profilers.
 //!
 //! `cargo run -p rta-bench --release --bin profile_fixpoint -- [iters]`
-//! replays the `fixpoint_loops/alloc_free` scenario (the warm, seeded
-//! sequential fixpoint on the 2-stage 6-job SPNP shop) `iters` times so a
-//! profiler like `gprofng collect app` has a single hot region to sample.
+//! replays the `fixpoint_loops/alloc_free` scenario (the warm, memoized
+//! fixpoint on the 2-stage 6-job SPNP shop) `iters` times so a profiler
+//! like `gprofng collect app` has a single hot region to sample.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,7 +18,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(20_000);
     // COLD=1 replays `analysis/fixpoint_loops_2stage_6job` (fresh analysis
-    // at ticks 500) instead of the warm seeded session.
+    // at ticks 500) instead of the warm memoized session.
     let cold = std::env::var("COLD").is_ok();
     let cfg = ShopConfig {
         stages: 2,

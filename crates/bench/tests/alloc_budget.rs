@@ -41,17 +41,17 @@ fn pipeline() -> TaskSystem {
     sys
 }
 
-/// After warm-up, a seeded loop analysis must do O(1) heap allocations —
+/// After warm-up, a memoized loop analysis must do O(1) heap allocations —
 /// the arena/workspace discipline of the fixpoint driver. The budget of 8
 /// covers the report assembly (one jobs `Vec`, one hop-delay `Vec` per
-/// job) plus the per-round peer-reference scratch; everything else comes
-/// from the thread-local workspace and the carried seed.
+/// job); everything else comes from the thread-local workspace and the
+/// session's per-processor memo, copied into place.
 #[test]
-fn warm_seeded_analysis_stays_within_allocation_budget() {
+fn warm_memoized_analysis_stays_within_allocation_budget() {
     let sys = pipeline();
     let base = AnalysisConfig::default();
     let (window, horizon) = base.resolve(&sys);
-    // Pin the frame so the carried seed stays valid run over run.
+    // Pin the frame so the memo stays valid run over run.
     let cfg = AnalysisConfig {
         arrival_window: Some(window),
         horizon: Some(horizon),
@@ -59,7 +59,7 @@ fn warm_seeded_analysis_stays_within_allocation_budget() {
     };
     let mut session = AnalysisSession::pinned(sys, cfg);
 
-    // Warm-up: builds the thread-local workspace and converges the seed.
+    // Warm-up: builds the thread-local workspace and fills the memo.
     for _ in 0..3 {
         assert!(session.analyze_with_loops(16).unwrap().all_schedulable());
     }
@@ -72,7 +72,7 @@ fn warm_seeded_analysis_stays_within_allocation_budget() {
     let per_call = (alloc_count() - before) as f64 / RUNS as f64;
     assert!(
         per_call <= 8.0,
-        "warm seeded analyze allocates {per_call} times per call (budget 8)"
+        "warm memoized analyze allocates {per_call} times per call (budget 8)"
     );
 
     // Memoized verdicts are cheaper still: answered from the verdict table

@@ -22,14 +22,15 @@
 //!   its scenario index, never on which worker ran it or on the states of
 //!   scenarios that happened to share its thread.
 //!
-//! Cross-scenario *seeding* is deliberately **not** attempted: warm-starting
-//! scenario `i+1`'s fixpoint from scenario `i`'s converged bounds would be
-//! unsound (the soundness arguments in [`crate::fixpoint::LoopSeed`] and
-//! [`crate::holistic::HolisticSeed`] are per-system, from-below) and would
-//! make results depend on scheduling order. Within one scenario, though,
-//! [`BatchAnalyzer::critical_scaling`] drives the whole bisection through a
-//! single [`AnalysisSession`], so the ~30 probes per scenario reuse curves,
-//! seeds and memoized verdicts exactly like the sequential engine.
+//! Cross-scenario reuse is deliberately **not** attempted: carrying
+//! scenario `i`'s fixpoint memo or holistic seed into scenario `i+1` would
+//! be unsound (the memo holds per-processor bounds of the system it was
+//! computed on, and [`crate::holistic::HolisticSeed`] is sound only from
+//! below, per system) and would make results depend on scheduling order.
+//! Within one scenario, though, [`BatchAnalyzer::critical_scaling`] drives
+//! the whole bisection through a single [`AnalysisSession`], so the ~30
+//! probes per scenario reuse curves, seeds, memos and verdicts exactly like
+//! the sequential engine.
 
 use std::sync::Arc;
 

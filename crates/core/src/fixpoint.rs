@@ -25,84 +25,63 @@
 //! processing, and either can be the tighter one for a given job. Unlike
 //! the one-pass driver, this one is defined for arbitrary topologies.
 //!
-//! ## Warm starts
+//! ## One pass in priority order
 //!
 //! The only cross-subjob inputs of a round are the service bounds of
-//! strictly higher-priority peers on the same processor. Priorities are a
-//! strict order per processor, so that input relation is a DAG even when the
-//! full subjob dependency graph (with chain edges) is cyclic — the arrival
-//! envelopes above are computed once, outside the iteration. A DAG of pure
-//! per-node functions has exactly one fixed point, reached from *any*
-//! starting vector within `depth + 1` rounds. [`analyze_with_loops_seeded`]
-//! exploits this: seeding the iteration with the converged bounds of a
-//! nearby system (e.g. the previous bisection step of
-//! [`crate::sensitivity::critical_scaling`]) starts next to the new fixed
-//! point and typically converges in one verification round, while producing
-//! bit-identical reports to a cold start whenever the round budget lets the
-//! cold run converge. The cold entry point [`analyze_with_loops`] is kept
-//! unchanged as the correctness oracle.
+//! strictly higher-priority peers on the same processor — a DAG even when
+//! the full dependency graph is cyclic, since priorities are a strict order
+//! per processor. A subjob's *depth*, its longest higher-priority chain, is
+//! then its number of higher-priority peers, and its round-`r` iterate (its
+//! kernel applied to its peers' round-`(r − 1)` iterates) stops changing
+//! after round `depth + 1`. A budget of `max_rounds` rounds leaves it at
+//! round `e = min(depth + 1, max_rounds)`, so the driver evaluates each
+//! subjob once, by ascending depth, from its peers' final bounds. Only a
+//! subjob at least `max_rounds` deep reads a peer at an earlier round than
+//! the peer's final one: a backward pass collects those few iterates (round
+//! 0 is the information-free bound) and the forward pass computes them
+//! too. Reports, errors included, equal the Jacobi rounds' at every budget;
+//! those rounds on the AoS kernels are the independent reference in
+//! `crates/core/tests/support/`.
+//!
+//! ## The per-processor memo
+//!
+//! Every input of a subjob's bounds lies on its own processor (its
+//! higher-priority peers, the SPNP blocking term, the FCFS/IWRR context) or
+//! in its own job (the cycle-free envelope). An [`crate::AnalysisSession`]
+//! therefore keeps a `LoopMemo` of final bounds and contexts per
+//! processor; its deltas drop the processors they touch, and a warm run
+//! evaluates only those and copies the rest.
 //!
 //! ## Memory discipline
 //!
 //! All interior state — dense subjob tables, arrival/workload curves,
-//! double-buffered bound iterates and the curve [`Scratch`] — lives in a
-//! per-thread [`LoopWorkspace`] that is reused across calls (and shared
-//! with the one-pass bounds driver, [`crate::bounds`]). Small systems
-//! (below [`PAR_THRESHOLD`] subjobs) run the rounds sequentially through
-//! the `_into` kernels: after a warm-up call on the same frame, a seeded
-//! re-analysis performs O(1) heap allocations (see DESIGN.md §4d and the
-//! `alloc_budget` test in `rta-bench`). Larger systems fan rounds out over
-//! the persistent worker pool exactly as before; both paths compute
-//! bit-identical results (pinned by `sequential_and_parallel_agree`).
+//! per-subjob bound slots and the curve [`Scratch`] — lives in a per-thread
+//! [`LoopWorkspace`] reused across calls (and shared with the one-pass
+//! bounds driver, [`crate::bounds`]). Kernels write into one output buffer
+//! that is copied into the retained slots (DESIGN.md §4d), so a memoized
+//! re-analysis performs O(1) heap allocations once warm (the
+//! `alloc_budget` test in `rta-bench`).
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
-use crate::config::{AnalysisConfig, SpnpAvailability};
+use crate::config::AnalysisConfig;
 use crate::error::AnalysisError;
-use crate::policy::{
-    policy_for, BoundsInputs, PeerInputs, ProcessorContexts, ServicePolicy, SoaBoundsInputs,
-};
+use crate::policy::{policy_for, PeerInputs, ProcessorContexts, ServicePolicy, SoaBoundsInputs};
 use crate::report::{BoundsReport, JobBound};
-use crate::spnp::{ServiceBounds, SoaServiceBounds};
+use crate::spnp::SoaServiceBounds;
 use rta_curves::{Curve, Scratch, SoaCurve, Time};
-use rta_model::{JobId, ProcessorId, SubjobRef, TaskSystem};
+use rta_model::{Job, JobId, ProcessorId, SubjobRef, TaskSystem};
 
-/// Systems with at least this many subjobs fan each round out over the
-/// worker pool; smaller ones iterate sequentially in the caller's
-/// workspace, which is both faster (no dispatch overhead) and
-/// allocation-free when warm.
-const PAR_THRESHOLD: usize = 32;
-
-/// Converged interior state of a loop-tolerant run, reusable as the seed of
-/// the next run on a system with the same topology and analysis frame.
-///
-/// The bounds are shared (`Arc`) and stored in structure-of-arrays layout —
-/// the working representation of the warm rounds (DESIGN.md §4g), so
-/// re-seeding copies flat arrays (or, for an unchanged system, returns a
-/// handle to the same vector) without ever materializing AoS segments.
-#[derive(Clone, Debug)]
-pub struct LoopSeed {
-    pub(crate) window: Time,
-    pub(crate) horizon: Time,
-    pub(crate) bounds: Arc<Vec<SoaServiceBounds>>,
-}
-
-impl LoopSeed {
-    /// `true` when this seed can start an analysis at frame
-    /// `(window, horizon)` over `n` subjobs.
-    pub fn matches(&self, window: Time, horizon: Time, n: usize) -> bool {
-        self.window == window && self.horizon == horizon && self.bounds.len() == n
-    }
-}
+/// A [`LoopWorkspace::slot`] entry no dependent reads.
+const UNUSED: usize = usize::MAX;
 
 /// Per-thread state of the bounds drivers — this module's fixpoint and the
 /// one-pass Theorem-4 pass in [`crate::bounds`] — reused across calls so a
 /// warm re-analysis allocates nothing: dense subjob tables (the `i`-th
 /// entry of every vector describes subjob `refs[i]`, in `all_subjobs`
-/// order), arrival envelopes and workloads, the per-subjob bound slots
-/// (`cur`, plus the fixpoint's `next` iterate), and the curve scratch
-/// arena. Each driver rewrites every slot it reads before reading it.
+/// order), arrival envelopes and workloads, the per-subjob bound slots,
+/// and the curve scratch arena. Each driver rewrites every slot it reads
+/// before reading it.
 #[derive(Default)]
 pub(crate) struct LoopWorkspace {
     pub(crate) scratch: Scratch,
@@ -113,7 +92,7 @@ pub(crate) struct LoopWorkspace {
     /// AoS staging: first-hop envelopes, then (one-pass driver) the
     /// current node's workload.
     pub(crate) stage: Curve,
-    /// SoA staging pair: first-hop envelopes and round-0 cold-init
+    /// SoA staging pair: first-hop envelopes and information-free-bound
     /// temporaries (one-pass driver: the current node's workload), then
     /// the Eq. 12 `floor_div` departure curve.
     pub(crate) stage_soa: SoaCurve,
@@ -121,11 +100,11 @@ pub(crate) struct LoopWorkspace {
     /// Per-subjob arrival envelopes: the fixpoint's cycle-free ones, the
     /// one-pass driver's Lemma-2 ones.
     pub(crate) arr_env: Vec<SoaCurve>,
-    /// Per-subjob workloads in both layouts, built once at model ingest:
-    /// the SoA copy feeds the rounds, the AoS copy feeds shared-workload
-    /// policy contexts and the conversion fallback (DESIGN.md §4g).
-    pub(crate) workload: Vec<Curve>,
-    pub(crate) workload_soa: Vec<SoaCurve>,
+    /// The fixpoint's workloads of the subjobs it evaluates, and
+    /// (`workload`) their AoS copies on shared-workload processors, whose
+    /// contexts and AoS-kernel fallback read them (DESIGN.md §4g).
+    workload_soa: Vec<SoaCurve>,
+    workload: Vec<Curve>,
     pub(crate) policy: Vec<&'static dyn ServicePolicy>,
     pub(crate) tau: Vec<Time>,
     pub(crate) weight: Vec<u32>,
@@ -135,16 +114,23 @@ pub(crate) struct LoopWorkspace {
     /// `hp_flat[hp_start[i]..hp_start[i + 1]]`.
     pub(crate) hp_flat: Vec<usize>,
     pub(crate) hp_start: Vec<usize>,
-    /// Per-subjob service bounds, in SoA layout end-to-end: the fixpoint's
-    /// double-buffered iterates (`cur`/`next`), the one-pass driver's
-    /// node results (`cur`).
+    /// Per-subjob service bounds in SoA layout: the fixpoint's final
+    /// bounds, the one-pass driver's node results.
     pub(crate) cur: Vec<SoaServiceBounds>,
-    next: Vec<SoaServiceBounds>,
-    stale: Vec<bool>,
-    changed: Vec<bool>,
+    /// The fixpoint's evaluation order (ascending depth, then dense index)
+    /// and which subjobs it evaluates rather than copies from a memo.
+    order: Vec<usize>,
+    evaluate: Vec<bool>,
+    /// Earlier-round iterates: round `r` of subjob `i`, below its final
+    /// round, lives in `early[slot[round_start[i] + r]]` when a dependent
+    /// reads it, and its slot is [`UNUSED`] otherwise.
+    round_start: Vec<usize>,
+    slot: Vec<usize>,
+    early: Vec<SoaServiceBounds>,
     /// The one-pass driver's tables ([`crate::bounds`]): per-subjob Eq. 12
-    /// hop delays, per-job instance counts and partial Eq. 11 sums, and
-    /// the node's output bounds before they are copied into `cur`.
+    /// hop delays, per-job instance counts (the fixpoint's too) and partial
+    /// Eq. 11 sums, and the kernel output both drivers copy into their
+    /// retained slots.
     pub(crate) hop: Vec<Option<Time>>,
     pub(crate) instances: Vec<i64>,
     pub(crate) e2e: Vec<Option<Time>>,
@@ -213,10 +199,21 @@ impl LoopWorkspace {
     }
 }
 
-fn ensure_curves(v: &mut Vec<Curve>, n: usize) {
-    if v.len() < n {
-        v.resize_with(n, Curve::zero);
-    }
+/// Subjob `i`'s depth, given `hp_start`: its number of higher-priority
+/// peers.
+fn depth(hp_start: &[usize], i: usize) -> usize {
+    hp_start[i + 1] - hp_start[i]
+}
+
+/// The round of subjob `i`'s reported bounds.
+fn final_round(hp_start: &[usize], i: usize, max_rounds: usize) -> usize {
+    (depth(hp_start, i) + 1).min(max_rounds)
+}
+
+/// The round peer `h` supplies to a dependent's round-`r` evaluation: its
+/// round-`(r − 1)` iterate, settled after round `depth + 1`.
+fn peer_round(hp_start: &[usize], h: usize, r: usize) -> usize {
+    (r - 1).min(depth(hp_start, h) + 1)
 }
 
 pub(crate) fn ensure_soa_curves(v: &mut Vec<SoaCurve>, n: usize) {
@@ -231,92 +228,132 @@ pub(crate) fn ensure_bounds(v: &mut Vec<SoaServiceBounds>, n: usize) {
     }
 }
 
-/// Round-invariant inputs of one subjob, detached from the workspace so
-/// the parallel round closures are `'static` for the worker pool.
-struct RoundNode {
-    workload: Curve,
-    /// Dense indices of strictly-higher-priority peers (empty for
-    /// shared-workload policies like FCFS and IWRR).
-    hp: Vec<usize>,
-    policy: &'static dyn ServicePolicy,
-    processor: usize,
-    tau: Time,
-    weight: u32,
-    blocking: Time,
+/// The fixed point's memo of one evolving system, kept by an
+/// [`crate::AnalysisSession`] (see the module docs): every subjob's final
+/// bounds, in rows parallel to the jobs like the session's exact-path
+/// curve cache (so a removal's job-id shift carries them along), and each
+/// shared-workload processor's context. A processor's entries stay valid
+/// until a delta drops them; a run under another frame or round budget, or
+/// on a system the rows do not fit, drops everything.
+#[derive(Default)]
+pub(crate) struct LoopMemo {
+    key: Option<(Time, Time, usize)>,
+    /// Per processor: whether its subjobs' rows and its context are current.
+    valid: Vec<bool>,
+    rows: Vec<Vec<SoaServiceBounds>>,
+    ctxs: ProcessorContexts,
 }
 
-/// Everything a parallel Jacobi round reads besides the previous round's
-/// bounds.
-struct RoundCtx {
-    nodes: Vec<RoundNode>,
-    ctxs: ProcessorContexts,
-    avail: SpnpAvailability,
-    horizon: Time,
+impl LoopMemo {
+    /// `job` was appended: give it a row and drop its processors.
+    pub(crate) fn add_job(&mut self, job: &Job) {
+        self.rows.push(Vec::new());
+        self.drop_job(job);
+    }
+
+    /// `job`, with id `id`, was removed: drop its row and its processors.
+    pub(crate) fn remove_job(&mut self, id: JobId, job: &Job) {
+        if id.0 < self.rows.len() {
+            self.rows.remove(id.0);
+        }
+        self.drop_job(job);
+    }
+
+    /// Forget the bounds and contexts of every processor `job` visits.
+    pub(crate) fn drop_job(&mut self, job: &Job) {
+        for s in &job.subjobs {
+            self.drop_processor(s.processor);
+        }
+    }
+
+    /// Forget processor `p`'s bounds and context.
+    pub(crate) fn drop_processor(&mut self, p: ProcessorId) {
+        if let Some(v) = self.valid.get_mut(p.0) {
+            *v = false;
+        }
+        self.ctxs.remove(p);
+    }
+
+    /// Forget every processor's bounds and context.
+    pub(crate) fn drop_all(&mut self) {
+        self.valid.iter_mut().for_each(|v| *v = false);
+        self.ctxs = ProcessorContexts::new();
+    }
+
+    /// Key the memo to a run under `key` and shape its tables to `sys`.
+    fn prepare(&mut self, sys: &TaskSystem, key: (Time, Time, usize)) {
+        if self.key != Some(key) || self.rows.len() != sys.jobs().len() {
+            self.drop_all();
+            self.key = Some(key);
+            self.rows.resize_with(sys.jobs().len(), Vec::new);
+        }
+        self.valid.resize(sys.processors().len(), false);
+        for (row, job) in self.rows.iter_mut().zip(sys.jobs()) {
+            row.resize_with(job.subjobs.len(), SoaServiceBounds::zeroed);
+        }
+    }
 }
 
 /// Run the loop-tolerant fixed-point analysis for at most `max_rounds`
-/// refinement rounds (each round is a full sweep over all subjobs).
+/// refinement rounds (a round re-evaluates every subjob from the previous
+/// round's bounds; the driver gets there in one pass, see the module docs).
 pub fn analyze_with_loops(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
     max_rounds: usize,
 ) -> Result<BoundsReport, AnalysisError> {
-    analyze_with_loops_seeded(sys, cfg, max_rounds, None).map(|(report, _)| report)
+    with_workspace(|ws| analyze_in(sys, cfg, max_rounds, ws, None)).map(|(report, _)| report)
 }
 
-/// [`analyze_with_loops`] with an optional warm-start seed; also returns the
-/// converged bounds as the seed for the next run.
-///
-/// A seed is used only when [`LoopSeed::matches`] the resolved frame and
-/// subjob count; otherwise the run silently falls back to the cold round-0
-/// bounds. See the module docs for why seeding cannot change the converged
-/// result.
-pub fn analyze_with_loops_seeded(
+/// [`analyze_with_loops`] through `memo`: evaluates the processors whose
+/// entries are not valid, copies the rest, and on success leaves every
+/// processor valid. Also returns how many subjobs were copied.
+pub(crate) fn analyze_with_loops_memo(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
     max_rounds: usize,
-    seed: Option<&LoopSeed>,
-) -> Result<(BoundsReport, LoopSeed), AnalysisError> {
-    with_workspace(|ws| analyze_seeded_in(sys, cfg, max_rounds, seed, ws, PAR_THRESHOLD))
+    memo: &mut LoopMemo,
+) -> Result<(BoundsReport, usize), AnalysisError> {
+    with_workspace(|ws| analyze_in(sys, cfg, max_rounds, ws, Some(memo)))
 }
 
-/// [`analyze_with_loops`] forced onto the retained AoS kernels (the
-/// parallel-round path, which never touches the SoA iterate buffers).
-///
-/// This is the pinned reference driver: the SoA rounds are required to be
-/// bit-identical to it, and the driver-level oracle tests compare full
-/// reports from both entry points. It is not a performance API.
-pub fn analyze_with_loops_aos_reference(
+fn analyze_in(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
     max_rounds: usize,
-) -> Result<BoundsReport, AnalysisError> {
-    let mut ws = LoopWorkspace::default();
-    analyze_seeded_in(sys, cfg, max_rounds, None, &mut ws, 0).map(|(report, _)| report)
-}
-
-fn analyze_seeded_in(
-    sys: &TaskSystem,
-    cfg: &AnalysisConfig,
-    max_rounds: usize,
-    seed: Option<&LoopSeed>,
     ws: &mut LoopWorkspace,
-    par_threshold: usize,
-) -> Result<(BoundsReport, LoopSeed), AnalysisError> {
+    mut memo: Option<&mut LoopMemo>,
+) -> Result<(BoundsReport, usize), AnalysisError> {
     sys.validate(true)?;
     assert!(max_rounds >= 1);
     let (window, horizon) = cfg.resolve(sys);
-
     let n = ws.index_system(sys);
 
-    // ---- Cycle-free arrival envelopes and workloads. This is the single
-    // AoS→SoA ingest boundary: the workloads convert here, once, and the
-    // rounds run on the flat arrays. ----
+    // Evaluate every subjob cold; warm, copy those on valid processors.
+    ensure_bounds(&mut ws.cur, n);
+    ws.evaluate.clear();
+    ws.evaluate.resize(n, true);
+    if let Some(m) = memo.as_deref_mut() {
+        m.prepare(sys, (window, horizon, max_rounds));
+        for i in (0..n).filter(|&i| m.valid[ws.processor[i]]) {
+            let row = &m.rows[ws.refs[i].job.0][ws.refs[i].index];
+            ws.cur[i].lower.copy_from(&row.lower);
+            ws.cur[i].upper.copy_from(&row.upper);
+            ws.evaluate[i] = false;
+        }
+    }
+
+    // ---- Cycle-free arrival envelopes for every subjob (the hop delays
+    // read them), workloads for the evaluated ones: the single AoS→SoA
+    // ingest boundary. ----
     ensure_soa_curves(&mut ws.arr_env, n);
-    ensure_curves(&mut ws.workload, n);
     ensure_soa_curves(&mut ws.workload_soa, n);
+    ws.workload
+        .resize_with(ws.workload.len().max(n), Curve::zero);
+    ws.instances.clear();
     for (k, job) in sys.jobs().iter().enumerate() {
         job.arrival.release_times_into(window, &mut ws.times);
+        ws.instances.push(ws.times.len() as i64);
         Curve::from_event_times_into(&ws.times, &mut ws.stage);
         ws.stage_soa.copy_from_curve(&ws.stage);
         let mut min_shift = Time::ZERO;
@@ -324,224 +361,56 @@ fn analyze_seeded_in(
             let i = ws.job_start[k] + j;
             ws.stage_soa
                 .shift_right_into(min_shift, 0, &mut ws.arr_env[i]);
-            ws.arr_env[i].scale_into(s.exec.ticks(), &mut ws.workload_soa[i]);
-            ws.workload_soa[i].write_to_curve(&mut ws.workload[i]);
+            if ws.evaluate[i] {
+                ws.arr_env[i].scale_into(s.exec.ticks(), &mut ws.workload_soa[i]);
+                if ws.policy[i].peer_inputs() == PeerInputs::SharedWorkloads {
+                    ws.workload_soa[i].write_to_curve(&mut ws.workload[i]);
+                }
+            }
             min_shift += s.exec;
         }
     }
 
-    // Shared-workload policy contexts (FCFS, IWRR) depend only on the
-    // (round-invariant) peer workloads: build each processor's context
-    // once, before the rounds. Priority policies never enter this branch,
-    // so the warm path allocates nothing here.
-    let mut ctxs = ProcessorContexts::new();
+    // Shared-workload policy contexts (FCFS, IWRR) depend only on the peer
+    // workloads: build each evaluated processor's context up front.
+    let mut cold_ctxs = ProcessorContexts::new();
+    let ctxs = memo.as_deref_mut().map_or(&mut cold_ctxs, |m| &mut m.ctxs);
     for i in 0..n {
-        if ws.policy[i].peer_inputs() == PeerInputs::SharedWorkloads {
-            let p = ProcessorId(ws.processor[i]);
-            let workload = &ws.workload;
-            let job_start = &ws.job_start;
-            ctxs.ensure(sys, p, horizon, &mut |o| {
+        if ws.evaluate[i] && ws.policy[i].peer_inputs() == PeerInputs::SharedWorkloads {
+            let (workload, job_start) = (&ws.workload, &ws.job_start);
+            ctxs.ensure(sys, ProcessorId(ws.processor[i]), horizon, &mut |o| {
                 workload[job_start[o.job.0] + o.index].clone()
             })?;
         }
     }
 
-    // ---- Round 0: the seed when it fits the frame, information-free
-    // otherwise — built directly on the SoA kernels (segment-identical to
-    // the AoS construction by the equivalence contract). ----
-    ensure_bounds(&mut ws.cur, n);
-    ensure_bounds(&mut ws.next, n);
-    let seeded = seed.filter(|s| s.matches(window, horizon, n));
-    if let Some(s) = seeded {
-        for i in 0..n {
-            ws.cur[i].lower.copy_from(&s.bounds[i].lower);
-            ws.cur[i].upper.copy_from(&s.bounds[i].upper);
-        }
-    } else {
-        for i in 0..n {
-            ws.cur[i].lower.set_affine(0, 0);
-            ws.stage_soa.set_affine(0, 1);
-            ws.stage_soa
-                .min_with_into(&ws.workload_soa[i], &mut ws.dep_soa);
-            ws.dep_soa.clamp_min_into(0, &mut ws.cur[i].upper);
-        }
+    // ---- The evaluated subjobs by ascending depth and, when a chain
+    // reaches the budget, the earlier iterates it reads. ----
+    ws.order.clear();
+    ws.order.extend((0..n).filter(|&i| ws.evaluate[i]));
+    let hs = &ws.hp_start;
+    ws.order.sort_unstable_by_key(|&i| (depth(hs, i), i));
+    let deep = ws.order.iter().any(|&i| depth(hs, i) >= max_rounds);
+    if deep {
+        collect_early_rounds(ws, max_rounds);
     }
-
-    // Subjob `i`'s round-r bounds are a pure function of the round-(r−1)
-    // bounds of its higher-priority peers (and round-invariant workloads),
-    // so a subjob whose inputs did not change in the previous round keeps
-    // its memoized bounds. FCFS bounds have no cross-subjob inputs at all:
-    // they are computed once in the first round and never again.
-    let mut any_change_ever = false;
-    if n < par_threshold {
-        // Sequential rounds, double-buffered through `cur`/`next` with all
-        // curve temporaries drawn from the scratch arena. Bounds stay in
-        // SoA layout across rounds — the policies' `service_bounds_soa_into`
-        // reads and writes the flat arrays directly.
-        let LoopWorkspace {
-            scratch,
-            workload,
-            workload_soa,
-            policy,
-            tau,
-            weight,
-            blocking,
-            processor,
-            hp_flat,
-            hp_start,
-            cur,
-            next,
-            stale,
-            changed,
-            ..
-        } = &mut *ws;
-        stale.clear();
-        stale.resize(n, true);
-        changed.clear();
-        changed.resize(n, false);
-        for _round in 0..max_rounds {
-            let mut any_changed = false;
-            {
-                let mut hp_lower: Vec<&SoaCurve> = Vec::new();
-                let mut hp_upper: Vec<&SoaCurve> = Vec::new();
-                for i in 0..n {
-                    if !stale[i] {
-                        changed[i] = false;
-                        next[i].lower.copy_from(&cur[i].lower);
-                        next[i].upper.copy_from(&cur[i].upper);
-                        continue;
-                    }
-                    hp_lower.clear();
-                    hp_upper.clear();
-                    for &h in &hp_flat[hp_start[i]..hp_start[i + 1]] {
-                        hp_lower.push(&cur[h].lower);
-                        hp_upper.push(&cur[h].upper);
-                    }
-                    policy[i].service_bounds_soa_into(
-                        &SoaBoundsInputs {
-                            workload: &workload_soa[i],
-                            workload_aos: Some(&workload[i]),
-                            tau: tau[i],
-                            weight: weight[i],
-                            blocking: blocking[i],
-                            hp_lower: &hp_lower,
-                            hp_upper: &hp_upper,
-                            variant: cfg.spnp_availability,
-                            ctx: ctxs.get(ProcessorId(processor[i])),
-                            horizon,
-                            processor: ProcessorId(processor[i]),
-                        },
-                        scratch,
-                        &mut next[i],
-                    )?;
-                    changed[i] = next[i] != cur[i];
-                    any_changed |= changed[i];
-                }
-            }
-            std::mem::swap(cur, next);
-            if !any_changed {
-                break;
-            }
-            any_change_ever = true;
-            for i in 0..n {
-                stale[i] = hp_flat[hp_start[i]..hp_start[i + 1]]
-                    .iter()
-                    .any(|&h| changed[h]);
-            }
+    forward_pass(ws, cfg, ctxs, horizon, max_rounds, deep)?;
+    if let Some(m) = memo {
+        for &i in &ws.order {
+            let row = &mut m.rows[ws.refs[i].job.0][ws.refs[i].index];
+            row.lower.copy_from(&ws.cur[i].lower);
+            row.upper.copy_from(&ws.cur[i].upper);
         }
-    } else {
-        // Parallel rounds: detach the round inputs from the workspace and
-        // fan each sweep out over the persistent pool. This path runs on
-        // the retained AoS kernels (it is the oracle the SoA rounds are
-        // pinned against by `sequential_and_parallel_agree`), converting
-        // the SoA iterates at entry and exit.
-        let nodes: Vec<RoundNode> = (0..n)
-            .map(|i| RoundNode {
-                workload: ws.workload[i].clone(),
-                hp: ws.hp_flat[ws.hp_start[i]..ws.hp_start[i + 1]].to_vec(),
-                policy: ws.policy[i],
-                processor: ws.processor[i],
-                tau: ws.tau[i],
-                weight: ws.weight[i],
-                blocking: ws.blocking[i],
-            })
-            .collect();
-        let ctx = Arc::new(RoundCtx {
-            nodes,
-            ctxs,
-            avail: cfg.spnp_availability,
-            horizon,
-        });
-        let mut bounds: Vec<ServiceBounds> = ws.cur[..n].iter().map(|b| b.to_bounds()).collect();
-        let mut stale: Vec<bool> = vec![true; n];
-        for _round in 0..max_rounds {
-            let prev = Arc::new(std::mem::take(&mut bounds));
-            let results: Vec<Option<Result<ServiceBounds, AnalysisError>>> = {
-                let ctx = Arc::clone(&ctx);
-                let prev = Arc::clone(&prev);
-                let stale = Arc::new(stale.clone());
-                crate::par::pool_map(prev.len(), move |i| {
-                    if !stale[i] {
-                        return None;
-                    }
-                    let node = &ctx.nodes[i];
-                    let hp_lower: Vec<&Curve> = node.hp.iter().map(|&h| &prev[h].lower).collect();
-                    let hp_upper: Vec<&Curve> = node.hp.iter().map(|&h| &prev[h].upper).collect();
-                    Some(node.policy.service_bounds(&BoundsInputs {
-                        workload: &node.workload,
-                        tau: node.tau,
-                        weight: node.weight,
-                        blocking: node.blocking,
-                        hp_lower: &hp_lower,
-                        hp_upper: &hp_upper,
-                        variant: ctx.avail,
-                        ctx: ctx.ctxs.get(ProcessorId(node.processor)),
-                        horizon: ctx.horizon,
-                        processor: ProcessorId(node.processor),
-                    }))
-                })
-            };
-            let mut changed_now = vec![false; prev.len()];
-            let mut any_changed = false;
-            bounds = Vec::with_capacity(prev.len());
-            for (i, res) in results.into_iter().enumerate() {
-                match res {
-                    Some(nb) => {
-                        let nb = nb?;
-                        if nb != prev[i] {
-                            changed_now[i] = true;
-                            any_changed = true;
-                        }
-                        bounds.push(nb);
-                    }
-                    None => bounds.push(prev[i].clone()),
-                }
-            }
-            if !any_changed {
-                break;
-            }
-            any_change_ever = true;
-            for (i, s) in stale.iter_mut().enumerate() {
-                *s = ctx.nodes[i].hp.iter().any(|&h| changed_now[h]);
-            }
-        }
-        for (i, b) in bounds.into_iter().enumerate() {
-            ws.cur[i].copy_from_bounds(&b);
-        }
+        m.valid.iter_mut().for_each(|v| *v = true);
     }
+    let copied = n - ws.order.len();
 
     // ---- Per-hop delays (Eq. 12) against the cycle-free envelopes. ----
     let mut jobs = Vec::with_capacity(sys.jobs().len());
     for (k, job) in sys.jobs().iter().enumerate() {
-        let job_id = JobId(k);
-        job.arrival.release_times_into(window, &mut ws.times);
-        let n_instances = ws.times.len() as i64;
         let mut hop_delays = Vec::with_capacity(job.subjobs.len());
         for j in 0..job.subjobs.len() {
             let i = ws.job_start[k] + j;
-            // SoA sweep: the converged lower bound is already SoA, so the
-            // departure extraction and the Eq. 12 cursor walk run on the
-            // flat arrays with no conversion at all.
             ws.cur[i].lower.floor_div_into(
                 job.subjobs[j].exec.ticks(),
                 horizon,
@@ -550,14 +419,14 @@ fn analyze_seeded_in(
             hop_delays.push(crate::bounds::hop_delay_soa(
                 &ws.arr_env[i],
                 &ws.dep_soa,
-                n_instances,
+                ws.instances[k],
             ));
         }
         let e2e_bound = hop_delays
             .iter()
             .try_fold(Time::ZERO, |acc, d| d.map(|d| acc + d));
         jobs.push(JobBound {
-            job: job_id,
+            job: JobId(k),
             hop_delays,
             e2e_bound,
             deadline: job.deadline,
@@ -568,21 +437,109 @@ fn analyze_seeded_in(
         horizon,
         jobs,
     };
-    // An unchanged seeded run converged onto its own seed: hand the same
-    // Arc back instead of cloning every curve.
-    let next_seed = match seeded {
-        Some(s) if !any_change_ever => LoopSeed {
-            window,
-            horizon,
-            bounds: Arc::clone(&s.bounds),
-        },
-        _ => LoopSeed {
-            window,
-            horizon,
-            bounds: Arc::new(ws.cur[..n].to_vec()),
-        },
-    };
-    Ok((report, next_seed))
+    Ok((report, copied))
+}
+
+/// The backward pass: by descending depth, mark for each round an
+/// evaluated subjob is needed at the iterate every higher-priority peer
+/// supplies, unless that is the peer's final round (kept in `cur`); then
+/// number the marked slots into `early`.
+fn collect_early_rounds(ws: &mut LoopWorkspace, max_rounds: usize) {
+    ws.round_start.clear();
+    let mut total = 0;
+    let hs = &ws.hp_start;
+    for i in 0..ws.refs.len() {
+        ws.round_start.push(total);
+        total += final_round(hs, i, max_rounds);
+    }
+    ws.slot.clear();
+    ws.slot.resize(total, UNUSED);
+    for &i in ws.order.iter().rev() {
+        let e = final_round(hs, i, max_rounds);
+        for r in 1..=e {
+            if r == e || ws.slot[ws.round_start[i] + r] != UNUSED {
+                for &h in &ws.hp_flat[hs[i]..hs[i + 1]] {
+                    let rh = peer_round(hs, h, r);
+                    if rh < final_round(hs, h, max_rounds) {
+                        ws.slot[ws.round_start[h] + rh] = 0;
+                    }
+                }
+            }
+        }
+    }
+    let mut used = 0;
+    for s in ws.slot.iter_mut().filter(|s| **s != UNUSED) {
+        *s = used;
+        used += 1;
+    }
+    ensure_bounds(&mut ws.early, used);
+}
+
+/// The forward pass: each evaluated subjob by ascending depth — its marked
+/// earlier-round iterates when `deep`, then its final bounds — each one
+/// kernel call into `ws.node`, copied into its retained slot (DESIGN.md
+/// §4d).
+fn forward_pass(
+    ws: &mut LoopWorkspace,
+    cfg: &AnalysisConfig,
+    ctxs: &ProcessorContexts,
+    horizon: Time,
+    max_rounds: usize,
+    deep: bool,
+) -> Result<(), AnalysisError> {
+    let hs = &ws.hp_start;
+    for &i in &ws.order {
+        let e = final_round(hs, i, max_rounds);
+        for r in if deep { 0 } else { e }..=e {
+            let dst = match r < e {
+                true if ws.slot[ws.round_start[i] + r] == UNUSED => continue,
+                true => Some(ws.slot[ws.round_start[i] + r]),
+                false => None,
+            };
+            if r == 0 {
+                // The information-free bound `[0, max(0, min(t, c̄))]`.
+                ws.node.lower.set_affine(0, 0);
+                ws.stage_soa.set_affine(0, 1);
+                ws.stage_soa
+                    .min_with_into(&ws.workload_soa[i], &mut ws.dep_soa);
+                ws.dep_soa.clamp_min_into(0, &mut ws.node.upper);
+            } else {
+                let peer = |h: usize| match peer_round(hs, h, r) {
+                    rh if rh == final_round(hs, h, max_rounds) => &ws.cur[h],
+                    rh => &ws.early[ws.slot[ws.round_start[h] + rh]],
+                };
+                let hp = &ws.hp_flat[hs[i]..hs[i + 1]];
+                let hp_lower: Vec<&SoaCurve> = hp.iter().map(|&h| &peer(h).lower).collect();
+                let hp_upper: Vec<&SoaCurve> = hp.iter().map(|&h| &peer(h).upper).collect();
+                let p = ProcessorId(ws.processor[i]);
+                let shared = ws.policy[i].peer_inputs() == PeerInputs::SharedWorkloads;
+                ws.policy[i].service_bounds_soa_into(
+                    &SoaBoundsInputs {
+                        workload: &ws.workload_soa[i],
+                        workload_aos: shared.then_some(&ws.workload[i]),
+                        tau: ws.tau[i],
+                        weight: ws.weight[i],
+                        blocking: ws.blocking[i],
+                        hp_lower: &hp_lower,
+                        hp_upper: &hp_upper,
+                        variant: cfg.spnp_availability,
+                        ctx: ctxs.get(p),
+                        horizon,
+                        processor: p,
+                    },
+                    &mut ws.scratch,
+                    &mut ws.node,
+                )?;
+            }
+            let out = match dst {
+                Some(s) => &mut ws.early[s],
+                None => &mut ws.cur[i],
+            };
+            out.lower.copy_from(&ws.node.lower);
+            out.upper.copy_from(&ws.node.upper);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -726,58 +683,68 @@ mod tests {
         assert!(!r.all_schedulable());
     }
 
-    #[test]
-    fn warm_start_from_own_solution_is_identical_and_converges_in_one_round() {
-        let sys = looped_system();
-        let cfg = AnalysisConfig::default();
-        let (cold, seed) = analyze_with_loops_seeded(&sys, &cfg, 16, None).unwrap();
-        // Re-analyzing the same system from its converged seed must converge
-        // immediately (a 1-round budget suffices) to the same report.
-        let (warm, seed2) = analyze_with_loops_seeded(&sys, &cfg, 1, Some(&seed)).unwrap();
-        assert_eq!(format!("{cold}"), format!("{warm}"));
-        for (a, b) in seed.bounds.iter().zip(seed2.bounds.iter()) {
-            assert_eq!(a.lower, b.lower);
-            assert_eq!(a.upper, b.upper);
-        }
-        // The converged warm seed shares storage with its input seed.
-        assert!(Arc::ptr_eq(&seed.bounds, &seed2.bounds));
+    /// A cold report, rendered through `Debug`, which prints every field.
+    fn cold(sys: &TaskSystem, cfg: &AnalysisConfig, rounds: usize) -> String {
+        format!("{:?}", analyze_with_loops(sys, cfg, rounds).unwrap())
     }
 
     #[test]
-    fn mismatched_seed_falls_back_to_cold() {
+    fn memoized_rerun_is_identical_and_evaluates_nothing() {
         let sys = looped_system();
         let cfg = AnalysisConfig::default();
-        let (_, seed) = analyze_with_loops_seeded(&sys, &cfg, 16, None).unwrap();
-        // A frame the seed does not match: different arrival window.
+        let mut memo = LoopMemo::default();
+        let (first, copied) = analyze_with_loops_memo(&sys, &cfg, 16, &mut memo).unwrap();
+        assert_eq!(copied, 0, "an empty memo copies nothing");
+        assert_eq!(format!("{first:?}"), cold(&sys, &cfg, 16));
+        // Re-analyzing the unchanged system copies every subjob's bounds
+        // and reproduces the same report.
+        let (again, copied) = analyze_with_loops_memo(&sys, &cfg, 16, &mut memo).unwrap();
+        assert_eq!(copied, 4);
+        assert_eq!(format!("{again:?}"), cold(&sys, &cfg, 16));
+    }
+
+    #[test]
+    fn memo_from_another_frame_or_budget_is_dropped() {
+        let sys = looped_system();
+        let cfg = AnalysisConfig::default();
+        let mut memo = LoopMemo::default();
+        analyze_with_loops_memo(&sys, &cfg, 16, &mut memo).unwrap();
+        // A frame the memo was not computed under: different arrival window.
         let other = AnalysisConfig {
             arrival_window: Some(Time(777)),
             ..AnalysisConfig::default()
         };
-        let cold = analyze_with_loops(&sys, &other, 16).unwrap();
-        let (warm, _) = analyze_with_loops_seeded(&sys, &other, 16, Some(&seed)).unwrap();
-        assert_eq!(format!("{cold}"), format!("{warm}"));
+        let (warm, copied) = analyze_with_loops_memo(&sys, &other, 16, &mut memo).unwrap();
+        assert_eq!(copied, 0);
+        assert_eq!(format!("{warm:?}"), cold(&sys, &other, 16));
+        // Another budget: a truncated chain's bounds depend on it.
+        let (warm, copied) = analyze_with_loops_memo(&sys, &other, 1, &mut memo).unwrap();
+        assert_eq!(copied, 0);
+        assert_eq!(format!("{warm:?}"), cold(&sys, &other, 1));
     }
 
-    /// The sequential in-workspace path and the pool-dispatched path are
-    /// the same analysis: bit-identical reports and seed curves.
+    /// Re-evaluating only the dropped processors is the same analysis as
+    /// evaluating everything, at every budget (including budgets below the
+    /// priority chains' depth, where earlier-round iterates are read).
     #[test]
-    fn sequential_and_parallel_agree() {
-        let run = |threshold: usize, seed: Option<&LoopSeed>, rounds: usize| {
-            let sys = looped_system();
-            let cfg = AnalysisConfig::default();
-            let mut ws = LoopWorkspace::default();
-            analyze_seeded_in(&sys, &cfg, rounds, seed, &mut ws, threshold).unwrap()
-        };
-        let (seq, seq_seed) = run(usize::MAX, None, 8);
-        let (par, par_seed) = run(0, None, 8);
-        assert_eq!(format!("{seq}"), format!("{par}"));
-        for (a, b) in seq_seed.bounds.iter().zip(par_seed.bounds.iter()) {
-            assert_eq!(a.lower, b.lower);
-            assert_eq!(a.upper, b.upper);
+    fn partial_reevaluation_matches_full_evaluation() {
+        let sys = looped_system();
+        let cfg = AnalysisConfig::default();
+        for rounds in 1..=8 {
+            let mut memo = LoopMemo::default();
+            analyze_with_loops_memo(&sys, &cfg, rounds, &mut memo).unwrap();
+            memo.drop_processor(ProcessorId(0));
+            let (warm, copied) = analyze_with_loops_memo(&sys, &cfg, rounds, &mut memo).unwrap();
+            assert_eq!(copied, 2, "P2's two subjobs are copied");
+            assert_eq!(
+                format!("{warm:?}"),
+                cold(&sys, &cfg, rounds),
+                "rounds {rounds}"
+            );
+            memo.drop_all();
+            let (warm, copied) = analyze_with_loops_memo(&sys, &cfg, rounds, &mut memo).unwrap();
+            assert_eq!(copied, 0);
+            assert_eq!(format!("{warm:?}"), cold(&sys, &cfg, rounds));
         }
-        // Warm runs agree too.
-        let (seq_w, _) = run(usize::MAX, Some(&seq_seed), 1);
-        let (par_w, _) = run(0, Some(&par_seed), 1);
-        assert_eq!(format!("{seq_w}"), format!("{par_w}"));
     }
 }

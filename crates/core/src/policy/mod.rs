@@ -344,6 +344,12 @@ impl ProcessorContexts {
     pub fn get(&self, p: ProcessorId) -> Option<&PolicyContext> {
         self.slots.get(&p.0).and_then(|c| c.as_ref())
     }
+
+    /// Forget processor `p`'s context; the next [`ProcessorContexts::ensure`]
+    /// rebuilds it.
+    pub fn remove(&mut self, p: ProcessorId) {
+        self.slots.remove(&p.0);
+    }
 }
 
 /// A ready instance as the event engine presents it to a scheduler: the

@@ -9,9 +9,8 @@
 //!
 //! The bisection is driven by an [`crate::AnalysisSession`]: the scaled
 //! system is written into one reusable buffer instead of cloning the
-//! `TaskSystem` per step, repeated quantized probes hit the session's
-//! verdict memo, and (for [`Oracle::Loops`]) the fixpoint warm-starts from
-//! the previous probe's solution.
+//! `TaskSystem` per step and repeated quantized probes hit the session's
+//! verdict memo.
 
 use crate::config::AnalysisConfig;
 use crate::error::AnalysisError;

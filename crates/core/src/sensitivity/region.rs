@@ -11,8 +11,8 @@
 //! The whole grid is driven through **one** [`AnalysisSession`]:
 //!
 //! * moving along the scale axis is [`AnalysisSession::schedulable_at_scale`]
-//!   — an in-place exec rewrite that reuses interned pattern curves, carried
-//!   fixpoint seeds and the verdict memo;
+//!   — an in-place exec rewrite that reuses interned pattern curves and the
+//!   verdict memo;
 //! * moving along the burst axis is one [`AnalysisSession::set_arrival`]
 //!   delta per bursty job — a structural edit that invalidates exactly what
 //!   the new envelope can reach.
@@ -23,9 +23,9 @@
 //! crosses, so the session re-derives that cone and reuses every other
 //! cached subjob curve and interned envelope verbatim (and re-probing the
 //! unchanged scale leaves the caches clean). For the bounds-based oracles
-//! — which rebuild their curve sets per analysis and reuse only carried
-//! fixpoint seeds and verdict memos — the scale axis is inner, keeping
-//! each row on one arrival structure.
+//! — whose per-processor fixpoint memo an execution-time delta drops
+//! entirely, and which reuse only verdict memos across scales — the scale
+//! axis is inner, keeping each row on one arrival structure.
 //!
 //! The analysis frame (arrival window, horizon) is resolved **once**, from
 //! the system at the *largest* requested burst length, and pinned for every
@@ -256,10 +256,9 @@ pub fn explore_region(
             }
         }
     } else {
-        // Burst-outer, scale-inner: bounds-based oracles have no per-subjob
-        // curve cache to exploit, so the walk keeps each row on one arrival
-        // structure and lets the session's carried fixpoint seeds and
-        // verdict memo absorb the scale probes.
+        // Burst-outer, scale-inner: a scale probe drops the whole fixpoint
+        // memo, so the walk keeps each row on one arrival structure and
+        // lets the session's verdict memo absorb repeated scale probes.
         for (bi, &burst_len) in region.burst_lens.iter().enumerate() {
             for &id in &bursty {
                 let pat = with_burst_len(&session.system().job(id).arrival, burst_len);
@@ -442,7 +441,7 @@ mod tests {
 
     #[test]
     fn loops_oracle_cells_match_cold_fixpoint() {
-        // The warm-seeded session fixpoint must reach the same verdicts as
+        // The memoized session fixpoint must reach the same verdicts as
         // a cold `analyze_with_loops` per cell — the property the
         // `region/32x32_grid` vs `_cold` bench pair relies on.
         let sys = bursty_spnp_pipeline();
@@ -454,7 +453,18 @@ mod tests {
             oracle: Oracle::Loops { max_rounds: rounds },
         };
         let report = explore_region(&sys, &cfg, &region).unwrap();
-        assert!(report.stats.warm_starts > 0, "{:?}", report.stats);
+        // The fixpoint memo accounts for every subjob of every run. Here
+        // each probe moves the execution vector (a new scale) or the flow's
+        // arrivals, whose train crosses both stages, so every probe drops
+        // every processor's memo and nothing is copied.
+        let subjobs = sys.all_subjobs().count() as u64;
+        assert_eq!(
+            report.stats.subjobs_recomputed,
+            subjobs * report.stats.analyses,
+            "{:?}",
+            report.stats
+        );
+        assert_eq!(report.stats.subjobs_reused, 0, "{:?}", report.stats);
 
         let mut frame_sys = sys.clone();
         for id in bursty_jobs(&sys) {

@@ -12,11 +12,11 @@
 //!   delta-based: [`AdmissionService::admit`] pushes the candidate job into
 //!   the warm session ([`AnalysisSession::add_job`]), asks the tenant's
 //!   oracle, and rolls the job back ([`AnalysisSession::remove_job`]) when
-//!   the verdict is a rejection — the session's dirty-cone machinery
-//!   recomputes only what the candidate can influence.
+//!   the verdict is a rejection — the session's dirty cone and fixpoint
+//!   memo recompute only what the candidate can influence.
 //! * Sessions are **pinned** ([`AnalysisSession::pinned`]): the analysis
 //!   frame is resolved once, from the loaded system, so admission deltas
-//!   keep curve caches and fixpoint seeds valid. Verdicts under a pinned
+//!   keep curve caches and fixpoint memos valid. Verdicts under a pinned
 //!   frame are sound (an undersized horizon reads as unschedulable) and are
 //!   bit-identical to a cold analysis under the same pinned configuration —
 //!   [`AdmissionService::tenant_config`] exposes that configuration so the

@@ -16,11 +16,21 @@
 //!   marks are closed over the forward dependency edges
 //!   ([`crate::depgraph::DirtyCone`]) and **only the cone recomputes** —
 //!   clean subjobs reuse their cached curves verbatim, which is exact
-//!   because their inputs are bit-identical.
-//! * **Warm-started fixpoints** — the session carries the converged
-//!   [`crate::fixpoint::LoopSeed`] / [`crate::holistic::HolisticSeed`]
-//!   across runs, and hands them back to the seeded drivers when sound (see
-//!   those types for the respective soundness arguments).
+//!   because their inputs are bit-identical. An added job marks only its
+//!   own subjobs and a removed one only the lower-priority peers it
+//!   leaves behind: by Theorem 3 a subjob reads nothing but its
+//!   higher-priority peers and its own upstream hop, and the cone adds the
+//!   rest.
+//! * **Memoized fixpoints** — the session carries the fixed point's final
+//!   bounds and policy contexts per processor
+//!   ([`crate::fixpoint`]'s memo). A delta drops the memo of the
+//!   processors it touches (add/remove a job or move its arrivals: the
+//!   job's processors; a priority move: that processor; an execution-time
+//!   or frame change: all of them), and the next run evaluates only those
+//!   and copies the rest — exact, because every input of a subjob's bounds
+//!   lies on its own processor or in its own job. The holistic driver
+//!   warm-starts from the carried [`crate::holistic::HolisticSeed`] when
+//!   sound (see that type for the from-below argument).
 //! * **Verdict memoization** — execution times are quantized to ticks, so a
 //!   narrowing bisection re-visits *identical* systems once `λ` steps fall
 //!   below one tick; schedulability verdicts are cached on the execution
@@ -36,8 +46,8 @@
 //! the free analysis functions — bit-compatible, but execution-time deltas
 //! move the horizon and force full recomputes. A pinned session
 //! ([`AnalysisSession::pinned`]) resolves the frame once, from the initial
-//! system, and reuses it for every run: caches and seeds stay valid across
-//! scale deltas. Verdicts under a pinned frame are still sound (an
+//! system, and reuses it for every run: caches, memos and seeds stay valid
+//! across scale deltas. Verdicts under a pinned frame are still sound (an
 //! undersized horizon can only leave instances unresolved, which reads as
 //! unschedulable), and they are bit-identical to a cold analysis *given the
 //! same pinned configuration*.
@@ -48,27 +58,30 @@ use crate::config::AnalysisConfig;
 use crate::depgraph::{evaluation_order, DepGraph, DirtyCone, SubjobIndex};
 use crate::error::AnalysisError;
 use crate::exact::{assemble_exact_report, job_report, require_exact_capable, subjob_node_curves};
-use crate::fixpoint::{analyze_with_loops_seeded, LoopSeed};
+use crate::fixpoint::{analyze_with_loops_memo, LoopMemo};
 use crate::holistic::{analyze_holistic_seeded, HolisticSeed};
 use crate::report::{BoundsReport, ExactReport, SubjobCurves};
 use crate::sensitivity::Oracle;
 use rta_curves::{Curve, CurveArena, CurveId, Time};
-use rta_model::{ArrivalPattern, Job, JobId, SubjobRef, TaskSystem};
+use rta_model::{ArrivalPattern, Job, JobId, ProcessorId, SubjobRef, TaskSystem};
 
 /// Counters describing how much work a session reused vs. recomputed.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Analyses run (any oracle), excluding memoized verdicts.
     pub analyses: u64,
-    /// Exact-analysis subjob nodes recomputed (inside a dirty cone).
+    /// Subjobs recomputed: exact-analysis nodes inside a dirty cone, and
+    /// fixed-point subjobs on processors whose memo a delta dropped.
     pub subjobs_recomputed: u64,
-    /// Exact-analysis subjob nodes reused verbatim from the cache.
+    /// Subjobs reused verbatim: exact-analysis nodes from the curve cache,
+    /// and fixed-point subjobs copied from the per-processor memo.
     pub subjobs_reused: u64,
     /// Schedulability verdicts answered from the memo table.
     pub verdict_hits: u64,
     /// Schedulability verdicts that required an analysis.
     pub verdict_misses: u64,
-    /// Fixpoint runs that started from a carried seed.
+    /// Holistic runs that started from a carried seed (the loops fixpoint
+    /// reports its reuse through the subjob counters above).
     pub warm_starts: u64,
 }
 
@@ -77,12 +90,9 @@ const VERDICT_MEMO_CAPACITY: usize = 1024;
 
 type VerdictKey = (u8, u64, Vec<i64>);
 
-/// A stateful re-analysis engine over one evolving [`TaskSystem`].
-///
-/// See the [module docs](self) for the reuse machinery. The system given at
-/// construction also serves as the *scaling base*:
-/// Structure-dependent exact-path machinery, rebuilt only when a delta
-/// changes what it is derived from (see the field docs on
+/// The exact path's structure-dependent machinery: subjob index,
+/// evaluation order and dependency graph, rebuilt only when a delta changes
+/// what they are derived from (see the field docs on
 /// [`AnalysisSession::structure`]).
 struct StructureCache {
     idx: SubjobIndex,
@@ -90,6 +100,10 @@ struct StructureCache {
     graph: DepGraph,
 }
 
+/// A stateful re-analysis engine over one evolving [`TaskSystem`].
+///
+/// See the [module docs](self) for the reuse machinery. The system given at
+/// construction also serves as the *scaling base*:
 /// [`AnalysisSession::scale_exec`] always scales from it, never
 /// cumulatively.
 pub struct AnalysisSession {
@@ -115,7 +129,9 @@ pub struct AnalysisSession {
     /// Per-job exact schedulability verdicts, invalidated by the dirty
     /// cone whenever a job's curves are recomputed.
     job_sched: Vec<Option<bool>>,
-    loop_seed: Option<LoopSeed>,
+    /// The loops fixpoint's per-processor memo of final bounds and
+    /// contexts.
+    loop_memo: LoopMemo,
     /// Holistic seed plus the execution vector it was computed under (the
     /// from-below gate needs pointwise comparison).
     holistic_seed: Option<(HolisticSeed, Vec<i64>)>,
@@ -133,9 +149,9 @@ impl AnalysisSession {
     }
 
     /// Open a session whose frame is resolved **once**, from `sys`, and
-    /// pinned for every subsequent run, keeping curve caches and fixpoint
-    /// seeds valid across execution-time deltas. See the module docs for
-    /// the soundness trade.
+    /// pinned for every subsequent run, keeping curve caches, the fixpoint
+    /// memo and seeds valid across deltas. See the module docs for the
+    /// soundness trade.
     pub fn pinned(sys: TaskSystem, cfg: AnalysisConfig) -> AnalysisSession {
         Self::build(sys, cfg, true)
     }
@@ -165,7 +181,7 @@ impl AnalysisSession {
             pattern_cache: HashMap::new(),
             structure: None,
             job_sched: vec![None; n_jobs],
-            loop_seed: None,
+            loop_memo: LoopMemo::default(),
             holistic_seed: None,
             verdicts: HashMap::new(),
             verdict_order: VecDeque::new(),
@@ -221,7 +237,7 @@ impl AnalysisSession {
         }
     }
 
-    fn mark_processor_dirty(&mut self, p: rta_model::ProcessorId) {
+    fn mark_processor_dirty(&mut self, p: ProcessorId) {
         for r in self.current.subjobs_on(p) {
             self.dirty[r.job.0][r.index] = true;
         }
@@ -231,7 +247,6 @@ impl AnalysisSession {
     fn forget_structural_caches(&mut self) {
         self.verdicts.clear();
         self.verdict_order.clear();
-        self.loop_seed = None;
         self.holistic_seed = None;
         self.pattern_cache.clear();
     }
@@ -239,26 +254,31 @@ impl AnalysisSession {
     /// Scale every execution time from the **base** system by `factor`
     /// (ceil, at least one tick), in place — no system clone per step.
     /// Every workload curve depends on its execution time, so when any
-    /// execution time moves the whole cone is dirty; the cross-run reuse
-    /// for that case comes from verdict memoization, carried fixpoint
-    /// seeds and interned pattern curves. When quantization maps `factor`
-    /// onto the execution vector already in place (re-probing a scale, or
-    /// a bisection step below one tick), nothing an analysis depends on
-    /// has changed and every cached curve stays clean.
+    /// execution time moves the whole cone is dirty and the whole fixpoint
+    /// memo is dropped; the cross-run reuse for that case comes from
+    /// verdict memoization, the holistic seed and interned pattern curves.
+    /// When quantization maps `factor` onto the execution vector already in
+    /// place (re-probing a scale, or a bisection step below one tick),
+    /// nothing an analysis depends on has changed and every cached curve
+    /// stays clean.
     pub fn scale_exec(&mut self, factor: f64) {
         let before = self.exec_vector();
         self.current.assign_scaled_exec(&self.base, factor);
         if self.exec_vector() != before {
             self.mark_all_dirty();
+            self.loop_memo.drop_all();
         }
     }
 
     /// Set (or clear) one subjob's priority. Dirties every subjob on that
     /// processor (any priority move can reorder its peers' interference
-    /// sets); downstream propagation happens at the next analysis.
+    /// sets) and drops its fixpoint memo; downstream propagation happens
+    /// at the next analysis.
     pub fn set_priority(&mut self, r: SubjobRef, priority: Option<u32>) {
         self.current.set_priority(r, priority);
-        self.mark_processor_dirty(self.current.subjob(r).processor);
+        let p = self.current.subjob(r).processor;
+        self.mark_processor_dirty(p);
+        self.loop_memo.drop_processor(p);
         self.structure = None; // priorities shape the interference edges
         self.forget_structural_caches();
     }
@@ -273,50 +293,51 @@ impl AnalysisSession {
     /// burst source therefore invalidates nothing but itself.
     ///
     /// The cache invalidation is similarly narrow: verdict memos are keyed
-    /// on execution vectors only, so they must all go, and the carried
-    /// fixpoint seeds are dropped conservatively — but pattern curves are
-    /// keyed per job, so only the edited job's envelopes are evicted and
-    /// every other job's interned envelope survives the delta. This is
-    /// what makes an inner burst-axis walk of
-    /// [`crate::sensitivity::region::explore_region`] cheap: probe after
-    /// probe, the unedited jobs' curves and verdicts are reused verbatim.
+    /// on execution vectors only, so they must all go, and the fixpoint
+    /// memo of the job's processors is dropped (its envelopes feed their
+    /// bounds and contexts) — but pattern curves are keyed per job, so only
+    /// the edited job's envelopes are evicted and every other job's
+    /// interned envelope survives the delta. This is what makes an inner
+    /// burst-axis walk of [`crate::sensitivity::region::explore_region`]
+    /// cheap: probe after probe, the unedited jobs' curves and verdicts are
+    /// reused verbatim.
     pub fn set_arrival(&mut self, id: JobId, arrival: ArrivalPattern) {
         self.current.set_arrival(id, arrival);
         for d in &mut self.dirty[id.0] {
             *d = true;
         }
+        self.loop_memo.drop_job(self.current.job(id));
         self.verdicts.clear();
         self.verdict_order.clear();
-        self.loop_seed = None;
         self.holistic_seed = None;
         self.pattern_cache.retain(|&(job, _), _| job != id.0);
     }
 
-    /// Append a job. Existing jobs keep their ids; subjobs sharing a
-    /// processor with the new job are dirtied. The job also joins the
-    /// *scaling base* at its given execution times (even if the session is
-    /// currently scaled), so later [`AnalysisSession::scale_exec`] calls
-    /// treat it like any resident job: `scale_exec(1.0)` restores the exec
-    /// it was admitted with.
+    /// Append a job. Existing jobs keep their ids. Only the new job's
+    /// subjobs are marked: the dirty cone adds its lower-priority peers and
+    /// everything downstream, and the job's processors drop their fixpoint
+    /// memo. The job also joins the *scaling base* at its given execution
+    /// times (even if the session is currently scaled), so later
+    /// [`AnalysisSession::scale_exec`] calls treat it like any resident
+    /// job: `scale_exec(1.0)` restores the exec it was admitted with.
     pub fn add_job(&mut self, job: Job) -> JobId {
-        let procs: Vec<_> = job.subjobs.iter().map(|s| s.processor).collect();
+        self.loop_memo.add_job(&job);
         self.base.push_job(job.clone());
         let id = self.current.push_job(job);
         let hops = self.current.job(id).subjobs.len();
         self.curves.push(vec![None; hops]);
         self.dirty.push(vec![true; hops]);
         self.job_sched.push(None);
-        for p in procs {
-            self.mark_processor_dirty(p);
-        }
         self.structure = None;
         self.forget_structural_caches();
         id
     }
 
-    /// Remove a job; later job ids shift down by one. Subjobs sharing a
-    /// processor with the removed job are dirtied. The job leaves the
-    /// scaling base too, keeping base and current shape-aligned for
+    /// Remove a job; later job ids shift down by one. On each processor
+    /// the job visited, the subjobs below it in priority are marked (they
+    /// lose an interferer; the cone adds their downstream hops) and the
+    /// fixpoint memo is dropped. The job leaves the scaling base too,
+    /// keeping base and current shape-aligned for
     /// [`AnalysisSession::scale_exec`].
     pub fn remove_job(&mut self, id: JobId) -> Job {
         self.base.remove_job(id);
@@ -324,8 +345,17 @@ impl AnalysisSession {
         self.curves.remove(id.0);
         self.dirty.remove(id.0);
         self.job_sched.remove(id.0);
+        self.loop_memo.remove_job(id, &removed);
         for s in &removed.subjobs {
-            self.mark_processor_dirty(s.processor);
+            for r in self.current.subjobs_on(s.processor) {
+                let higher = matches!(
+                    (self.current.subjob(r).priority, s.priority),
+                    (Some(a), Some(b)) if a < b
+                );
+                if !higher {
+                    self.dirty[r.job.0][r.index] = true;
+                }
+            }
         }
         self.structure = None;
         self.forget_structural_caches();
@@ -514,28 +544,21 @@ impl AnalysisSession {
         Ok(true)
     }
 
-    // ---- seeded fixpoint drivers ---------------------------------------
+    // ---- warm fixpoint drivers ----------------------------------------
 
-    /// Loop-tolerant bounds analysis, warm-started from the previous run's
-    /// converged bounds when the frame matches. Bit-identical to the cold
-    /// [`crate::fixpoint::analyze_with_loops`] under the same configuration
-    /// whenever `max_rounds` lets the cold run converge (see that module's
-    /// warm-start notes).
+    /// Loop-tolerant bounds analysis through the session's per-processor
+    /// memo: only processors a delta touched since the last run (all of
+    /// them after a frame or budget change) are evaluated. Bit-identical
+    /// to the cold [`crate::fixpoint::analyze_with_loops`] under the same
+    /// configuration at every `max_rounds`.
     pub fn analyze_with_loops(&mut self, max_rounds: usize) -> Result<BoundsReport, AnalysisError> {
         let cfg = self.config();
-        let (window, horizon) = self.frame();
+        let (report, copied) =
+            analyze_with_loops_memo(&self.current, &cfg, max_rounds, &mut self.loop_memo)?;
         let n = self.current.all_subjobs().count();
-        let seed = self
-            .loop_seed
-            .take()
-            .filter(|s| s.matches(window, horizon, n));
-        if seed.is_some() {
-            self.stats.warm_starts += 1;
-        }
-        let (report, next) =
-            analyze_with_loops_seeded(&self.current, &cfg, max_rounds, seed.as_ref())?;
         self.stats.analyses += 1;
-        self.loop_seed = Some(next);
+        self.stats.subjobs_reused += copied as u64;
+        self.stats.subjobs_recomputed += (n - copied) as u64;
         Ok(report)
     }
 
@@ -816,17 +839,28 @@ mod tests {
     }
 
     #[test]
-    fn pinned_frame_keeps_loop_seeds_warm() {
+    fn pinned_frame_keeps_the_loop_memo_warm() {
         let sys = pipeline_system();
         let mut session = AnalysisSession::pinned(sys, AnalysisConfig::default());
         let oracle = Oracle::Loops { max_rounds: 8 };
         session.schedulable_at_scale(1.0, oracle).unwrap();
         session.schedulable_at_scale(1.05, oracle).unwrap();
-        assert!(
-            session.stats().warm_starts >= 1,
-            "second probe must warm-start: {:?}",
-            session.stats()
-        );
+        // The pinned frame keeps the scaled run's memo valid: an arrival
+        // delta on T3 (P2 only) re-evaluates P2's two subjobs and copies
+        // P1's two.
+        let before = session.stats();
+        session.set_arrival(JobId(2), periodic(50));
+        let warm = session.analyze_with_loops(8).unwrap();
+        let after = session.stats();
+        assert_eq!(after.subjobs_reused - before.subjobs_reused, 2, "{after:?}");
+        assert_eq!(after.subjobs_recomputed - before.subjobs_recomputed, 2);
+        let cold =
+            crate::fixpoint::analyze_with_loops(session.system(), &session.config(), 8).unwrap();
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+        // An unchanged re-run copies everything.
+        let warm = session.analyze_with_loops(8).unwrap();
+        assert_eq!(session.stats().subjobs_reused - after.subjobs_reused, 4);
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
     }
 
     #[test]

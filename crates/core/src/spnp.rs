@@ -89,13 +89,6 @@ impl SoaServiceBounds {
         self.lower.write_to_curve(&mut out.lower);
         self.upper.write_to_curve(&mut out.upper);
     }
-
-    /// Convert back to AoS, allocating.
-    pub fn to_bounds(&self) -> ServiceBounds {
-        let mut out = ServiceBounds::zeroed();
-        self.write_to_bounds(&mut out);
-        out
-    }
 }
 
 /// Compute Theorem 5/6 bounds for one subjob.

@@ -1,10 +1,11 @@
 //! Oracle tests for the incremental re-analysis engine: every reuse
-//! mechanism (dirty-cone curve caching, warm-started fixpoints, verdict
-//! memoization) must be **bit-identical** to a cold start under the same
-//! configuration, for random systems and random deltas.
+//! mechanism (dirty-cone curve caching, the memoized loops fixpoint, the
+//! warm-started holistic fixpoint, verdict memoization) must be
+//! **bit-identical** to a cold start under the same configuration, for
+//! random systems and random deltas.
 
 use proptest::prelude::*;
-use rta_core::fixpoint::{analyze_with_loops, analyze_with_loops_seeded};
+use rta_core::fixpoint::analyze_with_loops;
 use rta_core::holistic::{analyze_holistic, analyze_holistic_seeded};
 use rta_core::sensitivity::Oracle;
 use rta_core::{analyze_exact_spp, AnalysisConfig, AnalysisSession, ExactReport};
@@ -234,9 +235,9 @@ proptest! {
         assert_reports_identical(&analyze_exact_spp(&sys, &cfg).unwrap(), &warm);
     }
 
-    /// A fixpoint warm-started from its own converged solution — or from a
-    /// *different* scale's solution under a pinned frame — reproduces the
-    /// cold bounds exactly.
+    /// A memoized fixpoint re-run — of the unchanged system, which copies
+    /// every subjob's bounds, and of a *different* scale under a pinned
+    /// frame, which drops the memo — reproduces the cold bounds exactly.
     #[test]
     fn warm_fixpoint_matches_cold(specs in arb_jobs(), factor in 0.5f64..2.0) {
         let sys = build_sys(&specs);
@@ -246,16 +247,21 @@ proptest! {
             ..AnalysisConfig::default()
         };
         let rounds = 24;
+        let n = sys.all_subjobs().count() as u64;
         let cold = analyze_with_loops(&sys, &cfg, rounds).unwrap();
-        let (_, seed) = analyze_with_loops_seeded(&sys, &cfg, rounds, None).unwrap();
-        let (warm, _) = analyze_with_loops_seeded(&sys, &cfg, rounds, Some(&seed)).unwrap();
+        let mut session = AnalysisSession::pinned(sys.clone(), cfg.clone());
+        let first = session.analyze_with_loops(rounds).unwrap();
+        prop_assert_eq!(format!("{cold}"), format!("{first}"));
+        let before = session.stats();
+        let warm = session.analyze_with_loops(rounds).unwrap();
         prop_assert_eq!(format!("{cold}"), format!("{warm}"));
+        prop_assert_eq!(session.stats().subjobs_reused - before.subjobs_reused, n);
 
-        // Cross-scale warm start: seed from the base system, analyze the
-        // scaled one.
-        let scaled = sys.with_scaled_exec(factor);
-        let cold2 = analyze_with_loops(&scaled, &cfg, rounds).unwrap();
-        let (warm2, _) = analyze_with_loops_seeded(&scaled, &cfg, rounds, Some(&seed)).unwrap();
+        // Cross-scale: the memo of the base system, the scaled system
+        // analyzed.
+        session.scale_exec(factor);
+        let cold2 = analyze_with_loops(&sys.with_scaled_exec(factor), &cfg, rounds).unwrap();
+        let warm2 = session.analyze_with_loops(rounds).unwrap();
         prop_assert_eq!(format!("{cold2}"), format!("{warm2}"));
     }
 

@@ -1,22 +1,25 @@
 //! Driver-level oracle for the SoA analysis pipeline: for every scheduling
 //! policy and both workload shapes from the paper's evaluation (periodic
-//! job-shop, Eq. 25; bursty, Eq. 27), the default entry point — whose warm
-//! rounds run entirely on structure-of-arrays curve buffers — must produce
-//! a report **bit-identical** to `analyze_with_loops_aos_reference`, the
-//! retained array-of-structs path that never touches the SoA iterates.
+//! job-shop, Eq. 25; bursty, Eq. 27), the default entry point — which runs
+//! entirely on structure-of-arrays curve buffers — must produce a report
+//! **bit-identical** to `analyze_with_loops_aos_reference`, the Jacobi
+//! rounds on the array-of-structs kernels in `support`.
 //!
 //! `tests/soa_kernels.rs` (rta-curves) pins each SoA kernel to its AoS
-//! oracle; this test pins the composition end to end, through ingest,
-//! fixpoint rounds, and report assembly.
+//! oracle; this test pins the composition end to end, through ingest, the
+//! fixed point, and report assembly.
+
+mod support;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rta_core::fixpoint::{analyze_with_loops, analyze_with_loops_aos_reference};
+use rta_core::fixpoint::analyze_with_loops;
 use rta_core::{AnalysisConfig, AnalysisSession};
 use rta_model::distributions::Dist;
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::{SchedulerKind, TaskSystem};
+use support::analyze_with_loops_aos_reference;
 
 const POLICIES: [SchedulerKind; 4] = [
     SchedulerKind::Spp,
@@ -79,8 +82,8 @@ fn soa_pipeline_matches_aos_reference_on_bursty_shops() {
     }
 }
 
-/// Warm sessions reuse SoA iterate buffers across calls; every warm report
-/// must still match the cold AoS reference bit for bit.
+/// Warm sessions reuse SoA bound buffers and the per-processor memo across
+/// calls; every warm report must still match the AoS reference bit for bit.
 #[test]
 fn warm_session_matches_aos_reference() {
     for kind in POLICIES {

@@ -19,10 +19,11 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
-echo "==> policy-kernel gates: conformance + golden equivalence + bounds-driver oracle"
+echo "==> policy-kernel gates: conformance + golden equivalence + bounds-driver and fixpoint oracles"
 cargo test -p rta-core --test policy_conformance -q
 cargo test -p rta-core --test policy_golden -q
 cargo test -p rta-core --test bounds_driver -q
+cargo test -p rta-core --test fixpoint_oracle -q
 
 echo "==> SoA kernel gates: SoA results pinned segment-identical to AoS oracles"
 cargo test -p rta-curves --test soa_kernels -q

@@ -217,15 +217,18 @@ pub enum Response {
         jobs: usize,
         /// Analyses run (excludes memoized verdicts).
         analyses: u64,
-        /// Subjob nodes recomputed inside dirty cones.
+        /// Subjobs recomputed: exact-path nodes inside dirty cones and
+        /// fixed-point subjobs on processors a delta touched.
         recomputed: u64,
-        /// Subjob nodes reused from the warm cache.
+        /// Subjobs reused from the warm exact-path cache or the fixed
+        /// point's per-processor memo.
         reused: u64,
         /// Verdicts answered from the memo table.
         verdict_hits: u64,
         /// Verdicts that required an analysis.
         verdict_misses: u64,
-        /// Fixpoint runs started from a carried seed.
+        /// Holistic runs started from a carried seed (the loops fixpoint
+        /// counts its reuse in `recomputed`/`reused`).
         warm_starts: u64,
         /// Curves interned in the tenant's arena.
         interned: usize,
