@@ -28,7 +28,7 @@ fn main() {
         Method::SppSL,
     ] {
         b.run(&format!("fig3_point/{}", method.label()), || {
-            admission_probability(&base, method, 8, 11, 1, &acfg)
+            admission_probability(&base, method, 8, 11, &acfg)
         });
     }
 
@@ -36,7 +36,7 @@ fn main() {
         let mut base = panel.base;
         base.utilization = 0.5;
         b.run(&format!("fig3_exact_by_stage_panel/{i}"), || {
-            admission_probability(&base, Method::SppExact, 8, 13, 1, &acfg)
+            admission_probability(&base, Method::SppExact, 8, 13, &acfg)
         });
     }
 }

@@ -20,7 +20,7 @@ fn main() {
     let acfg = AnalysisConfig::default();
     for method in [Method::SppExact, Method::SpnpApp, Method::FcfsApp] {
         b.run(&format!("fig4_point/{}", method.label()), || {
-            admission_probability(&base, method, 8, 17, 1, &acfg)
+            admission_probability(&base, method, 8, 17, &acfg)
         });
     }
 
@@ -28,7 +28,7 @@ fn main() {
         let mut base = panel.base;
         base.utilization = 0.5;
         b.run(&format!("fig4_exact_by_variance_panel/{i}"), || {
-            admission_probability(&base, Method::SppExact, 8, 19, 1, &acfg)
+            admission_probability(&base, Method::SppExact, 8, 19, &acfg)
         });
     }
 }

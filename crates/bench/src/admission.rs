@@ -90,37 +90,19 @@ fn decide(sys: &mut rta_model::TaskSystem, method: Method, acfg: &AnalysisConfig
 /// sets derived from `master_seed`.
 ///
 /// Runs on the batched scenario engine ([`rta_core::BatchAnalyzer`] over
-/// the persistent worker pool): each participating thread redraws sets
-/// into a reusable [`ShopSampler`] instead of rebuilding a `TaskSystem`
-/// per seed. The `threads` argument is kept for API compatibility (the
-/// pool sizes itself), and the estimate is a pure function of
-/// `(base, method, sets, master_seed, acfg)` — each seed depends only on
-/// its index, never on which worker ran it, so the result is identical to
-/// the per-seed [`admits`] loop.
-pub fn admission_probability(
-    base: &ShopConfig,
-    method: Method,
-    sets: u32,
-    master_seed: u64,
-    threads: usize,
-    acfg: &AnalysisConfig,
-) -> f64 {
-    let _ = threads;
-    admission_probability_batched(base, method, sets, master_seed, acfg)
-}
-
-/// Batched estimator over [`rta_core::BatchAnalyzer`]: each participating
+/// the persistent worker pool, which sizes itself): each participating
 /// thread builds a [`ShopSampler`] once and redraws every set it claims
 /// into that sampler's reusable `TaskSystem` (plus a cloned
 /// [`AnalysisConfig`]), so the per-set cost is the random draws and the
 /// warm, workspace-backed analysis — no per-set Strings, builders, or
 /// shared-state captures.
 ///
-/// Produces exactly the same estimate as [`admission_probability`]: the
-/// sampler is draw-for-draw identical to `generate`
-/// (`jobshop::ShopSampler`), and the verdict for seed `i` is a pure
-/// function of `(base, method, master_seed, i, acfg)`.
-pub fn admission_probability_batched(
+/// The estimate is a pure function of `(base, method, sets, master_seed,
+/// acfg)`: the sampler is draw-for-draw identical to `generate`
+/// (`jobshop::ShopSampler`), and the verdict for seed `i` depends only on
+/// its index, never on which worker ran it, so the result is identical to
+/// the per-seed [`admits`] loop.
+pub fn admission_probability(
     base: &ShopConfig,
     method: Method,
     sets: u32,
@@ -157,13 +139,6 @@ pub fn admission_probability_batched(
     admitted as f64 / sets as f64
 }
 
-/// Default thread count: all cores (the estimator is CPU-bound).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,8 +163,8 @@ mod tests {
     #[test]
     fn probability_is_monotone_in_load() {
         let acfg = AnalysisConfig::default();
-        let lo = admission_probability(&base(0.2), Method::SppExact, 40, 7, 2, &acfg);
-        let hi = admission_probability(&base(0.95), Method::SppExact, 40, 7, 2, &acfg);
+        let lo = admission_probability(&base(0.2), Method::SppExact, 40, 7, &acfg);
+        let hi = admission_probability(&base(0.95), Method::SppExact, 40, 7, &acfg);
         assert!(
             lo >= hi,
             "admission must not increase with load: {lo} < {hi}"
@@ -218,30 +193,28 @@ mod tests {
     #[test]
     fn deterministic_under_master_seed() {
         let acfg = AnalysisConfig::default();
-        let a = admission_probability(&base(0.5), Method::FcfsApp, 25, 99, 3, &acfg);
-        let b = admission_probability(&base(0.5), Method::FcfsApp, 25, 99, 1, &acfg);
-        assert_eq!(a, b, "thread count must not affect the estimate");
+        let a = admission_probability(&base(0.5), Method::FcfsApp, 25, 99, &acfg);
+        let b = admission_probability(&base(0.5), Method::FcfsApp, 25, 99, &acfg);
+        assert_eq!(a, b, "repeated runs must give the same estimate");
     }
 
     #[test]
     fn pooled_per_seed_and_batched_estimators_agree() {
+        // The pooled estimator equals the per-seed `admits` loop, over the
+        // exact SPP path and the S&L holistic path, which runs the
+        // sequential per-set driver inside the batched sweep.
         let acfg = AnalysisConfig::default();
-        let pooled = admission_probability(&base(0.6), Method::SppExact, 30, 42, 2, &acfg);
-        let per_seed = (0..30u64)
-            .filter(|&i| {
-                let seed = 42u64.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i);
-                admits(&base(0.6), Method::SppExact, seed, &acfg)
-            })
-            .count() as f64
-            / 30.0;
-        let batched = admission_probability_batched(&base(0.6), Method::SppExact, 30, 42, &acfg);
-        assert_eq!(pooled, per_seed);
-        assert_eq!(pooled, batched);
-        // Also over the S&L holistic path, which exercises the sequential
-        // per-set driver inside the batched sweep.
-        let p2 = admission_probability(&base(0.6), Method::SppSL, 30, 42, 2, &acfg);
-        let b2 = admission_probability_batched(&base(0.6), Method::SppSL, 30, 42, &acfg);
-        assert_eq!(p2, b2);
+        for method in [Method::SppExact, Method::SppSL] {
+            let pooled = admission_probability(&base(0.6), method, 30, 42, &acfg);
+            let per_seed = (0..30u64)
+                .filter(|&i| {
+                    let seed = 42u64.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i);
+                    admits(&base(0.6), method, seed, &acfg)
+                })
+                .count() as f64
+                / 30.0;
+            assert_eq!(pooled, per_seed, "{method:?}");
+        }
     }
 
     #[test]
@@ -254,12 +227,12 @@ mod tests {
         };
         let acfg = AnalysisConfig::default();
         for m in [Method::SppExact, Method::SpnpApp, Method::FcfsApp] {
-            let p = admission_probability(&cfg, m, 20, 5, 2, &acfg);
+            let p = admission_probability(&cfg, m, 20, 5, &acfg);
             assert!((0.0..=1.0).contains(&p));
         }
         // The holistic baseline requires periodic jobs: every set rejected.
         assert_eq!(
-            admission_probability(&cfg, Method::SppSL, 10, 5, 2, &acfg),
+            admission_probability(&cfg, Method::SppSL, 10, 5, &acfg),
             0.0
         );
     }

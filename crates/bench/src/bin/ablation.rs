@@ -82,8 +82,8 @@ fn main() {
             ..Default::default()
         };
         let conserv_cfg = AnalysisConfig::default();
-        let ap = admission_probability(&base, Method::SpnpApp, sets as u32, 7, 1, &printed_cfg);
-        let ac = admission_probability(&base, Method::SpnpApp, sets as u32, 7, 1, &conserv_cfg);
+        let ap = admission_probability(&base, Method::SpnpApp, sets as u32, 7, &printed_cfg);
+        let ac = admission_probability(&base, Method::SpnpApp, sets as u32, 7, &conserv_cfg);
         let vp = violation_rate(SpnpAvailability::AsPrinted, sets, util);
         let vc = violation_rate(SpnpAvailability::Conservative, sets, util);
         println!("{util:>6.2} {ap:>16.3} {ac:>16.3} {vp:>14.4} {vc:>14.4}");

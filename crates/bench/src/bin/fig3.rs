@@ -2,7 +2,7 @@
 //! periodic arrivals, comparing SPP/Exact, SPNP/App, FCFS/App and SPP/S&L
 //! over a stages × deadline panel grid.
 //!
-//! Usage: `cargo run -p rta-bench --release --bin fig3 [-- --sets N] [--threads N] [--seed S] [--json PATH]`
+//! Usage: `cargo run -p rta-bench --release --bin fig3 [-- --sets N] [--seed S] [--json PATH]`
 
 use rta_bench::figures::{fig3_panels, run_panel, utilization_sweep};
 use rta_bench::table::{render_json, render_text};
@@ -13,15 +13,14 @@ fn main() {
     let panels = fig3_panels();
     let mut results = Vec::new();
     eprintln!(
-        "fig3: {} panels × {} points × 4 methods × {} sets (threads={})",
+        "fig3: {} panels × {} points × 4 methods × {} sets",
         panels.len(),
         utils.len(),
-        args.sets,
-        args.threads
+        args.sets
     );
     for (i, p) in panels.iter().enumerate() {
         let t0 = std::time::Instant::now();
-        let r = run_panel(p, &utils, args.sets, args.seed, args.threads);
+        let r = run_panel(p, &utils, args.sets, args.seed, 0);
         eprintln!(
             "panel {}/{} done in {:.1?}",
             i + 1,
@@ -40,7 +39,6 @@ fn main() {
 
 struct Args {
     sets: u32,
-    threads: usize,
     seed: u64,
     json: Option<String>,
 }
@@ -49,7 +47,6 @@ impl Args {
     fn parse() -> Args {
         let mut args = Args {
             sets: 1000,
-            threads: rta_bench::admission::default_threads(),
             seed: 20260706,
             json: None,
         };
@@ -58,7 +55,6 @@ impl Args {
             let mut val = || it.next().expect("flag needs a value");
             match a.as_str() {
                 "--sets" => args.sets = val().parse().expect("--sets N"),
-                "--threads" => args.threads = val().parse().expect("--threads N"),
                 "--seed" => args.seed = val().parse().expect("--seed S"),
                 "--json" => args.json = Some(val()),
                 other => panic!("unknown flag {other}"),

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rta_bench::admission::{admission_probability, admission_probability_batched, Method};
+use rta_bench::admission::{admission_probability, Method};
 use rta_bench::figures;
 use rta_bench::harness::Bench;
 use rta_core::sensitivity::region::{explore_region, RegionConfig};
@@ -230,24 +230,30 @@ fn main() {
     }
 
     // Policy-seam overhead: identical Theorem 5/6 inputs through the
-    // direct kernel and through `policy_for(...).service_bounds` (one
-    // vtable hop plus `BoundsInputs` construction per call). The pair pins
-    // the trait dispatch as noise (<5%) next to the curve algebra.
+    // chain itself and through `policy_for(...).service_bounds` (one vtable
+    // hop plus `BoundsInputs` construction per call). Both run on the same
+    // SoA operands, converted once up front, each with its own warm
+    // `Scratch` and output buffer, so the pair pins the trait dispatch as
+    // noise (<5%) next to the curve algebra.
     {
         use rta_core::policy::{policy_for, BoundsInputs};
-        use rta_core::spnp::spnp_bounds;
+        use rta_core::spnp::{spnp_bounds, SoaServiceBounds};
         use rta_core::SpnpAvailability;
-        let workload = arrivals(48, 10).scale(3);
-        let hp_work = arrivals(48, 14).scale(2);
-        let hp = spnp_bounds(
+        let workload = SoaCurve::from_curve(&arrivals(48, 10).scale(3));
+        let hp_work = SoaCurve::from_curve(&arrivals(48, 14).scale(2));
+        let mut hp = SoaServiceBounds::zeroed();
+        spnp_bounds(
             &hp_work,
             &[],
             &[],
             Time::ZERO,
             SpnpAvailability::Conservative,
+            &mut Scratch::new(),
+            &mut hp,
         )
         .unwrap();
         let horizon = Time(48 * 14 + 200);
+        let (mut scratch, mut out) = (Scratch::new(), SoaServiceBounds::zeroed());
         b.run("policy_dispatch/spnp_direct", || {
             spnp_bounds(
                 &workload,
@@ -255,25 +261,35 @@ fn main() {
                 &[&hp.upper],
                 Time(5),
                 SpnpAvailability::Conservative,
+                &mut scratch,
+                &mut out,
             )
-            .unwrap()
+            .unwrap();
+            out.upper.len()
         });
         let policy = policy_for(SchedulerKind::Spnp);
+        let (mut scratch, mut out) = (Scratch::new(), SoaServiceBounds::zeroed());
         b.run("policy_dispatch/spnp_trait", || {
             policy
-                .service_bounds(&BoundsInputs {
-                    workload: &workload,
-                    tau: Time(3),
-                    weight: 1,
-                    blocking: Time(5),
-                    hp_lower: &[&hp.lower],
-                    hp_upper: &[&hp.upper],
-                    variant: SpnpAvailability::Conservative,
-                    ctx: None,
-                    horizon,
-                    processor: rta_model::ProcessorId(0),
-                })
-                .unwrap()
+                .service_bounds(
+                    &BoundsInputs {
+                        workload: &workload,
+                        workload_aos: None,
+                        tau: Time(3),
+                        weight: 1,
+                        blocking: Time(5),
+                        hp_lower: &[&hp.lower],
+                        hp_upper: &[&hp.upper],
+                        variant: SpnpAvailability::Conservative,
+                        ctx: None,
+                        horizon,
+                        processor: rta_model::ProcessorId(0),
+                    },
+                    &mut scratch,
+                    &mut out,
+                )
+                .unwrap();
+            out.upper.len()
         });
     }
 
@@ -483,10 +499,8 @@ fn incremental_suite() {
         masks
     });
 
-    // The paper's 1,000-set admission sweep. `pooled` is the production
-    // `admission_probability`, which runs on the batched scenario engine;
-    // `batched` measures the `BatchAnalyzer` entry point directly. The two
-    // should coincide — the wrapper must add nothing.
+    // The paper's 1,000-set admission sweep through the production
+    // `admission_probability`, which runs on the batched scenario engine.
     let base = ShopConfig {
         stages: 1,
         procs_per_stage: 2,
@@ -499,12 +513,8 @@ fn incremental_suite() {
         x_min: 0.25,
         ticks_per_unit: 200,
     };
-    let threads = rta_core::par::pool_threads();
     b.run("admission/1000sets_pooled", || {
-        admission_probability(&base, Method::SppSL, 1000, 7, threads, &acfg)
-    });
-    b.run("admission/1000sets_batched", || {
-        admission_probability_batched(&base, Method::SppSL, 1000, 7, &acfg)
+        admission_probability(&base, Method::SppSL, 1000, 7, &acfg)
     });
 
     // With the counting allocator installed, also report heap traffic per

@@ -128,12 +128,15 @@ pub fn fig4_panels() -> Vec<Panel> {
 }
 
 /// Run one panel: estimate every method at every utilization point.
+///
+/// The thread count `_threads` is unused: the estimator runs on the worker
+/// pool, which sizes itself. The parameter stays for existing callers.
 pub fn run_panel(
     panel: &Panel,
     utils: &[f64],
     sets: u32,
     master_seed: u64,
-    threads: usize,
+    _threads: usize,
 ) -> PanelResult {
     let acfg = AnalysisConfig::default();
     let series = panel
@@ -148,10 +151,7 @@ pub fn run_panel(
                     // Identical seeds per point across methods: the paper
                     // applies each method to the same generated sets.
                     let seed = master_seed ^ ((u * 1000.0) as u64);
-                    (
-                        u,
-                        admission_probability(&base, method, sets, seed, threads, &acfg),
-                    )
+                    (u, admission_probability(&base, method, sets, seed, &acfg))
                 })
                 .collect();
             Series { method, points }

@@ -25,17 +25,18 @@
 //! per-subjob tables, the first-hop envelopes built once from the release
 //! times, each later hop's envelope taken by SoA `floor_div` of its
 //! upstream upper bound (Lemma 2) as soon as that bound exists, the policy
-//! kernel's `service_bounds_soa_into` per node with its higher-priority
-//! inputs read straight out of the retained SoA slots, and the Eq. 12
-//! sweep right after each node. [`bounds_schedulable`] runs the same pass
-//! and stops at the first job whose partial Eq. 11 sum is unbounded or past
-//! its deadline.
+//! kernel's one bounds method
+//! ([`crate::policy::ServicePolicy::service_bounds`]) per node with its
+//! higher-priority inputs read straight out of the retained SoA slots, and
+//! the Eq. 12 sweep right after each node. [`bounds_schedulable`] runs the
+//! same pass and stops at the first job whose partial Eq. 11 sum is
+//! unbounded or past its deadline.
 
 use crate::config::AnalysisConfig;
 use crate::depgraph::{evaluation_order, SubjobIndex};
 use crate::error::AnalysisError;
 use crate::fixpoint::{ensure_bounds, ensure_soa_curves, with_workspace, LoopWorkspace};
-use crate::policy::{PeerInputs, ProcessorContexts, SoaBoundsInputs};
+use crate::policy::{BoundsInputs, PeerInputs, ProcessorContexts};
 use crate::report::{BoundsReport, JobBound};
 use rta_curves::{Curve, SoaCursor, SoaCurve, Time};
 use rta_model::{JobId, ProcessorId, TaskSystem};
@@ -140,8 +141,8 @@ fn node_pass(
         let hp = &hp_flat[hp_start[i]..hp_start[i + 1]];
         let hp_lower: Vec<&SoaCurve> = hp.iter().map(|&h| &cur[h].lower).collect();
         let hp_upper: Vec<&SoaCurve> = hp.iter().map(|&h| &cur[h].upper).collect();
-        policy[i].service_bounds_soa_into(
-            &SoaBoundsInputs {
+        policy[i].service_bounds(
+            &BoundsInputs {
                 workload: stage_soa,
                 workload_aos: shared.then_some(&*stage),
                 tau: tau[i],

@@ -40,7 +40,7 @@
 //! the peer's final one: a backward pass collects those few iterates (round
 //! 0 is the information-free bound) and the forward pass computes them
 //! too. Reports, errors included, equal the Jacobi rounds' at every budget;
-//! those rounds on the AoS kernels are the independent reference in
+//! those rounds on AoS curves are the independent reference in
 //! `crates/core/tests/support/`.
 //!
 //! ## The per-processor memo
@@ -66,7 +66,7 @@ use std::cell::RefCell;
 
 use crate::config::AnalysisConfig;
 use crate::error::AnalysisError;
-use crate::policy::{policy_for, PeerInputs, ProcessorContexts, ServicePolicy, SoaBoundsInputs};
+use crate::policy::{policy_for, BoundsInputs, PeerInputs, ProcessorContexts, ServicePolicy};
 use crate::report::{BoundsReport, JobBound};
 use crate::spnp::SoaServiceBounds;
 use rta_curves::{Curve, Scratch, SoaCurve, Time};
@@ -513,8 +513,8 @@ fn forward_pass(
                 let hp_upper: Vec<&SoaCurve> = hp.iter().map(|&h| &peer(h).upper).collect();
                 let p = ProcessorId(ws.processor[i]);
                 let shared = ws.policy[i].peer_inputs() == PeerInputs::SharedWorkloads;
-                ws.policy[i].service_bounds_soa_into(
-                    &SoaBoundsInputs {
+                ws.policy[i].service_bounds(
+                    &BoundsInputs {
                         workload: &ws.workload_soa[i],
                         workload_aos: shared.then_some(&ws.workload[i]),
                         tau: ws.tau[i],

@@ -4,15 +4,16 @@
 //! extended-inverse of the total workload) lives in a
 //! [`crate::fcfs::FcfsProcessor`] wrapped in a [`PolicyContext`]; the
 //! Theorem 8/9 bounds delegate to
-//! [`crate::fcfs::FcfsProcessor::service_bounds`].
+//! [`crate::fcfs::FcfsProcessor::service_bounds`], which computes in AoS,
+//! and are converted to SoA here.
 
 use super::{
     BoundsInputs, FastPath, PeerInputs, PolicyContext, ReadySet, ServicePolicy, SimScheduler,
 };
 use crate::error::AnalysisError;
 use crate::fcfs::FcfsProcessor;
-use crate::spnp::ServiceBounds;
-use rta_curves::{Curve, Time};
+use crate::spnp::SoaServiceBounds;
+use rta_curves::{Curve, Scratch, Time};
 use rta_model::{ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
 
 /// First-come-first-served (Theorems 7–9).
@@ -39,15 +40,15 @@ impl ServicePolicy for FcfsPolicy {
         Ok(Some(PolicyContext::new(ctx)))
     }
 
-    fn service_bounds(&self, inputs: &BoundsInputs<'_>) -> Result<ServiceBounds, AnalysisError> {
-        let ctx = inputs
-            .ctx
-            .and_then(|c| c.downcast_ref::<FcfsProcessor>())
-            .ok_or(AnalysisError::MissingPolicyContext {
-                processor: inputs.processor,
-            })?;
-        ctx.service_bounds(inputs.workload, inputs.tau)
-            .map_err(AnalysisError::from)
+    fn service_bounds(
+        &self,
+        inputs: &BoundsInputs<'_>,
+        _scratch: &mut Scratch,
+        out: &mut SoaServiceBounds,
+    ) -> Result<(), AnalysisError> {
+        let ctx = inputs.context::<FcfsProcessor>()?;
+        out.copy_from_bounds(&ctx.service_bounds(&inputs.workload_curve(), inputs.tau)?);
+        Ok(())
     }
 
     fn sim_scheduler(&self, _sys: &TaskSystem, _p: ProcessorId) -> Box<dyn SimScheduler> {
@@ -79,24 +80,38 @@ impl SimScheduler for FcfsSim {
 mod tests {
     use super::*;
     use crate::config::SpnpAvailability;
+    use rta_curves::SoaCurve;
 
-    #[test]
-    fn missing_context_is_an_honest_error() {
-        let c = Curve::from_event_times(&[Time(0)]).scale(3);
-        let err = FcfsPolicy
-            .service_bounds(&BoundsInputs {
-                workload: &c,
-                tau: Time(3),
+    fn bounds_via_policy(
+        workload: &Curve,
+        ctx: Option<&PolicyContext>,
+        processor: ProcessorId,
+    ) -> Result<SoaServiceBounds, AnalysisError> {
+        let mut out = SoaServiceBounds::zeroed();
+        FcfsPolicy.service_bounds(
+            &BoundsInputs {
+                workload: &SoaCurve::from_curve(workload),
+                workload_aos: None,
+                tau: Time(4),
                 weight: 1,
                 blocking: Time::ZERO,
                 hp_lower: &[],
                 hp_upper: &[],
                 variant: SpnpAvailability::Conservative,
-                ctx: None,
+                ctx,
                 horizon: Time(50),
-                processor: ProcessorId(7),
-            })
-            .unwrap_err();
+                processor,
+            },
+            &mut Scratch::new(),
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
+    #[test]
+    fn missing_context_is_an_honest_error() {
+        let c = Curve::from_event_times(&[Time(0)]).scale(3);
+        let err = bounds_via_policy(&c, None, ProcessorId(7)).unwrap_err();
         assert!(matches!(
             err,
             AnalysisError::MissingPolicyContext { processor } if processor == ProcessorId(7)
@@ -109,24 +124,11 @@ mod tests {
         let cb = Curve::from_event_times(&[Time(2)]).scale(4);
         let horizon = Time(50);
         let direct_ctx = FcfsProcessor::new(&[&ca, &cb], horizon).unwrap();
-        let direct = direct_ctx.service_bounds(&ca, Time(4)).unwrap();
+        let mut direct = SoaServiceBounds::zeroed();
+        direct.copy_from_bounds(&direct_ctx.service_bounds(&ca, Time(4)).unwrap());
 
         let ctx = PolicyContext::new(FcfsProcessor::new(&[&ca, &cb], horizon).unwrap());
-        let via_policy = FcfsPolicy
-            .service_bounds(&BoundsInputs {
-                workload: &ca,
-                tau: Time(4),
-                weight: 1,
-                blocking: Time::ZERO,
-                hp_lower: &[],
-                hp_upper: &[],
-                variant: SpnpAvailability::Conservative,
-                ctx: Some(&ctx),
-                horizon,
-                processor: ProcessorId(0),
-            })
-            .unwrap();
-        assert_eq!(via_policy.lower, direct.lower);
-        assert_eq!(via_policy.upper, direct.upper);
+        let via_policy = bounds_via_policy(&ca, Some(&ctx), ProcessorId(0)).unwrap();
+        assert_eq!(via_policy, direct);
     }
 }

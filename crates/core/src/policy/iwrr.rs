@@ -31,12 +31,15 @@
 //! `min(t, c̄(t))`: non-preemptive round-robin guarantees nothing tighter
 //! without peer *service* curves, and the looseness only feeds the next
 //! hop's arrival envelope conservatively.
+//!
+//! The kernel computes in AoS (the convolution's layout) and converts to
+//! SoA at its boundary.
 
 use super::{BoundsInputs, PeerInputs, PolicyContext, ReadySet, ServicePolicy, SimScheduler};
 use crate::error::AnalysisError;
-use crate::spnp::ServiceBounds;
+use crate::spnp::{ServiceBounds, SoaServiceBounds};
 use rta_curves::convolution::convolve;
-use rta_curves::{Curve, Time};
+use rta_curves::{Curve, Scratch, Time};
 use rta_model::{ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
 
 /// Per-processor IWRR state: the worst-case round length `L`.
@@ -76,13 +79,14 @@ impl ServicePolicy for IwrrPolicy {
         Ok(Some(PolicyContext::new(IwrrContext { round_len })))
     }
 
-    fn service_bounds(&self, inputs: &BoundsInputs<'_>) -> Result<ServiceBounds, AnalysisError> {
-        let ctx = inputs
-            .ctx
-            .and_then(|c| c.downcast_ref::<IwrrContext>())
-            .ok_or(AnalysisError::MissingPolicyContext {
-                processor: inputs.processor,
-            })?;
+    fn service_bounds(
+        &self,
+        inputs: &BoundsInputs<'_>,
+        _scratch: &mut Scratch,
+        out: &mut SoaServiceBounds,
+    ) -> Result<(), AnalysisError> {
+        let ctx = inputs.context::<IwrrContext>()?;
+        let workload = inputs.workload_curve();
         let l = ctx.round_len.max(1);
         let quantum = inputs.weight as i64 * inputs.tau.ticks();
 
@@ -95,18 +99,19 @@ impl ServicePolicy for IwrrPolicy {
         }
         let beta = Curve::step_from_points(0, &pts);
 
-        let c_prev = inputs.workload.shift_right(Time::ONE, 0);
+        let c_prev = workload.shift_right(Time::ONE, 0);
         let lower = convolve(&c_prev, &beta, inputs.horizon)
-            .min_with(inputs.workload)
+            .min_with(&workload)
             .min_with(&Curve::identity())
             .clamp_min(0)
             .running_max();
         let upper = Curve::identity()
-            .min_with(inputs.workload)
+            .min_with(&workload)
             .clamp_min(0)
             .running_max()
             .max_with(&lower);
-        Ok(ServiceBounds { lower, upper })
+        out.copy_from_bounds(&ServiceBounds { lower, upper });
+        Ok(())
     }
 
     fn sim_scheduler(&self, sys: &TaskSystem, p: ProcessorId) -> Box<dyn SimScheduler> {
@@ -178,6 +183,7 @@ mod tests {
     use super::*;
     use crate::config::SpnpAvailability;
     use crate::policy::{ReadyInstance, ReadySet};
+    use rta_curves::SoaCurve;
     use rta_model::{ArrivalPattern, SystemBuilder};
 
     fn two_flow_sys(w1: u32, w2: u32) -> (TaskSystem, ProcessorId) {
@@ -206,7 +212,12 @@ mod tests {
         (b.build().unwrap(), p)
     }
 
-    fn bounds_for(sys: &TaskSystem, p: ProcessorId, r: SubjobRef, horizon: Time) -> ServiceBounds {
+    fn bounds_for(
+        sys: &TaskSystem,
+        p: ProcessorId,
+        r: SubjobRef,
+        horizon: Time,
+    ) -> SoaServiceBounds {
         let peers = sys.subjobs_on(p);
         let window = Time(60);
         let workloads: Vec<Curve> = peers
@@ -224,20 +235,27 @@ mod tests {
             .unwrap()
             .unwrap();
         let i = peers.iter().position(|&o| o == r).unwrap();
+        let mut out = SoaServiceBounds::zeroed();
         IwrrPolicy
-            .service_bounds(&BoundsInputs {
-                workload: &workloads[i],
-                tau: sys.subjob(r).exec,
-                weight: sys.subjob(r).weight(),
-                blocking: Time::ZERO,
-                hp_lower: &[],
-                hp_upper: &[],
-                variant: SpnpAvailability::Conservative,
-                ctx: Some(&ctx),
-                horizon,
-                processor: p,
-            })
-            .unwrap()
+            .service_bounds(
+                &BoundsInputs {
+                    workload: &SoaCurve::from_curve(&workloads[i]),
+                    workload_aos: Some(&workloads[i]),
+                    tau: sys.subjob(r).exec,
+                    weight: sys.subjob(r).weight(),
+                    blocking: Time::ZERO,
+                    hp_lower: &[],
+                    hp_upper: &[],
+                    variant: SpnpAvailability::Conservative,
+                    ctx: Some(&ctx),
+                    horizon,
+                    processor: p,
+                },
+                &mut Scratch::new(),
+                &mut out,
+            )
+            .unwrap();
+        out
     }
 
     #[test]

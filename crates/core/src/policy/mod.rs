@@ -9,6 +9,16 @@
 //! subjob, "given peer workload curves, priority context, and a horizon,
 //! what service is guaranteed/possible, and what blocks it?".
 //!
+//! ## One bounds method
+//!
+//! Every discipline answers the bounds question through one method,
+//! [`ServicePolicy::service_bounds`]: [`BoundsInputs`] in, with the curves
+//! in structure-of-arrays layout, [`SoaServiceBounds`] out, temporaries
+//! drawn from a [`Scratch`]. Both drivers call it and nothing else. SPP and
+//! SPNP run the native SoA chain ([`crate::spnp::spnp_bounds`]); FCFS and
+//! IWRR compute in AoS and convert at their own boundary, reading the
+//! driver's AoS copy of the workload when it holds one.
+//!
 //! ## Contract (DESIGN.md §4c)
 //!
 //! Every implementation must produce service curves that are
@@ -29,7 +39,8 @@
 //! 2. Write a submodule here implementing [`ServicePolicy`] (and a
 //!    [`SimScheduler`] for the event engine). Per-processor state derived
 //!    from peer workloads lives in a [`PolicyContext`] built by
-//!    [`ServicePolicy::build_context`].
+//!    [`ServicePolicy::build_context`]. A kernel written on AoS curves
+//!    converts at its boundary, as FCFS and IWRR do.
 //! 3. Register it in [`policy_for`] and [`all_policies`].
 //!
 //! No driver edits are required: the drivers consult
@@ -38,12 +49,13 @@
 //! ([`iwrr`]) was landed exactly this way.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::config::SpnpAvailability;
 use crate::error::AnalysisError;
-use crate::spnp::{ServiceBounds, SoaServiceBounds};
+use crate::spnp::SoaServiceBounds;
 use rta_curves::{Curve, Scratch, SoaCurve, Time};
 use rta_model::{ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
 
@@ -90,45 +102,19 @@ impl std::fmt::Debug for PolicyContext {
     }
 }
 
-/// All inputs of one [`ServicePolicy::service_bounds`] evaluation.
+/// All inputs of one [`ServicePolicy::service_bounds`] evaluation, with the
+/// curves in structure-of-arrays layout (DESIGN.md §4g).
 ///
 /// Drivers fill every field they can; fields a policy does not consume
 /// (e.g. `hp_lower` for FCFS, `ctx` for SPP) are simply ignored.
-pub struct BoundsInputs<'a> {
-    /// The subjob's (upper-bounded) workload `c̄ = f̄_arr · τ`.
-    pub workload: &'a Curve,
-    /// The subjob's execution time `τ`.
-    pub tau: Time,
-    /// The subjob's round-robin weight (1 unless assigned).
-    pub weight: u32,
-    /// The blocking term `b_{k,j}` from [`ServicePolicy::blocking`].
-    pub blocking: Time,
-    /// Lower service bounds of strictly higher-priority peers.
-    pub hp_lower: &'a [&'a Curve],
-    /// Upper service bounds of the same peers, in the same order.
-    pub hp_upper: &'a [&'a Curve],
-    /// Which Theorem-5 availability recursion SPNP uses.
-    pub variant: SpnpAvailability,
-    /// The processor context from [`ServicePolicy::build_context`], if any.
-    pub ctx: Option<&'a PolicyContext>,
-    /// Analysis horizon — curves are exact on `[0, horizon]`.
-    pub horizon: Time,
-    /// The processor this subjob executes on (for error reporting).
-    pub processor: ProcessorId,
-}
-
-/// The inputs of one [`ServicePolicy::service_bounds_soa_into`]
-/// evaluation — [`BoundsInputs`] with the curves in structure-of-arrays
-/// layout (DESIGN.md §4g).
 ///
 /// `workload_aos` carries the same curve as `workload` in AoS form when
 /// the driver holds one: the fixpoint driver keeps both (the AoS copy is
-/// built once at model ingest, so its rounds never pay a per-round
-/// conversion), and the one-pass driver builds one on shared-workload
-/// processors, whose contexts need it anyway. Policies falling back on
-/// the AoS kernels — the default implementation — convert `workload`
-/// themselves when it is `None`.
-pub struct SoaBoundsInputs<'a> {
+/// built once at model ingest, so its evaluations never pay a conversion),
+/// and the one-pass driver builds one on shared-workload processors, whose
+/// contexts need it anyway. The AoS kernels (FCFS, IWRR) convert
+/// `workload` themselves when it is `None`.
+pub struct BoundsInputs<'a> {
     /// The subjob's (upper-bounded) workload `c̄ = f̄_arr · τ`.
     pub workload: &'a SoaCurve,
     /// The same workload in AoS layout, when the driver holds one.
@@ -151,6 +137,28 @@ pub struct SoaBoundsInputs<'a> {
     pub horizon: Time,
     /// The processor this subjob executes on (for error reporting).
     pub processor: ProcessorId,
+}
+
+impl BoundsInputs<'_> {
+    /// The workload in AoS layout, for the kernels that compute in it: the
+    /// driver's copy when it holds one, else converted here.
+    pub(crate) fn workload_curve(&self) -> Cow<'_, Curve> {
+        match self.workload_aos {
+            Some(c) => Cow::Borrowed(c),
+            None => Cow::Owned(self.workload.to_curve()),
+        }
+    }
+
+    /// The processor context as the policy's own type `T`, or
+    /// [`AnalysisError::MissingPolicyContext`] when the driver supplied
+    /// none (or another policy's).
+    pub(crate) fn context<T: Any>(&self) -> Result<&T, AnalysisError> {
+        self.ctx
+            .and_then(|c| c.downcast_ref::<T>())
+            .ok_or(AnalysisError::MissingPolicyContext {
+                processor: self.processor,
+            })
+    }
 }
 
 /// One scheduling discipline's analysis kernel plus its simulator.
@@ -203,78 +211,15 @@ pub trait ServicePolicy: Send + Sync {
         Ok(None)
     }
 
-    /// Lower/upper service bounds for one subjob — the policy kernel.
-    fn service_bounds(&self, inputs: &BoundsInputs<'_>) -> Result<ServiceBounds, AnalysisError>;
-
-    /// [`ServicePolicy::service_bounds`] writing into a caller-provided
-    /// [`ServiceBounds`], drawing temporaries from `scratch` — the
-    /// zero-allocation entry the fixpoint driver's warm path uses.
-    ///
-    /// The default delegates to the allocating kernel (correct for every
-    /// policy); disciplines with hot `_into` kernels override it. Results
-    /// must be bit-identical to [`ServicePolicy::service_bounds`].
-    fn service_bounds_into(
+    /// Lower/upper service bounds for one subjob — the policy kernel —
+    /// written into `out`, with temporaries drawn from `scratch`. The one
+    /// bounds entry both drivers call.
+    fn service_bounds(
         &self,
         inputs: &BoundsInputs<'_>,
-        _scratch: &mut Scratch,
-        out: &mut ServiceBounds,
-    ) -> Result<(), AnalysisError> {
-        *out = self.service_bounds(inputs)?;
-        Ok(())
-    }
-
-    /// [`ServicePolicy::service_bounds_into`] with every curve in
-    /// structure-of-arrays layout — the entry the SoA fixpoint rounds call
-    /// (DESIGN.md §4g). Results must convert bit-identically to
-    /// [`ServicePolicy::service_bounds`].
-    ///
-    /// The default converts at the boundary and delegates to the AoS
-    /// kernel — correct for every policy, and cheap for disciplines whose
-    /// bounds take no cross-round inputs (FCFS, IWRR: computed once per
-    /// analysis, never re-evaluated on warm rounds). Disciplines with
-    /// native SoA chains (SPP/SPNP) override it.
-    fn service_bounds_soa_into(
-        &self,
-        inputs: &SoaBoundsInputs<'_>,
         scratch: &mut Scratch,
         out: &mut SoaServiceBounds,
-    ) -> Result<(), AnalysisError> {
-        let hp_lower: Vec<Curve> = inputs.hp_lower.iter().map(|c| c.to_curve()).collect();
-        let hp_upper: Vec<Curve> = inputs.hp_upper.iter().map(|c| c.to_curve()).collect();
-        let hp_lo_refs: Vec<&Curve> = hp_lower.iter().collect();
-        let hp_up_refs: Vec<&Curve> = hp_upper.iter().collect();
-        let converted;
-        let workload = match inputs.workload_aos {
-            Some(c) => c,
-            None => {
-                converted = inputs.workload.to_curve();
-                &converted
-            }
-        };
-        let aos_inputs = BoundsInputs {
-            workload,
-            tau: inputs.tau,
-            weight: inputs.weight,
-            blocking: inputs.blocking,
-            hp_lower: &hp_lo_refs,
-            hp_upper: &hp_up_refs,
-            variant: inputs.variant,
-            ctx: inputs.ctx,
-            horizon: inputs.horizon,
-            processor: inputs.processor,
-        };
-        let mut tmp = ServiceBounds {
-            lower: scratch.take_curve(),
-            upper: scratch.take_curve(),
-        };
-        let r = self.service_bounds_into(&aos_inputs, scratch, &mut tmp);
-        if r.is_ok() {
-            out.copy_from_bounds(&tmp);
-        }
-        scratch.put_curve(tmp.lower);
-        scratch.put_curve(tmp.upper);
-        r
-    }
+    ) -> Result<(), AnalysisError>;
 
     /// A fresh event-engine scheduler for one processor running this
     /// discipline.
@@ -481,10 +426,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_soa_path_converts_a_missing_aos_workload() {
-        // Shared-workload policies run the default SoA entry; without an
-        // AoS copy of the workload it must convert one itself and agree
-        // with the run that was handed the copy.
+    fn shared_workload_policies_convert_a_missing_aos_workload() {
+        // FCFS and IWRR compute in AoS; without an AoS copy of the
+        // workload they must convert one themselves and agree with the run
+        // that was handed the copy.
         let times = [Time(0), Time(6)];
         let c = Curve::from_event_times(&times).scale(4);
         let soa = SoaCurve::from_curve(&c);
@@ -506,8 +451,8 @@ mod tests {
             let run = |workload_aos| {
                 let mut out = SoaServiceBounds::zeroed();
                 policy
-                    .service_bounds_soa_into(
-                        &SoaBoundsInputs {
+                    .service_bounds(
+                        &BoundsInputs {
                             workload: &soa,
                             workload_aos,
                             tau: Time(4),

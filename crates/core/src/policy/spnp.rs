@@ -1,14 +1,12 @@
 //! Non-preemptive static priorities behind the policy seam.
 //!
-//! Delegates to [`crate::spnp::spnp_bounds`] (Theorems 5/6) with the
+//! Runs the SoA chain [`crate::spnp::spnp_bounds`] (Theorems 5/6) with the
 //! Eq. 15 blocking term supplied by [`ServicePolicy::blocking`].
 
 use super::spp::PrioritySim;
-use super::{BoundsInputs, PeerInputs, ServicePolicy, SimScheduler, SoaBoundsInputs};
+use super::{BoundsInputs, PeerInputs, ServicePolicy, SimScheduler};
 use crate::error::AnalysisError;
-use crate::spnp::{
-    spnp_bounds, spnp_bounds_into, spnp_bounds_soa_into, ServiceBounds, SoaServiceBounds,
-};
+use crate::spnp::{spnp_bounds, SoaServiceBounds};
 use rta_curves::{Scratch, Time};
 use rta_model::{ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
 
@@ -28,42 +26,13 @@ impl ServicePolicy for SpnpPolicy {
         sys.blocking_time(r)
     }
 
-    fn service_bounds(&self, inputs: &BoundsInputs<'_>) -> Result<ServiceBounds, AnalysisError> {
-        spnp_bounds(
-            inputs.workload,
-            inputs.hp_lower,
-            inputs.hp_upper,
-            inputs.blocking,
-            inputs.variant,
-        )
-        .map_err(AnalysisError::from)
-    }
-
-    fn service_bounds_into(
+    fn service_bounds(
         &self,
         inputs: &BoundsInputs<'_>,
         scratch: &mut Scratch,
-        out: &mut ServiceBounds,
-    ) -> Result<(), AnalysisError> {
-        spnp_bounds_into(
-            inputs.workload,
-            inputs.hp_lower,
-            inputs.hp_upper,
-            inputs.blocking,
-            inputs.variant,
-            scratch,
-            out,
-        )
-        .map_err(AnalysisError::from)
-    }
-
-    fn service_bounds_soa_into(
-        &self,
-        inputs: &SoaBoundsInputs<'_>,
-        scratch: &mut Scratch,
         out: &mut SoaServiceBounds,
     ) -> Result<(), AnalysisError> {
-        spnp_bounds_soa_into(
+        spnp_bounds(
             inputs.workload,
             inputs.hp_lower,
             inputs.hp_upper,

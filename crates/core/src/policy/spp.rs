@@ -1,17 +1,15 @@
 //! Preemptive static priorities behind the policy seam.
 //!
-//! Delegates the math to [`crate::spp`] (exact Theorem 3) and
-//! [`crate::spnp::spnp_bounds`] with a zero blocking term (Theorems 5/6
-//! degenerate to Theorem 3 with bounded inputs — see the [`crate::spnp`]
-//! module docs).
+//! Delegates the math to [`crate::spp`] (exact Theorem 3) and the SoA
+//! chain [`crate::spnp::spnp_bounds`] with a zero blocking term
+//! (Theorems 5/6 degenerate to Theorem 3 with bounded inputs — see the
+//! [`crate::spnp`] module docs).
 
 use super::{
     BoundsInputs, FastPath, PeerInputs, ReadyInstance, ReadySet, ServicePolicy, SimScheduler,
-    SoaBoundsInputs,
 };
 use crate::error::AnalysisError;
-use crate::spnp::SoaServiceBounds;
-use crate::spnp::{spnp_bounds, spnp_bounds_into, spnp_bounds_soa_into, ServiceBounds};
+use crate::spnp::{spnp_bounds, SoaServiceBounds};
 use rta_curves::{Curve, Scratch};
 use rta_model::{ProcessorId, SchedulerKind, TaskSystem};
 
@@ -39,42 +37,13 @@ impl ServicePolicy for SppPolicy {
         Some(crate::spp::exact_service(workload, hp_services))
     }
 
-    fn service_bounds(&self, inputs: &BoundsInputs<'_>) -> Result<ServiceBounds, AnalysisError> {
-        spnp_bounds(
-            inputs.workload,
-            inputs.hp_lower,
-            inputs.hp_upper,
-            inputs.blocking,
-            inputs.variant,
-        )
-        .map_err(AnalysisError::from)
-    }
-
-    fn service_bounds_into(
+    fn service_bounds(
         &self,
         inputs: &BoundsInputs<'_>,
         scratch: &mut Scratch,
-        out: &mut ServiceBounds,
-    ) -> Result<(), AnalysisError> {
-        spnp_bounds_into(
-            inputs.workload,
-            inputs.hp_lower,
-            inputs.hp_upper,
-            inputs.blocking,
-            inputs.variant,
-            scratch,
-            out,
-        )
-        .map_err(AnalysisError::from)
-    }
-
-    fn service_bounds_soa_into(
-        &self,
-        inputs: &SoaBoundsInputs<'_>,
-        scratch: &mut Scratch,
         out: &mut SoaServiceBounds,
     ) -> Result<(), AnalysisError> {
-        spnp_bounds_soa_into(
+        spnp_bounds(
             inputs.workload,
             inputs.hp_lower,
             inputs.hp_upper,
@@ -128,28 +97,44 @@ mod tests {
     use super::super::policy_for;
     use super::*;
     use crate::config::SpnpAvailability;
-    use rta_curves::Time;
+    use rta_curves::{SoaCurve, Time};
 
     #[test]
     fn bounds_match_the_kernel_verbatim() {
-        let c = Curve::from_event_times(&[Time(0), Time(10)]).scale(4);
-        let via_policy = policy_for(SchedulerKind::Spp)
-            .service_bounds(&BoundsInputs {
-                workload: &c,
-                tau: Time(4),
-                weight: 1,
-                blocking: Time::ZERO,
-                hp_lower: &[],
-                hp_upper: &[],
-                variant: SpnpAvailability::Conservative,
-                ctx: None,
-                horizon: Time(100),
-                processor: ProcessorId(0),
-            })
+        let c = SoaCurve::from_curve(&Curve::from_event_times(&[Time(0), Time(10)]).scale(4));
+        let mut scratch = Scratch::new();
+        let mut via_policy = SoaServiceBounds::zeroed();
+        policy_for(SchedulerKind::Spp)
+            .service_bounds(
+                &BoundsInputs {
+                    workload: &c,
+                    workload_aos: None,
+                    tau: Time(4),
+                    weight: 1,
+                    blocking: Time::ZERO,
+                    hp_lower: &[],
+                    hp_upper: &[],
+                    variant: SpnpAvailability::Conservative,
+                    ctx: None,
+                    horizon: Time(100),
+                    processor: ProcessorId(0),
+                },
+                &mut scratch,
+                &mut via_policy,
+            )
             .unwrap();
-        let direct = spnp_bounds(&c, &[], &[], Time::ZERO, SpnpAvailability::Conservative).unwrap();
-        assert_eq!(via_policy.lower, direct.lower);
-        assert_eq!(via_policy.upper, direct.upper);
+        let mut direct = SoaServiceBounds::zeroed();
+        spnp_bounds(
+            &c,
+            &[],
+            &[],
+            Time::ZERO,
+            SpnpAvailability::Conservative,
+            &mut scratch,
+            &mut direct,
+        )
+        .unwrap();
+        assert_eq!(via_policy, direct);
     }
 
     #[test]

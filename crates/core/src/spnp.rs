@@ -22,14 +22,22 @@
 //! The same machinery yields sound bounds for SPP processors inside a
 //! heterogeneous bounds analysis by setting `b = 0` (preemption removes
 //! blocking; Theorems 5/6 then mirror Theorem 3 with bounded inputs).
+//!
+//! There is one chain, [`spnp_bounds`]: structure-of-arrays operands in,
+//! [`SoaServiceBounds`] out, every intermediate drawn from a [`Scratch`].
+//! Both drivers reach it through
+//! [`crate::policy::ServicePolicy::service_bounds`]. Its independent check
+//! is a per-tick evaluator of the same formulas in
+//! `crates/core/tests/proptests.rs`.
 
 use crate::config::SpnpAvailability;
 use rta_curves::{
     linear_combine_line_into, sum_many_into, Curve, CurveError, Scratch, SoaCurve, Time,
 };
 
-/// Lower/upper service-function bounds of one subjob.
-#[derive(Clone, Debug)]
+/// Lower/upper service-function bounds of one subjob in AoS layout — what
+/// the FCFS and IWRR kernels compute before their policies convert it.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceBounds {
     /// Guaranteed (lower-bounded) service `S̲`.
     pub lower: Curve,
@@ -37,29 +45,9 @@ pub struct ServiceBounds {
     pub upper: Curve,
 }
 
-impl ServiceBounds {
-    /// The information-free bracket `[0, 0]` — a placeholder whose buffers
-    /// the `_into` drivers overwrite.
-    pub fn zeroed() -> ServiceBounds {
-        ServiceBounds {
-            lower: Curve::zero(),
-            upper: Curve::zero(),
-        }
-    }
-}
-
-impl PartialEq for ServiceBounds {
-    fn eq(&self, other: &ServiceBounds) -> bool {
-        self.lower == other.lower && self.upper == other.upper
-    }
-}
-impl Eq for ServiceBounds {}
-
-/// [`ServiceBounds`] in structure-of-arrays layout — the working
-/// representation of the fixpoint drivers' warm path (DESIGN.md §4g). The
-/// SoA kernels are segment-identical to their AoS oracles, so a
-/// `SoaServiceBounds` and the `ServiceBounds` it converts to/from always
-/// describe the same pair of curves.
+/// Lower/upper service-function bounds of one subjob in structure-of-arrays
+/// layout — what [`crate::policy::ServicePolicy::service_bounds`] writes and
+/// the drivers keep per subjob (DESIGN.md §4g).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SoaServiceBounds {
     /// Guaranteed (lower-bounded) service `S̲`.
@@ -70,7 +58,7 @@ pub struct SoaServiceBounds {
 
 impl SoaServiceBounds {
     /// The information-free bracket `[0, 0]` — a placeholder whose buffers
-    /// the `_into` drivers overwrite.
+    /// the bounds kernels overwrite.
     pub fn zeroed() -> SoaServiceBounds {
         SoaServiceBounds {
             lower: SoaCurve::zero(),
@@ -83,15 +71,9 @@ impl SoaServiceBounds {
         self.lower.copy_from_curve(&src.lower);
         self.upper.copy_from_curve(&src.upper);
     }
-
-    /// Convert back to AoS, reusing `out`'s segment buffers.
-    pub fn write_to_bounds(&self, out: &mut ServiceBounds) {
-        self.lower.write_to_curve(&mut out.lower);
-        self.upper.write_to_curve(&mut out.upper);
-    }
 }
 
-/// Compute Theorem 5/6 bounds for one subjob.
+/// Theorem 5/6 bounds for one subjob, written into `out`.
 ///
 /// * `workload_upper` — the upper-bounded workload `c̄ = f̄_arr · τ`;
 /// * `hp_lower`/`hp_upper` — service bounds of strictly-higher-priority
@@ -99,83 +81,18 @@ impl SoaServiceBounds {
 /// * `blocking` — `b_{k,j}` of Eq. 15 (zero for SPP processors);
 /// * `variant` — which availability recursion Theorem 5 uses.
 ///
-/// Both returned curves are nondecreasing and nonnegative: the raw
-/// formulas can lose monotonicity when peer bounds overlap, and are
+/// Every intermediate curve is drawn from `scratch`'s pool, so a warm call
+/// allocates nothing. Both bounds are nondecreasing and nonnegative: the
+/// raw formulas can lose monotonicity when peer bounds overlap, and are
 /// re-monotonized soundly (`running_max` of a lower bound is still a lower
 /// bound of a nondecreasing function; likewise the upper bound can only be
 /// loosened).
 ///
 /// Errors with [`CurveError::MismatchedLengths`] when the peer bound
 /// slices cannot be paired — a caller bug that would otherwise silently
-/// drop interference.
-pub fn spnp_bounds(
-    workload_upper: &Curve,
-    hp_lower: &[&Curve],
-    hp_upper: &[&Curve],
-    blocking: Time,
-    variant: SpnpAvailability,
-) -> Result<ServiceBounds, CurveError> {
-    let mut scratch = Scratch::new();
-    let mut out = ServiceBounds::zeroed();
-    spnp_bounds_into(
-        workload_upper,
-        hp_lower,
-        hp_upper,
-        blocking,
-        variant,
-        &mut scratch,
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-/// The full Theorem 5/6 chain on the structure-of-arrays kernels with AoS
-/// operands and results — a conversion wrapper around
-/// [`spnp_bounds_soa_into`], pinned segment-identical to the production
-/// AoS chain by the `soa_chain_matches_aos_oracle` test. The warm fixpoint
-/// path calls the native-SoA kernel directly and never pays this
-/// boundary; the wrapper is kept so the AoS↔SoA conversion overhead stays
-/// measurable (the bench suite's `aos/*` vs `soa/*` rows) and correct.
-pub fn spnp_bounds_into_soa(
-    workload_upper: &Curve,
-    hp_lower: &[&Curve],
-    hp_upper: &[&Curve],
-    blocking: Time,
-    variant: SpnpAvailability,
-    scratch: &mut Scratch,
-    out: &mut ServiceBounds,
-) -> Result<(), CurveError> {
-    let mut w = scratch.take_soa();
-    w.copy_from_curve(workload_upper);
-    let hp_lo: Vec<SoaCurve> = hp_lower.iter().map(|c| SoaCurve::from_curve(c)).collect();
-    let hp_up: Vec<SoaCurve> = hp_upper.iter().map(|c| SoaCurve::from_curve(c)).collect();
-    let hp_lo_refs: Vec<&SoaCurve> = hp_lo.iter().collect();
-    let hp_up_refs: Vec<&SoaCurve> = hp_up.iter().collect();
-    let mut soa_out = SoaServiceBounds::zeroed();
-    let r = spnp_bounds_soa_into(
-        &w,
-        &hp_lo_refs,
-        &hp_up_refs,
-        blocking,
-        variant,
-        scratch,
-        &mut soa_out,
-    );
-    scratch.put_soa(w);
-    r?;
-    soa_out.write_to_bounds(out);
-    Ok(())
-}
-
-/// The native structure-of-arrays Theorem 5/6 chain: SoA operands in, SoA
-/// bounds out, every intermediate drawn from `scratch` — the kernel behind
-/// [`crate::policy::ServicePolicy::service_bounds_soa_into`] for SPP/SPNP
-/// and the one the warm fixpoint rounds run on (DESIGN.md §4g). The
-/// operation sequence is step-for-step the one documented in
-/// [`spnp_bounds_into`]; with segment-identical kernels on both sides the
-/// results are bit-identical after conversion.
+/// drop interference. On error `out` is left unchanged.
 #[allow(clippy::many_single_char_names)]
-pub fn spnp_bounds_soa_into(
+pub fn spnp_bounds(
     workload_upper: &SoaCurve,
     hp_lower: &[&SoaCurve],
     hp_upper: &[&SoaCurve],
@@ -205,8 +122,7 @@ pub fn spnp_bounds_soa_into(
     id.set_affine(0, 1);
     w.shift_right_into(Time::ONE, 0, &mut c_prev);
     // Σ hp bounds in one k-way merge (pointwise add is exact and canonical
-    // on the segment representation, so this matches the AoS chain's
-    // ping-ponged fold segment for segment).
+    // on the segment representation, so the peer order does not matter).
     sum_many_into(hp_lower, &mut hp_lo_sum);
     sum_many_into(hp_upper, &mut hp_up_sum);
 
@@ -282,98 +198,35 @@ pub fn spnp_bounds_soa_into(
     Ok(())
 }
 
-/// [`spnp_bounds`] writing into a caller-provided [`ServiceBounds`], with
-/// every intermediate curve drawn from `scratch`'s pool — the
-/// zero-allocation kernel behind the fixpoint driver's warm path. The
-/// SoA port of this chain ([`spnp_bounds_into_soa`]) is pinned
-/// segment-identical by unit tests. On error `out` is left in an
-/// unspecified (but valid) state.
-#[allow(clippy::many_single_char_names)]
-pub fn spnp_bounds_into(
-    workload_upper: &Curve,
-    hp_lower: &[&Curve],
-    hp_upper: &[&Curve],
-    blocking: Time,
-    variant: SpnpAvailability,
-    scratch: &mut Scratch,
-    out: &mut ServiceBounds,
-) -> Result<(), CurveError> {
-    if hp_lower.len() != hp_upper.len() {
-        return Err(CurveError::MismatchedLengths {
-            left: hp_lower.len(),
-            right: hp_upper.len(),
-        });
-    }
-    let b = blocking;
-    let mut id = scratch.take_curve();
-    let mut c_prev = scratch.take_curve();
-    let mut hp_lo_sum = scratch.take_curve();
-    let mut hp_up_sum = scratch.take_curve();
-    let mut up = scratch.take_curve();
-    let mut s_avail = scratch.take_curve();
-    let mut t1 = scratch.take_curve();
-    let mut t2 = scratch.take_curve();
-    let mut t3 = scratch.take_curve();
-
-    id.set_affine(0, 1);
-    workload_upper.shift_right_into(Time::ONE, 0, &mut c_prev);
-    for (sum, curves) in [(&mut hp_lo_sum, hp_lower), (&mut hp_up_sum, hp_upper)] {
-        sum.set_affine(0, 0);
-        for c in curves {
-            sum.add_into(c, &mut t1);
-            std::mem::swap(sum, &mut t1);
-        }
-    }
-
-    // Theorem 6 upper bound, then Theorem 5 lower bound — the operation
-    // sequence is documented step by step in the SoA port above.
-    id.sub_into(&hp_lo_sum, &mut t1);
-    match variant {
-        SpnpAvailability::AsPrinted => c_prev.add_into(&hp_lo_sum, &mut t2),
-        SpnpAvailability::Conservative => c_prev.add_into(&hp_up_sum, &mut t2),
-    }
-    t2.sub_into(&id, &mut t3);
-    t3.running_min_into(&mut t2);
-    t1.add_into(&t2, &mut t3);
-    t3.min_with_into(workload_upper, &mut t1);
-    t1.min_with_into(&id, &mut t2);
-    t2.clamp_min_into(0, &mut t3);
-    t3.running_max_into(&mut up);
-
-    id.add_const_into(-b.ticks(), &mut t1);
-    match variant {
-        SpnpAvailability::AsPrinted => t1.sub_into(&hp_lo_sum, &mut t2),
-        SpnpAvailability::Conservative => t1.sub_into(&hp_up_sum, &mut t2),
-    }
-    match variant {
-        SpnpAvailability::AsPrinted => t2.mask_before_into(b + Time::ONE, 0, &mut s_avail),
-        SpnpAvailability::Conservative => id.sub_into(&hp_lo_sum, &mut s_avail),
-    }
-    t2.mask_before_into(b + Time::ONE, 0, &mut t1);
-    c_prev.sub_into(&s_avail, &mut t2);
-    t2.running_min_into(&mut t3);
-    t3.shift_right_into(b, t3.eval(Time::ZERO), &mut t2);
-    t1.add_into(&t2, &mut t3);
-    t3.min_with_into(workload_upper, &mut t2);
-    t2.mask_before_into(b + Time::ONE, 0, &mut t1);
-    t1.clamp_min_into(0, &mut t2);
-    t2.min_with_into(&id, &mut t3);
-    t3.running_max_into(&mut out.lower);
-
-    up.max_with_into(&out.lower, &mut out.upper);
-
-    for c in [id, c_prev, hp_lo_sum, hp_up_sum, up, s_avail, t1, t2, t3] {
-        scratch.put_curve(c);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spp::exact_service;
 
-    fn check_sane(b: &ServiceBounds, horizon: i64) {
+    /// The chain on an AoS workload with the given peers' bounds.
+    fn chain(
+        c: &Curve,
+        hp: &[&SoaServiceBounds],
+        b: Time,
+        variant: SpnpAvailability,
+    ) -> SoaServiceBounds {
+        let lower: Vec<&SoaCurve> = hp.iter().map(|h| &h.lower).collect();
+        let upper: Vec<&SoaCurve> = hp.iter().map(|h| &h.upper).collect();
+        let mut out = SoaServiceBounds::zeroed();
+        spnp_bounds(
+            &SoaCurve::from_curve(c),
+            &lower,
+            &upper,
+            b,
+            variant,
+            &mut Scratch::new(),
+            &mut out,
+        )
+        .unwrap();
+        out
+    }
+
+    fn check_sane(b: &SoaServiceBounds, horizon: i64) {
         for t in 0..=horizon {
             let t = Time(t);
             assert!(b.lower.eval(t) <= b.upper.eval(t), "lower ≤ upper at {t}");
@@ -387,16 +240,20 @@ mod tests {
     #[test]
     fn mismatched_peer_slices_are_rejected() {
         let c = Curve::from_event_times(&[Time(0)]).scale(2);
-        let hp = spnp_bounds(&c, &[], &[], Time::ZERO, SpnpAvailability::Conservative).unwrap();
+        let hp = chain(&c, &[], Time::ZERO, SpnpAvailability::Conservative);
+        let mut out = SoaServiceBounds::zeroed();
         let err = spnp_bounds(
-            &c,
+            &SoaCurve::from_curve(&c),
             &[&hp.lower],
             &[],
             Time::ZERO,
             SpnpAvailability::Conservative,
+            &mut Scratch::new(),
+            &mut out,
         )
         .unwrap_err();
         assert_eq!(err, CurveError::MismatchedLengths { left: 1, right: 0 });
+        assert_eq!(out, SoaServiceBounds::zeroed(), "out left unchanged");
     }
 
     #[test]
@@ -404,7 +261,7 @@ mod tests {
         let c = Curve::from_event_times(&[Time(0), Time(10)]).scale(4);
         let exact = exact_service(&c, &[]);
         for variant in [SpnpAvailability::AsPrinted, SpnpAvailability::Conservative] {
-            let b = spnp_bounds(&c, &[], &[], Time::ZERO, variant).unwrap();
+            let b = chain(&c, &[], Time::ZERO, variant);
             check_sane(&b, 25);
             for t in 0..=25 {
                 let t = Time(t);
@@ -417,7 +274,7 @@ mod tests {
     #[test]
     fn blocking_delays_the_lower_bound() {
         let c = Curve::from_event_times(&[Time(0)]).scale(5);
-        let b = spnp_bounds(&c, &[], &[], Time(3), SpnpAvailability::Conservative).unwrap();
+        let b = chain(&c, &[], Time(3), SpnpAvailability::Conservative);
         check_sane(&b, 20);
         // Nothing guaranteed during the blocking interval.
         assert_eq!(b.lower.eval(Time(3)), 0);
@@ -431,16 +288,9 @@ mod tests {
     fn interference_shrinks_bounds() {
         // hp takes [0,4) guaranteed.
         let hp_c = Curve::from_event_times(&[Time(0)]).scale(4);
-        let hp = spnp_bounds(&hp_c, &[], &[], Time::ZERO, SpnpAvailability::Conservative).unwrap();
+        let hp = chain(&hp_c, &[], Time::ZERO, SpnpAvailability::Conservative);
         let c = Curve::from_event_times(&[Time(0)]).scale(5);
-        let lo = spnp_bounds(
-            &c,
-            &[&hp.lower],
-            &[&hp.upper],
-            Time::ZERO,
-            SpnpAvailability::Conservative,
-        )
-        .unwrap();
+        let lo = chain(&c, &[&hp], Time::ZERO, SpnpAvailability::Conservative);
         check_sane(&lo, 20);
         // Lower bound: hp may consume the first 4 ticks ⇒ our 5 units are
         // only guaranteed complete by t = 9.
@@ -454,24 +304,10 @@ mod tests {
     #[test]
     fn variants_are_both_sane() {
         let hp_c = Curve::from_event_times(&[Time(0), Time(6)]).scale(3);
-        let hp = spnp_bounds(&hp_c, &[], &[], Time(2), SpnpAvailability::Conservative).unwrap();
+        let hp = chain(&hp_c, &[], Time(2), SpnpAvailability::Conservative);
         let c = Curve::from_event_times(&[Time(0), Time(8)]).scale(4);
-        let printed = spnp_bounds(
-            &c,
-            &[&hp.lower],
-            &[&hp.upper],
-            Time(2),
-            SpnpAvailability::AsPrinted,
-        )
-        .unwrap();
-        let conserv = spnp_bounds(
-            &c,
-            &[&hp.lower],
-            &[&hp.upper],
-            Time(2),
-            SpnpAvailability::Conservative,
-        )
-        .unwrap();
+        let printed = chain(&c, &[&hp], Time(2), SpnpAvailability::AsPrinted);
+        let conserv = chain(&c, &[&hp], Time(2), SpnpAvailability::Conservative);
         check_sane(&printed, 30);
         check_sane(&conserv, 30);
         // The conservative variant brackets at least as widely as the
@@ -491,34 +327,31 @@ mod tests {
     }
 
     #[test]
-    fn soa_chain_matches_aos_oracle() {
-        // The retained SoA chain must stay segment-identical to the
-        // production AoS chain — same ops, ported kernels — across
-        // variants, blocking values, and repeated calls on one warm
-        // scratch.
+    fn warm_scratch_and_dirty_output_do_not_leak() {
+        // Repeated calls on one scratch, into one reused output, equal
+        // fresh calls — across variants and blocking values.
         let hp_c = Curve::from_event_times(&[Time(0), Time(6), Time(11)]).scale(3);
-        let c = Curve::from_event_times(&[Time(0), Time(8)]).scale(4);
+        let hp = chain(&hp_c, &[], Time(2), SpnpAvailability::Conservative);
+        let c = SoaCurve::from_curve(&Curve::from_event_times(&[Time(0), Time(8)]).scale(4));
         let mut scratch = Scratch::new();
-        let mut hp = ServiceBounds::zeroed();
-        spnp_bounds_into(
-            &hp_c,
-            &[],
-            &[],
-            Time(2),
-            SpnpAvailability::Conservative,
-            &mut scratch,
-            &mut hp,
-        )
-        .unwrap();
-        let mut soa = ServiceBounds::zeroed();
-        let mut aos = ServiceBounds::zeroed();
+        let mut out = SoaServiceBounds::zeroed();
         for variant in [SpnpAvailability::AsPrinted, SpnpAvailability::Conservative] {
             for b in [Time::ZERO, Time(2), Time(7)] {
-                let hp_lo: &[&Curve] = &[&hp.lower];
-                let hp_up: &[&Curve] = &[&hp.upper];
-                spnp_bounds_into_soa(&c, hp_lo, hp_up, b, variant, &mut scratch, &mut soa).unwrap();
-                spnp_bounds_into(&c, hp_lo, hp_up, b, variant, &mut scratch, &mut aos).unwrap();
-                assert_eq!(soa, aos, "variant={variant:?} b={b}");
+                spnp_bounds(
+                    &c,
+                    &[&hp.lower],
+                    &[&hp.upper],
+                    b,
+                    variant,
+                    &mut scratch,
+                    &mut out,
+                )
+                .unwrap();
+                assert_eq!(
+                    out,
+                    chain(&c.to_curve(), &[&hp], b, variant),
+                    "{variant:?} b={b}"
+                );
             }
         }
     }
@@ -526,7 +359,7 @@ mod tests {
     #[test]
     fn lower_bound_capped_by_workload() {
         let c = Curve::from_event_times(&[Time(0)]).scale(2);
-        let b = spnp_bounds(&c, &[], &[], Time::ZERO, SpnpAvailability::Conservative).unwrap();
+        let b = chain(&c, &[], Time::ZERO, SpnpAvailability::Conservative);
         for t in 0..=15 {
             assert!(b.lower.eval(Time(t)) <= c.eval(Time(t)));
         }

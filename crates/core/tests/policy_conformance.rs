@@ -14,13 +14,18 @@
 //!
 //! The suite iterates `all_policies()`, so a future fifth discipline is
 //! checked the moment it is registered — adding a policy that violates the
-//! seam fails here before any driver test notices.
+//! seam fails here before any driver test notices. Bounds come from the
+//! one trait method, `ServicePolicy::service_bounds`, through the AoS↔SoA
+//! helper in `support`.
+
+mod support;
 
 use proptest::prelude::*;
-use rta_core::policy::{all_policies, policy_for, BoundsInputs, PeerInputs, ProcessorContexts};
+use rta_core::policy::{all_policies, policy_for, PeerInputs, ProcessorContexts};
 use rta_core::{AnalysisConfig, SpnpAvailability};
 use rta_curves::{Curve, Time};
 use rta_model::{ArrivalPattern, ProcessorId, SchedulerKind, SubjobRef, SystemBuilder, TaskSystem};
+use support::{service_bounds_aos, AosBoundsInputs};
 
 /// One randomized flow: trace release times and an execution time.
 #[derive(Debug, Clone)]
@@ -136,8 +141,9 @@ proptest! {
                         .iter()
                         .map(|h| &done.iter().find(|(o, _, _)| o == h).expect("priority order").2)
                         .collect();
-                    let bounds = policy
-                        .service_bounds(&BoundsInputs {
+                    let bounds = service_bounds_aos(
+                        policy,
+                        &AosBoundsInputs {
                             workload: &workload,
                             tau: sys.subjob(r).exec,
                             weight: sys.subjob(r).weight(),
@@ -148,8 +154,9 @@ proptest! {
                             ctx: ctxs.get(p),
                             horizon,
                             processor: p,
-                        })
-                        .unwrap();
+                        },
+                    )
+                    .unwrap();
                     let label = format!("{kind:?}/{variant:?}/{r:?}");
                     assert_service_obligations(&label, &bounds.lower, &bounds.upper, &workload, horizon);
                     done.push((r, bounds.lower, bounds.upper));

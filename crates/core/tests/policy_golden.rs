@@ -2,15 +2,19 @@
 //! the pre-refactor enum-dispatch paths.
 //!
 //! Before the [`rta_core::policy`] layer existed, `analyze_bounds` matched
-//! on [`SchedulerKind`] directly — SPP/SPNP through `spnp_bounds`, FCFS
-//! through a per-processor `FcfsProcessor` slot map — and
-//! `analyze_exact_spp` called `spp::exact_service` inline. Those kernels
-//! are still public, so this suite *reimplements the old dispatch verbatim*
-//! on top of them (the bounds pass lives in `support/`, shared with
-//! `bounds_driver.rs`) and checks that the trait drivers produce the same
-//! reports curve-for-curve and tick-for-tick, on deterministic job-shop /
-//! bursty fixtures and on randomized systems. Any divergence means the
-//! refactor changed analysis results, not just code shape.
+//! on [`SchedulerKind`] directly — SPP/SPNP through the Theorem 5/6 chain,
+//! FCFS through a per-processor `FcfsProcessor` slot map — and
+//! `analyze_exact_spp` called `spp::exact_service` inline. This suite
+//! *reimplements the old dispatch* on public APIs (the bounds pass lives in
+//! `support/`, shared with `bounds_driver.rs`): the `match` on the kind,
+//! the per-kind blocking term and the FCFS slot map are kept, while the
+//! SPP/SPNP chain is read through the one bounds method,
+//! `ServicePolicy::service_bounds`, via the AoS↔SoA helper in `support/`.
+//! It checks that the trait drivers produce the same reports
+//! curve-for-curve and tick-for-tick, on deterministic job-shop / bursty
+//! fixtures and on randomized systems. Any divergence means the driver
+//! changed analysis results, not just code shape. The chain itself is
+//! checked independently, tick by tick, in `proptests.rs`.
 
 mod support;
 

@@ -1,13 +1,146 @@
 //! Property-based tests of the service-function machinery on random
-//! workload curves.
+//! workload curves, including the independent per-tick oracle of the
+//! Theorem 5/6 chain.
 
 use proptest::prelude::*;
-use rta_core::spnp::spnp_bounds;
+use rta_core::spnp::{spnp_bounds, SoaServiceBounds};
 use rta_core::spp::{availability, exact_service, service_from_availability};
 use rta_core::SpnpAvailability;
-use rta_curves::{Curve, Time};
+use rta_curves::{Curve, Scratch, SoaCurve, Time};
 
 const HORIZON: i64 = 80;
+
+/// The production chain on an AoS workload, given its higher-priority
+/// peers' bounds.
+fn chain(
+    c: &Curve,
+    hp: &[SoaServiceBounds],
+    b: i64,
+    variant: SpnpAvailability,
+) -> SoaServiceBounds {
+    let lower: Vec<&SoaCurve> = hp.iter().map(|h| &h.lower).collect();
+    let upper: Vec<&SoaCurve> = hp.iter().map(|h| &h.upper).collect();
+    let mut out = SoaServiceBounds::zeroed();
+    spnp_bounds(
+        &SoaCurve::from_curve(c),
+        &lower,
+        &upper,
+        Time(b),
+        variant,
+        &mut Scratch::new(),
+        &mut out,
+    )
+    .unwrap();
+    out
+}
+
+/// Theorem 5/6 bounds evaluated tick by tick on `[0, h]`, written straight
+/// from Eq. 15 and the two theorems as the chain implements them, with
+/// every running extremum a loop over the lattice — no curve kernel
+/// involved. `hp_lo[t]`/`hp_up[t]` are the peers' summed lower/upper
+/// bounds `ΣS̲_h(t)`/`ΣS̄_h(t)`. Returns `(lower, upper)`.
+///
+/// With `X` the hp sum charged at the `s` position of the upper bound and
+/// at the `t` position of the lower bound (`ΣS̲_h` for `AsPrinted`, `ΣS̄_h`
+/// for `Conservative`):
+///
+/// * upper: `min(t − ΣS̲_h(t) + min_{s ≤ t} (c̄(s⁻) + X(s) − s), c̄(t), t)`,
+///   clamped at 0 and re-monotonized;
+/// * lower: zero on `[0, b]`; after it
+///   `min((t − b − X(t)) + run(t − b), c̄(t))`, where `run` is the running
+///   minimum of `c̄(s⁻) − B̲(s)` with the masked `B̲(s) = s − b − ΣS̲_h(s)`
+///   (`AsPrinted`) or of `c̄(s⁻) + ΣS̲_h(s) − s` (`Conservative`);
+///   clamped to `[0, t]` and re-monotonized;
+/// * the upper bound is finally raised to the lower one.
+fn spnp_bounds_per_tick(
+    workload: &Curve,
+    hp_lo: &[i64],
+    hp_up: &[i64],
+    b: i64,
+    variant: SpnpAvailability,
+    h: i64,
+) -> (Vec<i64>, Vec<i64>) {
+    let ticks = 0..=h;
+    let w: Vec<i64> = ticks.clone().map(|t| workload.eval(Time(t))).collect();
+    // c̄(s⁻): the workload strictly before s.
+    let c_prev = |s: i64| if s == 0 { 0 } else { w[s as usize - 1] };
+    let x: &[i64] = match variant {
+        SpnpAvailability::AsPrinted => hp_lo,
+        SpnpAvailability::Conservative => hp_up,
+    };
+    let running = |v: Vec<i64>, pick: fn(i64, i64) -> i64| -> Vec<i64> {
+        let mut acc = v[0];
+        v.into_iter()
+            .map(|y| {
+                acc = pick(acc, y);
+                acc
+            })
+            .collect()
+    };
+
+    // Theorem 6: no blocking in an upper bound.
+    let run_up = running(
+        ticks
+            .clone()
+            .map(|s| c_prev(s) + x[s as usize] - s)
+            .collect(),
+        i64::min,
+    );
+    let upper = running(
+        ticks
+            .clone()
+            .map(|t| {
+                let i = t as usize;
+                (t - hp_lo[i] + run_up[i]).min(w[i]).min(t).max(0)
+            })
+            .collect(),
+        i64::max,
+    );
+
+    // Theorem 5: the blocking interval [0, b] guarantees nothing.
+    let run_lo = running(
+        ticks
+            .clone()
+            .map(|s| {
+                let i = s as usize;
+                match variant {
+                    SpnpAvailability::AsPrinted => {
+                        let avail = if s <= b { 0 } else { s - b - hp_lo[i] };
+                        c_prev(s) - avail
+                    }
+                    SpnpAvailability::Conservative => c_prev(s) + hp_lo[i] - s,
+                }
+            })
+            .collect(),
+        i64::min,
+    );
+    let lower = running(
+        ticks
+            .clone()
+            .map(|t| {
+                let i = t as usize;
+                let raw = if t <= b {
+                    0
+                } else {
+                    (t - b - x[i] + run_lo[(t - b) as usize]).min(w[i])
+                };
+                raw.max(0).min(t)
+            })
+            .collect(),
+        i64::max,
+    );
+    let upper = upper.iter().zip(&lower).map(|(&u, &l)| u.max(l)).collect();
+    (lower, upper)
+}
+
+/// Random workload on a longer lattice: up to 9 arrivals in `[0, 100)`.
+fn arb_long_workload() -> impl Strategy<Value = Curve> {
+    (prop::collection::vec(0i64..100, 0..10), 1i64..8).prop_map(|(mut ts, tau)| {
+        ts.sort();
+        let times: Vec<Time> = ts.into_iter().map(Time).collect();
+        Curve::from_event_times(&times).scale(tau)
+    })
+}
 
 /// Random workload curve: sorted arrival times × a small execution time.
 fn arb_workload() -> impl Strategy<Value = (Curve, i64)> {
@@ -89,8 +222,8 @@ proptest! {
         } else {
             SpnpAvailability::AsPrinted
         };
-        let hp = spnp_bounds(&hp_c, &[], &[], Time(b), variant).unwrap();
-        let me = spnp_bounds(&c, &[&hp.lower], &[&hp.upper], Time(b), variant).unwrap();
+        let hp = chain(&hp_c, &[], b, variant);
+        let me = chain(&c, &[hp], b, variant);
         prop_assert!(me.lower.is_nondecreasing());
         prop_assert!(me.upper.is_nondecreasing());
         for t in 0..=HORIZON {
@@ -112,7 +245,7 @@ proptest! {
     fn spnp_degenerates_to_exact((c, _tau) in arb_workload()) {
         let exact = exact_service(&c, &[]);
         for variant in [SpnpAvailability::AsPrinted, SpnpAvailability::Conservative] {
-            let bounds = spnp_bounds(&c, &[], &[], Time::ZERO, variant).unwrap();
+            let bounds = chain(&c, &[], 0, variant);
             for t in 0..=HORIZON {
                 let t = Time(t);
                 prop_assert_eq!(bounds.lower.eval(t), exact.eval(t), "lower {:?} t={}", variant, t);
@@ -131,6 +264,47 @@ proptest! {
         for t in 0..=HORIZON {
             let t = Time(t);
             prop_assert_eq!(a.eval(t), t.ticks() - s1.eval(t) - s2.eval(t));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The Theorem 5/6 chain equals the per-tick evaluator at every tick of
+    /// `[0, H]`, for both availability variants, with 0–3 higher-priority
+    /// peers whose own bounds come from the chain and blocking 0–11.
+    #[test]
+    fn spnp_chain_matches_per_tick_theorem_5_6_oracle(
+        c in arb_long_workload(),
+        peers in prop::collection::vec((arb_long_workload(), 0i64..12), 0..4),
+        b in 0i64..12,
+        h in 100i64..160,
+        conservative in any::<bool>(),
+    ) {
+        let variant = if conservative {
+            SpnpAvailability::Conservative
+        } else {
+            SpnpAvailability::AsPrinted
+        };
+        // Peer k sits below peers 0..k, so its bounds see them as hp.
+        let mut hp: Vec<SoaServiceBounds> = Vec::new();
+        for (peer, peer_b) in &peers {
+            let bounds = chain(peer, &hp, *peer_b, variant);
+            hp.push(bounds);
+        }
+        let sum = |pick: fn(&SoaServiceBounds) -> &SoaCurve| -> Vec<i64> {
+            (0..=h)
+                .map(|t| hp.iter().map(|x| pick(x).eval(Time(t))).sum())
+                .collect()
+        };
+        let (hp_lo, hp_up) = (sum(|x| &x.lower), sum(|x| &x.upper));
+        let me = chain(&c, &hp, b, variant);
+        let (lower, upper) = spnp_bounds_per_tick(&c, &hp_lo, &hp_up, b, variant, h);
+        for t in 0..=h {
+            let i = t as usize;
+            prop_assert_eq!(me.lower.eval(Time(t)), lower[i], "lower {:?} b={} t={}", variant, b, t);
+            prop_assert_eq!(me.upper.eval(Time(t)), upper[i], "upper {:?} b={} t={}", variant, b, t);
         }
     }
 }

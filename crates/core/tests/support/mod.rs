@@ -1,6 +1,11 @@
-//! Test support shared by the driver oracle suites, both drivers rebuilt
-//! on the allocating AoS kernels through public APIs only:
+//! Test support shared by the driver oracle suites, built on allocated AoS
+//! curves through public APIs only:
 //!
+//! * [`service_bounds_aos`], the one AoS↔SoA helper: it runs
+//!   [`ServicePolicy::service_bounds`], the single bounds method, on AoS
+//!   operands. The Jacobi rounds below read every policy's bounds through
+//!   it, the legacy pass its SPP/SPNP and IWRR bounds, and
+//!   `policy_conformance.rs` checks every policy through it.
 //! * the legacy one-pass Theorem-4 bounds pass, with explicit `match`
 //!   dispatch on the scheduler kind. This is how `analyze_bounds` computed
 //!   its nodes before the policy seam and before the SoA workspace
@@ -21,11 +26,63 @@ use std::collections::HashMap;
 
 use rta_core::depgraph::{evaluation_order, SubjobIndex};
 use rta_core::fcfs::FcfsProcessor;
-use rta_core::policy::{policy_for, BoundsInputs, PeerInputs, PolicyContext};
-use rta_core::spnp::{spnp_bounds, ServiceBounds};
-use rta_core::{AnalysisConfig, AnalysisError, BoundsReport, JobBound};
-use rta_curves::{Curve, CurveCursor, Time};
-use rta_model::{JobId, SchedulerKind, SubjobRef, TaskSystem};
+use rta_core::policy::{policy_for, BoundsInputs, PeerInputs, PolicyContext, ServicePolicy};
+use rta_core::spnp::{ServiceBounds, SoaServiceBounds};
+use rta_core::{AnalysisConfig, AnalysisError, BoundsReport, JobBound, SpnpAvailability};
+use rta_curves::{Curve, CurveCursor, Scratch, SoaCurve, Time};
+use rta_model::{JobId, ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
+
+/// The inputs of one [`ServicePolicy::service_bounds`] call with AoS
+/// curves, the layout the oracles keep; the fields mirror [`BoundsInputs`].
+pub struct AosBoundsInputs<'a> {
+    pub workload: &'a Curve,
+    pub tau: Time,
+    pub weight: u32,
+    pub blocking: Time,
+    pub hp_lower: &'a [&'a Curve],
+    pub hp_upper: &'a [&'a Curve],
+    pub variant: SpnpAvailability,
+    pub ctx: Option<&'a PolicyContext>,
+    pub horizon: Time,
+    pub processor: ProcessorId,
+}
+
+/// `policy`'s service bounds on AoS operands: the curves are converted to
+/// SoA (the AoS workload rides along as `workload_aos`, as the drivers pass
+/// it), the one trait method runs on a fresh scratch, and the bounds are
+/// converted back.
+pub fn service_bounds_aos(
+    policy: &dyn ServicePolicy,
+    inputs: &AosBoundsInputs<'_>,
+) -> Result<ServiceBounds, AnalysisError> {
+    let soa =
+        |cs: &[&Curve]| -> Vec<SoaCurve> { cs.iter().map(|c| SoaCurve::from_curve(c)).collect() };
+    let (hp_lower, hp_upper) = (soa(inputs.hp_lower), soa(inputs.hp_upper));
+    let hp_lower: Vec<&SoaCurve> = hp_lower.iter().collect();
+    let hp_upper: Vec<&SoaCurve> = hp_upper.iter().collect();
+    let mut out = SoaServiceBounds::zeroed();
+    policy.service_bounds(
+        &BoundsInputs {
+            workload: &SoaCurve::from_curve(inputs.workload),
+            workload_aos: Some(inputs.workload),
+            tau: inputs.tau,
+            weight: inputs.weight,
+            blocking: inputs.blocking,
+            hp_lower: &hp_lower,
+            hp_upper: &hp_upper,
+            variant: inputs.variant,
+            ctx: inputs.ctx,
+            horizon: inputs.horizon,
+            processor: inputs.processor,
+        },
+        &mut Scratch::new(),
+        &mut out,
+    )?;
+    Ok(ServiceBounds {
+        lower: out.lower.to_curve(),
+        upper: out.upper.to_curve(),
+    })
+}
 
 /// One subjob's curves in the legacy pass.
 pub struct LegacyNode {
@@ -36,9 +93,11 @@ pub struct LegacyNode {
 }
 
 /// What `compute_nodes` looked like before the `ServicePolicy` seam: a
-/// `match` on the scheduler kind, with the FCFS slot map built at the first
-/// subjob of each FCFS processor. IWRR postdates the seam; its arm calls
-/// the policy's AoS kernel with a context built the same way.
+/// `match` on the scheduler kind, with the blocking term chosen per kind
+/// and the FCFS slot map built at the first subjob of each FCFS processor.
+/// The SPP/SPNP arm reads the Theorem 5/6 chain through the policy's one
+/// bounds method. IWRR postdates the seam; its arm calls the policy with a
+/// context built the same way.
 pub fn legacy_compute_nodes(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<LegacyNode> {
     let (window, horizon) = cfg.resolve(sys);
     let idx = SubjobIndex::new(sys);
@@ -95,12 +154,20 @@ pub fn legacy_compute_nodes(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<Legac
                 } else {
                     Time::ZERO
                 };
-                spnp_bounds(
-                    &workload,
-                    &hp_lower,
-                    &hp_upper,
-                    blocking,
-                    cfg.spnp_availability,
+                service_bounds_aos(
+                    policy_for(kind),
+                    &AosBoundsInputs {
+                        workload: &workload,
+                        tau,
+                        weight: subjob.weight(),
+                        blocking,
+                        hp_lower: &hp_lower,
+                        hp_upper: &hp_upper,
+                        variant: cfg.spnp_availability,
+                        ctx: None,
+                        horizon,
+                        processor: subjob.processor,
+                    },
                 )
                 .expect("paired peer slices")
             }
@@ -119,8 +186,9 @@ pub fn legacy_compute_nodes(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<Legac
                 let ctx = policy
                     .build_context(sys, subjob.processor, &peers, &refs, horizon)
                     .expect("iwrr context");
-                policy
-                    .service_bounds(&BoundsInputs {
+                service_bounds_aos(
+                    policy,
+                    &AosBoundsInputs {
                         workload: &workload,
                         tau,
                         weight: subjob.weight(),
@@ -131,8 +199,9 @@ pub fn legacy_compute_nodes(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<Legac
                         ctx: ctx.as_ref(),
                         horizon,
                         processor: subjob.processor,
-                    })
-                    .expect("iwrr bounds")
+                    },
+                )
+                .expect("iwrr bounds")
             }
         };
 
@@ -195,7 +264,7 @@ pub fn hop_delay(arr_env: &Curve, dep_lower: &Curve, n_instances: i64) -> Option
     d
 }
 
-/// The Section 6 fixed point as plain Jacobi rounds on the AoS kernels.
+/// The Section 6 fixed point as plain Jacobi rounds on AoS curves.
 ///
 /// Cycle-free envelopes (the primary pattern shifted by the upstream
 /// minimum processing) and workloads are built once; each shared-workload
@@ -269,18 +338,21 @@ pub fn analyze_with_loops_aos_reference(
             let policy = policy_for(sys.processor(s.processor).scheduler);
             let hp_lower: Vec<&Curve> = hp[i].iter().map(|&h| &cur[h].lower).collect();
             let hp_upper: Vec<&Curve> = hp[i].iter().map(|&h| &cur[h].upper).collect();
-            next.push(policy.service_bounds(&BoundsInputs {
-                workload: &workload[i],
-                tau: s.exec,
-                weight: s.weight(),
-                blocking: policy.blocking(sys, r),
-                hp_lower: &hp_lower,
-                hp_upper: &hp_upper,
-                variant: cfg.spnp_availability,
-                ctx: ctxs.get(&s.processor.0).and_then(Option::as_ref),
-                horizon,
-                processor: s.processor,
-            })?);
+            next.push(service_bounds_aos(
+                policy,
+                &AosBoundsInputs {
+                    workload: &workload[i],
+                    tau: s.exec,
+                    weight: s.weight(),
+                    blocking: policy.blocking(sys, r),
+                    hp_lower: &hp_lower,
+                    hp_upper: &hp_upper,
+                    variant: cfg.spnp_availability,
+                    ctx: ctxs.get(&s.processor.0).and_then(Option::as_ref),
+                    horizon,
+                    processor: s.processor,
+                },
+            )?);
         }
         let settled = next == cur;
         cur = next;

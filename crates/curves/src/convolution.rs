@@ -35,8 +35,8 @@
 //! cheaper than the O(R_f · R_g · segments) pair merge. [`convolve`] is a
 //! hybrid: it estimates both costs and dispatches to the cheaper kernel;
 //! both produce identical values at every tick of the horizon.
-//! [`convolve_decomposed`] pins the decomposition path for benchmarks and
-//! oracle tests.
+//! [`convolve_decomposed_into`] pins the decomposition path for benchmarks
+//! and oracle tests, which check it against the lattice scan.
 
 use crate::curve::push_normalized;
 use crate::soa::SoaCurve;
@@ -106,113 +106,6 @@ pub fn convolve_convex_into(f: &Curve, g: &Curve, scratch: &mut Scratch, out: &m
     out.finish_write();
 }
 
-/// A maximal convex run of a curve: segments covering the half-open time
-/// domain `[segs[0].start, end)`, continuous with nondecreasing slopes.
-struct ConvexRun<'a> {
-    segs: &'a [Segment],
-    /// Exclusive domain end; `None` for the final, unbounded run.
-    end: Option<Time>,
-}
-
-/// Split a curve into its maximal convex runs. The runs' domains partition
-/// `[0, ∞)` and the curve equals each run on its domain.
-fn convex_runs(c: &Curve) -> Vec<ConvexRun<'_>> {
-    let segs = c.segments();
-    let mut runs = Vec::new();
-    let mut begin = 0;
-    for i in 1..segs.len() {
-        let discontinuous = segs[i - 1].eval(segs[i].start) != segs[i].value;
-        if discontinuous || segs[i].slope < segs[i - 1].slope {
-            runs.push(ConvexRun {
-                segs: &segs[begin..i],
-                end: Some(segs[i].start),
-            });
-            begin = i;
-        }
-    }
-    runs.push(ConvexRun {
-        segs: &segs[begin..],
-        end: None,
-    });
-    runs
-}
-
-/// A convex partial curve: `segs` cover `[segs[0].start, end)`.
-struct Partial {
-    segs: Vec<Segment>,
-    end: Option<Time>,
-}
-
-/// Min-plus convolution of two convex runs by the slope merge. Domain
-/// starts add; piece lengths add; pieces are laid out in slope order from
-/// `f(a_f) + g(a_g)`.
-fn convolve_runs(f: &ConvexRun<'_>, g: &ConvexRun<'_>) -> Partial {
-    // (length, slope) pieces; `None` length marks the single unbounded tail.
-    let mut pieces: Vec<(Option<Time>, i64)> = Vec::with_capacity(f.segs.len() + g.segs.len());
-    let mut unbounded = false;
-    for run in [f, g] {
-        for (i, s) in run.segs.iter().enumerate() {
-            match run.segs.get(i + 1) {
-                Some(n) => pieces.push((Some(n.start - s.start), s.slope)),
-                None => match run.end {
-                    // Last lattice point of the domain is `end − 1`.
-                    Some(e) => pieces.push((Some(e - Time(1) - s.start), s.slope)),
-                    None => {
-                        pieces.push((None, s.slope));
-                        unbounded = true;
-                    }
-                },
-            }
-        }
-    }
-    pieces.sort_by_key(|&(_, slope)| slope);
-
-    let mut t = f.segs[0].start + g.segs[0].start;
-    let mut v = f.segs[0].value + g.segs[0].value;
-    let mut out = Vec::with_capacity(pieces.len());
-    for (len, slope) in pieces {
-        match len {
-            Some(len) if len == Time::ZERO => continue,
-            Some(len) => {
-                out.push(Segment::new(t, v, slope));
-                t += len;
-                v += slope * len.ticks();
-            }
-            None => {
-                out.push(Segment::new(t, v, slope));
-                break; // smallest-slope unbounded piece dominates the tail
-            }
-        }
-    }
-    if out.is_empty() {
-        // Both domains are single lattice points: a point mass.
-        out.push(Segment::new(t, v, 0));
-    }
-    // Closed result domain ends at the sum of the last lattice points.
-    let end = if unbounded { None } else { Some(t + Time(1)) };
-    Partial { segs: out, end }
-}
-
-/// Extend a partial curve to a total one using the [`INFTY`] sentinel
-/// outside its domain, clipped against `horizon`.
-fn partial_to_total(p: Partial, horizon: Time) -> Option<Curve> {
-    let start = p.segs[0].start;
-    if start > horizon {
-        return None;
-    }
-    let mut segs = Vec::with_capacity(p.segs.len() + 2);
-    if start > Time::ZERO {
-        segs.push(Segment::new(Time::ZERO, INFTY, 0));
-    }
-    segs.extend(p.segs);
-    if let Some(e) = p.end {
-        if e <= horizon {
-            segs.push(Segment::new(e, INFTY, 0));
-        }
-    }
-    Some(Curve::from_sorted_segments(segs))
-}
-
 /// Min-plus convolution
 /// `(f ⊗ g)(t) = min_{0 ≤ s ≤ t} ( f(s) + g(t − s) )` for **arbitrary**
 /// piecewise-linear curves, exact at every integer tick in `[0, horizon]`
@@ -220,7 +113,7 @@ fn partial_to_total(p: Partial, horizon: Time) -> Option<Curve> {
 ///
 /// Convex inputs take the O(n + m) slope-merge fast path. General inputs
 /// are dispatched by a cost heuristic (see the module docs): sparse curves
-/// go through the convex decomposition ([`convolve_decomposed`],
+/// go through the convex decomposition ([`convolve_decomposed_into`],
 /// O(R_f · R_g · (n + m)) for R convex runs, independent of the horizon),
 /// while run counts approaching the horizon fall back to the dense
 /// O(horizon²) lattice scan, which beats the decomposition in that regime.
@@ -314,23 +207,10 @@ fn dense_scan_is_cheaper(f: &Curve, g: &Curve, horizon: Time) -> bool {
     h * h < PAIR_VS_CELL * pairs * segs
 }
 
-/// The convex-decomposition convolution kernel behind [`convolve`]: always
-/// takes the pair-merge path regardless of the cost heuristic. Exposed so
-/// benchmarks and oracle tests can pin this path; analysis code should
-/// call [`convolve`]. Delegates to [`convolve_decomposed_into`] on a fresh
-/// scratch; hot callers should hold a warm [`Scratch`] and use the `_into`
-/// variant directly.
-#[must_use]
-pub fn convolve_decomposed(f: &Curve, g: &Curve, horizon: Time) -> Curve {
-    let mut scratch = Scratch::new();
-    let mut out = Curve::zero();
-    convolve_decomposed_into(f, g, horizon, &mut scratch, &mut out);
-    out
-}
-
-/// Convex-run begin indices of a segment list — the index form of
-/// [`convex_runs`], staged in a reusable buffer. Run `k` spans
-/// `segs[out[k]..out[k+1]]` (the last run extends to the end of the list).
+/// Begin indices of a segment list's maximal convex runs (break wherever
+/// the curve jumps or its slope decreases), staged in a reusable buffer.
+/// Run `k` spans `segs[out[k]..out[k+1]]` (the last run extends to the end
+/// of the list); the runs' domains partition `[0, ∞)`.
 fn run_begins_into(segs: &[Segment], out: &mut Vec<u32>) {
     out.clear();
     out.push(0);
@@ -342,11 +222,11 @@ fn run_begins_into(segs: &[Segment], out: &mut Vec<u32>) {
     }
 }
 
-/// Min-plus convolution of two convex runs, written as an [`INFTY`]-padded
-/// total curve straight into an SoA buffer — [`convolve_runs`] and
-/// [`partial_to_total`] fused into one pass with no per-pair allocation.
-/// The normalized pushes produce the same segment list the reference
-/// path's `from_sorted_segments` normalization would.
+/// Min-plus convolution of two convex runs by the slope merge, written as
+/// an [`INFTY`]-padded total curve straight into an SoA buffer with no
+/// per-pair allocation. Domain starts add, piece lengths add, and pieces
+/// are laid out in slope order from `f(a_f) + g(a_g)`; outside the pair's
+/// domain the sentinel stands in for `+∞`.
 #[allow(clippy::too_many_arguments)]
 fn pair_partial_into(
     fsegs: &[Segment],
@@ -531,17 +411,18 @@ fn pair_partials(
     scratch.run_bounds_b = rb_g;
 }
 
-/// [`convolve_decomposed`] writing into a caller-provided curve, with
-/// every leaf partial and both tree-fold layers drawn from `scratch`'s
-/// SoA pool — the allocation-free counterpart of the reference path
-/// ([`convolve_decomposed_reference`]), value-identical to it at every
-/// lattice tick in `[0, horizon]`.
+/// The convex-decomposition kernel behind [`convolve`], writing into a
+/// caller-provided curve: it always takes the decomposition path,
+/// regardless of the cost heuristic, so benchmarks and oracle tests can pin
+/// it; analysis code should call [`convolve`]. Every leaf partial and both
+/// tree-fold layers are drawn from `scratch`'s SoA pool, so a warm call
+/// allocates nothing. Exact at every lattice tick in `[0, horizon]`
+/// (checked against [`min_plus_convolve_lattice`]).
 ///
 /// Leaves come from one of two generators: when either operand is a
 /// staircase and the other nondecreasing, [`staircase_rows`] emits one
 /// shifted copy of the other curve per flat run; otherwise
-/// [`pair_partials`] emits the classical per-run-pair convex merges
-/// (segment-identical to the reference on that path).
+/// [`pair_partials`] emits the classical per-run-pair convex merges.
 pub fn convolve_decomposed_into(
     f: &Curve,
     g: &Curve,
@@ -584,8 +465,8 @@ pub fn convolve_decomposed_into(
                 spare.push(m);
                 k += 2;
             } else {
-                // The odd leftover passes to the next layer unchanged (and
-                // untruncated, exactly like the reference fold).
+                // The odd leftover passes to the next layer unchanged
+                // (and untruncated).
                 let placeholder = scratch.take_soa();
                 spare.push(std::mem::replace(&mut layer[k], placeholder));
                 k += 1;
@@ -604,54 +485,8 @@ pub fn convolve_decomposed_into(
     scratch.fold_spare = spare;
 }
 
-/// The retained allocating AoS implementation of the decomposition path —
-/// the oracle [`convolve_decomposed_into`] is pinned against (unit tests
-/// here, property tests in `tests/soa_kernels.rs`). Not used on analysis
-/// paths.
-#[must_use]
-pub fn convolve_decomposed_reference(f: &Curve, g: &Curve, horizon: Time) -> Curve {
-    assert!(horizon >= Time::ZERO);
-    if f.is_convex() && g.is_convex() {
-        return convolve_convex(f, g);
-    }
-    let runs_f = convex_runs(f);
-    let runs_g = convex_runs(g);
-    let mut layer: Vec<Curve> = Vec::with_capacity(runs_f.len() * runs_g.len());
-    for rf in &runs_f {
-        if rf.segs[0].start > horizon {
-            break; // later runs start even further out
-        }
-        for rg in &runs_g {
-            // The pair's domain starts at the sum of the run starts.
-            if rf.segs[0].start + rg.segs[0].start > horizon {
-                break;
-            }
-            if let Some(total) = partial_to_total(convolve_runs(rf, rg), horizon) {
-                layer.push(total);
-            }
-        }
-    }
-    // Same neighbour-pairwise fold as the SoA path (see there for the cost
-    // argument).
-    while layer.len() > 1 {
-        let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-        let mut it = layer.into_iter();
-        while let Some(a) = it.next() {
-            next.push(match it.next() {
-                Some(b) => a.min_with(&b).truncate_after(horizon),
-                None => a,
-            });
-        }
-        layer = next;
-    }
-    layer
-        .pop()
-        .expect("runs cover t = 0")
-        .truncate_after(horizon)
-}
-
 /// Exhaustive min-plus convolution on the lattice, `O(horizon²)`. Serves
-/// two roles: the **test oracle** for [`convolve_decomposed`] and
+/// two roles: the **test oracle** for [`convolve_decomposed_into`] and
 /// [`convolve_convex`], and the dense kernel [`convolve`] falls back to
 /// when the run-pair count rivals the horizon. The result is frozen at its
 /// horizon value.
@@ -829,15 +664,20 @@ mod tests {
 
     #[test]
     fn convex_run_decomposition_counts() {
-        assert_eq!(convex_runs(&Curve::identity()).len(), 1);
+        let runs = |c: &Curve| {
+            let mut begins = Vec::new();
+            run_begins_into(c.segments(), &mut begins);
+            begins.len()
+        };
+        assert_eq!(runs(&Curve::identity()), 1);
         let stair = Curve::from_event_times(&[Time(1), Time(5), Time(9)]);
         // Each jump opens a new run: initial plateau + 3 steps.
-        assert_eq!(convex_runs(&stair).len(), 4);
+        assert_eq!(runs(&stair), 4);
         let concave = Curve::from_segments(vec![
             Segment::new(Time(0), 0, 3),
             Segment::new(Time(4), 12, 1),
         ]);
-        assert_eq!(convex_runs(&concave).len(), 2);
+        assert_eq!(runs(&concave), 2);
     }
 
     #[test]
@@ -863,7 +703,8 @@ mod tests {
         // keep the oracle affordable).
         let h = Time(200);
         let hybrid = convolve(&dense_f, &dense_g, h);
-        let dec = convolve_decomposed(&dense_f, &dense_g, h);
+        let mut dec = Curve::zero();
+        convolve_decomposed_into(&dense_f, &dense_g, h, &mut Scratch::new(), &mut dec);
         let lat = min_plus_convolve_lattice(&dense_f, &dense_g, h);
         for t in 0..=h.ticks() {
             assert_eq!(hybrid.eval(Time(t)), dec.eval(Time(t)), "t={t}");
@@ -872,11 +713,10 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_soa_path_matches_reference() {
-        // Value-identical to the reference at every lattice tick, across
-        // both leaf generators (the staircase row path may normalize to a
-        // different — equivalent — segment structure), repeated calls on
-        // one scratch, and a dirty output buffer.
+    fn decomposed_path_matches_lattice_oracle() {
+        // Value-identical to the lattice scan at every tick, across both
+        // leaf generators, repeated calls on one scratch, and a dirty
+        // output buffer.
         let dense_f =
             Curve::from_event_times(&(0..32).map(|i| Time(i * 10)).collect::<Vec<_>>()).scale(3);
         let dense_g =
@@ -894,18 +734,17 @@ mod tests {
             (&dense_f, &concave, Time(400)),
         ] {
             convolve_decomposed_into(f, g, h, &mut scratch, &mut out);
-            let reference = convolve_decomposed_reference(f, g, h);
+            let lattice = min_plus_convolve_lattice(f, g, h);
             for t in 0..=h.ticks() {
-                assert_eq!(out.eval(Time(t)), reference.eval(Time(t)), "t={t} h={h}");
+                assert_eq!(out.eval(Time(t)), lattice.eval(Time(t)), "t={t} h={h}");
             }
-            assert_eq!(out, convolve_decomposed(f, g, h), "h={h}");
         }
     }
 
     #[test]
-    fn decomposed_pair_path_matches_reference_exactly() {
+    fn decomposed_pair_path_matches_lattice_oracle() {
         // Neither operand is a staircase, so the pair-partial generator
-        // runs — that path is pinned segment-identical to the reference.
+        // runs.
         let saw_f = Curve::from_segments(vec![
             Segment::new(Time(0), 0, 2),
             Segment::new(Time(6), 12, 1), // slope decrease: run break
@@ -920,7 +759,10 @@ mod tests {
         let mut out = Curve::affine(-7, 13); // pre-dirtied
         let h = Time(60);
         convolve_decomposed_into(&saw_f, &saw_g, h, &mut scratch, &mut out);
-        assert_eq!(out, convolve_decomposed_reference(&saw_f, &saw_g, h));
+        let lattice = min_plus_convolve_lattice(&saw_f, &saw_g, h);
+        for t in 0..=h.ticks() {
+            assert_eq!(out.eval(Time(t)), lattice.eval(Time(t)), "t={t}");
+        }
     }
 
     #[test]
@@ -935,8 +777,9 @@ mod tests {
         ]);
         let ramp = Curve::identity();
         let h = Time(30);
+        let mut dec = Curve::zero();
         for (f, g) in [(&down_stair, &ramp), (&ramp, &down_stair)] {
-            let dec = convolve_decomposed(f, g, h);
+            convolve_decomposed_into(f, g, h, &mut Scratch::new(), &mut dec);
             let lat = min_plus_convolve_lattice(f, g, h);
             for t in 0..=h.ticks() {
                 assert_eq!(dec.eval(Time(t)), lat.eval(Time(t)), "t={t}");

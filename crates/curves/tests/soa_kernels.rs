@@ -10,9 +10,7 @@
 
 use proptest::prelude::*;
 use rta_curves::arena::Scratch;
-use rta_curves::convolution::{
-    convolve_decomposed_into, convolve_decomposed_reference, min_plus_convolve_lattice,
-};
+use rta_curves::convolution::{convolve_decomposed_into, min_plus_convolve_lattice};
 use rta_curves::ops::{linear_combine, pointwise_max, pointwise_min};
 use rta_curves::soa::{
     convolve_convex_into, linear_combine_into, linear_combine_line_into, pointwise_max_into,
@@ -287,23 +285,18 @@ proptest! {
     }
 
     #[test]
-    fn decomposed_convolution_matches_reference_on_the_lattice(
+    fn decomposed_convolution_matches_the_lattice_oracle(
         f in arb_cumulative(), g in arb_cumulative(), h in 1i64..50
     ) {
         // The SoA-backed decomposition is free to fold partials in any
-        // order, so its normalized segment structure may differ from the
-        // reference; the contract is value identity at every lattice tick.
+        // order, so the contract is value identity at every lattice tick,
+        // checked against the exhaustive scan.
         let mut scratch = Scratch::new();
         let mut out = dirt();
         convolve_decomposed_into(&f, &g, Time(h), &mut scratch, &mut out);
-        let reference = convolve_decomposed_reference(&f, &g, Time(h));
-        for t in 0..=h {
-            prop_assert_eq!(out.eval(Time(t)), reference.eval(Time(t)), "t = {}", t);
-        }
-        // And the lattice oracle agrees wherever both are finite-from-zero.
         let lattice = min_plus_convolve_lattice(&f, &g, Time(h));
         for t in 0..=h {
-            prop_assert_eq!(out.eval(Time(t)), lattice.eval(Time(t)), "lattice t = {}", t);
+            prop_assert_eq!(out.eval(Time(t)), lattice.eval(Time(t)), "t = {}", t);
         }
     }
 }
@@ -374,13 +367,9 @@ fn shared_buffers_survive_reuse() {
         );
         let mut conv = dirt();
         convolve_decomposed_into(f, g, Time(30), &mut scratch, &mut conv);
-        let reference = convolve_decomposed_reference(f, g, Time(30));
+        let lattice = min_plus_convolve_lattice(f, g, Time(30));
         for t in 0..=30 {
-            assert_eq!(
-                conv.eval(Time(t)),
-                reference.eval(Time(t)),
-                "conv #{i} t={t}"
-            );
+            assert_eq!(conv.eval(Time(t)), lattice.eval(Time(t)), "conv #{i} t={t}");
         }
     }
 }

@@ -25,9 +25,9 @@ cargo test -p rta-core --test policy_golden -q
 cargo test -p rta-core --test bounds_driver -q
 cargo test -p rta-core --test fixpoint_oracle -q
 
-echo "==> SoA kernel gates: SoA results pinned segment-identical to AoS oracles"
+echo "==> SoA kernel gates: SoA kernels vs AoS oracles, Theorem 5/6 chain vs per-tick oracle"
 cargo test -p rta-curves --test soa_kernels -q
-cargo test -p rta-core --lib -q soa_chain_matches_aos_oracle
+cargo test -p rta-core --test proptests -q spnp_chain_matches_per_tick_theorem_5_6_oracle
 
 # The sim crate builds in two configurations: trace-off (how `-p rta-sim`
 # and the bench binaries see it — the gated hot path) and trace-on (how
