@@ -16,11 +16,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rta_bench::harness::Bench;
 use rta_curves::Time;
-use rta_model::distributions::Dist;
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::{SchedulerKind, TaskSystem};
-use rta_sim::batch::{replicate, BatchConfig};
 use rta_sim::{simulate, SimConfig, SimResult};
 
 /// The standard throughput workload: the Figure 2 shop shape at realistic
@@ -72,38 +70,6 @@ fn main() {
     println!(
         "  -> {completions} subjob completions/run, {:.3} M completions/sec",
         1e3 / per_completion
-    );
-
-    // Batched replication: 1000 independent bursty draws through the
-    // per-worker (sampler, engine, result) workspaces — times the whole
-    // Monte-Carlo path (sample + simulate + collect), not just the event
-    // loop.
-    let shop = ShopConfig {
-        stages: 2,
-        procs_per_stage: 2,
-        n_jobs: 5,
-        scheduler: SchedulerKind::Spp,
-        utilization: 0.7,
-        arrivals: ShopArrivals::Bursty {
-            deadline: Dist::Exponential { mean: 6.0 },
-        },
-        x_min: 0.25,
-        ticks_per_unit: 100,
-    };
-    let bcfg = BatchConfig {
-        draws: 1000,
-        base_seed: 42,
-    };
-    let batch = b.run("sim/batch/1000draws", || replicate(&shop, &bcfg));
-    let samples: usize = replicate(&shop, &bcfg)
-        .jobs
-        .iter()
-        .map(|j| j.samples.len())
-        .sum();
-    println!(
-        "  -> {samples} response samples over {} draws, {:.1} µs/draw",
-        bcfg.draws,
-        batch.ns_per_iter / bcfg.draws as f64 / 1e3
     );
 
     let json = b.to_json(&[

@@ -10,11 +10,11 @@
 //! they regress, independent of the drift gate):
 //!
 //! * `wcdfp/verdict/5job_shop` — nanoseconds per draw in the verdict-only
-//!   configuration (`sketches: false`, the admission path) on the same
-//!   5-job bursty shop as `sim/batch/1000draws`, must stay ≤ 10 000 ns
-//!   (≥ 10⁵ draws/sec), vs ~26 µs/draw for the result-materializing batch
-//!   path. `wcdfp/run/1000draws` tracks the full streaming-statistics
-//!   configuration (response sketches on) beside it.
+//!   configuration (`sketches: false`, the admission path) on a 5-job
+//!   bursty shop (the `bounds_vs_simulation` example's shape), must stay
+//!   ≤ 10 000 ns (≥ 10⁵ draws/sec). `wcdfp/run/1000draws` times the same
+//!   1 000 draws with the exact response histograms on beside it — the
+//!   configuration that yields per-job response distributions.
 //! * adaptive early termination beats fixed-N a-priori sizing: on an easy
 //!   shop, `estimate_adaptive` to half-width 0.01 must use no more draws
 //!   (and less wall time) than the `N = z²·¼/tol² = 9604` a fixed-budget
@@ -27,9 +27,9 @@ use rta_model::jobshop::{ShopArrivals, ShopConfig};
 use rta_model::SchedulerKind;
 use rta_sim::wcdfp::{estimate_adaptive, estimate_fixed, DrawModel, WcdfpConfig};
 
-/// The `sim/batch/1000draws` shop, verbatim — so the verdict-only row is an
-/// honest apples-to-apples comparison against the batch path.
-fn batch_shop() -> ShopConfig {
+/// A 2-stage × 2-processor bursty SPP shop (5 jobs, utilization 0.7,
+/// Eq. 27 arrivals).
+fn bursty_shop() -> ShopConfig {
     ShopConfig {
         stages: 2,
         procs_per_stage: 2,
@@ -52,7 +52,7 @@ fn easy_shop() -> ShopConfig {
         arrivals: ShopArrivals::Periodic {
             deadline_factor: 8.0,
         },
-        ..batch_shop()
+        ..bursty_shop()
     }
 }
 
@@ -60,15 +60,15 @@ fn main() {
     let mut b = Bench::new();
     let cfg = WcdfpConfig::default();
     // The admission-path configuration: misses and intervals only, no
-    // response sketches. This is the path the ≤ 10 µs/draw claim is about.
+    // response histograms. This is the path the ≤ 10 µs/draw claim is about.
     let lean = WcdfpConfig {
         sketches: false,
         ..WcdfpConfig::default()
     };
 
-    // Full streaming-statistics throughput (sketches on) on the batch shop.
+    // Throughput with the response histograms on.
     const DRAWS: u64 = 1000;
-    let model = DrawModel::Shop(batch_shop());
+    let model = DrawModel::Shop(bursty_shop());
     b.run("wcdfp/run/1000draws", || {
         estimate_fixed(&model, &cfg, DRAWS)
     });

@@ -257,7 +257,7 @@ where
 ///
 /// Where [`pool_map_stateful`] returns per-index results and discards the
 /// states, this returns the states and discards per-index results — the
-/// shape wanted by streaming accumulation (Monte-Carlo counters, sketches):
+/// shape wanted by streaming accumulation (Monte-Carlo counters, histograms):
 /// each participating thread folds the indices it claims into its own `S`,
 /// and the caller merges the returned states. No per-draw values ever cross
 /// a thread boundary.

@@ -4,15 +4,13 @@
 //! The Monte-Carlo runner in `rta-sim` folds every draw into the
 //! [`WcdfpAccum`] defined here: per-job miss **counters** (never stored
 //! draws), optional antithetic-pair and per-stratum counters for variance
-//! reduction, and P² quantile sketches of the response-time distribution.
-//! Everything a verdict depends on — the point estimate and its confidence
-//! interval — is derived from the integer counters alone, so accumulators
-//! merged across worker threads are *bit-identical* to a sequential fold
-//! over the same draws regardless of how the draws were partitioned
-//! (integer addition is commutative and associative). Only the P² sketches
-//! are partition-dependent (their merge is a count-weighted marker
-//! average, documented approximate) and they feed diagnostics, never
-//! verdicts or wire responses.
+//! reduction, and optionally an exact [`Histogram`] of response ticks and
+//! bound-tightness counters. Every field is an integer count, so
+//! accumulators merged across worker threads are *bit-identical* to a
+//! sequential fold over the same draws regardless of how the draws were
+//! partitioned (integer addition is commutative and associative). The
+//! point estimate and its confidence interval are derived from the miss
+//! counters alone.
 //!
 //! Interval machinery: the Wilson score interval (cheap, good coverage for
 //! mid-range `p`), the exact Clopper–Pearson interval (used near the
@@ -20,6 +18,8 @@
 //! modes), the inverse normal CDF (Acklam's rational approximation), and
 //! the regularized incomplete beta function (Lentz continued fraction)
 //! inverted by bisection. No tables, no external crates.
+
+use std::collections::BTreeMap;
 
 /// How draws were generated, which decides how counters turn into a
 /// confidence interval.
@@ -238,164 +238,51 @@ pub fn clopper_pearson(k: u64, n: u64, confidence: f64) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Streaming quantile sketch (Jain & Chlamtac's P² algorithm): O(1) state,
-/// one pass, no stored samples. Exact for the first five observations,
-/// then a piecewise-parabolic marker approximation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct P2Sketch {
-    q: f64,
-    count: u64,
-    /// Marker heights (sorted observations until five are seen).
-    heights: [f64; 5],
-    /// Actual marker positions (1-based).
-    pos: [f64; 5],
-    /// Desired marker positions.
-    want: [f64; 5],
-    /// Desired-position increments per observation.
-    incr: [f64; 5],
+/// Exact distribution of integer observations: a count per distinct
+/// value, kept sorted, so an insert costs O(log k) for `k` distinct values.
+/// Merging adds counts, so every split of the observations merges to the
+/// same histogram.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Histogram {
+    counts: BTreeMap<i64, u64>,
+    total: u64,
 }
 
-impl P2Sketch {
-    /// A sketch tracking the `q`-quantile (`0 < q < 1`).
-    pub fn new(q: f64) -> P2Sketch {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1), got {q}");
-        P2Sketch {
-            q,
-            count: 0,
-            heights: [0.0; 5],
-            pos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            want: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            incr: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
+impl Histogram {
+    /// Record `n` observations of `v`.
+    pub fn add(&mut self, v: i64, n: u64) {
+        if n > 0 {
+            *self.counts.entry(v).or_insert(0) += n;
+            self.total += n;
         }
     }
 
-    /// The tracked quantile parameter.
-    pub fn quantile(&self) -> f64 {
-        self.q
+    /// Fold another histogram into this one.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (&v, &n) in &other.counts {
+            self.add(v, n);
+        }
     }
 
-    /// Observations folded in so far.
+    /// Observations recorded.
     pub fn count(&self) -> u64 {
-        self.count
+        self.total
     }
 
-    /// Fold one observation.
-    pub fn observe(&mut self, x: f64) {
-        if self.count < 5 {
-            // Exact phase: keep the first five observations sorted.
-            let mut i = self.count as usize;
-            self.heights[i] = x;
-            while i > 0 && self.heights[i - 1] > self.heights[i] {
-                self.heights.swap(i - 1, i);
-                i -= 1;
-            }
-            self.count += 1;
-            return;
-        }
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            (1..4).find(|&i| x < self.heights[i]).unwrap_or(4) - 1
-        };
-        for i in (k + 1)..5 {
-            self.pos[i] += 1.0;
-        }
-        // `want[0]` has a zero increment and `want[4]`'s value is never
-        // read by the adjustment below, so only the interior markers move.
-        for i in 1..4 {
-            self.want[i] += self.incr[i];
-        }
-        self.count += 1;
-        for i in 1..4 {
-            let d = self.want[i] - self.pos[i];
-            // Test the drift before touching the neighbor gaps: markers
-            // adjust rarely, and the early exit skips two loads and
-            // subtractions per marker on the no-op path.
-            if -1.0 < d && d < 1.0 {
-                continue;
-            }
-            let up = self.pos[i + 1] - self.pos[i];
-            let down = self.pos[i - 1] - self.pos[i];
-            if (d >= 1.0 && up > 1.0) || (d <= -1.0 && down < -1.0) {
-                let s = d.signum();
-                let parabolic = self.heights[i]
-                    + s / (self.pos[i + 1] - self.pos[i - 1])
-                        * ((self.pos[i] - self.pos[i - 1] + s)
-                            * (self.heights[i + 1] - self.heights[i])
-                            / up
-                            + (self.pos[i + 1] - self.pos[i] - s)
-                                * (self.heights[i] - self.heights[i - 1])
-                                / -down);
-                self.heights[i] =
-                    if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                        parabolic
-                    } else {
-                        // Linear fallback toward the neighbor in direction s.
-                        let j = if s > 0.0 { i + 1 } else { i - 1 };
-                        self.heights[i]
-                            + s * (self.heights[j] - self.heights[i]) / (self.pos[j] - self.pos[i])
-                    };
-                self.pos[i] += s;
-            }
-        }
+    /// The largest observation; `None` when empty.
+    pub fn max(&self) -> Option<i64> {
+        self.counts.keys().next_back().copied()
     }
 
-    /// The current quantile estimate; `None` before any observation.
-    pub fn value(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count < 5 {
-            // Nearest-rank over the exact sorted prefix.
-            let n = self.count as usize;
-            let rank = ((self.q * n as f64).ceil() as usize).clamp(1, n);
-            return Some(self.heights[rank - 1]);
-        }
-        Some(self.heights[2])
-    }
-
-    /// Merge another sketch tracking the same quantile.
-    ///
-    /// The merge is **approximate**: once both sides left the exact phase,
-    /// marker heights combine as count-weighted averages (positions add).
-    /// The result therefore depends on how observations were partitioned —
-    /// sketches are diagnostics, never part of pinned or wire output.
-    pub fn merge(&mut self, other: &P2Sketch) {
-        debug_assert_eq!(self.q, other.q, "merging sketches of different quantiles");
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        if other.count < 5 {
-            for i in 0..other.count as usize {
-                let h = other.heights[i];
-                self.observe(h);
-            }
-            return;
-        }
-        if self.count < 5 {
-            let mut merged = other.clone();
-            for i in 0..self.count as usize {
-                let h = self.heights[i];
-                merged.observe(h);
-            }
-            *self = merged;
-            return;
-        }
-        let (w1, w2) = (self.count as f64, other.count as f64);
-        for i in 0..5 {
-            self.heights[i] = (self.heights[i] * w1 + other.heights[i] * w2) / (w1 + w2);
-            self.pos[i] += other.pos[i];
-            self.want[i] += other.want[i];
-        }
-        self.count += other.count;
+    /// The nearest-rank `q`-quantile (`0 ≤ q ≤ 1`): the observation of rank
+    /// `⌈q·n⌉` (at least 1) in sorted order; `None` when empty.
+    pub fn quantile(&self, q: f64) -> Option<i64> {
+        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total.max(1));
+        let mut seen = 0;
+        self.counts.iter().find_map(|(&v, &n)| {
+            seen += n;
+            (seen >= rank).then_some(v)
+        })
     }
 }
 
@@ -414,14 +301,18 @@ pub struct JobAccum {
     pub pair_mixed: u64,
     /// Per-stratum miss counts (empty unless [`Mode::Stratified`]).
     pub strat_misses: Vec<u64>,
-    /// Completed instances whose response fed the sketches.
-    pub completed: u64,
-    /// Largest observed end-to-end response (ticks), 0 before any.
-    pub max_response: f64,
-    /// Median response-time sketch.
-    pub p50: P2Sketch,
-    /// Tail (99th percentile) response-time sketch.
-    pub p99: P2Sketch,
+    /// End-to-end responses (ticks) of completed instances.
+    pub responses: Histogram,
+    /// Instances still running at the horizon.
+    pub incomplete: u64,
+    /// Completed instances measured against an analytic end-to-end bound.
+    pub bounded: u64,
+    /// Bounded instances whose response exceeded the bound.
+    pub violations: u64,
+    /// `Σ ⌊10⁶·response/bound⌋` over the bounded instances.
+    pub ratio_ppm_sum: u64,
+    /// Largest `⌊10⁶·response/bound⌋` (0 before any).
+    pub ratio_ppm_max: u64,
 }
 
 impl JobAccum {
@@ -432,11 +323,24 @@ impl JobAccum {
             pair_both: 0,
             pair_mixed: 0,
             strat_misses: vec![0; strata],
-            completed: 0,
-            max_response: 0.0,
-            p50: P2Sketch::new(0.5),
-            p99: P2Sketch::new(0.99),
+            responses: Histogram::default(),
+            incomplete: 0,
+            bounded: 0,
+            violations: 0,
+            ratio_ppm_sum: 0,
+            ratio_ppm_max: 0,
         }
+    }
+
+    /// Measure one completed response against its job's analytic
+    /// end-to-end bound (both in ticks).
+    pub fn record_bounded(&mut self, response: i64, bound: i64) {
+        let ppm = (i128::from(response) * 1_000_000 / i128::from(bound.max(1)))
+            .clamp(0, i128::from(u64::MAX)) as u64;
+        self.bounded += 1;
+        self.violations += u64::from(response > bound);
+        self.ratio_ppm_sum += ppm;
+        self.ratio_ppm_max = self.ratio_ppm_max.max(ppm);
     }
 
     fn merge(&mut self, other: &JobAccum) {
@@ -448,10 +352,12 @@ impl JobAccum {
         for (a, b) in self.strat_misses.iter_mut().zip(&other.strat_misses) {
             *a += b;
         }
-        self.completed += other.completed;
-        self.max_response = self.max_response.max(other.max_response);
-        self.p50.merge(&other.p50);
-        self.p99.merge(&other.p99);
+        self.responses.merge(&other.responses);
+        self.incomplete += other.incomplete;
+        self.bounded += other.bounded;
+        self.violations += other.violations;
+        self.ratio_ppm_sum += other.ratio_ppm_sum;
+        self.ratio_ppm_max = self.ratio_ppm_max.max(other.ratio_ppm_max);
     }
 }
 
@@ -487,6 +393,9 @@ pub struct WcdfpAccum {
     pub draws: u64,
     /// Per-stratum draw counts (empty unless [`Mode::Stratified`]).
     pub strat_draws: Vec<u64>,
+    /// Draws whose system the bounds analysis failed on (their responses
+    /// are recorded but measured against no bound).
+    pub analysis_failures: u64,
     /// Per-job counters.
     pub jobs: Vec<JobAccum>,
 }
@@ -502,13 +411,14 @@ impl WcdfpAccum {
             mode,
             draws: 0,
             strat_draws: vec![0; strata],
+            analysis_failures: 0,
             jobs: (0..n_jobs).map(|_| JobAccum::new(strata)).collect(),
         }
     }
 
-    /// Fold another accumulator of the same shape into this one. All
-    /// verdict-bearing fields are integers, so merging is exact and
-    /// order-independent; only the sketches are approximate.
+    /// Fold another accumulator of the same shape into this one. Every
+    /// field is an integer count or an exact histogram, so merging is
+    /// exact and order-independent.
     pub fn merge(&mut self, other: &WcdfpAccum) {
         assert_eq!(
             self.mode, other.mode,
@@ -516,6 +426,7 @@ impl WcdfpAccum {
         );
         assert_eq!(self.jobs.len(), other.jobs.len(), "job count mismatch");
         self.draws += other.draws;
+        self.analysis_failures += other.analysis_failures;
         for (a, b) in self.strat_draws.iter_mut().zip(&other.strat_draws) {
             *a += b;
         }
@@ -574,17 +485,6 @@ impl WcdfpAccum {
                 job.censored += 1;
             }
         }
-    }
-
-    /// Fold one completed instance's end-to-end response time (ticks).
-    pub fn record_response(&mut self, job: usize, response: f64) {
-        let j = &mut self.jobs[job];
-        j.completed += 1;
-        if response > j.max_response {
-            j.max_response = response;
-        }
-        j.p50.observe(response);
-        j.p99.observe(response);
     }
 
     /// Per-job estimates at the given confidence level. `method` selects
@@ -689,6 +589,7 @@ impl Stopping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn inv_norm_known_points() {
@@ -729,56 +630,73 @@ mod tests {
         assert!(chi - clo >= whi - wlo - 1e-12);
     }
 
-    #[test]
-    fn p2_tracks_uniform_quantiles() {
-        // Deterministic LCG so the test needs no rand dependency here.
-        let mut state = 0x243F_6A88_85A3_08D3u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut p50 = P2Sketch::new(0.5);
-        let mut p99 = P2Sketch::new(0.99);
-        for _ in 0..20_000 {
-            let x = next();
-            p50.observe(x);
-            p99.observe(x);
-        }
-        let v50 = p50.value().unwrap();
-        let v99 = p99.value().unwrap();
-        assert!((v50 - 0.5).abs() < 0.02, "p50={v50}");
-        assert!((v99 - 0.99).abs() < 0.01, "p99={v99}");
+    /// Nearest-rank quantile over a sorted sample vector.
+    fn nearest_rank(sorted: &[i64], q: f64) -> Option<i64> {
+        let n = sorted.len();
+        (n > 0).then(|| sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1])
     }
 
-    #[test]
-    fn p2_exact_below_five_observations() {
-        let mut s = P2Sketch::new(0.5);
-        assert_eq!(s.value(), None);
-        s.observe(3.0);
-        s.observe(1.0);
-        s.observe(2.0);
-        assert_eq!(s.value(), Some(2.0));
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-    #[test]
-    fn p2_merge_approximates_the_union() {
-        let mut a = P2Sketch::new(0.5);
-        let mut b = P2Sketch::new(0.5);
-        let mut full = P2Sketch::new(0.5);
-        for i in 0..5000 {
-            let x = (i as f64 * 0.618_033_988_749_895).fract();
-            if i % 2 == 0 {
-                a.observe(x);
-            } else {
-                b.observe(x);
+        #[test]
+        fn histogram_split_and_merge_equals_the_single_fold(
+            obs in prop::collection::vec((0i64..40, 1u64..4), 0..60),
+            cuts in prop::collection::vec(0usize..60, 0..6),
+            reverse in any::<bool>(),
+        ) {
+            let mut whole = Histogram::default();
+            for &(v, n) in &obs {
+                whole.add(v, n);
             }
-            full.observe(x);
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(obs.len())).collect();
+            bounds.extend([0, obs.len()]);
+            bounds.sort_unstable();
+            let mut parts: Vec<Histogram> = bounds
+                .windows(2)
+                .map(|w| {
+                    let mut h = Histogram::default();
+                    for &(v, n) in &obs[w[0]..w[1]] {
+                        h.add(v, n);
+                    }
+                    h
+                })
+                .collect();
+            if reverse {
+                parts.reverse();
+            }
+            let mut merged = Histogram::default();
+            for h in &parts {
+                merged.merge(h);
+            }
+            prop_assert_eq!(&merged, &whole);
         }
-        a.merge(&b);
-        assert_eq!(a.count(), full.count());
-        assert!((a.value().unwrap() - full.value().unwrap()).abs() < 0.05);
+
+        #[test]
+        fn histogram_quantile_is_nearest_rank(
+            obs in prop::collection::vec((0i64..1000, 1u64..5), 1..50),
+        ) {
+            let mut h = Histogram::default();
+            let mut sorted = Vec::new();
+            for &(v, n) in &obs {
+                h.add(v, n);
+                sorted.resize(sorted.len() + n as usize, v);
+            }
+            sorted.sort_unstable();
+            prop_assert_eq!(h.count(), sorted.len() as u64);
+            prop_assert_eq!(h.max(), sorted.last().copied());
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                prop_assert_eq!(h.quantile(q), nearest_rank(&sorted, q), "q = {}", q);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_histogram_has_no_quantile() {
+        let mut h = Histogram::default();
+        h.add(7, 0);
+        assert_eq!(h, Histogram::default());
+        assert_eq!((h.count(), h.max(), h.quantile(0.5)), (0, None, None));
     }
 
     #[test]
@@ -907,13 +825,17 @@ mod tests {
     }
 
     #[test]
-    fn responses_feed_sketches_and_max() {
-        let mut acc = WcdfpAccum::new(Mode::Plain, 1);
-        for r in [10.0, 30.0, 20.0] {
-            acc.record_response(0, r);
-        }
-        assert_eq!(acc.jobs[0].completed, 3);
-        assert_eq!(acc.jobs[0].max_response, 30.0);
-        assert_eq!(acc.jobs[0].p50.value(), Some(20.0));
+    fn bounded_responses_count_tightness_in_ppm() {
+        let mut a = WcdfpAccum::new(Mode::Plain, 1);
+        let mut b = WcdfpAccum::new(Mode::Plain, 1);
+        a.jobs[0].record_bounded(50, 100);
+        a.jobs[0].record_bounded(100, 100);
+        b.jobs[0].record_bounded(121, 100);
+        b.jobs[0].record_bounded(1, 3);
+        a.merge(&b);
+        let j = &a.jobs[0];
+        assert_eq!((j.bounded, j.violations), (4, 1));
+        assert_eq!(j.ratio_ppm_sum, 500_000 + 1_000_000 + 1_210_000 + 333_333);
+        assert_eq!(j.ratio_ppm_max, 1_210_000);
     }
 }

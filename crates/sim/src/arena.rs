@@ -49,8 +49,8 @@ impl InstanceState {
 
 /// The flat slot store. Slots are never freed individually — a simulation
 /// run pushes every released instance once and [`InstanceArena::clear`]
-/// recycles the whole allocation for the next run (the batch driver's
-/// per-thread workspaces rely on this).
+/// recycles the whole allocation for the next run (the Monte-Carlo
+/// driver's per-worker workspaces rely on this).
 #[derive(Default)]
 pub(crate) struct InstanceArena {
     slots: Vec<InstanceState>,

@@ -30,12 +30,12 @@
 //!
 //! ## Monte-Carlo replication
 //!
-//! [`batch`] replicates bursty arrival draws across the worker pool with
-//! per-thread engine workspaces, producing per-job empirical response-time
-//! distributions and the observed-vs-analytic tightness gap per policy.
-//! [`wcdfp`] is its verdict-only sibling: the same event loop behind a
-//! counters-only observer, streaming per-job deadline-failure probability
-//! estimates (confidence intervals, P² sketches, adaptive stopping)
+//! [`wcdfp`] re-draws a job shop (or the arrival nondeterminism of a fixed
+//! system) across the worker pool with per-worker engine workspaces, and
+//! streams every draw into one mergeable accumulator: per-job
+//! deadline-failure probability estimates (confidence intervals, adaptive
+//! stopping), and optionally exact response-time histograms and the
+//! observed-vs-analytic tightness gap against the Theorem-4 bounds —
 //! without materializing a result per draw.
 
 #![forbid(unsafe_code)]
@@ -45,7 +45,6 @@ mod arena;
 mod engine;
 mod result;
 
-pub mod batch;
 pub mod wcdfp;
 
 #[doc(hidden)]

@@ -1,20 +1,22 @@
-//! Verdict-only Monte-Carlo estimation of deadline-failure probability.
+//! The Monte-Carlo driver: deadline-failure probability, response
+//! distributions and bound tightness over many draws.
 //!
-//! Where [`crate::batch`] materializes a full [`crate::SimResult`] per
-//! draw (every completion time, every sample), this module runs the same
-//! event loop behind a [`VerdictSink`] observer that tracks exactly one
-//! bit per instance — *did it miss its deadline* — plus (optionally)
-//! streaming P² response sketches, and folds each draw into a
-//! [`rta_core::wcdfp::WcdfpAccum`]. No per-draw allocation, no stored
-//! draws: with [`WcdfpConfig::sketches`] off (the verdict-only
-//! configuration), the cost of a draw is the event loop itself, which is
-//! what lets the estimator sit in the admission path.
+//! Each draw runs the event loop behind a [`VerdictSink`] observer that
+//! tracks one bit per instance — *did it miss its deadline* — plus,
+//! optionally, the end-to-end responses, and folds the draw into a
+//! [`rta_core::wcdfp::WcdfpAccum`]. No stored draws: with
+//! [`WcdfpConfig::sketches`] and [`WcdfpConfig::bounds`] off (the
+//! verdict-only configuration), the cost of a draw is the event loop
+//! itself, which is what lets the estimator sit in the admission path.
+//! With them on, the same draws also yield exact per-job response
+//! histograms and, against the Theorem-4 bounds of each drawn system,
+//! the observed-vs-analytic tightness gap.
 //!
-//! Draw `i` is generated from `StdRng::seed_from_u64(base_seed + i)`
-//! exactly like the batch path, so results depend only on the draw index,
-//! never on thread count or scheduling. Workers accumulate privately via
+//! Draw `i` is generated from `StdRng::seed_from_u64(base_seed + i)`, so
+//! results depend only on the draw index, never on thread count or
+//! scheduling. Workers accumulate privately via
 //! [`rta_core::par::pool_fold_states`] and the final merge is over integer
-//! counters — bit-identical to a sequential fold (pinned in
+//! counts — bit-identical to a sequential fold (pinned in
 //! `tests/wcdfp.rs`).
 //!
 //! Variance reduction hooks into the **generator**, not the simulator:
@@ -30,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rta_core::par::pool_fold_states;
 use rta_core::wcdfp::{CiMethod, JobEstimate, Mode, Stopping, WcdfpAccum};
-use rta_core::AnalysisConfig;
+use rta_core::{analyze_bounds, AnalysisConfig};
 use rta_curves::Time;
 use rta_model::jobshop::{ShopConfig, ShopSampler};
 use rta_model::priority::{rank_priorities, PriorityPolicy};
@@ -41,7 +43,8 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub enum DrawModel {
     /// Each draw samples a fresh job-shop system from the Eq. 26 generator
-    /// (burst rates, routes, execution weights), like [`crate::batch`].
+    /// (burst rates, routes, execution weights), priorities ranked
+    /// relative-deadline-monotonic on priority-driven processors.
     Shop(ShopConfig),
     /// The system is fixed; each draw realizes its arrival nondeterminism:
     /// [`ArrivalPattern::PeriodicJitter`] delays each nominal release by a
@@ -65,12 +68,18 @@ pub struct WcdfpConfig {
     /// Binomial interval used in plain mode (and as the degenerate-variance
     /// fallback of the variance-reduction modes).
     pub ci: CiMethod,
-    /// Feed completed responses into the per-job P² sketches (and the
-    /// `completed`/`max_response` counters). `false` is the **verdict-only**
-    /// configuration the admission path uses: draws track nothing but the
+    /// Record the per-job response histograms: every completed response
+    /// (ticks) and the count of instances still running at the horizon.
+    /// With this and `bounds` both `false` (the **verdict-only**
+    /// configuration the admission path uses) draws track nothing but the
     /// per-job miss bit, so their cost is the event loop itself. Miss
     /// counts and confidence intervals are identical either way.
     pub sketches: bool,
+    /// Run the Theorem-4 bounds analysis on each drawn system and measure
+    /// every completed response against its job's end-to-end bound
+    /// (`bounded`, `violations`, ratio in ppm, `analysis_failures`). Also
+    /// records the response histograms.
+    pub bounds: bool,
 }
 
 impl Default for WcdfpConfig {
@@ -81,6 +90,7 @@ impl Default for WcdfpConfig {
             confidence: 0.95,
             ci: CiMethod::Wilson,
             sketches: true,
+            bounds: false,
         }
     }
 }
@@ -96,7 +106,8 @@ pub struct WcdfpReport {
     pub draws: u64,
     /// Whether the stopping rule was met (always `true` for fixed runs).
     pub converged: bool,
-    /// The raw accumulator, for sketch readouts and further merging.
+    /// The raw accumulator, for response histograms, bound tightness and
+    /// further merging.
     pub accum: WcdfpAccum,
 }
 
@@ -151,15 +162,17 @@ struct InstRow {
 struct VerdictSink {
     rows: Vec<InstRow>,
     jobs_seen: u32,
-    /// Collect `(job, response)` pairs for the sketches; off in the
-    /// verdict-only configuration (`WcdfpConfig::sketches == false`).
+    /// Collect responses and incomplete instances; off in the
+    /// verdict-only configuration.
     collect: bool,
     /// Per-job: some instance missed its deadline this draw.
     missed: Vec<bool>,
     /// Per-job: some instance was horizon-censored (and none missed).
     censored: Vec<bool>,
     /// Completed-chain responses `(job, ticks)` of this draw.
-    responses: Vec<(u32, f64)>,
+    responses: Vec<(u32, i64)>,
+    /// Jobs of this draw's instances still running at the horizon.
+    unfinished: Vec<u32>,
 }
 
 impl VerdictSink {
@@ -171,6 +184,7 @@ impl VerdictSink {
         self.censored.clear();
         self.censored.resize(n_jobs, false);
         self.responses.clear();
+        self.unfinished.clear();
     }
 
     /// Classify instances still running at the horizon: a miss if the
@@ -179,6 +193,9 @@ impl VerdictSink {
     fn finish(&mut self, horizon: Time) {
         for row in &self.rows {
             if !row.done {
+                if self.collect {
+                    self.unfinished.push(row.job);
+                }
                 if row.deadline_at <= horizon {
                     self.missed[row.job as usize] = true;
                 } else {
@@ -216,8 +233,7 @@ impl Observer for VerdictSink {
         let row = &mut self.rows[id.0 as usize];
         row.done = true;
         if self.collect {
-            self.responses
-                .push((row.job, (t - row.release_at).ticks() as f64));
+            self.responses.push((row.job, (t - row.release_at).ticks()));
         }
         if t > row.deadline_at {
             self.missed[row.job as usize] = true;
@@ -247,6 +263,9 @@ struct Workspace {
     /// Antithetic scratch: draw A's flags, held across draw B.
     pair_missed: Vec<bool>,
     pair_censored: Vec<bool>,
+    /// Bounds mode: per-job end-to-end bounds of the current draw's
+    /// system, `None` when the analysis failed on it.
+    bounds: Option<Vec<Option<Time>>>,
     accum: WcdfpAccum,
 }
 
@@ -277,6 +296,13 @@ fn units_for(mode: Mode, draws: u64) -> u64 {
     }
 }
 
+/// Per-job end-to-end Theorem-4 bounds of `sys`, `None` when the analysis
+/// fails.
+fn e2e_bounds(sys: &TaskSystem) -> Option<Vec<Option<Time>>> {
+    let rep = analyze_bounds(sys, &AnalysisConfig::default()).ok()?;
+    Some(rep.jobs.iter().map(|j| j.e2e_bound).collect())
+}
+
 fn new_workspace(shared: &Shared) -> Workspace {
     let state = match &shared.model {
         DrawModel::Shop(shop) => {
@@ -296,11 +322,15 @@ fn new_workspace(shared: &Shared) -> Workspace {
         state,
         engine: SimEngine::new(),
         sink: VerdictSink {
-            collect: shared.cfg.sketches,
+            collect: shared.cfg.sketches || shared.cfg.bounds,
             ..VerdictSink::default()
         },
         pair_missed: Vec::new(),
         pair_censored: Vec::new(),
+        bounds: match &shared.model {
+            DrawModel::Arrivals(sys) if shared.cfg.bounds => e2e_bounds(sys),
+            _ => None,
+        },
         accum: WcdfpAccum::new(shared.cfg.mode, n_jobs_of(&shared.model)),
     }
 }
@@ -348,7 +378,8 @@ fn randomized_releases<R: Rng>(
 }
 
 /// Run one draw: realize the model's randomness, simulate behind the
-/// verdict sink, classify horizon-censored instances.
+/// verdict sink, classify horizon-censored instances, and fold the draw's
+/// responses into the workspace accumulator.
 fn one_draw<R: RngCore>(shared: &Shared, ws: &mut Workspace, rng: &mut R) {
     let (engine, sink) = (&mut ws.engine, &mut ws.sink);
     match (&shared.model, &mut ws.state) {
@@ -361,6 +392,9 @@ fn one_draw<R: RngCore>(shared: &Shared, ws: &mut Workspace, rng: &mut R) {
             {
                 rank_priorities(sys, PriorityPolicy::RelativeDeadlineMonotonic)
                     .expect("priority assignment");
+            }
+            if shared.cfg.bounds {
+                ws.bounds = e2e_bounds(sys);
             }
             let (window, horizon) = AnalysisConfig::default().resolve(sys);
             sink.reset(sys.jobs().len());
@@ -390,6 +424,19 @@ fn one_draw<R: RngCore>(shared: &Shared, ws: &mut Workspace, rng: &mut R) {
         }
         _ => unreachable!("workspace model state matches the draw model"),
     }
+    if shared.cfg.bounds && ws.bounds.is_none() {
+        ws.accum.analysis_failures += 1;
+    }
+    for &(job, r) in &ws.sink.responses {
+        let j = &mut ws.accum.jobs[job as usize];
+        j.responses.add(r, 1);
+        if let Some(b) = ws.bounds.as_ref().and_then(|b| b[job as usize]) {
+            j.record_bounded(r, b.ticks());
+        }
+    }
+    for &job in &ws.sink.unfinished {
+        ws.accum.jobs[job as usize].incomplete += 1;
+    }
 }
 
 /// Fold one unit (one draw, or one antithetic pair) into the workspace
@@ -401,7 +448,6 @@ fn fold_unit(shared: &Shared, ws: &mut Workspace, unit: u64) {
         Mode::Plain => {
             let mut rng = StdRng::seed_from_u64(seed);
             one_draw(shared, ws, &mut rng);
-            drain_responses(ws);
             ws.accum
                 .record_draw(&ws.sink.missed, &ws.sink.censored, None);
         }
@@ -414,21 +460,18 @@ fn fold_unit(shared: &Shared, ws: &mut Workspace, unit: u64) {
                 first: true,
             };
             one_draw(shared, ws, &mut rng);
-            drain_responses(ws);
             ws.accum
                 .record_draw(&ws.sink.missed, &ws.sink.censored, Some(stratum));
         }
         Mode::Antithetic => {
             let mut rng = StdRng::seed_from_u64(seed);
             one_draw(shared, ws, &mut rng);
-            drain_responses(ws);
             ws.pair_missed.clear();
             ws.pair_missed.extend_from_slice(&ws.sink.missed);
             ws.pair_censored.clear();
             ws.pair_censored.extend_from_slice(&ws.sink.censored);
             let mut rng = AntitheticRng(StdRng::seed_from_u64(seed));
             one_draw(shared, ws, &mut rng);
-            drain_responses(ws);
             ws.accum.record_pair(
                 &ws.pair_missed,
                 &ws.pair_censored,
@@ -436,12 +479,6 @@ fn fold_unit(shared: &Shared, ws: &mut Workspace, unit: u64) {
                 &ws.sink.censored,
             );
         }
-    }
-}
-
-fn drain_responses(ws: &mut Workspace) {
-    for &(job, r) in &ws.sink.responses {
-        ws.accum.record_response(job as usize, r);
     }
 }
 
@@ -653,38 +690,36 @@ mod tests {
     }
 
     #[test]
-    fn verdict_path_agrees_with_batch_replication() {
-        // The verdict sink sees the same schedules as the SimResult path:
-        // per-draw miss decisions must agree with what replicate() reports
-        // for the same seeds (responses vs deadlines + incompleteness).
-        let shop = small_shop();
-        let n = if cfg!(debug_assertions) { 50 } else { 200 };
-        let rep = estimate_fixed(
-            &DrawModel::Shop(shop.clone()),
-            &WcdfpConfig::default(),
-            n as u64,
-        );
-        let batch = crate::batch::replicate(
-            &shop,
-            &crate::batch::BatchConfig {
-                draws: n,
-                base_seed: 42,
-            },
-        );
-        // Aggregate check: total completed responses match exactly.
-        let verdict_completed: u64 = rep.accum.jobs.iter().map(|j| j.completed).sum();
-        let batch_completed: usize = batch.jobs.iter().map(|j| j.samples.len()).sum();
-        assert_eq!(verdict_completed, batch_completed as u64);
-        // And per-job max response matches the batch max sample.
-        for (k, j) in rep.accum.jobs.iter().enumerate() {
-            let batch_max = batch.jobs[k].samples.last().map(|t| t.ticks()).unwrap_or(0);
-            assert_eq!(j.max_response as i64, batch_max, "job {k}");
+    fn shop_draws_record_responses_for_every_job() {
+        let rep = estimate_fixed(&DrawModel::Shop(small_shop()), &WcdfpConfig::default(), 10);
+        assert_eq!(rep.accum.analysis_failures, 0);
+        for j in &rep.accum.jobs {
+            assert!(j.responses.count() > 0);
+            assert_eq!(j.responses.quantile(1.0), j.responses.max());
+            assert_eq!(j.bounded, 0, "no bounds requested");
+        }
+    }
+
+    #[test]
+    fn bounds_mode_measures_tightness() {
+        let cfg = WcdfpConfig {
+            base_seed: 7,
+            bounds: true,
+            ..WcdfpConfig::default()
+        };
+        let rep = estimate_fixed(&DrawModel::Shop(small_shop()), &cfg, 5);
+        for j in &rep.accum.jobs {
+            assert!(j.bounded > 0, "bounds computed");
+            // SPP bounds are sound: no observed response may exceed them.
+            assert_eq!(j.violations, 0);
+            assert!(j.ratio_ppm_max <= 1_000_000);
+            assert!(j.ratio_ppm_sum > 0);
         }
     }
 
     #[test]
     fn verdict_only_config_has_identical_misses() {
-        // Turning the sketches off must change nothing about the verdicts:
+        // Turning the histograms off must change nothing about the verdicts:
         // same draws, same per-job miss counts, same intervals.
         let model = DrawModel::Shop(small_shop());
         let full = estimate_fixed(&model, &WcdfpConfig::default(), draws());
@@ -702,9 +737,9 @@ mod tests {
             assert_eq!(a.lo.to_bits(), b.lo.to_bits());
             assert_eq!(a.hi.to_bits(), b.hi.to_bits());
         }
-        // And the lean run really is lean: nothing reached the sketches.
-        assert!(lean.accum.jobs.iter().all(|j| j.completed == 0));
-        assert!(full.accum.jobs.iter().any(|j| j.completed > 0));
+        // And the lean run really is lean: nothing reached the histograms.
+        assert!(lean.accum.jobs.iter().all(|j| j.responses.count() == 0));
+        assert!(full.accum.jobs.iter().any(|j| j.responses.count() > 0));
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! Replay determinism: the same seed must reproduce the same simulation
 //! bit for bit — across repeated runs, across engine-workspace reuse, and
-//! across however many worker threads the batch layer uses (draw `i` is
-//! seeded `base_seed + i`, so thread assignment cannot leak into results).
+//! across however many worker threads the Monte-Carlo driver uses (draw
+//! `i` is seeded `base_seed + i`, so thread assignment cannot leak into
+//! results).
 //! Under the `trace` feature the full trace (serving intervals and hop
 //! records) is part of the pinned state via `SimResult`'s `PartialEq`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rta_core::wcdfp::Histogram;
 use rta_core::AnalysisConfig;
 use rta_model::distributions::Dist;
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig, ShopSampler};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::SchedulerKind;
-use rta_sim::batch::{replicate, replicate_with_bounds, BatchConfig};
+use rta_sim::wcdfp::{estimate_fixed, DrawModel, WcdfpConfig};
 use rta_sim::{simulate, SimConfig, SimEngine, SimResult};
 
 fn bursty_shop(scheduler: SchedulerKind) -> ShopConfig {
@@ -78,13 +80,13 @@ fn reused_engine_workspace_matches_fresh_runs() {
     }
 }
 
-/// The sequential oracle for [`replicate`]: one draw at a time, in draw
-/// order, using the same per-draw seeding rule.
-fn sequential_oracle(shop: &ShopConfig, cfg: &BatchConfig) -> Vec<SimResult> {
+/// The sequential oracle for the driver's shop draws: one draw at a time,
+/// in draw order, using the same per-draw seeding and priority rule.
+fn sequential_oracle(shop: &ShopConfig, base_seed: u64, draws: u64) -> Vec<SimResult> {
     let mut sampler = ShopSampler::new(shop.clone()).expect("valid shop shape");
-    (0..cfg.draws)
+    (0..draws)
         .map(|i| {
-            let mut rng = StdRng::seed_from_u64(cfg.base_seed + i as u64);
+            let mut rng = StdRng::seed_from_u64(base_seed + i);
             let sys = sampler.sample(&mut rng).expect("valid draw");
             if sys
                 .processors()
@@ -101,50 +103,50 @@ fn sequential_oracle(shop: &ShopConfig, cfg: &BatchConfig) -> Vec<SimResult> {
 
 #[test]
 fn batch_samples_match_sequential_oracle() {
-    // The batch layer distributes draws over the worker pool; its merged
-    // per-job samples must equal a by-hand sequential replication of the
-    // same seeds, independent of how many threads the pool happens to use.
+    // The driver distributes draws over the worker pool; its merged
+    // per-job response histograms and incomplete counts must equal a
+    // by-hand sequential replication of the same seeds, independent of
+    // how many threads the pool happens to use.
     let shop = bursty_shop(SchedulerKind::Spp);
-    let cfg = BatchConfig {
-        draws: 12,
+    let cfg = WcdfpConfig {
         base_seed: 99,
+        ..WcdfpConfig::default()
     };
-    let report = replicate(&shop, &cfg);
-    let oracle = sequential_oracle(&shop, &cfg);
+    let rep = estimate_fixed(&DrawModel::Shop(shop.clone()), &cfg, 12);
+    let oracle = sequential_oracle(&shop, cfg.base_seed, 12);
 
     for k in 0..shop.n_jobs {
         let job = rta_model::JobId(k);
-        let mut expected: Vec<_> = oracle
-            .iter()
-            .flat_map(|res| (1..=res.instances(job)).filter_map(|m| res.response(job, m)))
-            .collect();
-        expected.sort_unstable();
+        let mut expected = Histogram::default();
+        let mut incomplete = 0;
+        for res in &oracle {
+            for m in 1..=res.instances(job) {
+                match res.response(job, m) {
+                    Some(r) => expected.add(r.ticks(), 1),
+                    None => incomplete += 1,
+                }
+            }
+        }
+        assert!(expected.count() > 0, "job {k}: oracle saw no completions");
         assert_eq!(
-            report.jobs[k].samples, expected,
-            "job {k}: batch samples diverged from the sequential oracle"
+            rep.accum.jobs[k].responses, expected,
+            "job {k}: driver responses diverged from the sequential oracle"
         );
-        let incomplete: usize = oracle
-            .iter()
-            .map(|res| {
-                (1..=res.instances(job))
-                    .filter(|&m| res.response(job, m).is_none())
-                    .count()
-            })
-            .sum();
-        assert_eq!(report.jobs[k].incomplete, incomplete);
+        assert_eq!(rep.accum.jobs[k].incomplete, incomplete, "job {k}");
     }
 }
 
 #[test]
 fn repeated_batch_runs_are_identical() {
-    let shop = bursty_shop(SchedulerKind::Fcfs);
-    let cfg = BatchConfig {
-        draws: 8,
-        base_seed: 7,
-    };
-    assert_eq!(replicate(&shop, &cfg), replicate(&shop, &cfg));
-    assert_eq!(
-        replicate_with_bounds(&shop, &cfg),
-        replicate_with_bounds(&shop, &cfg)
-    );
+    let model = DrawModel::Shop(bursty_shop(SchedulerKind::Fcfs));
+    for bounds in [false, true] {
+        let cfg = WcdfpConfig {
+            base_seed: 7,
+            bounds,
+            ..WcdfpConfig::default()
+        };
+        let a = estimate_fixed(&model, &cfg, 8).accum;
+        assert_eq!(a, estimate_fixed(&model, &cfg, 8).accum, "bounds {bounds}");
+        assert!(!bounds || a.jobs.iter().any(|j| j.bounded > 0));
+    }
 }

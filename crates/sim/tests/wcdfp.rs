@@ -6,9 +6,11 @@
 //! 1. **Merge determinism** — the worker-pool fold of [`estimate_fixed`]
 //!    produces an accumulator *bit-identical* to the single-threaded
 //!    reference fold [`accumulate_range`], in every sampling mode
-//!    (property-tested over draw counts and seeds). This is what makes
-//!    `BENCH_wcdfp.json` numbers and daemon responses reproducible
-//!    regardless of pool size.
+//!    (property-tested over draw counts and seeds), and so does any split
+//!    of the units into sub-ranges merged in any order — which exercises
+//!    the merge even where the pool runs sequentially (one core). This is
+//!    what makes `BENCH_wcdfp.json` numbers and daemon responses
+//!    reproducible regardless of pool size.
 //! 2. **Adaptive soundness** — an adaptive run's interval never excludes
 //!    the point estimate of a much larger fixed-budget run on the same
 //!    draw sequence.
@@ -19,6 +21,8 @@
 use proptest::prelude::*;
 use rta_core::wcdfp::{Mode, Stopping, WcdfpAccum};
 use rta_curves::Time;
+use rta_model::distributions::Dist;
+use rta_model::jobshop::{ShopArrivals, ShopConfig};
 use rta_model::{ArrivalPattern, SchedulerKind, SystemBuilder, TaskSystem};
 use rta_sim::wcdfp::{accumulate_range, estimate_adaptive, estimate_fixed, DrawModel, WcdfpConfig};
 
@@ -50,6 +54,22 @@ fn jitter_system() -> TaskSystem {
     b.build().unwrap()
 }
 
+/// A small bursty SPP job shop for the `Shop` draw model.
+fn small_shop() -> ShopConfig {
+    ShopConfig {
+        stages: 2,
+        procs_per_stage: 2,
+        n_jobs: 4,
+        scheduler: SchedulerKind::Spp,
+        utilization: 0.6,
+        arrivals: ShopArrivals::Bursty {
+            deadline: Dist::Exponential { mean: 6.0 },
+        },
+        x_min: 0.25,
+        ticks_per_unit: 100,
+    }
+}
+
 /// Units folded for a given draw budget — mirrors the library's private
 /// rounding (antithetic draws come in pairs).
 fn units_for(mode: Mode, draws: u64) -> u64 {
@@ -59,13 +79,17 @@ fn units_for(mode: Mode, draws: u64) -> u64 {
     }
 }
 
-/// The sequential reference: fold every unit in one workspace, in order.
-fn sequential_accum(model: &DrawModel, cfg: &WcdfpConfig, draws: u64) -> WcdfpAccum {
+fn empty_accum(model: &DrawModel, cfg: &WcdfpConfig) -> WcdfpAccum {
     let n_jobs = match model {
         DrawModel::Arrivals(sys) => sys.jobs().len(),
         DrawModel::Shop(shop) => shop.n_jobs,
     };
-    let mut accum = WcdfpAccum::new(cfg.mode, n_jobs);
+    WcdfpAccum::new(cfg.mode, n_jobs)
+}
+
+/// The sequential reference: fold every unit in one workspace, in order.
+fn sequential_accum(model: &DrawModel, cfg: &WcdfpConfig, draws: u64) -> WcdfpAccum {
+    let mut accum = empty_accum(model, cfg);
     accumulate_range(model, cfg, 0, units_for(cfg.mode, draws), &mut accum);
     accum
 }
@@ -74,8 +98,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Pool-folded accumulators are indistinguishable from the sequential
-    /// fold: every counter, every sketch marker, bit for bit. `PartialEq`
-    /// on `WcdfpAccum` compares all of them (P² state included).
+    /// fold: every counter, every histogram bucket, bit for bit.
+    /// `PartialEq` on `WcdfpAccum` compares all of them.
     #[test]
     fn pool_fold_is_bit_identical_to_sequential_fold(
         draws in 1u64..40,
@@ -102,6 +126,55 @@ proptest! {
             prop_assert_eq!(a.p.to_bits(), b.p.to_bits());
             prop_assert_eq!(a.lo.to_bits(), b.lo.to_bits());
             prop_assert_eq!(a.hi.to_bits(), b.hi.to_bits());
+        }
+    }
+
+    /// Any split of the units into sub-ranges, each folded on its own and
+    /// merged in shuffled order, equals the single-range fold — response
+    /// histograms and bound-tightness counts included.
+    #[test]
+    fn any_split_merged_in_any_order_equals_the_single_fold(
+        (units, seed) in (1u64..10, 0u64..1000),
+        cuts in prop::collection::vec(0u64..10, 0..4),
+        keys in prop::collection::vec(0u64..1000, 5..6),
+        (mode_ix, sketches, bounds, shop) in (0usize..3, any::<bool>(), any::<bool>(), any::<bool>()),
+    ) {
+        let mode = [Mode::Plain, Mode::Antithetic, Mode::Stratified(4)][mode_ix];
+        let cfg = WcdfpConfig {
+            mode,
+            base_seed: seed,
+            sketches,
+            bounds: bounds && shop,
+            ..WcdfpConfig::default()
+        };
+        let model = if shop {
+            DrawModel::Shop(small_shop())
+        } else {
+            DrawModel::Arrivals(jitter_system())
+        };
+        let mut whole = empty_accum(&model, &cfg);
+        accumulate_range(&model, &cfg, 0, units, &mut whole);
+
+        let mut ends: Vec<u64> = cuts.iter().map(|&c| c.min(units)).collect();
+        ends.extend([0, units]);
+        ends.sort_unstable();
+        let mut parts: Vec<(u64, WcdfpAccum)> = ends
+            .windows(2)
+            .zip(&keys)
+            .map(|(w, &key)| {
+                let mut part = empty_accum(&model, &cfg);
+                accumulate_range(&model, &cfg, w[0], w[1], &mut part);
+                (key, part)
+            })
+            .collect();
+        parts.sort_by_key(|&(key, _)| key);
+        let mut merged = empty_accum(&model, &cfg);
+        for (_, part) in &parts {
+            merged.merge(part);
+        }
+        prop_assert_eq!(&merged, &whole);
+        if sketches {
+            prop_assert!(whole.jobs.iter().any(|j| j.responses.count() > 0));
         }
     }
 }
@@ -170,14 +243,14 @@ fn golden_smoke_2000_draws() {
     let j2 = &rep.estimates[1];
     assert_eq!(j2.p, 0.0);
     assert!(j2.hi < 0.002, "{}", j2.hi);
-    // Sketch side of the same run: every J1 instance completed (a missed
-    // deadline still finishes executing under FCFS), and the response
-    // sketches bracket the exec-time floor and the observed maximum.
+    // Histogram side of the same run: every J1 instance completed (a
+    // missed deadline still finishes executing under FCFS), and the exact
+    // quantiles sit at the exec-time floor and the observed maximum.
     let j1a = &rep.accum.jobs[0];
-    assert_eq!(j1a.completed, 12_000);
-    assert_eq!(j1a.max_response, 12.0);
-    let p50 = j1a.p50.value().unwrap();
-    let p99 = j1a.p99.value().unwrap();
-    assert!((6.0..=7.0).contains(&p50), "{p50}");
-    assert!((11.0..=12.0).contains(&p99), "{p99}");
+    assert_eq!(j1a.incomplete, 0);
+    let r = &j1a.responses;
+    assert_eq!(r.count(), 12_000);
+    assert_eq!(r.quantile(0.5), Some(6));
+    assert_eq!(r.quantile(0.99), Some(12));
+    assert_eq!(r.max(), Some(12));
 }

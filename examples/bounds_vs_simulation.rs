@@ -1,8 +1,9 @@
 //! Empirical response-time distributions vs. analytic bounds, at scale.
 //!
-//! Uses [`bursty_rta::sim::batch`] to re-draw a bursty job shop many
-//! times, simulate every draw on the calendar-queue event core, run the
-//! Theorem 4 analysis on the same draw, and print the per-job
+//! Uses the Monte-Carlo driver [`bursty_rta::sim::wcdfp`] in its `bounds`
+//! mode to re-draw a bursty job shop many times, simulate every draw on
+//! the event core, run the Theorem 4 analysis on the same draw, and print
+//! the per-job
 //! observed-vs-analytic tightness gap — the measurement behind the
 //! EXPERIMENTS.md bound-tightness table. This replaces the old
 //! single-trajectory curve comparison: one trace shows that the bounds
@@ -15,7 +16,7 @@
 use bursty_rta::model::distributions::Dist;
 use bursty_rta::model::jobshop::{ShopArrivals, ShopConfig};
 use bursty_rta::model::SchedulerKind;
-use bursty_rta::sim::batch::{replicate_with_bounds, BatchConfig};
+use bursty_rta::sim::wcdfp::{estimate_fixed, DrawModel, WcdfpConfig};
 
 fn main() {
     // A 2-stage SPP shop under the paper's Eq. 27 bursty arrivals,
@@ -33,37 +34,36 @@ fn main() {
         x_min: 0.25,
         ticks_per_unit: 100,
     };
-    let cfg = BatchConfig {
-        draws: 200,
+    let cfg = WcdfpConfig {
         base_seed: 42,
+        bounds: true,
+        ..WcdfpConfig::default()
     };
-    let report = replicate_with_bounds(&shop, &cfg);
+    let report = estimate_fixed(&DrawModel::Shop(shop), &cfg, 200);
 
     println!(
         "bursty 2-stage SPP shop, {} draws (seeds {}..{}), {} analysis failures",
         report.draws,
         cfg.base_seed,
-        cfg.base_seed + report.draws as u64,
-        report.analysis_failures
+        cfg.base_seed + report.draws,
+        report.accum.analysis_failures
     );
     println!(
         "{:>4} {:>8} {:>6} {:>8} {:>8} {:>8} {:>6} {:>6} {:>5}",
         "job", "samples", "incmp", "p50", "p99", "max", "mean%", "worst%", "viol"
     );
-    for (k, stats) in report.jobs.iter().enumerate() {
-        let p50 = stats.quantile(0.50).unwrap();
-        let p99 = stats.quantile(0.99).unwrap();
-        let max = stats.quantile(1.0).unwrap();
+    for (k, stats) in report.accum.jobs.iter().enumerate() {
+        let r = &stats.responses;
         println!(
             "{:>4} {:>8} {:>6} {:>8} {:>8} {:>8} {:>6.1} {:>6.1} {:>5}",
             k,
-            stats.samples.len(),
+            r.count(),
             stats.incomplete,
-            p50.ticks(),
-            p99.ticks(),
-            max.ticks(),
-            stats.mean_ratio().unwrap_or(0.0) * 100.0,
-            stats.worst_ratio * 100.0,
+            r.quantile(0.50).unwrap(),
+            r.quantile(0.99).unwrap(),
+            r.max().unwrap(),
+            stats.ratio_ppm_sum as f64 / stats.bounded.max(1) as f64 / 1e4,
+            stats.ratio_ppm_max as f64 / 1e4,
             stats.violations,
         );
         // SPP bounds are sound: the observed worst case never exceeds them.

@@ -8,10 +8,10 @@
 //! `BENCH_service.json` with the gate-tracked `service/requests_per_sec`
 //! row (as ns/request, the harness's lower-is-better unit; the req/s
 //! figure is printed) plus `service/latency_p50` and
-//! `service/latency_p99` — per-request latency quantiles streamed
-//! through the same P² sketches the WCDFP engine uses, so tail latency
-//! is gated alongside throughput — and hard-fails below the 10k req/s
-//! floor from ROADMAP item 1.
+//! `service/latency_p99` — per-request latency quantiles (each request
+//! charged its batch's mean), read exactly from the histogram type the
+//! WCDFP engine uses, so tail latency is gated alongside throughput —
+//! and hard-fails below the 10k req/s floor.
 //!
 //! Usage: `cargo run --release --bin load_gen [-- --duration S]`
 //! (`--seconds` is accepted as an alias.)
@@ -26,7 +26,7 @@ use bursty_rta::textfmt::{HopSpec, JobDraft};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rta_bench::harness::Bench;
-use rta_core::wcdfp::P2Sketch;
+use rta_core::wcdfp::Histogram;
 use rta_curves::Time;
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
@@ -137,12 +137,11 @@ fn main() {
     let mut admitted: u64 = 0;
     let mut errors: u64 = 0;
     let mut round: u64 = 100;
-    // Per-request latency, streamed through the same P² quantile sketches
-    // the WCDFP engine uses — no sample buffer, O(1) per observation. A
-    // batch is timed as one dispatch (that is the daemon's unit of work)
-    // and each request in it is charged the batch mean.
-    let mut p50 = P2Sketch::new(0.5);
-    let mut p99 = P2Sketch::new(0.99);
+    // Per-request latency in an exact histogram (the WCDFP engine's
+    // response type). A batch is timed as one dispatch (that is the
+    // daemon's unit of work) and each request in it is charged the batch
+    // mean, in whole nanoseconds.
+    let mut latency = Histogram::default();
     let start = Instant::now();
     while start.elapsed().as_secs_f64() < seconds {
         let reqs = batch_for(round, &tenants);
@@ -150,11 +149,7 @@ fn main() {
         total += len;
         let t0 = Instant::now();
         let resps = svc.apply_batch(reqs);
-        let per_req_ns = t0.elapsed().as_nanos() as f64 / len as f64;
-        for _ in 0..len {
-            p50.observe(per_req_ns);
-            p99.observe(per_req_ns);
-        }
+        latency.add(t0.elapsed().as_nanos() as i64 / len as i64, len);
         for resp in resps {
             match resp {
                 Response::Admitted { admitted: true, .. } => admitted += 1,
@@ -177,10 +172,8 @@ fn main() {
         "stream sanity: no probe was ever admitted — candidate shape is wrong"
     );
 
-    let (lat50, lat99) = (
-        p50.value().expect("latency sketch is non-empty"),
-        p99.value().expect("latency sketch is non-empty"),
-    );
+    let quantile = |q| latency.quantile(q).expect("latency histogram is non-empty") as f64;
+    let (lat50, lat99) = (quantile(0.5), quantile(0.99));
     println!("request latency: p50 {lat50:.0} ns, p99 {lat99:.0} ns");
 
     let mut b = Bench::new();

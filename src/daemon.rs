@@ -205,7 +205,7 @@ impl ShardedService {
                     .tenant_system(tenant)
                     .ok_or_else(|| format!("unknown tenant '{tenant}'"))?;
                 // The verdict-only configuration: the admission path wants
-                // miss probabilities and intervals, not response sketches.
+                // miss probabilities and intervals, not response histograms.
                 let model = DrawModel::Arrivals(sys.clone());
                 let base = |seed: u64| WcdfpConfig {
                     base_seed: seed,

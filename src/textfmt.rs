@@ -123,23 +123,36 @@ fn int(tok: Option<&str>, what: &str) -> Result<i64, String> {
         .map_err(|e| format!("bad {what}: {e}"))
 }
 
+/// An integer of at least `min`: arrival parameters outside their domain
+/// would panic or never terminate in release generation.
+fn int_min(tok: Option<&str>, what: &str, min: i64) -> Result<i64, String> {
+    let v = int(tok, what)?;
+    if v < min {
+        return Err(format!("bad {what}: must be at least {min}, got {v}"));
+    }
+    Ok(v)
+}
+
 fn uint(tok: Option<&str>, what: &str) -> Result<u32, String> {
     tok.ok_or_else(|| format!("missing {what}"))?
         .parse::<u32>()
         .map_err(|e| format!("bad {what}: {e}"))
 }
 
-/// Parse an arrival pattern from its leading keyword onward.
+/// Parse an arrival pattern from its leading keyword onward. Periods,
+/// gaps, burst lengths and tick resolutions must be at least 1; offsets,
+/// jitter, intra-burst gaps and trace times at least 0; bursts must not
+/// overlap.
 pub fn parse_arrival(it: &mut Tokens) -> Result<ArrivalPattern, String> {
     match it.next() {
         Some("periodic") => Ok(ArrivalPattern::Periodic {
-            period: Time(int(it.next(), "period")?),
-            offset: Time(int(it.next(), "offset")?),
+            period: Time(int_min(it.next(), "period", 1)?),
+            offset: Time(int_min(it.next(), "offset", 0)?),
         }),
         Some("jitter") => Ok(ArrivalPattern::PeriodicJitter {
-            period: Time(int(it.next(), "period")?),
-            jitter: Time(int(it.next(), "jitter")?),
-            offset: Time(int(it.next(), "offset")?),
+            period: Time(int_min(it.next(), "period", 1)?),
+            jitter: Time(int_min(it.next(), "jitter", 0)?),
+            offset: Time(int_min(it.next(), "offset", 0)?),
         }),
         Some("bursty") => {
             let x_thousandths = int(it.next(), "x-thousandths")?;
@@ -148,17 +161,28 @@ pub fn parse_arrival(it: &mut Tokens) -> Result<ArrivalPattern, String> {
             }
             Ok(ArrivalPattern::Hyperbolic {
                 x: x_thousandths as f64 / 1000.0,
-                ticks_per_unit: int(it.next(), "ticks-per-unit")?,
+                ticks_per_unit: int_min(it.next(), "ticks-per-unit", 1)?,
             })
         }
-        Some("burst") => Ok(ArrivalPattern::BurstTrain {
-            burst_len: uint(it.next(), "burst length")?,
-            intra_gap: Time(int(it.next(), "intra-gap")?),
-            train_period: Time(int(it.next(), "train period")?),
-            offset: Time(int(it.next(), "offset")?),
-        }),
+        Some("burst") => {
+            let burst_len = uint(it.next(), "burst length")?;
+            if burst_len == 0 {
+                return Err("bad burst length: must be at least 1, got 0".into());
+            }
+            let intra_gap = int_min(it.next(), "intra-gap", 0)?;
+            let train_period = int_min(it.next(), "train period", 1)?;
+            if i128::from(intra_gap) * i128::from(burst_len - 1) >= i128::from(train_period) {
+                return Err("bad train period: must exceed the burst extent".into());
+            }
+            Ok(ArrivalPattern::BurstTrain {
+                burst_len,
+                intra_gap: Time(intra_gap),
+                train_period: Time(train_period),
+                offset: Time(int_min(it.next(), "offset", 0)?),
+            })
+        }
         Some("sporadic") => Ok(ArrivalPattern::SporadicEnvelope {
-            min_gap: Time(int(it.next(), "min-gap")?),
+            min_gap: Time(int_min(it.next(), "min-gap", 1)?),
         }),
         Some("trace") => {
             let mut ts = Vec::new();
@@ -168,13 +192,7 @@ pub fn parse_arrival(it: &mut Tokens) -> Result<ArrivalPattern, String> {
                 if tok == "hop" {
                     break;
                 }
-                match tok.parse::<i64>() {
-                    Ok(t) => {
-                        ts.push(Time(t));
-                        it.next();
-                    }
-                    Err(e) => return Err(format!("bad trace time: {e}")),
-                }
+                ts.push(Time(int_min(it.next(), "trace time", 0)?));
             }
             if ts.is_empty() {
                 return Err("trace needs at least one release time".into());
@@ -525,6 +543,41 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.line, 0, "resolution errors are whole-input");
         assert!(err.msg.contains("unknown processor"), "{err}");
+    }
+
+    #[test]
+    fn out_of_domain_arrival_parameters_are_rejected() {
+        let parse = |text: &str| parse_arrival(&mut text.split_whitespace().peekable());
+        for (text, what) in [
+            ("periodic 0 0", "period"),
+            ("periodic 100 -5", "offset"),
+            ("jitter 0 1 1", "period"),
+            ("jitter 100 -3 0", "jitter"),
+            ("jitter 100 3 -1", "offset"),
+            ("bursty 500 0", "ticks-per-unit"),
+            ("burst 0 5 100 0", "burst length"),
+            ("burst 3 -1 100 0", "intra-gap"),
+            ("burst 3 5 0 0", "train period"),
+            ("burst 3 50 100 0", "train period"),
+            ("burst 3 5 100 -1", "offset"),
+            ("sporadic 0", "min-gap"),
+            ("trace -5 3", "trace time"),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert!(err.starts_with(&format!("bad {what}:")), "{text}: {err}");
+        }
+        // The boundary values themselves are accepted.
+        for text in [
+            "periodic 1 0",
+            "jitter 1 0 0",
+            "bursty 500 1",
+            "burst 1 0 1 0",
+            "burst 3 49 100 0",
+            "sporadic 1",
+            "trace 0 3",
+        ] {
+            assert!(parse(text).is_ok(), "{text}");
+        }
     }
 
     #[test]

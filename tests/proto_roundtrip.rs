@@ -297,9 +297,15 @@ FROB t
 ADMIT t job B deadline 100 periodic 50 0 hop P1 3
 ADMIT t job X deadline 100 periodic 50 0 hop P9 3
 ADMIT t job C deadline 200 periodic 100 0 hop P1 1
+LOAD t 2
+processor P1 spp
+job Z deadline 50 periodic 0 0 hop P1 5
+ADMIT t job Y deadline 100 periodic 0 0 hop P1 3
+PING
+ADMIT t job D deadline 400 periodic 200 0 hop P1 1
 ";
     let lines = serve_lines(input);
-    assert_eq!(lines.len(), 7, "one response per request: {lines:#?}");
+    assert_eq!(lines.len(), 11, "one response per request: {lines:#?}");
     assert!(lines[0].starts_with("ERR "), "{}", lines[0]);
     assert_eq!(lines[1], "PONG");
     assert_eq!(lines[2], "OK LOAD t gen=1 jobs=1 verdict=schedulable");
@@ -312,6 +318,16 @@ ADMIT t job C deadline 200 periodic 100 0 hop P1 1
     );
     // The tenant session took more work after two failures — not wedged.
     assert_eq!(lines[6], "OK ADMIT t gen=3 job=C verdict=admitted jobs=3");
+    // A zero period, in a LOAD payload or an inline ADMIT job, is a parse
+    // error: the daemon answers it and the tenant keeps its system.
+    for line in &lines[7..9] {
+        assert!(
+            line.starts_with("ERR ") && line.contains("bad period"),
+            "{line}"
+        );
+    }
+    assert_eq!(lines[9], "PONG");
+    assert_eq!(lines[10], "OK ADMIT t gen=4 job=D verdict=admitted jobs=4");
 }
 
 #[test]
