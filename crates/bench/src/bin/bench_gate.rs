@@ -16,9 +16,9 @@
 //!
 //! The `--pair` form enforces an intra-dump invariant: `row` must not be
 //! slower than `reference_row` by more than `grace_pct` percent (default
-//! 10, covering run-to-run noise). It gates the SoA kernel rows against
-//! their retained AoS counterparts — layout parity is a standing claim of
-//! the analysis pipeline, not just a point-in-time measurement.
+//! 10, covering run-to-run noise) — a standing claim that one variant of a
+//! computation costs no more than another measured in the same run, not a
+//! point-in-time measurement. `scripts/check.sh` runs no pair gate today.
 //!
 //! The `--ratio` form gates a noisy row by its **ratio to a stable sibling
 //! row** across baseline → current: fail when

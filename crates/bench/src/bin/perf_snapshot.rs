@@ -17,9 +17,8 @@ use rta_core::sensitivity::region::{explore_region, RegionConfig};
 use rta_core::sensitivity::Oracle;
 use rta_core::{analyze_bounds, analyze_exact_spp, AnalysisConfig, AnalysisSession};
 use rta_curves::arena::Scratch;
-use rta_curves::convolution::{convolve, convolve_decomposed_into, min_plus_convolve_lattice};
-use rta_curves::ops::linear_combine_into;
-use rta_curves::{Curve, CurveCursor, SoaCurve, Time};
+use rta_curves::convolution::{convolve_decomposed_into, convolve_into, min_plus_convolve_lattice};
+use rta_curves::{Curve, SoaCursor, SoaCurve, Time};
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::{ArrivalPattern, Job, SchedulerKind, Subjob, SystemBuilder, TaskSystem};
@@ -138,18 +137,19 @@ fn main() {
     let mut b = Bench::new();
 
     // Kernel vs oracle: the general min-plus convolution on non-convex
-    // staircase curves. `convolve` is the crossover-dispatching hybrid;
-    // `segment` is the SoA decomposition path driven the way the analyses
-    // drive it (warm `Scratch`, reused output) and `lattice_oracle` the
-    // O(horizon²) scan, pinned so the heuristic's choice stays visible.
+    // staircase curves. `hybrid` is the crossover-dispatching entry,
+    // `convolve_into`; `segment` pins its decomposition path; both are
+    // driven the way the analyses drive them (warm `Scratch`, reused
+    // output). `lattice_oracle` is the O(horizon²) scan, pinned so the
+    // heuristic's choice stays visible.
     let mut scratch = Scratch::new();
-    let mut conv_out = Curve::zero();
+    let mut conv_out = SoaCurve::zero();
     for n in [16i64, 64] {
-        let f = arrivals(n, 10).scale(3);
-        let g = arrivals(n, 12).scale(2);
+        let f = SoaCurve::from_curve(&arrivals(n, 10).scale(3));
+        let g = SoaCurve::from_curve(&arrivals(n, 12).scale(2));
         let horizon = Time(n * 12 + 120);
         b.run(&format!("convolve/hybrid/{n}"), || {
-            convolve(&f, &g, horizon)
+            convolve_into(&f, &g, horizon, &mut scratch, &mut conv_out)
         });
         b.run(&format!("convolve/segment/{n}"), || {
             convolve_decomposed_into(&f, &g, horizon, &mut scratch, &mut conv_out)
@@ -163,10 +163,12 @@ fn main() {
     // ticks/unit) the horizon is tens of thousands of ticks while the
     // breakpoint count stays small — the regime the segment kernel is for.
     {
-        let f = arrivals(32, 625).scale(3);
-        let g = arrivals(32, 750).scale(2);
+        let f = SoaCurve::from_curve(&arrivals(32, 625).scale(3));
+        let g = SoaCurve::from_curve(&arrivals(32, 750).scale(2));
         let horizon = Time(25_000);
-        b.run("convolve/hybrid/sparse_h25k", || convolve(&f, &g, horizon));
+        b.run("convolve/hybrid/sparse_h25k", || {
+            convolve_into(&f, &g, horizon, &mut scratch, &mut conv_out)
+        });
         b.run("convolve/segment/sparse_h25k", || {
             convolve_decomposed_into(&f, &g, horizon, &mut scratch, &mut conv_out)
         });
@@ -175,30 +177,17 @@ fn main() {
         });
     }
 
-    // SoA kernels against their AoS counterparts on the merge-heavy shapes
-    // the fixpoint inner loop produces. Same inputs, warm buffers on both
-    // sides; `tests/soa_kernels.rs` pins the outputs equal, so the pair is
-    // a pure layout comparison.
+    // The curve kernels on the merge-heavy shapes the fixpoint inner loop
+    // produces, with warm output buffers.
     {
-        let a = arrivals(256, 7).scale(3);
-        let c = arrivals(256, 11).scale(2);
-        let (sa, sc) = (SoaCurve::from_curve(&a), SoaCurve::from_curve(&c));
-        let mut aos_out = Curve::zero();
+        let sa = SoaCurve::from_curve(&arrivals(256, 7).scale(3));
+        let sc = SoaCurve::from_curve(&arrivals(256, 11).scale(2));
         let mut soa_out = SoaCurve::zero();
-        b.run("aos/linear_combine/256", || {
-            linear_combine_into(&a, 2, &c, -1, &mut aos_out)
-        });
         b.run("soa/linear_combine/256", || {
             rta_curves::soa::linear_combine_into(&sa, 2, &sc, -1, &mut soa_out)
         });
-        b.run("aos/floor_div/256", || {
-            a.floor_div_into(3, Time(2048), &mut aos_out).unwrap()
-        });
         b.run("soa/floor_div/256", || {
             sa.floor_div_into(3, Time(2048), &mut soa_out).unwrap()
-        });
-        b.run("aos/pointwise_min/256", || {
-            a.min_with_into(&c, &mut aos_out)
         });
         b.run("soa/pointwise_min/256", || {
             sa.min_with_into(&sc, &mut soa_out)
@@ -208,8 +197,9 @@ fn main() {
     // Cursor sweep vs front-rescanning pseudo-inverse (Theorem-1 loop).
     for n in [128i64, 1024] {
         let arr = arrivals(n, 10);
+        let soa = SoaCurve::from_curve(&arr);
         b.run(&format!("inverse_sweep/cursor/{n}"), || {
-            let mut cur = CurveCursor::new(&arr);
+            let mut cur = SoaCursor::new(&soa);
             let mut acc = Time::ZERO;
             for m in 1..=n {
                 if let Some(t) = cur.inverse_at(m) {
@@ -274,7 +264,6 @@ fn main() {
                 .service_bounds(
                     &BoundsInputs {
                         workload: &workload,
-                        workload_aos: None,
                         tau: Time(3),
                         weight: 1,
                         blocking: Time(5),

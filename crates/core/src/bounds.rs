@@ -83,6 +83,7 @@ fn node_pass(
     let n = ws.index_system(sys);
     ensure_bounds(&mut ws.cur, n);
     ensure_soa_curves(&mut ws.arr_env, n);
+    ensure_soa_curves(&mut ws.workload, n);
     ws.hop.clear();
     ws.hop.resize(n, None);
     ws.e2e.clear();
@@ -95,8 +96,7 @@ fn node_pass(
     for (k, job) in sys.jobs().iter().enumerate() {
         job.arrival.release_times_into(window, &mut ws.times);
         ws.instances.push(ws.times.len() as i64);
-        Curve::from_event_times_into(&ws.times, &mut ws.stage);
-        ws.arr_env[ws.job_start[k]].copy_from_curve(&ws.stage);
+        SoaCurve::from_event_times_into(&ws.times, &mut ws.arr_env[ws.job_start[k]]);
     }
 
     let mut ctxs = ProcessorContexts::new();
@@ -104,10 +104,9 @@ fn node_pass(
         scratch,
         refs,
         job_start,
-        stage,
-        stage_soa,
         dep_soa,
         arr_env,
+        workload,
         policy,
         tau,
         weight,
@@ -125,17 +124,18 @@ fn node_pass(
     for i in order {
         let k = refs[i].job.0;
         let p = ProcessorId(processor[i]);
-        // The workload `c̄ = f̄_arr · τ`; on shared-workload processors also
-        // in AoS, the layout their contexts and kernels read.
-        arr_env[i].scale_into(tau[i].ticks(), stage_soa);
-        let shared = policy[i].peer_inputs() == PeerInputs::SharedWorkloads;
-        if shared {
-            stage_soa.write_to_curve(stage);
-            let (arr_env, job_start) = (&*arr_env, &*job_start);
-            ctxs.ensure(sys, p, horizon, &mut |o| {
-                arr_env[job_start[o.job.0] + o.index]
-                    .to_curve()
-                    .scale(sys.subjob(o).exec.ticks())
+        // The workload `c̄ = f̄_arr · τ`.
+        arr_env[i].scale_into(tau[i].ticks(), &mut workload[i]);
+        if policy[i].peer_inputs() == PeerInputs::SharedWorkloads && !ctxs.contains(p) {
+            // The context reads every peer's workload: their envelopes are
+            // in place, since the peers' predecessors precede this node.
+            for o in sys.subjobs_on(p) {
+                let j = job_start[o.job.0] + o.index;
+                arr_env[j].scale_into(tau[j].ticks(), &mut workload[j]);
+            }
+            let (workload, job_start) = (&*workload, &*job_start);
+            ctxs.ensure(sys, p, horizon, &|o| {
+                &workload[job_start[o.job.0] + o.index]
             })?;
         }
         let hp = &hp_flat[hp_start[i]..hp_start[i + 1]];
@@ -143,8 +143,7 @@ fn node_pass(
         let hp_upper: Vec<&SoaCurve> = hp.iter().map(|&h| &cur[h].upper).collect();
         policy[i].service_bounds(
             &BoundsInputs {
-                workload: stage_soa,
-                workload_aos: shared.then_some(&*stage),
+                workload: &workload[i],
                 tau: tau[i],
                 weight: weight[i],
                 blocking: blocking[i],

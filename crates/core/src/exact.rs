@@ -16,7 +16,8 @@ use crate::depgraph::{evaluation_order, SubjobIndex};
 use crate::error::AnalysisError;
 use crate::policy::policy_for;
 use crate::report::{ExactReport, JobReport, SubjobCurves};
-use rta_curves::{Curve, CurveCursor, Time};
+use crate::spp::exact_service_into;
+use rta_curves::{Scratch, SoaCursor, SoaCurve, Time};
 use rta_model::{JobId, TaskSystem};
 
 /// Check that every processor's policy has an exact theory (today: SPP
@@ -33,25 +34,40 @@ pub(crate) fn require_exact_capable(sys: &TaskSystem) -> Result<(), AnalysisErro
     Ok(())
 }
 
+/// The arrival, service and departure curves of one subjob on the analysis
+/// layout — what the exact path computes and the session caches. Reports
+/// convert them once, to [`SubjobCurves`].
+#[derive(Clone, Debug)]
+pub(crate) struct NodeCurves {
+    pub(crate) arrival: SoaCurve,
+    pub(crate) service: SoaCurve,
+    pub(crate) departure: SoaCurve,
+}
+
 /// Compute the arrival/service/departure curves of one subjob from the
 /// curves of its dependencies (predecessor hop and higher-priority peers),
 /// which must already be present in `curves`. `hop0_arrival` optionally
 /// supplies a precomputed pattern curve for first hops (the session's
 /// interned pattern cache); it must equal what
-/// `arrival.arrival_curve(window)` would build.
+/// `arrival.arrival_curve(window)` would build. The caller has checked
+/// [`require_exact_capable`].
 pub(crate) fn subjob_node_curves(
     sys: &TaskSystem,
     idx: &SubjobIndex,
     i: usize,
-    window: Time,
-    horizon: Time,
-    curves: &[Option<SubjobCurves>],
-    hop0_arrival: Option<Curve>,
-) -> Result<SubjobCurves, AnalysisError> {
+    (window, horizon): (Time, Time),
+    curves: &[Option<NodeCurves>],
+    hop0_arrival: Option<SoaCurve>,
+    scratch: &mut Scratch,
+) -> Result<NodeCurves, AnalysisError> {
     let r = idx.subjob(i);
     let subjob = sys.subjob(r);
-    let arrival: Curve = if r.index == 0 {
-        hop0_arrival.unwrap_or_else(|| sys.job(r.job).arrival.arrival_curve(window))
+    let arrival = if r.index == 0 {
+        hop0_arrival.unwrap_or_else(|| {
+            let mut c = SoaCurve::zero();
+            SoaCurve::from_event_times_into(&sys.job(r.job).arrival.release_times(window), &mut c);
+            c
+        })
     } else {
         let pred = rta_model::SubjobRef {
             job: r.job,
@@ -63,23 +79,24 @@ pub(crate) fn subjob_node_curves(
             .departure
             .clone()
     };
-    let workload = arrival.scale(subjob.exec.ticks());
-    let hp: Vec<usize> = sys
+    let mut workload = scratch.take_soa();
+    arrival.scale_into(subjob.exec.ticks(), &mut workload);
+    let hp_services: Vec<&SoaCurve> = sys
         .higher_priority_peers(r)
         .into_iter()
-        .map(|h| idx.index(h))
+        .map(|h| {
+            &curves[idx.index(h)]
+                .as_ref()
+                .expect("dependency order")
+                .service
+        })
         .collect();
-    let hp_services: Vec<&Curve> = hp
-        .iter()
-        .map(|&h| &curves[h].as_ref().expect("dependency order").service)
-        .collect();
-    let service = policy_for(sys.processor(subjob.processor).scheduler)
-        .exact_service(&workload, &hp_services)
-        .ok_or(AnalysisError::NotAllSpp {
-            processor: subjob.processor,
-        })?;
-    let departure = service.floor_div(subjob.exec.ticks(), horizon)?;
-    Ok(SubjobCurves {
+    let mut service = SoaCurve::zero();
+    exact_service_into(&workload, &hp_services, scratch, &mut service);
+    scratch.put_soa(workload);
+    let mut departure = SoaCurve::zero();
+    service.floor_div_into(subjob.exec.ticks(), horizon, &mut departure)?;
+    Ok(NodeCurves {
         arrival,
         service,
         departure,
@@ -91,15 +108,17 @@ pub(crate) fn subjob_node_curves(
 pub(crate) fn job_report(
     job_id: JobId,
     deadline: Time,
-    first_arrival: &Curve,
-    last_departure: &Curve,
+    first_arrival: &SoaCurve,
+    last_departure: &SoaCurve,
 ) -> JobReport {
-    let n_instances = first_arrival.total_events();
+    // The arrival curve of a finite window is a bounded step function:
+    // its final value counts the instances.
+    let n_instances = *first_arrival.view().values().last().expect("non-empty");
     let mut responses = Vec::with_capacity(n_instances as usize);
     let mut wcrt = Some(Time::ZERO);
     // Resumable cursors make the instance sweep amortized O(1) per m.
-    let mut arr_cur = CurveCursor::new(first_arrival);
-    let mut dep_cur = CurveCursor::new(last_departure);
+    let mut arr_cur = SoaCursor::new(first_arrival);
+    let mut dep_cur = SoaCursor::new(last_departure);
     for m in 1..=n_instances {
         let release = arr_cur.inverse_at(m).expect("instance within window");
         let resp = dep_cur.inverse_at(m).map(|c| c - release);
@@ -109,9 +128,6 @@ pub(crate) fn job_report(
         };
         responses.push(resp);
     }
-    if n_instances == 0 {
-        wcrt = Some(Time::ZERO);
-    }
     JobReport {
         job: job_id,
         responses,
@@ -120,11 +136,12 @@ pub(crate) fn job_report(
     }
 }
 
-/// Assemble the per-job Theorem-1 reports from a complete dense curve set.
+/// Assemble the per-job Theorem-1 reports from a complete dense curve set,
+/// converting the curves to the report layout.
 pub(crate) fn assemble_exact_report(
     sys: &TaskSystem,
     idx: &SubjobIndex,
-    curves: Vec<SubjobCurves>,
+    nodes: &[&NodeCurves],
     window: Time,
     horizon: Time,
 ) -> ExactReport {
@@ -142,15 +159,22 @@ pub(crate) fn assemble_exact_report(
         jobs.push(job_report(
             job_id,
             job.deadline,
-            &curves[first].arrival,
-            &curves[last].departure,
+            &nodes[first].arrival,
+            &nodes[last].departure,
         ));
     }
     ExactReport {
         window,
         horizon,
         jobs,
-        curves,
+        curves: nodes
+            .iter()
+            .map(|n| SubjobCurves {
+                arrival: n.arrival.to_curve(),
+                service: n.service.to_curve(),
+                departure: n.departure.to_curve(),
+            })
+            .collect(),
     }
 }
 
@@ -170,17 +194,24 @@ pub fn analyze_exact_spp(
     let idx = SubjobIndex::new(sys);
     let order = evaluation_order(sys, &idx)?;
 
-    let mut curves: Vec<Option<SubjobCurves>> = vec![None; idx.len()];
+    let mut scratch = Scratch::new();
+    let mut curves: Vec<Option<NodeCurves>> = vec![None; idx.len()];
     for i in order {
         curves[i] = Some(subjob_node_curves(
-            sys, &idx, i, window, horizon, &curves, None,
+            sys,
+            &idx,
+            i,
+            (window, horizon),
+            &curves,
+            None,
+            &mut scratch,
         )?);
     }
-    let curves: Vec<SubjobCurves> = curves
-        .into_iter()
-        .map(|c| c.expect("all computed"))
+    let nodes: Vec<&NodeCurves> = curves
+        .iter()
+        .map(|c| c.as_ref().expect("all computed"))
         .collect();
-    Ok(assemble_exact_report(sys, &idx, curves, window, horizon))
+    Ok(assemble_exact_report(sys, &idx, &nodes, window, horizon))
 }
 
 #[cfg(test)]

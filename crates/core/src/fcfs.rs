@@ -22,39 +22,41 @@
 //!   `s* = G⁻¹(U(t))`, so our served work is at most `c(s*) + τ` (the `+τ`
 //!   absorbs the partially-served boundary instance), capped by `t`.
 
-use rta_curves::compose::compose;
-use rta_curves::{Curve, CurveError, Time};
+use crate::spnp::SoaServiceBounds;
+use rta_curves::compose::compose_into;
+use rta_curves::{sum_many_into, Curve, CurveError, Scratch, SoaCurve, Time};
 
-/// Per-processor FCFS context: the total workload `G`, the utilization
-/// `U`, and the two serving frontiers of Theorems 8/9, which depend only
-/// on the processor and so are shared by every subjob's bounds.
+/// Per-processor FCFS context: the utilization `U` of the total workload
+/// `G = Σ c̄` (Eq. 21) and the two serving frontiers of Theorems 8/9,
+/// which depend only on the processor and so are shared by every subjob's
+/// bounds.
 #[derive(Clone, Debug)]
 pub struct FcfsProcessor {
-    /// Total (upper-bounded) workload `G = Σ c̄` (Eq. 21).
-    pub total_workload: Curve,
     /// Utilization function `U` (Theorem 7, left-limit reading).
-    pub utilization: Curve,
+    pub utilization: SoaCurve,
     /// Theorem 8 frontier `v(t) = G⁻¹(U(t) + 1)`.
-    lower_frontier: Curve,
+    lower_frontier: SoaCurve,
     /// Theorem 9 frontier `s*(t) = G⁻¹(U(t))`.
-    upper_frontier: Curve,
+    upper_frontier: SoaCurve,
 }
 
 impl FcfsProcessor {
     /// Build the processor context from the workload curves of all subjobs
     /// sharing the processor.
-    pub fn new(workloads: &[&Curve], horizon: Time) -> Result<FcfsProcessor, CurveError> {
-        let mut g = Curve::zero();
-        for c in workloads {
-            g = g.add(c);
-        }
+    pub fn new(workloads: &[&SoaCurve], horizon: Time) -> Result<FcfsProcessor, CurveError> {
+        let mut g = SoaCurve::zero();
+        sum_many_into(workloads, &mut g);
+        let mut id = SoaCurve::zero();
+        id.set_affine(0, 1);
+        let (mut t1, mut t2) = (SoaCurve::zero(), SoaCurve::zero());
         // U(t) = min(t, t + min_s (G(s⁻) − s)).
-        let g_prev = g.shift_right(Time::ONE, 0);
-        let run = g_prev.sub(&Curve::identity()).running_min();
-        let u = Curve::identity()
-            .add(&run)
-            .min_with(&Curve::identity())
-            .clamp_min(0);
+        g.shift_right_into(Time::ONE, 0, &mut t1);
+        t1.sub_into(&id, &mut t2);
+        t2.running_min_into(&mut t1);
+        id.add_into(&t1, &mut t2);
+        t2.min_with_into(&id, &mut t1);
+        let mut u = SoaCurve::zero();
+        t1.clamp_min_into(0, &mut u);
         debug_assert!(u.is_nondecreasing(), "utilization must be nondecreasing");
 
         // The frontiers invert `G` extended with a sentinel: pretend an
@@ -62,16 +64,20 @@ impl FcfsProcessor {
         // beyond the real total resolves to horizon + 1 and the workload
         // compositions in `service_bounds` yield "all of c" there.
         let total = g.sup_on(horizon);
-        let sentinel = total + horizon.ticks() + 2;
-        let g_ext = g.truncate_after(horizon).add(&Curve::step_from_points(
+        let sentinel = SoaCurve::from_curve(&Curve::step_from_points(
             0,
-            &[(horizon + Time::ONE, sentinel)],
+            &[(horizon + Time::ONE, total + horizon.ticks() + 2)],
         ));
-        let g_ext_inv = g_ext.inverse_curve()?;
-        let lower_frontier = compose(&g_ext_inv, &u.add_const(1))?;
-        let upper_frontier = compose(&g_ext_inv, &u)?;
+        t1.copy_from(&g);
+        t1.truncate_after(horizon);
+        t1.add_into(&sentinel, &mut t2);
+        let mut g_ext_inv = SoaCurve::zero();
+        t2.inverse_curve_into(&mut g_ext_inv)?;
+        let (mut lower_frontier, mut upper_frontier) = (SoaCurve::zero(), SoaCurve::zero());
+        u.add_const_into(1, &mut t1);
+        compose_into(&g_ext_inv, &t1, &mut lower_frontier)?;
+        compose_into(&g_ext_inv, &u, &mut upper_frontier)?;
         Ok(FcfsProcessor {
-            total_workload: g,
             utilization: u,
             lower_frontier,
             upper_frontier,
@@ -80,32 +86,44 @@ impl FcfsProcessor {
 
     /// Theorem 8 / Theorem 9 service bounds for one subjob of this
     /// processor, given its (upper-bounded) workload `c̄` and execution time
-    /// `τ`.
+    /// `τ`, written into `out` with temporaries from `scratch`.
     pub fn service_bounds(
         &self,
-        workload: &Curve,
+        workload: &SoaCurve,
         tau: Time,
-    ) -> Result<crate::spnp::ServiceBounds, CurveError> {
-        // Lower: served ≥ c(v⁻) = c_prev(v) at the frontier v.
-        let c_prev = workload.shift_right(Time::ONE, 0);
-        let lower_raw = compose(&c_prev, &self.lower_frontier)?;
-        let lower = lower_raw
-            .min_with(workload)
-            .min_with(&Curve::identity())
-            .clamp_min(0)
-            .running_max();
+        scratch: &mut Scratch,
+        out: &mut SoaServiceBounds,
+    ) -> Result<(), CurveError> {
+        let mut id = scratch.take_soa();
+        let mut t1 = scratch.take_soa();
+        let mut t2 = scratch.take_soa();
+        id.set_affine(0, 1);
+        let result = (|| {
+            // Lower: served ≥ c(v⁻) = c_prev(v) at the frontier v.
+            workload.shift_right_into(Time::ONE, 0, &mut t1);
+            compose_into(&t1, &self.lower_frontier, &mut t2)?;
+            t2.min_with_into(workload, &mut t1);
+            t1.min_with_into(&id, &mut t2);
+            t2.clamp_min_into(0, &mut t1);
+            t1.running_max_into(&mut out.lower);
 
-        // Upper: served ≤ c(s*) + τ at the frontier s*, and ≤ t.
-        let upper_raw = compose(workload, &self.upper_frontier)?.add_const(tau.ticks());
-        let upper = upper_raw
-            .min_with(&Curve::identity())
-            .min_with(workload)
-            .clamp_min(0)
-            .running_max();
+            // Upper: served ≤ c(s*) + τ at the frontier s*, and ≤ t.
+            compose_into(workload, &self.upper_frontier, &mut t1)?;
+            t1.add_const_into(tau.ticks(), &mut t2);
+            t2.min_with_into(&id, &mut t1);
+            t1.min_with_into(workload, &mut t2);
+            t2.clamp_min_into(0, &mut t1);
+            t1.running_max_into(&mut t2);
 
-        // The clipped upper bound can only sit above the clipped lower bound.
-        let upper = upper.max_with(&lower);
-        Ok(crate::spnp::ServiceBounds { lower, upper })
+            // The clipped upper bound can only sit above the clipped lower
+            // bound.
+            t2.max_with_into(&out.lower, &mut out.upper);
+            Ok(())
+        })();
+        for c in [id, t1, t2] {
+            scratch.put_soa(c);
+        }
+        result
     }
 }
 
@@ -113,10 +131,30 @@ impl FcfsProcessor {
 mod tests {
     use super::*;
 
+    fn workload(times: &[i64], tau: i64) -> SoaCurve {
+        SoaCurve::from_curve(
+            &Curve::from_event_times(&times.iter().map(|&t| Time(t)).collect::<Vec<_>>())
+                .scale(tau),
+        )
+    }
+
+    fn bounds(f: &FcfsProcessor, c: &SoaCurve, tau: i64) -> SoaServiceBounds {
+        let mut out = SoaServiceBounds::zeroed();
+        f.service_bounds(c, Time(tau), &mut Scratch::new(), &mut out)
+            .unwrap();
+        out
+    }
+
+    fn first_departure(s: &SoaCurve, tau: i64, horizon: i64) -> Option<Time> {
+        let mut dep = SoaCurve::zero();
+        s.floor_div_into(tau, Time(horizon), &mut dep).unwrap();
+        dep.to_curve().event_time(1)
+    }
+
     #[test]
     fn single_subjob_utilization_tracks_backlog() {
         // One 5-tick instance at t = 0: busy [0,5), idle after.
-        let c = Curve::from_event_times(&[Time(0)]).scale(5);
+        let c = workload(&[0], 5);
         let f = FcfsProcessor::new(&[&c], Time(50)).unwrap();
         for t in 0..=10 {
             assert_eq!(f.utilization.eval(Time(t)), t.min(5), "t={t}");
@@ -126,7 +164,7 @@ mod tests {
     #[test]
     fn utilization_with_gaps() {
         // 3 ticks at t=0, 3 more at t=10: two busy intervals.
-        let c = Curve::from_event_times(&[Time(0), Time(10)]).scale(3);
+        let c = workload(&[0, 10], 3);
         let f = FcfsProcessor::new(&[&c], Time(50)).unwrap();
         let expect = |t: i64| -> i64 {
             if t <= 3 {
@@ -149,9 +187,9 @@ mod tests {
         // Alone on the processor, FCFS = run-to-completion: true service is
         // min(t, 5). The lower bound may defer full credit until completion,
         // the upper may advance it by τ — both must bracket the truth.
-        let c = Curve::from_event_times(&[Time(0)]).scale(5);
+        let c = workload(&[0], 5);
         let f = FcfsProcessor::new(&[&c], Time(50)).unwrap();
-        let b = f.service_bounds(&c, Time(5)).unwrap();
+        let b = bounds(&f, &c, 5);
         for t in 0..=20 {
             let truth = t.min(5);
             assert!(b.lower.eval(Time(t)) <= truth, "lower at t={t}");
@@ -160,19 +198,18 @@ mod tests {
         // The instance is provably fully served by its completion time 5.
         assert_eq!(b.lower.eval(Time(5)), 5);
         // Departure bounds: completes somewhere in [0, 5].
-        let dep_lo = b.lower.floor_div(5, Time(50)).unwrap();
-        assert_eq!(dep_lo.event_time(1), Some(Time(5)));
+        assert_eq!(first_departure(&b.lower, 5, 50), Some(Time(5)));
     }
 
     #[test]
     fn two_flows_share_in_arrival_order() {
         // Flow A: 4 ticks at t=0. Flow B: 4 ticks at t=2. FCFS serves A
         // first, B during [4, 8).
-        let ca = Curve::from_event_times(&[Time(0)]).scale(4);
-        let cb = Curve::from_event_times(&[Time(2)]).scale(4);
+        let ca = workload(&[0], 4);
+        let cb = workload(&[2], 4);
         let f = FcfsProcessor::new(&[&ca, &cb], Time(50)).unwrap();
-        let ba = f.service_bounds(&ca, Time(4)).unwrap();
-        let bb = f.service_bounds(&cb, Time(4)).unwrap();
+        let ba = bounds(&f, &ca, 4);
+        let bb = bounds(&f, &cb, 4);
         // A is provably done by 4; B by 8.
         assert_eq!(ba.lower.eval(Time(4)), 4);
         assert_eq!(bb.lower.eval(Time(4)), 0);
@@ -195,10 +232,10 @@ mod tests {
     fn simultaneous_arrivals_lower_bound_waits_for_both() {
         // Two flows arriving together: the tie is broken arbitrarily, so
         // neither is guaranteed anything until both could have been served.
-        let ca = Curve::from_event_times(&[Time(0)]).scale(3);
-        let cb = Curve::from_event_times(&[Time(0)]).scale(4);
+        let ca = workload(&[0], 3);
+        let cb = workload(&[0], 4);
         let f = FcfsProcessor::new(&[&ca, &cb], Time(50)).unwrap();
-        let ba = f.service_bounds(&ca, Time(3)).unwrap();
+        let ba = bounds(&f, &ca, 3);
         // A's 3 units are only guaranteed once all 7 units are served.
         assert_eq!(ba.lower.eval(Time(6)), 0);
         assert_eq!(ba.lower.eval(Time(7)), 3);
@@ -208,9 +245,9 @@ mod tests {
 
     #[test]
     fn idle_processor_has_identity_bounds_at_zero() {
-        let c = Curve::zero();
+        let c = SoaCurve::zero();
         let f = FcfsProcessor::new(&[&c], Time(10)).unwrap();
-        let b = f.service_bounds(&c, Time(1)).unwrap();
+        let b = bounds(&f, &c, 1);
         for t in 0..=10 {
             assert_eq!(b.lower.eval(Time(t)), 0);
         }

@@ -40,8 +40,8 @@
 //! the peer's final one: a backward pass collects those few iterates (round
 //! 0 is the information-free bound) and the forward pass computes them
 //! too. Reports, errors included, equal the Jacobi rounds' at every budget;
-//! those rounds on AoS curves are the independent reference in
-//! `crates/core/tests/support/`.
+//! those rounds, on freshly allocated curves, are the independent reference
+//! in `crates/core/tests/support/`.
 //!
 //! ## The per-processor memo
 //!
@@ -69,7 +69,7 @@ use crate::error::AnalysisError;
 use crate::policy::{policy_for, BoundsInputs, PeerInputs, ProcessorContexts, ServicePolicy};
 use crate::report::{BoundsReport, JobBound};
 use crate::spnp::SoaServiceBounds;
-use rta_curves::{Curve, Scratch, SoaCurve, Time};
+use rta_curves::{Scratch, SoaCurve, Time};
 use rta_model::{Job, JobId, ProcessorId, SubjobRef, TaskSystem};
 
 /// A [`LoopWorkspace::slot`] entry no dependent reads.
@@ -89,22 +89,19 @@ pub(crate) struct LoopWorkspace {
     /// `job_start[k] + j` is the dense index of subjob `j` of job `k`.
     pub(crate) job_start: Vec<usize>,
     pub(crate) times: Vec<Time>,
-    /// AoS staging: first-hop envelopes, then (one-pass driver) the
-    /// current node's workload.
-    pub(crate) stage: Curve,
-    /// SoA staging pair: first-hop envelopes and information-free-bound
-    /// temporaries (one-pass driver: the current node's workload), then
-    /// the Eq. 12 `floor_div` departure curve.
+    /// Staging pair: the fixpoint's first-hop envelopes and
+    /// information-free-bound temporaries, then the Eq. 12 `floor_div`
+    /// departure curve.
     pub(crate) stage_soa: SoaCurve,
     pub(crate) dep_soa: SoaCurve,
     /// Per-subjob arrival envelopes: the fixpoint's cycle-free ones, the
     /// one-pass driver's Lemma-2 ones.
     pub(crate) arr_env: Vec<SoaCurve>,
-    /// The fixpoint's workloads of the subjobs it evaluates, and
-    /// (`workload`) their AoS copies on shared-workload processors, whose
-    /// contexts and AoS-kernel fallback read them (DESIGN.md §4g).
-    workload_soa: Vec<SoaCurve>,
-    workload: Vec<Curve>,
+    /// Per-subjob workloads `c̄ = f̄_arr · τ`: of the subjobs the fixpoint
+    /// evaluates, and of the one-pass driver's nodes and of the peers whose
+    /// shared-workload contexts it builds. Contexts borrow them
+    /// (DESIGN.md §4g).
+    pub(crate) workload: Vec<SoaCurve>,
     pub(crate) policy: Vec<&'static dyn ServicePolicy>,
     pub(crate) tau: Vec<Time>,
     pub(crate) weight: Vec<u32>,
@@ -344,28 +341,21 @@ fn analyze_in(
     }
 
     // ---- Cycle-free arrival envelopes for every subjob (the hop delays
-    // read them), workloads for the evaluated ones: the single AoS→SoA
-    // ingest boundary. ----
+    // read them), workloads for the evaluated ones. ----
     ensure_soa_curves(&mut ws.arr_env, n);
-    ensure_soa_curves(&mut ws.workload_soa, n);
-    ws.workload
-        .resize_with(ws.workload.len().max(n), Curve::zero);
+    ensure_soa_curves(&mut ws.workload, n);
     ws.instances.clear();
     for (k, job) in sys.jobs().iter().enumerate() {
         job.arrival.release_times_into(window, &mut ws.times);
         ws.instances.push(ws.times.len() as i64);
-        Curve::from_event_times_into(&ws.times, &mut ws.stage);
-        ws.stage_soa.copy_from_curve(&ws.stage);
+        SoaCurve::from_event_times_into(&ws.times, &mut ws.stage_soa);
         let mut min_shift = Time::ZERO;
         for (j, s) in job.subjobs.iter().enumerate() {
             let i = ws.job_start[k] + j;
             ws.stage_soa
                 .shift_right_into(min_shift, 0, &mut ws.arr_env[i]);
             if ws.evaluate[i] {
-                ws.arr_env[i].scale_into(s.exec.ticks(), &mut ws.workload_soa[i]);
-                if ws.policy[i].peer_inputs() == PeerInputs::SharedWorkloads {
-                    ws.workload_soa[i].write_to_curve(&mut ws.workload[i]);
-                }
+                ws.arr_env[i].scale_into(s.exec.ticks(), &mut ws.workload[i]);
             }
             min_shift += s.exec;
         }
@@ -378,8 +368,8 @@ fn analyze_in(
     for i in 0..n {
         if ws.evaluate[i] && ws.policy[i].peer_inputs() == PeerInputs::SharedWorkloads {
             let (workload, job_start) = (&ws.workload, &ws.job_start);
-            ctxs.ensure(sys, ProcessorId(ws.processor[i]), horizon, &mut |o| {
-                workload[job_start[o.job.0] + o.index].clone()
+            ctxs.ensure(sys, ProcessorId(ws.processor[i]), horizon, &|o| {
+                &workload[job_start[o.job.0] + o.index]
             })?;
         }
     }
@@ -500,8 +490,7 @@ fn forward_pass(
                 // The information-free bound `[0, max(0, min(t, c̄))]`.
                 ws.node.lower.set_affine(0, 0);
                 ws.stage_soa.set_affine(0, 1);
-                ws.stage_soa
-                    .min_with_into(&ws.workload_soa[i], &mut ws.dep_soa);
+                ws.stage_soa.min_with_into(&ws.workload[i], &mut ws.dep_soa);
                 ws.dep_soa.clamp_min_into(0, &mut ws.node.upper);
             } else {
                 let peer = |h: usize| match peer_round(hs, h, r) {
@@ -512,11 +501,9 @@ fn forward_pass(
                 let hp_lower: Vec<&SoaCurve> = hp.iter().map(|&h| &peer(h).lower).collect();
                 let hp_upper: Vec<&SoaCurve> = hp.iter().map(|&h| &peer(h).upper).collect();
                 let p = ProcessorId(ws.processor[i]);
-                let shared = ws.policy[i].peer_inputs() == PeerInputs::SharedWorkloads;
                 ws.policy[i].service_bounds(
                     &BoundsInputs {
-                        workload: &ws.workload_soa[i],
-                        workload_aos: shared.then_some(&ws.workload[i]),
+                        workload: &ws.workload[i],
                         tau: ws.tau[i],
                         weight: ws.weight[i],
                         blocking: ws.blocking[i],

@@ -10,7 +10,7 @@
 //! | Paper | Here |
 //! |---|---|
 //! | Theorem 1 (exact end-to-end WCRT) | [`exact::analyze_exact_spp`] |
-//! | Theorem 2 (`f_dep = ⌊S/τ⌋`) | [`rta_curves::Curve::floor_div`] |
+//! | Theorem 2 (`f_dep = ⌊S/τ⌋`) | [`rta_curves::SoaCurve::floor_div_into`] |
 //! | Theorem 3 (exact SPP service functions) | [`spp`] |
 //! | Theorem 4 + Lemmas 1,2 (additive bounds) | [`bounds::analyze_bounds`] |
 //! | Theorems 5,6 + Eq. 15 (SPNP service bounds) | [`spnp`] |

@@ -4,8 +4,7 @@
 //! extended-inverse of the total workload) lives in a
 //! [`crate::fcfs::FcfsProcessor`] wrapped in a [`PolicyContext`]; the
 //! Theorem 8/9 bounds delegate to
-//! [`crate::fcfs::FcfsProcessor::service_bounds`], which computes in AoS,
-//! and are converted to SoA here.
+//! [`crate::fcfs::FcfsProcessor::service_bounds`].
 
 use super::{
     BoundsInputs, FastPath, PeerInputs, PolicyContext, ReadySet, ServicePolicy, SimScheduler,
@@ -13,7 +12,7 @@ use super::{
 use crate::error::AnalysisError;
 use crate::fcfs::FcfsProcessor;
 use crate::spnp::SoaServiceBounds;
-use rta_curves::{Curve, Scratch, Time};
+use rta_curves::{Scratch, SoaCurve, Time};
 use rta_model::{ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
 
 /// First-come-first-served (Theorems 7–9).
@@ -33,7 +32,7 @@ impl ServicePolicy for FcfsPolicy {
         _sys: &TaskSystem,
         _p: ProcessorId,
         _peers: &[SubjobRef],
-        peer_workloads: &[&Curve],
+        peer_workloads: &[&SoaCurve],
         horizon: Time,
     ) -> Result<Option<PolicyContext>, AnalysisError> {
         let ctx = FcfsProcessor::new(peer_workloads, horizon)?;
@@ -43,11 +42,11 @@ impl ServicePolicy for FcfsPolicy {
     fn service_bounds(
         &self,
         inputs: &BoundsInputs<'_>,
-        _scratch: &mut Scratch,
+        scratch: &mut Scratch,
         out: &mut SoaServiceBounds,
     ) -> Result<(), AnalysisError> {
         let ctx = inputs.context::<FcfsProcessor>()?;
-        out.copy_from_bounds(&ctx.service_bounds(&inputs.workload_curve(), inputs.tau)?);
+        ctx.service_bounds(inputs.workload, inputs.tau, scratch, out)?;
         Ok(())
     }
 
@@ -80,18 +79,21 @@ impl SimScheduler for FcfsSim {
 mod tests {
     use super::*;
     use crate::config::SpnpAvailability;
-    use rta_curves::SoaCurve;
+    use rta_curves::Curve;
+
+    fn workload(at: i64) -> SoaCurve {
+        SoaCurve::from_curve(&Curve::from_event_times(&[Time(at)]).scale(4))
+    }
 
     fn bounds_via_policy(
-        workload: &Curve,
+        workload: &SoaCurve,
         ctx: Option<&PolicyContext>,
         processor: ProcessorId,
     ) -> Result<SoaServiceBounds, AnalysisError> {
         let mut out = SoaServiceBounds::zeroed();
         FcfsPolicy.service_bounds(
             &BoundsInputs {
-                workload: &SoaCurve::from_curve(workload),
-                workload_aos: None,
+                workload,
                 tau: Time(4),
                 weight: 1,
                 blocking: Time::ZERO,
@@ -110,8 +112,7 @@ mod tests {
 
     #[test]
     fn missing_context_is_an_honest_error() {
-        let c = Curve::from_event_times(&[Time(0)]).scale(3);
-        let err = bounds_via_policy(&c, None, ProcessorId(7)).unwrap_err();
+        let err = bounds_via_policy(&workload(0), None, ProcessorId(7)).unwrap_err();
         assert!(matches!(
             err,
             AnalysisError::MissingPolicyContext { processor } if processor == ProcessorId(7)
@@ -120,12 +121,13 @@ mod tests {
 
     #[test]
     fn bounds_match_the_kernel_verbatim() {
-        let ca = Curve::from_event_times(&[Time(0)]).scale(4);
-        let cb = Curve::from_event_times(&[Time(2)]).scale(4);
+        let (ca, cb) = (workload(0), workload(2));
         let horizon = Time(50);
         let direct_ctx = FcfsProcessor::new(&[&ca, &cb], horizon).unwrap();
         let mut direct = SoaServiceBounds::zeroed();
-        direct.copy_from_bounds(&direct_ctx.service_bounds(&ca, Time(4)).unwrap());
+        direct_ctx
+            .service_bounds(&ca, Time(4), &mut Scratch::new(), &mut direct)
+            .unwrap();
 
         let ctx = PolicyContext::new(FcfsProcessor::new(&[&ca, &cb], horizon).unwrap());
         let via_policy = bounds_via_policy(&ca, Some(&ctx), ProcessorId(0)).unwrap();

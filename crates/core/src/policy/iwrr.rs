@@ -23,23 +23,20 @@
 //! S̲(t) = min( c̄(t), min_{0 ≤ s ≤ t} ( c̄(s⁻) + β_i(t − s) ) )
 //! ```
 //!
-//! — a min-plus convolution ([`rta_curves::convolution::convolve`]) of the
-//! left-shifted workload with the staircase. Note the staircase is **not**
+//! — a min-plus convolution ([`rta_curves::convolution::convolve_into`]) of
+//! the left-shifted workload with the staircase. Note the staircase is **not**
 //! subadditive, so the availability-increment form used by SPP/SPNP
 //! (`B(t) − B(s)`) would be unsound here; the convolution form is the
 //! standard sound composition. The upper bound is the information-free
 //! `min(t, c̄(t))`: non-preemptive round-robin guarantees nothing tighter
 //! without peer *service* curves, and the looseness only feeds the next
 //! hop's arrival envelope conservatively.
-//!
-//! The kernel computes in AoS (the convolution's layout) and converts to
-//! SoA at its boundary.
 
 use super::{BoundsInputs, PeerInputs, PolicyContext, ReadySet, ServicePolicy, SimScheduler};
 use crate::error::AnalysisError;
-use crate::spnp::{ServiceBounds, SoaServiceBounds};
-use rta_curves::convolution::convolve;
-use rta_curves::{Curve, Scratch, Time};
+use crate::spnp::SoaServiceBounds;
+use rta_curves::convolution::convolve_into;
+use rta_curves::{Scratch, SoaCurve, Time};
 use rta_model::{ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
 
 /// Per-processor IWRR state: the worst-case round length `L`.
@@ -66,7 +63,7 @@ impl ServicePolicy for IwrrPolicy {
         sys: &TaskSystem,
         _p: ProcessorId,
         peers: &[SubjobRef],
-        _peer_workloads: &[&Curve],
+        _peer_workloads: &[&SoaCurve],
         _horizon: Time,
     ) -> Result<Option<PolicyContext>, AnalysisError> {
         let round_len = peers
@@ -82,35 +79,42 @@ impl ServicePolicy for IwrrPolicy {
     fn service_bounds(
         &self,
         inputs: &BoundsInputs<'_>,
-        _scratch: &mut Scratch,
+        scratch: &mut Scratch,
         out: &mut SoaServiceBounds,
     ) -> Result<(), AnalysisError> {
         let ctx = inputs.context::<IwrrContext>()?;
-        let workload = inputs.workload_curve();
+        let w = inputs.workload;
         let l = ctx.round_len.max(1);
         let quantum = inputs.weight as i64 * inputs.tau.ticks();
 
-        // β(u) = quantum · max(0, ⌊u/L⌋ − 1): jumps at u = 2L, 3L, …
-        let mut pts = Vec::new();
-        let mut k = 1i64;
-        while (k + 1) * l <= inputs.horizon.ticks() {
-            pts.push((Time((k + 1) * l), k * quantum));
-            k += 1;
-        }
-        let beta = Curve::step_from_points(0, &pts);
+        // β(u) = quantum · max(0, ⌊u/L⌋ − 1): jumps of `quantum` at
+        // u = 2L, 3L, … — the counting curve of those instants, scaled.
+        let jumps: Vec<Time> = (2..)
+            .map(|k| Time(k * l))
+            .take_while(|&u| u <= inputs.horizon)
+            .collect();
+        let mut id = scratch.take_soa();
+        let mut beta = scratch.take_soa();
+        let mut t1 = scratch.take_soa();
+        let mut t2 = scratch.take_soa();
+        id.set_affine(0, 1);
+        SoaCurve::from_event_times_into(&jumps, &mut t1);
+        t1.scale_into(quantum, &mut beta);
 
-        let c_prev = workload.shift_right(Time::ONE, 0);
-        let lower = convolve(&c_prev, &beta, inputs.horizon)
-            .min_with(&workload)
-            .min_with(&Curve::identity())
-            .clamp_min(0)
-            .running_max();
-        let upper = Curve::identity()
-            .min_with(&workload)
-            .clamp_min(0)
-            .running_max()
-            .max_with(&lower);
-        out.copy_from_bounds(&ServiceBounds { lower, upper });
+        w.shift_right_into(Time::ONE, 0, &mut t1);
+        convolve_into(&t1, &beta, inputs.horizon, scratch, &mut t2);
+        t2.min_with_into(w, &mut t1);
+        t1.min_with_into(&id, &mut t2);
+        t2.clamp_min_into(0, &mut t1);
+        t1.running_max_into(&mut out.lower);
+
+        id.min_with_into(w, &mut t1);
+        t1.clamp_min_into(0, &mut t2);
+        t2.running_max_into(&mut t1);
+        t1.max_with_into(&out.lower, &mut out.upper);
+        for c in [id, beta, t1, t2] {
+            scratch.put_soa(c);
+        }
         Ok(())
     }
 
@@ -183,7 +187,6 @@ mod tests {
     use super::*;
     use crate::config::SpnpAvailability;
     use crate::policy::{ReadyInstance, ReadySet};
-    use rta_curves::SoaCurve;
     use rta_model::{ArrivalPattern, SystemBuilder};
 
     fn two_flow_sys(w1: u32, w2: u32) -> (TaskSystem, ProcessorId) {
@@ -220,16 +223,18 @@ mod tests {
     ) -> SoaServiceBounds {
         let peers = sys.subjobs_on(p);
         let window = Time(60);
-        let workloads: Vec<Curve> = peers
+        let workloads: Vec<SoaCurve> = peers
             .iter()
             .map(|&o| {
-                sys.job(o.job)
-                    .arrival
-                    .arrival_curve(window)
-                    .scale(sys.subjob(o).exec.ticks())
+                SoaCurve::from_curve(
+                    &sys.job(o.job)
+                        .arrival
+                        .arrival_curve(window)
+                        .scale(sys.subjob(o).exec.ticks()),
+                )
             })
             .collect();
-        let refs: Vec<&Curve> = workloads.iter().collect();
+        let refs: Vec<&SoaCurve> = workloads.iter().collect();
         let ctx = IwrrPolicy
             .build_context(sys, p, &peers, &refs, horizon)
             .unwrap()
@@ -239,8 +244,7 @@ mod tests {
         IwrrPolicy
             .service_bounds(
                 &BoundsInputs {
-                    workload: &SoaCurve::from_curve(&workloads[i]),
-                    workload_aos: Some(&workloads[i]),
+                    workload: &workloads[i],
                     tau: sys.subjob(r).exec,
                     weight: sys.subjob(r).weight(),
                     blocking: Time::ZERO,

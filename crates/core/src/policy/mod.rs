@@ -15,9 +15,9 @@
 //! [`ServicePolicy::service_bounds`]: [`BoundsInputs`] in, with the curves
 //! in structure-of-arrays layout, [`SoaServiceBounds`] out, temporaries
 //! drawn from a [`Scratch`]. Both drivers call it and nothing else. SPP and
-//! SPNP run the native SoA chain ([`crate::spnp::spnp_bounds`]); FCFS and
-//! IWRR compute in AoS and convert at their own boundary, reading the
-//! driver's AoS copy of the workload when it holds one.
+//! SPNP run the SoA chain ([`crate::spnp::spnp_bounds`]), FCFS its
+//! Theorem 8/9 frontiers ([`crate::fcfs::FcfsProcessor`]) and IWRR its
+//! convolution, all on the same layout: no policy converts curves.
 //!
 //! ## Contract (DESIGN.md §4c)
 //!
@@ -39,8 +39,8 @@
 //! 2. Write a submodule here implementing [`ServicePolicy`] (and a
 //!    [`SimScheduler`] for the event engine). Per-processor state derived
 //!    from peer workloads lives in a [`PolicyContext`] built by
-//!    [`ServicePolicy::build_context`]. A kernel written on AoS curves
-//!    converts at its boundary, as FCFS and IWRR do.
+//!    [`ServicePolicy::build_context`]. Kernels compute on
+//!    [`SoaCurve`]s with temporaries from the [`Scratch`].
 //! 3. Register it in [`policy_for`] and [`all_policies`].
 //!
 //! No driver edits are required: the drivers consult
@@ -49,14 +49,13 @@
 //! ([`iwrr`]) was landed exactly this way.
 
 use std::any::Any;
-use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::config::SpnpAvailability;
 use crate::error::AnalysisError;
 use crate::spnp::SoaServiceBounds;
-use rta_curves::{Curve, Scratch, SoaCurve, Time};
+use rta_curves::{Scratch, SoaCurve, Time};
 use rta_model::{ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
 
 pub mod fcfs;
@@ -107,18 +106,9 @@ impl std::fmt::Debug for PolicyContext {
 ///
 /// Drivers fill every field they can; fields a policy does not consume
 /// (e.g. `hp_lower` for FCFS, `ctx` for SPP) are simply ignored.
-///
-/// `workload_aos` carries the same curve as `workload` in AoS form when
-/// the driver holds one: the fixpoint driver keeps both (the AoS copy is
-/// built once at model ingest, so its evaluations never pay a conversion),
-/// and the one-pass driver builds one on shared-workload processors, whose
-/// contexts need it anyway. The AoS kernels (FCFS, IWRR) convert
-/// `workload` themselves when it is `None`.
 pub struct BoundsInputs<'a> {
     /// The subjob's (upper-bounded) workload `c̄ = f̄_arr · τ`.
     pub workload: &'a SoaCurve,
-    /// The same workload in AoS layout, when the driver holds one.
-    pub workload_aos: Option<&'a Curve>,
     /// The subjob's execution time `τ`.
     pub tau: Time,
     /// The subjob's round-robin weight (1 unless assigned).
@@ -140,15 +130,6 @@ pub struct BoundsInputs<'a> {
 }
 
 impl BoundsInputs<'_> {
-    /// The workload in AoS layout, for the kernels that compute in it: the
-    /// driver's copy when it holds one, else converted here.
-    pub(crate) fn workload_curve(&self) -> Cow<'_, Curve> {
-        match self.workload_aos {
-            Some(c) => Cow::Borrowed(c),
-            None => Cow::Owned(self.workload.to_curve()),
-        }
-    }
-
     /// The processor context as the policy's own type `T`, or
     /// [`AnalysisError::MissingPolicyContext`] when the driver supplied
     /// none (or another policy's).
@@ -184,17 +165,13 @@ pub trait ServicePolicy: Send + Sync {
         Time::ZERO
     }
 
-    /// Whether [`ServicePolicy::exact_service`] is available (Theorem 3
-    /// holds only for preemptive static priorities).
+    /// Whether the discipline has an exact theory: Theorem 3 holds only for
+    /// preemptive static priorities, and the exact driver
+    /// ([`crate::exact`]) computes it with [`crate::spp::exact_service_into`]
+    /// once every processor passes this check (otherwise it reports
+    /// [`AnalysisError::NotAllSpp`]).
     fn supports_exact(&self) -> bool {
         false
-    }
-
-    /// The *exact* service curve given exact peer services, or `None` when
-    /// the discipline has no exact theory (drivers report
-    /// [`AnalysisError::NotAllSpp`]).
-    fn exact_service(&self, _workload: &Curve, _hp_services: &[&Curve]) -> Option<Curve> {
-        None
     }
 
     /// Build the per-processor context from the workload curves of all
@@ -205,7 +182,7 @@ pub trait ServicePolicy: Send + Sync {
         _sys: &TaskSystem,
         _p: ProcessorId,
         _peers: &[SubjobRef],
-        _peer_workloads: &[&Curve],
+        _peer_workloads: &[&SoaCurve],
         _horizon: Time,
     ) -> Result<Option<PolicyContext>, AnalysisError> {
         Ok(None)
@@ -260,29 +237,34 @@ impl ProcessorContexts {
         ProcessorContexts::default()
     }
 
-    /// Build (once) and return processor `p`'s context, deriving the peer
-    /// workload curves on demand via `workload_of`. Policies without
-    /// per-processor state yield `None` without calling `workload_of`.
-    pub fn ensure(
+    /// Build (once) and return processor `p`'s context from the peer
+    /// workload curves `workload_of` lends out of the driver's workspace.
+    /// Policies without per-processor state yield `None` without calling
+    /// `workload_of`.
+    pub fn ensure<'w>(
         &mut self,
         sys: &TaskSystem,
         p: ProcessorId,
         horizon: Time,
-        workload_of: &mut dyn FnMut(SubjobRef) -> Curve,
+        workload_of: &dyn Fn(SubjobRef) -> &'w SoaCurve,
     ) -> Result<Option<&PolicyContext>, AnalysisError> {
         if let Entry::Vacant(e) = self.slots.entry(p.0) {
             let policy = policy_for(sys.processor(p).scheduler);
             let ctx = if policy.peer_inputs() == PeerInputs::SharedWorkloads {
                 let peers = sys.subjobs_on(p);
-                let workloads: Vec<Curve> = peers.iter().map(|&o| workload_of(o)).collect();
-                let refs: Vec<&Curve> = workloads.iter().collect();
-                policy.build_context(sys, p, &peers, &refs, horizon)?
+                let workloads: Vec<&SoaCurve> = peers.iter().map(|&o| workload_of(o)).collect();
+                policy.build_context(sys, p, &peers, &workloads, horizon)?
             } else {
                 None
             };
             e.insert(ctx);
         }
         Ok(self.get(p))
+    }
+
+    /// Whether processor `p`'s context has been built (it may be `None`).
+    pub(crate) fn contains(&self, p: ProcessorId) -> bool {
+        self.slots.contains_key(&p.0)
     }
 
     /// The context of processor `p`, if one has been built.
@@ -424,56 +406,6 @@ pub trait SimScheduler: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shared_workload_policies_convert_a_missing_aos_workload() {
-        // FCFS and IWRR compute in AoS; without an AoS copy of the
-        // workload they must convert one themselves and agree with the run
-        // that was handed the copy.
-        let times = [Time(0), Time(6)];
-        let c = Curve::from_event_times(&times).scale(4);
-        let soa = SoaCurve::from_curve(&c);
-        let horizon = Time(60);
-        for kind in [SchedulerKind::Fcfs, SchedulerKind::Iwrr] {
-            let mut b = rta_model::SystemBuilder::new();
-            let p = b.add_processor("P1", kind);
-            b.add_job(
-                "T1",
-                Time(50),
-                rta_model::ArrivalPattern::Trace(times.to_vec()),
-                vec![(p, Time(4))],
-            );
-            let sys = b.build().unwrap();
-            let policy = policy_for(kind);
-            let ctx = policy
-                .build_context(&sys, p, &sys.subjobs_on(p), &[&c], horizon)
-                .unwrap();
-            let run = |workload_aos| {
-                let mut out = SoaServiceBounds::zeroed();
-                policy
-                    .service_bounds(
-                        &BoundsInputs {
-                            workload: &soa,
-                            workload_aos,
-                            tau: Time(4),
-                            weight: 1,
-                            blocking: Time::ZERO,
-                            hp_lower: &[],
-                            hp_upper: &[],
-                            variant: SpnpAvailability::Conservative,
-                            ctx: ctx.as_ref(),
-                            horizon,
-                            processor: p,
-                        },
-                        &mut Scratch::new(),
-                        &mut out,
-                    )
-                    .unwrap();
-                out
-            };
-            assert_eq!(run(Some(&c)), run(None), "{kind}");
-        }
-    }
 
     #[test]
     fn registry_round_trips_every_kind() {

@@ -1,16 +1,17 @@
 //! Preemptive static priorities behind the policy seam.
 //!
-//! Delegates the math to [`crate::spp`] (exact Theorem 3) and the SoA
-//! chain [`crate::spnp::spnp_bounds`] with a zero blocking term
-//! (Theorems 5/6 degenerate to Theorem 3 with bounded inputs — see the
-//! [`crate::spnp`] module docs).
+//! The bounds delegate to the SoA chain [`crate::spnp::spnp_bounds`] with a
+//! zero blocking term (Theorems 5/6 degenerate to Theorem 3 with bounded
+//! inputs — see the [`crate::spnp`] module docs). SPP is the one policy
+//! with an exact theory; the exact driver runs Theorem 3
+//! ([`crate::spp::exact_service_into`]) itself.
 
 use super::{
     BoundsInputs, FastPath, PeerInputs, ReadyInstance, ReadySet, ServicePolicy, SimScheduler,
 };
 use crate::error::AnalysisError;
 use crate::spnp::{spnp_bounds, SoaServiceBounds};
-use rta_curves::{Curve, Scratch};
+use rta_curves::Scratch;
 use rta_model::{ProcessorId, SchedulerKind, TaskSystem};
 
 /// Static-priority preemptive (Theorem 3).
@@ -31,10 +32,6 @@ impl ServicePolicy for SppPolicy {
 
     fn supports_exact(&self) -> bool {
         true
-    }
-
-    fn exact_service(&self, workload: &Curve, hp_services: &[&Curve]) -> Option<Curve> {
-        Some(crate::spp::exact_service(workload, hp_services))
     }
 
     fn service_bounds(
@@ -97,7 +94,7 @@ mod tests {
     use super::super::policy_for;
     use super::*;
     use crate::config::SpnpAvailability;
-    use rta_curves::{SoaCurve, Time};
+    use rta_curves::{Curve, SoaCurve, Time};
 
     #[test]
     fn bounds_match_the_kernel_verbatim() {
@@ -108,7 +105,6 @@ mod tests {
             .service_bounds(
                 &BoundsInputs {
                     workload: &c,
-                    workload_aos: None,
                     tau: Time(4),
                     weight: 1,
                     blocking: Time::ZERO,
@@ -135,12 +131,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(via_policy, direct);
-    }
-
-    #[test]
-    fn exact_matches_theorem_3_kernel() {
-        let c = Curve::from_event_times(&[Time(0), Time(7)]).scale(3);
-        let via_policy = SppPolicy.exact_service(&c, &[]).unwrap();
-        assert_eq!(via_policy, crate::spp::exact_service(&c, &[]));
     }
 }

@@ -39,7 +39,8 @@
 //! assert_eq!(bound, Time(17));
 //! ```
 
-use rta_curves::{Curve, Segment, Time};
+use crate::spp::exact_service_into;
+use rta_curves::{Curve, Scratch, Segment, SoaCursor, SoaCurve, Time};
 
 /// A periodic processor reservation `Γ(Π, Θ)`: `budget` units of service
 /// every `period`, delivered anywhere inside the period.
@@ -100,18 +101,29 @@ impl PeriodicServer {
     /// the horizontal deviation between arrivals and the supply's
     /// departures. `None` if some instance is not served within `horizon`.
     pub fn response_bound(&self, arrival: &Curve, tau: Time, horizon: Time) -> Option<Time> {
-        let workload = arrival.scale(tau.ticks());
+        let workload = SoaCurve::from_curve(&arrival.scale(tau.ticks()));
         // Supply is capacity, service is capped by demand: the served work
-        // is the Theorem-3 min-form with the supply as availability.
-        let service = crate::spp::service_from_availability(&self.supply_curve(horizon), &workload)
-            .clamp_min(0)
-            .running_max();
-        let dep = service.floor_div(tau.ticks(), horizon).ok()?;
+        // is the Theorem-3 min-form with the supply as availability, i.e.
+        // with the time the reservation withholds, `t − sbf(t)`, as the one
+        // higher-priority peer.
+        // The supply is nondecreasing, so the service is too.
+        let (mut id, mut withheld) = (SoaCurve::zero(), SoaCurve::zero());
+        id.set_affine(0, 1);
+        id.sub_into(
+            &SoaCurve::from_curve(&self.supply_curve(horizon)),
+            &mut withheld,
+        );
+        let (mut service, mut departures) = (SoaCurve::zero(), SoaCurve::zero());
+        exact_service_into(&workload, &[&withheld], &mut Scratch::new(), &mut service);
+        service
+            .floor_div_into(tau.ticks(), horizon, &mut departures)
+            .ok()?;
+        let mut dep = SoaCursor::new(&departures);
         let n = arrival.total_events();
         let mut worst = Time::ZERO;
         for m in 1..=n {
             let a = arrival.event_time(m).expect("within curve");
-            let c = dep.event_time(m)?;
+            let c = dep.inverse_at(m)?;
             worst = worst.max(c - a);
         }
         Some(worst)

@@ -57,12 +57,14 @@ use std::collections::{HashMap, VecDeque};
 use crate::config::AnalysisConfig;
 use crate::depgraph::{evaluation_order, DepGraph, DirtyCone, SubjobIndex};
 use crate::error::AnalysisError;
-use crate::exact::{assemble_exact_report, job_report, require_exact_capable, subjob_node_curves};
+use crate::exact::{
+    assemble_exact_report, job_report, require_exact_capable, subjob_node_curves, NodeCurves,
+};
 use crate::fixpoint::{analyze_with_loops_memo, LoopMemo};
 use crate::holistic::{analyze_holistic_seeded, HolisticSeed};
-use crate::report::{BoundsReport, ExactReport, SubjobCurves};
+use crate::report::{BoundsReport, ExactReport};
 use crate::sensitivity::Oracle;
-use rta_curves::{Curve, CurveArena, CurveId, Time};
+use rta_curves::{CurveArena, CurveId, Scratch, SoaCurve, Time};
 use rta_model::{ArrivalPattern, Job, JobId, ProcessorId, SubjobRef, TaskSystem};
 
 /// Counters describing how much work a session reused vs. recomputed.
@@ -115,8 +117,10 @@ pub struct AnalysisSession {
     /// Frame of the cached exact curves; a frame change dirties everything.
     cached_frame: Option<(Time, Time)>,
     /// Cached exact curves and direct-dirty marks, rows parallel to jobs.
-    curves: Vec<Vec<Option<SubjobCurves>>>,
+    curves: Vec<Vec<Option<NodeCurves>>>,
     dirty: Vec<Vec<bool>>,
+    /// Kernel temporaries of the exact path.
+    scratch: Scratch,
     arena: CurveArena,
     /// Interned hop-0 pattern curves keyed by `(job index, window)`.
     pattern_cache: HashMap<(usize, Time), CurveId>,
@@ -159,7 +163,7 @@ impl AnalysisSession {
     fn build(sys: TaskSystem, cfg: AnalysisConfig, pin: bool) -> AnalysisSession {
         let pinned = pin.then(|| cfg.resolve(&sys));
         let n_jobs = sys.jobs().len();
-        let rows: Vec<Vec<Option<SubjobCurves>>> = sys
+        let rows: Vec<Vec<Option<NodeCurves>>> = sys
             .jobs()
             .iter()
             .map(|j| vec![None; j.subjobs.len()])
@@ -177,6 +181,7 @@ impl AnalysisSession {
             cached_frame: None,
             curves: rows,
             dirty,
+            scratch: Scratch::new(),
             arena: CurveArena::new(),
             pattern_cache: HashMap::new(),
             structure: None,
@@ -364,15 +369,19 @@ impl AnalysisSession {
 
     // ---- exact analysis -------------------------------------------------
 
-    /// Hop-0 arrival curve of job `k`, via the interned pattern cache.
-    fn pattern_curve(&mut self, k: usize, window: Time) -> Curve {
-        if let Some(&id) = self.pattern_cache.get(&(k, window)) {
-            return self.arena.get(id).clone();
-        }
-        let c = self.current.jobs()[k].arrival.arrival_curve(window);
-        let id = self.arena.intern_ref(&c);
-        self.pattern_cache.insert((k, window), id);
-        c
+    /// Hop-0 arrival curve of job `k`, via the interned pattern cache of
+    /// ingest curves.
+    fn pattern_curve(&mut self, k: usize, window: Time) -> SoaCurve {
+        let id = match self.pattern_cache.get(&(k, window)) {
+            Some(&id) => id,
+            None => {
+                let c = self.current.jobs()[k].arrival.arrival_curve(window);
+                let id = self.arena.intern(c);
+                self.pattern_cache.insert((k, window), id);
+                id
+            }
+        };
+        SoaCurve::from_curve(self.arena.get(id))
     }
 
     /// Bring the cached curve set up to date: close the dirty marks over
@@ -417,7 +426,7 @@ impl AnalysisSession {
 
         // Pre-resolve pattern curves for dirty first hops (needs `&mut
         // self` for the arena, so it happens before the rows are detached).
-        let mut hop0: HashMap<usize, Curve> = HashMap::new();
+        let mut hop0: HashMap<usize, SoaCurve> = HashMap::new();
         for (i, &r) in idx.refs().iter().enumerate() {
             if r.index == 0 && cone.is_dirty(i) {
                 let c = self.pattern_curve(r.job.0, window);
@@ -428,7 +437,7 @@ impl AnalysisSession {
         // Move clean entries into the dense working set; recompute the cone
         // in topological order; move everything back.
         let mut rows = std::mem::take(&mut self.curves);
-        let mut dense: Vec<Option<SubjobCurves>> = idx
+        let mut dense: Vec<Option<NodeCurves>> = idx
             .refs()
             .iter()
             .enumerate()
@@ -448,7 +457,15 @@ impl AnalysisSession {
             }
             let r = idx.subjob(i);
             let pattern = (r.index == 0).then(|| hop0.remove(&r.job.0)).flatten();
-            match subjob_node_curves(&self.current, idx, i, window, horizon, &dense, pattern) {
+            match subjob_node_curves(
+                &self.current,
+                idx,
+                i,
+                (window, horizon),
+                &dense,
+                pattern,
+                &mut self.scratch,
+            ) {
                 Ok(c) => dense[i] = Some(c),
                 Err(e) => {
                     result = Err(e);
@@ -479,19 +496,19 @@ impl AnalysisSession {
         let (window, horizon) = self.refresh_exact_curves()?;
         self.stats.analyses += 1;
         let idx = &self.structure.as_ref().expect("refreshed").idx;
-        let dense: Vec<SubjobCurves> = idx
+        let nodes: Vec<&NodeCurves> = idx
             .refs()
             .iter()
             .map(|&r| {
                 self.curves[r.job.0][r.index]
-                    .clone()
+                    .as_ref()
                     .expect("refreshed cache is complete")
             })
             .collect();
         Ok(assemble_exact_report(
             &self.current,
             idx,
-            dense,
+            &nodes,
             window,
             horizon,
         ))

@@ -31,23 +31,11 @@
 //! `crates/core/tests/proptests.rs`.
 
 use crate::config::SpnpAvailability;
-use rta_curves::{
-    linear_combine_line_into, sum_many_into, Curve, CurveError, Scratch, SoaCurve, Time,
-};
+use rta_curves::{linear_combine_line_into, sum_many_into, CurveError, Scratch, SoaCurve, Time};
 
-/// Lower/upper service-function bounds of one subjob in AoS layout — what
-/// the FCFS and IWRR kernels compute before their policies convert it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ServiceBounds {
-    /// Guaranteed (lower-bounded) service `S̲`.
-    pub lower: Curve,
-    /// Potential (upper-bounded) service `S̄`.
-    pub upper: Curve,
-}
-
-/// Lower/upper service-function bounds of one subjob in structure-of-arrays
-/// layout — what [`crate::policy::ServicePolicy::service_bounds`] writes and
-/// the drivers keep per subjob (DESIGN.md §4g).
+/// Lower/upper service-function bounds of one subjob — what
+/// [`crate::policy::ServicePolicy::service_bounds`] writes and the drivers
+/// keep per subjob (DESIGN.md §4g).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SoaServiceBounds {
     /// Guaranteed (lower-bounded) service `S̲`.
@@ -64,12 +52,6 @@ impl SoaServiceBounds {
             lower: SoaCurve::zero(),
             upper: SoaCurve::zero(),
         }
-    }
-
-    /// Overwrite from an AoS bounds pair, reusing the arrays.
-    pub fn copy_from_bounds(&mut self, src: &ServiceBounds) {
-        self.lower.copy_from_curve(&src.lower);
-        self.upper.copy_from_curve(&src.upper);
     }
 }
 
@@ -139,9 +121,8 @@ pub fn spnp_bounds(
 
     // ---- Theorem 6: upper bound (no blocking in an upper bound). ----
     // The `− s` / `+ t` identity-line terms ride along inside the merges
-    // (`linear_combine_line_into` is pinned segment-identical to the
-    // staged pipeline), so neither `t_part_up` nor `s_part_up` costs a
-    // separate pass over the hp sums.
+    // (`linear_combine_line_into` fuses the affine term), so neither
+    // `t_part_up` nor `s_part_up` costs a separate pass over the hp sums.
     match variant {
         SpnpAvailability::AsPrinted => {
             linear_combine_line_into(&c_prev, 1, &hp_lo_sum, 1, 0, -1, &mut t3)
@@ -201,9 +182,10 @@ pub fn spnp_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spp::exact_service;
+    use crate::spp::exact_service_into;
+    use rta_curves::Curve;
 
-    /// The chain on an AoS workload with the given peers' bounds.
+    /// The chain on an ingest workload with the given peers' bounds.
     fn chain(
         c: &Curve,
         hp: &[&SoaServiceBounds],
@@ -259,7 +241,13 @@ mod tests {
     #[test]
     fn no_blocking_no_interference_brackets_exact() {
         let c = Curve::from_event_times(&[Time(0), Time(10)]).scale(4);
-        let exact = exact_service(&c, &[]);
+        let mut exact = SoaCurve::zero();
+        exact_service_into(
+            &SoaCurve::from_curve(&c),
+            &[],
+            &mut Scratch::new(),
+            &mut exact,
+        );
         for variant in [SpnpAvailability::AsPrinted, SpnpAvailability::Conservative] {
             let b = chain(&c, &[], Time::ZERO, variant);
             check_sane(&b, 25);

@@ -23,77 +23,95 @@
 //! the empty-backlog case. On the tick lattice `c(s⁻) = c(s − 1)` with
 //! `c(−1) = 0`.
 //!
+//! The kernel runs on the structure-of-arrays layout, with temporaries
+//! from a [`Scratch`]: the `+ t`/`− t` of the availability ride along
+//! inside the fused linear combinations, so `A` itself is never
+//! materialized.
+//!
 //! ```
-//! use rta_core::spp::exact_service;
-//! use rta_curves::{Curve, Time};
+//! use rta_core::spp::exact_service_into;
+//! use rta_curves::{Curve, Scratch, SoaCurve, Time};
 //!
 //! // Two instances of 4 ticks each, released at 0 and 10, alone on the
 //! // processor: served back to back within their periods.
-//! let workload = Curve::from_event_times(&[Time(0), Time(10)]).scale(4);
-//! let service = exact_service(&workload, &[]);
+//! let workload = SoaCurve::from_curve(&Curve::from_event_times(&[Time(0), Time(10)]).scale(4));
+//! let mut service = SoaCurve::zero();
+//! exact_service_into(&workload, &[], &mut Scratch::new(), &mut service);
 //! assert_eq!(service.eval(Time(4)), 4);   // first instance done
 //! assert_eq!(service.eval(Time(9)), 4);   // idle gap
 //! assert_eq!(service.eval(Time(14)), 8);  // second instance done
 //!
 //! // Departures per Theorem 2.
-//! let dep = service.floor_div(4, Time(100)).unwrap();
-//! assert_eq!(dep.event_time(2), Some(Time(14)));
+//! let mut dep = SoaCurve::zero();
+//! service.floor_div_into(4, Time(100), &mut dep).unwrap();
+//! assert_eq!(dep.to_curve().event_time(2), Some(Time(14)));
 //! ```
 
-use rta_curves::{Curve, Time};
+use rta_curves::{linear_combine_line_into, sum_many_into, Scratch, SoaCurve, Time};
 
-/// The availability function `A(t) = t − Σ_h S_h(t)` (Equation 10).
-pub fn availability(hp_services: &[&Curve]) -> Curve {
-    let mut a = Curve::identity();
-    for s in hp_services {
-        a = a.sub(s);
-    }
-    a
-}
-
-/// Evaluate the Theorem 3 min-form for a given availability curve:
-/// `S(t) = min( c(t), B(t) + min_{0 ≤ s ≤ t} ( c(s⁻) − B(s) ) )`.
+/// The exact SPP service function of a subjob (Theorem 3), written into
+/// `out`: `S(t) = min( c(t), A(t) + min_{0 ≤ s ≤ t} ( c(s⁻) − A(s) ) )`
+/// for the availability `A(t) = t − Σ_h S_h(t)` (Equation 10) its
+/// higher-priority peers' exact services leave over.
 ///
-/// Shared by the exact SPP analysis (with the exact availability) and the
-/// SPNP bounds (with blocking-adjusted availabilities).
-pub fn service_from_availability(avail: &Curve, workload: &Curve) -> Curve {
-    let c_prev = workload.shift_right(Time::ONE, 0);
-    let run = c_prev.sub(avail).running_min();
-    avail.add(&run).min_with(workload)
-}
-
-/// The exact SPP service function of a subjob given the exact service
-/// functions of its higher-priority peers and its exact workload curve.
-pub fn exact_service(workload: &Curve, hp_services: &[&Curve]) -> Curve {
-    let a = availability(hp_services);
+/// Any nondecreasing availability of slope 0 or 1 can be expressed this
+/// way: a periodic reservation with supply `sbf` passes `t − sbf` as its
+/// one peer ([`crate::server`]).
+pub fn exact_service_into(
+    workload: &SoaCurve,
+    hp_services: &[&SoaCurve],
+    scratch: &mut Scratch,
+    out: &mut SoaCurve,
+) {
+    let mut hp_sum = scratch.take_soa();
+    let mut c_prev = scratch.take_soa();
+    let mut t1 = scratch.take_soa();
+    let mut t2 = scratch.take_soa();
+    sum_many_into(hp_services, &mut hp_sum);
+    workload.shift_right_into(Time::ONE, 0, &mut c_prev);
+    // c(s⁻) − A(s) = c(s⁻) + Σ S_h(s) − s, then its running minimum.
+    linear_combine_line_into(&c_prev, 1, &hp_sum, 1, 0, -1, &mut t1);
+    t1.running_min_into(&mut t2);
+    // A(t) + run(t) = run(t) − Σ S_h(t) + t, capped by the demand.
+    linear_combine_line_into(&t2, 1, &hp_sum, -1, 0, 1, &mut t1);
+    t1.min_with_into(workload, out);
     debug_assert!(
-        a.is_nondecreasing(),
-        "exact SPP availability must be nondecreasing (peers overlap?)"
+        out.is_nondecreasing(),
+        "exact SPP service must be nondecreasing (peers overlap?)"
     );
-    let s = service_from_availability(&a, workload);
-    debug_assert!(
-        s.is_nondecreasing(),
-        "exact SPP service must be nondecreasing"
-    );
-    debug_assert!(
-        s.segments().first().map(|x| x.value >= 0).unwrap_or(true),
-        "service must be nonnegative"
-    );
-    s
+    debug_assert!(out.eval(Time::ZERO) >= 0, "service must be nonnegative");
+    for c in [hp_sum, c_prev, t1, t2] {
+        scratch.put_soa(c);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rta_curves::Curve;
 
-    /// Brute-force corrected Theorem 3 on the lattice.
-    fn brute_service(avail: &Curve, c: &Curve, horizon: i64) -> Vec<i64> {
+    /// The kernel on an ingest workload.
+    fn service(c: &Curve, hp: &[&SoaCurve]) -> SoaCurve {
+        let mut out = SoaCurve::zero();
+        exact_service_into(&SoaCurve::from_curve(c), hp, &mut Scratch::new(), &mut out);
+        out
+    }
+
+    /// `τ`-workload of instances released at `times`.
+    fn workload(times: &[i64], tau: i64) -> Curve {
+        Curve::from_event_times(&times.iter().map(|&t| Time(t)).collect::<Vec<_>>()).scale(tau)
+    }
+
+    /// Brute-force Theorem 3 on the lattice, with the availability `t − Σ`
+    /// of the given peer services.
+    fn brute_service(hp: &[&SoaCurve], c: &Curve, horizon: i64) -> Vec<i64> {
+        let avail = |t: i64| t - hp.iter().map(|s| s.eval(Time(t))).sum::<i64>();
         (0..=horizon)
             .map(|t| {
                 let inner = (0..=t)
                     .map(|s| {
                         let c_left = if s == 0 { 0 } else { c.eval(Time(s - 1)) };
-                        avail.eval(Time(t)) - avail.eval(Time(s)) + c_left
+                        avail(t) - avail(s) + c_left
                     })
                     .min()
                     .unwrap();
@@ -102,14 +120,19 @@ mod tests {
             .collect()
     }
 
+    fn departure(s: &SoaCurve, tau: i64, horizon: i64) -> Curve {
+        let mut dep = SoaCurve::zero();
+        s.floor_div_into(tau, Time(horizon), &mut dep).unwrap();
+        dep.to_curve()
+    }
+
     #[test]
     fn highest_priority_gets_everything_it_asks() {
         // Single subjob, arrivals at 0 and 10, τ = 4: S(t) follows t until the
         // backlog drains, then plateaus.
-        let arr = Curve::from_event_times(&[Time(0), Time(10)]);
-        let c = arr.scale(4);
-        let s = exact_service(&c, &[]);
-        let expect = brute_service(&Curve::identity(), &c, 20);
+        let c = workload(&[0, 10], 4);
+        let s = service(&c, &[]);
+        let expect = brute_service(&[], &c, 20);
         for t in 0..=20 {
             assert_eq!(s.eval(Time(t)), expect[t as usize], "t={t}");
         }
@@ -124,50 +147,57 @@ mod tests {
     fn partial_service_mid_instance_is_exact() {
         // The boundary case that forces the left-limit reading: one 5-tick
         // instance at t = 0 must show exactly 4 ticks of service at t = 4.
-        let c = Curve::from_event_times(&[Time(0)]).scale(5);
-        let s = exact_service(&c, &[]);
+        let s = service(&workload(&[0], 5), &[]);
         for t in 0..=10 {
             assert_eq!(s.eval(Time(t)), t.min(5), "t={t}");
         }
-        let dep = s.floor_div(5, Time(10)).unwrap();
-        assert_eq!(dep.event_time(1), Some(Time(5)));
+        assert_eq!(departure(&s, 5, 10).event_time(1), Some(Time(5)));
     }
 
     #[test]
     fn low_priority_is_squeezed() {
         // Hp subjob: arrivals every 10, τ=4 ⇒ serves [0,4), [10,14), …
-        let hp_c = Curve::from_event_times(&[Time(0), Time(10)]).scale(4);
-        let hp_s = exact_service(&hp_c, &[]);
+        let hp_s = service(&workload(&[0, 10], 4), &[]);
         // Lp subjob arrives at 0 with τ=8: gets [4,10) (6 ticks) + [14,16).
-        let lp_c = Curve::from_event_times(&[Time(0)]).scale(8);
-        let lp_s = exact_service(&lp_c, &[&hp_s]);
+        let lp_s = service(&workload(&[0], 8), &[&hp_s]);
         assert_eq!(lp_s.eval(Time(4)), 0);
         assert_eq!(lp_s.eval(Time(10)), 6);
         assert_eq!(lp_s.eval(Time(14)), 6);
         assert_eq!(lp_s.eval(Time(16)), 8);
         assert_eq!(lp_s.eval(Time(30)), 8); // no more demand
                                             // Departure: single instance completes at 16.
-        let dep = lp_s.floor_div(8, Time(30)).unwrap();
-        assert_eq!(dep.event_time(1), Some(Time(16)));
+        assert_eq!(departure(&lp_s, 8, 30).event_time(1), Some(Time(16)));
     }
 
     #[test]
-    fn matches_brute_force_with_interference() {
-        let hp_c = Curve::from_event_times(&[Time(0), Time(7), Time(14)]).scale(3);
-        let hp_s = exact_service(&hp_c, &[]);
-        let avail = availability(&[&hp_s]);
-        let lp_c = Curve::from_event_times(&[Time(1), Time(8)]).scale(5);
-        let lp_s = exact_service(&lp_c, &[&hp_s]);
-        let expect = brute_service(&avail, &lp_c, 30);
-        for t in 0..=30 {
-            assert_eq!(lp_s.eval(Time(t)), expect[t as usize], "t={t}");
+    fn matches_brute_force_with_zero_to_three_peers() {
+        // Each peer is itself served exactly under the ones above it.
+        let peers = [
+            workload(&[0, 7, 14], 3),
+            workload(&[2, 9], 2),
+            workload(&[5], 4),
+        ];
+        let mut hp: Vec<SoaCurve> = Vec::new();
+        for c in &peers {
+            let refs: Vec<&SoaCurve> = hp.iter().collect();
+            let s = service(c, &refs);
+            hp.push(s);
+        }
+        let lp_c = workload(&[1, 8], 5);
+        for k in 0..=hp.len() {
+            let refs: Vec<&SoaCurve> = hp[..k].iter().collect();
+            let lp_s = service(&lp_c, &refs);
+            let expect = brute_service(&refs, &lp_c, 40);
+            for t in 0..=40 {
+                assert_eq!(lp_s.eval(Time(t)), expect[t as usize], "{k} peers, t={t}");
+            }
         }
     }
 
     #[test]
     fn service_never_exceeds_workload_or_time() {
-        let c = Curve::from_event_times(&[Time(0), Time(2), Time(4)]).scale(6);
-        let s = exact_service(&c, &[]);
+        let c = workload(&[0, 2, 4], 6);
+        let s = service(&c, &[]);
         for t in 0..=40 {
             let t = Time(t);
             assert!(s.eval(t) <= c.eval(t));
@@ -179,8 +209,7 @@ mod tests {
     #[test]
     fn idle_availability_before_arrival() {
         // Subjob arrives at 5: no service before, ramps after.
-        let c = Curve::from_event_times(&[Time(5)]).scale(3);
-        let s = exact_service(&c, &[]);
+        let s = service(&workload(&[5], 3), &[]);
         assert_eq!(s.eval(Time(5)), 0);
         assert_eq!(s.eval(Time(6)), 1);
         assert_eq!(s.eval(Time(8)), 3);
@@ -191,10 +220,8 @@ mod tests {
     fn two_priority_levels_partition_the_processor() {
         // Both subjobs always-backlogged over [0, 12): hp takes everything,
         // lp gets nothing until hp drains.
-        let hp_c = Curve::from_event_times(&[Time(0), Time(4), Time(8)]).scale(4);
-        let hp_s = exact_service(&hp_c, &[]);
-        let lp_c = Curve::from_event_times(&[Time(0)]).scale(100);
-        let lp_s = exact_service(&lp_c, &[&hp_s]);
+        let hp_s = service(&workload(&[0, 4, 8], 4), &[]);
+        let lp_s = service(&workload(&[0], 100), &[&hp_s]);
         // While both are backlogged the processor is never idle: the two
         // service functions partition elapsed time.
         for t in 0..=20 {
@@ -203,5 +230,17 @@ mod tests {
         }
         // After hp drains at 12, lp absorbs everything.
         assert_eq!(lp_s.eval(Time(20)), 8);
+    }
+
+    #[test]
+    fn warm_scratch_and_dirty_output_do_not_leak() {
+        let hp_s = service(&workload(&[0, 6, 11], 3), &[]);
+        let c = SoaCurve::from_curve(&workload(&[0, 8], 4));
+        let mut scratch = Scratch::new();
+        let mut out = hp_s.clone(); // dirty
+        for _ in 0..3 {
+            exact_service_into(&c, &[&hp_s], &mut scratch, &mut out);
+            assert_eq!(out, service(&c.to_curve(), &[&hp_s]));
+        }
     }
 }

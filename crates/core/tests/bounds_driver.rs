@@ -1,11 +1,11 @@
-//! Driver oracle for the one-pass Theorem-4 bounds analysis on the SoA
+//! Driver oracle for the one-pass Theorem-4 bounds analysis on the
 //! workspace pipeline.
 //!
 //! On random job shops under every registered policy and on random
 //! mixed-scheduler systems, periodic and bursty, this suite pins:
 //!
 //! * (a) `analyze_bounds` equal, hop delay for hop delay, to the legacy
-//!   AoS node pass in `support` (also the oracle of `policy_golden.rs`);
+//!   node pass in `support` (also the oracle of `policy_golden.rs`);
 //! * (b) the verdict-only `bounds_schedulable` equal to
 //!   `analyze_bounds(..).all_schedulable()` whenever the latter is `Ok`;
 //! * (c) identical reports when the per-thread workspace is reused dirty —
@@ -151,7 +151,10 @@ fn check_against_legacy(sys: &TaskSystem, cfg: &AnalysisConfig) -> Result<(), Te
     let legacy = legacy_compute_nodes(sys, cfg);
     prop_assert_eq!(lower.len(), legacy.len());
     for (i, (curve, node)) in lower.iter().zip(&legacy).enumerate() {
-        prop_assert!(curve == &node.bounds.lower, "subjob {i}: lower bound");
+        prop_assert!(
+            curve == &node.bounds.lower.to_curve(),
+            "subjob {i}: lower bound"
+        );
     }
     Ok(())
 }

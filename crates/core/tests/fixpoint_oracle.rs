@@ -3,7 +3,7 @@
 //!
 //! * (a) production `analyze_with_loops`, which evaluates each subjob once
 //!   in priority order, equals the Jacobi rounds of
-//!   `support::analyze_with_loops_aos_reference` — whole report, `Ok` or
+//!   `support::analyze_with_loops_jacobi_reference` — whole report, `Ok` or
 //!   `Err` — at every budget from 1 to 8, on job shops under all four
 //!   policies, mixed-scheduler systems with physical and logical loops,
 //!   and figure-eights, periodic and bursty. A coverage floor pins that
@@ -33,7 +33,7 @@ use rta_model::{
     ArrivalPattern, Job, JobId, ProcessorId, SchedulerKind, Subjob, SubjobRef, SystemBuilder,
     TaskSystem,
 };
-use support::analyze_with_loops_aos_reference;
+use support::analyze_with_loops_jacobi_reference;
 
 const POLICIES: [SchedulerKind; 4] = [
     SchedulerKind::Spp,
@@ -193,7 +193,7 @@ fn production_equals_the_jacobi_reference_at_every_budget() {
         let depth = max_depth(&sys);
         for rounds in 1..=8 {
             let production = analyze_with_loops(&sys, &cfg, rounds);
-            let reference = analyze_with_loops_aos_reference(&sys, &cfg, rounds);
+            let reference = analyze_with_loops_jacobi_reference(&sys, &cfg, rounds);
             prop_assert_eq!(
                 format!("{production:?}"),
                 format!("{reference:?}"),
@@ -232,7 +232,8 @@ fn errors_match_the_reference() {
     for rounds in 1..=8 {
         let production = analyze_with_loops(&sys, &AnalysisConfig::default(), rounds);
         assert!(production.is_err());
-        let reference = analyze_with_loops_aos_reference(&sys, &AnalysisConfig::default(), rounds);
+        let reference =
+            analyze_with_loops_jacobi_reference(&sys, &AnalysisConfig::default(), rounds);
         assert_eq!(format!("{production:?}"), format!("{reference:?}"));
     }
 }

@@ -9,23 +9,25 @@
 //!   than wall-clock time, nor more work than has arrived.
 //! * **Ordered** — `0 ≤ S̲(t) ≤ S̄(t)` everywhere.
 //! * **Registry coherence** — `policy_for(p.kind()).kind() == p.kind()`,
-//!   and `supports_exact()` implies `exact_service` yields a curve obeying
-//!   the same obligations.
+//!   and `supports_exact()` implies the Theorem-3 kernel the exact driver
+//!   runs (`spp::exact_service_into`) yields a curve obeying the same
+//!   obligations.
 //!
 //! The suite iterates `all_policies()`, so a future fifth discipline is
 //! checked the moment it is registered — adding a policy that violates the
 //! seam fails here before any driver test notices. Bounds come from the
-//! one trait method, `ServicePolicy::service_bounds`, through the AoS↔SoA
-//! helper in `support`.
+//! one trait method, `ServicePolicy::service_bounds`, through the helper in
+//! `support`.
 
 mod support;
 
 use proptest::prelude::*;
-use rta_core::policy::{all_policies, policy_for, PeerInputs, ProcessorContexts};
+use rta_core::policy::{all_policies, policy_for, BoundsInputs, PeerInputs, ProcessorContexts};
+use rta_core::spp::exact_service_into;
 use rta_core::{AnalysisConfig, SpnpAvailability};
-use rta_curves::{Curve, Time};
+use rta_curves::{Scratch, SoaCurve, Time};
 use rta_model::{ArrivalPattern, ProcessorId, SchedulerKind, SubjobRef, SystemBuilder, TaskSystem};
-use support::{service_bounds_aos, AosBoundsInputs};
+use support::{pattern, scaled, service_bounds_of};
 
 /// One randomized flow: trace release times and an execution time.
 #[derive(Debug, Clone)]
@@ -66,9 +68,9 @@ fn flow_sys(kind: SchedulerKind, flows: &[Flow]) -> TaskSystem {
 
 fn assert_service_obligations(
     label: &str,
-    lower: &Curve,
-    upper: &Curve,
-    workload: &Curve,
+    lower: &SoaCurve,
+    upper: &SoaCurve,
+    workload: &SoaCurve,
     horizon: Time,
 ) {
     assert_eq!(lower.eval(Time::ZERO), 0, "{label}: S̲(0) ≠ 0");
@@ -110,41 +112,41 @@ proptest! {
             let (window, horizon) = cfg.resolve(&sys);
             let p = ProcessorId(0);
 
-            // Workloads exactly as the drivers derive them.
-            let workload_of = |r: SubjobRef| -> Curve {
-                sys.job(r.job)
-                    .arrival
-                    .arrival_curve(window)
-                    .scale(sys.subjob(r).exec.ticks())
-            };
+            // Workloads exactly as the drivers derive them, per subjob in
+            // dense (single-hop: job) order.
+            let workloads: Vec<SoaCurve> = sys
+                .subjobs_on(p)
+                .into_iter()
+                .map(|r| scaled(&pattern(&sys, r, window), sys.subjob(r).exec.ticks()))
+                .collect();
+            let workload_of = |r: SubjobRef| &workloads[r.job.0];
 
             for variant in [SpnpAvailability::Conservative, SpnpAvailability::AsPrinted] {
                 let mut ctxs = ProcessorContexts::new();
                 if policy.peer_inputs() == PeerInputs::SharedWorkloads {
-                    let mut w = |r: SubjobRef| workload_of(r);
-                    ctxs.ensure(&sys, p, horizon, &mut w).unwrap();
+                    ctxs.ensure(&sys, p, horizon, &workload_of).unwrap();
                 }
 
                 // Evaluate flows from highest to lowest priority so the
                 // hp service bounds exist when a lower flow needs them.
                 let mut order = sys.subjobs_on(p);
                 order.sort_by_key(|&r| sys.subjob(r).priority);
-                let mut done: Vec<(SubjobRef, Curve, Curve)> = Vec::new();
+                let mut done: Vec<(SubjobRef, SoaCurve, SoaCurve)> = Vec::new();
                 for r in order {
                     let workload = workload_of(r);
                     let hp = sys.higher_priority_peers(r);
-                    let hp_lower: Vec<&Curve> = hp
+                    let hp_lower: Vec<&SoaCurve> = hp
                         .iter()
                         .map(|h| &done.iter().find(|(o, _, _)| o == h).expect("priority order").1)
                         .collect();
-                    let hp_upper: Vec<&Curve> = hp
+                    let hp_upper: Vec<&SoaCurve> = hp
                         .iter()
                         .map(|h| &done.iter().find(|(o, _, _)| o == h).expect("priority order").2)
                         .collect();
-                    let bounds = service_bounds_aos(
+                    let bounds = service_bounds_of(
                         policy,
-                        &AosBoundsInputs {
-                            workload: &workload,
+                        &BoundsInputs {
+                            workload,
                             tau: sys.subjob(r).exec,
                             weight: sys.subjob(r).weight(),
                             blocking: policy.blocking(&sys, r),
@@ -158,7 +160,7 @@ proptest! {
                     )
                     .unwrap();
                     let label = format!("{kind:?}/{variant:?}/{r:?}");
-                    assert_service_obligations(&label, &bounds.lower, &bounds.upper, &workload, horizon);
+                    assert_service_obligations(&label, &bounds.lower, &bounds.upper, workload, horizon);
                     done.push((r, bounds.lower, bounds.upper));
                 }
             }
@@ -168,23 +170,20 @@ proptest! {
             if policy.supports_exact() {
                 let mut order = sys.subjobs_on(p);
                 order.sort_by_key(|&r| sys.subjob(r).priority);
-                let mut services: Vec<(SubjobRef, Curve)> = Vec::new();
+                let mut services: Vec<(SubjobRef, SoaCurve)> = Vec::new();
                 for r in order {
                     let workload = workload_of(r);
                     let hp = sys.higher_priority_peers(r);
-                    let hp_services: Vec<&Curve> = hp
+                    let hp_services: Vec<&SoaCurve> = hp
                         .iter()
                         .map(|h| &services.iter().find(|(o, _)| o == h).expect("order").1)
                         .collect();
-                    let exact = policy
-                        .exact_service(&workload, &hp_services)
-                        .expect("supports_exact ⇒ Some");
+                    let mut exact = SoaCurve::zero();
+                    exact_service_into(workload, &hp_services, &mut Scratch::new(), &mut exact);
                     let label = format!("{kind:?}/exact/{r:?}");
-                    assert_service_obligations(&label, &exact, &exact, &workload, horizon);
+                    assert_service_obligations(&label, &exact, &exact, workload, horizon);
                     services.push((r, exact));
                 }
-            } else {
-                prop_assert!(policy.exact_service(&Curve::zero(), &[]).is_none());
             }
         }
     }

@@ -9,7 +9,7 @@
 //! `support/`, shared with `bounds_driver.rs`): the `match` on the kind,
 //! the per-kind blocking term and the FCFS slot map are kept, while the
 //! SPP/SPNP chain is read through the one bounds method,
-//! `ServicePolicy::service_bounds`, via the AoS↔SoA helper in `support/`.
+//! `ServicePolicy::service_bounds`, via the helper in `support/`.
 //! It checks that the trait drivers produce the same reports
 //! curve-for-curve and tick-for-tick, on deterministic job-shop / bursty
 //! fixtures and on randomized systems. Any divergence means the driver
@@ -20,16 +20,17 @@ mod support;
 
 use proptest::prelude::*;
 use rta_core::depgraph::{evaluation_order, SubjobIndex};
-use rta_core::spp::exact_service;
+use rta_core::spp::exact_service_into;
 use rta_core::{analyze_bounds, analyze_exact_spp, AnalysisConfig};
-use rta_curves::{Curve, CurveCursor, Time};
+use rta_curves::{Curve, Scratch, SoaCursor, SoaCurve, Time};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::{ArrivalPattern, JobId, SchedulerKind, SubjobRef, SystemBuilder, TaskSystem};
-use support::legacy_bounds;
+use support::{floor_div, legacy_bounds, pattern, scaled};
 
 /// Legacy `analyze_exact_spp`: Theorem 3 service functions called inline,
 /// Theorem 1 responses read off the chain ends. Returns per-subjob
-/// (arrival, service, departure) curves plus per-job responses.
+/// (arrival, service, departure) curves in the report layout plus per-job
+/// responses.
 #[allow(clippy::type_complexity)]
 fn legacy_exact(
     sys: &TaskSystem,
@@ -42,7 +43,7 @@ fn legacy_exact(
     let idx = SubjobIndex::new(sys);
     let order = evaluation_order(sys, &idx).expect("acyclic fixture");
 
-    let mut curves: Vec<Option<(Curve, Curve, Curve)>> = vec![None; idx.len()];
+    let mut curves: Vec<Option<(SoaCurve, SoaCurve, SoaCurve)>> = vec![None; idx.len()];
     for i in order {
         let r = idx.subjob(i);
         let subjob = sys.subjob(r);
@@ -52,7 +53,7 @@ fn legacy_exact(
             "legacy exact path is SPP-only"
         );
         let arrival = if r.index == 0 {
-            sys.job(r.job).arrival.arrival_curve(window)
+            pattern(sys, r, window)
         } else {
             let pred = SubjobRef {
                 job: r.job,
@@ -60,17 +61,18 @@ fn legacy_exact(
             };
             curves[idx.index(pred)].as_ref().expect("order").2.clone()
         };
-        let workload = arrival.scale(subjob.exec.ticks());
+        let workload = scaled(&arrival, subjob.exec.ticks());
         let hp = sys.higher_priority_peers(r);
-        let hp_services: Vec<&Curve> = hp
+        let hp_services: Vec<&SoaCurve> = hp
             .iter()
             .map(|h| &curves[idx.index(*h)].as_ref().expect("order").1)
             .collect();
-        let service = exact_service(&workload, &hp_services);
-        let departure = service.floor_div(subjob.exec.ticks(), horizon).unwrap();
+        let mut service = SoaCurve::zero();
+        exact_service_into(&workload, &hp_services, &mut Scratch::new(), &mut service);
+        let departure = floor_div(&service, subjob.exec, horizon).unwrap();
         curves[i] = Some((arrival, service, departure));
     }
-    let curves: Vec<(Curve, Curve, Curve)> = curves
+    let curves: Vec<(SoaCurve, SoaCurve, SoaCurve)> = curves
         .into_iter()
         .map(|c| c.expect("all computed"))
         .collect();
@@ -87,9 +89,9 @@ fn legacy_exact(
             index: job.subjobs.len() - 1,
         })]
         .2;
-        let n = first.total_events();
-        let mut arr_cur = CurveCursor::new(first);
-        let mut dep_cur = CurveCursor::new(last);
+        let n = first.to_curve().total_events();
+        let mut arr_cur = SoaCursor::new(first);
+        let mut dep_cur = SoaCursor::new(last);
         let mut responses = Vec::new();
         let mut wcrt = Some(Time::ZERO);
         for m in 1..=n {
@@ -106,6 +108,10 @@ fn legacy_exact(
         }
         jobs.push((responses, wcrt));
     }
+    let curves = curves
+        .iter()
+        .map(|(a, s, d)| (a.to_curve(), s.to_curve(), d.to_curve()))
+        .collect();
     (curves, jobs)
 }
 

@@ -3,14 +3,23 @@
 //! Theorem 5/6 chain.
 
 use proptest::prelude::*;
+use rta_core::policy::{policy_for, BoundsInputs};
 use rta_core::spnp::{spnp_bounds, SoaServiceBounds};
-use rta_core::spp::{availability, exact_service, service_from_availability};
+use rta_core::spp::exact_service_into;
 use rta_core::SpnpAvailability;
 use rta_curves::{Curve, Scratch, SoaCurve, Time};
+use rta_model::{ArrivalPattern, ProcessorId, SchedulerKind, SubjobRef, SystemBuilder};
 
 const HORIZON: i64 = 80;
 
-/// The production chain on an AoS workload, given its higher-priority
+/// The Theorem-3 kernel on an ingest workload, given its peers' services.
+fn exact_service(c: &Curve, hp: &[&SoaCurve]) -> SoaCurve {
+    let mut out = SoaCurve::zero();
+    exact_service_into(&SoaCurve::from_curve(c), hp, &mut Scratch::new(), &mut out);
+    out
+}
+
+/// The production chain on an ingest workload, given its higher-priority
 /// peers' bounds.
 fn chain(
     c: &Curve,
@@ -179,32 +188,32 @@ proptest! {
     fn two_level_work_conservation((c1, _t1) in arb_workload(), (c2, _t2) in arb_workload()) {
         let hp = exact_service(&c1, &[]);
         let lp = exact_service(&c2, &[&hp]);
-        let g = c1.add(&c2);
-        let g_prev = g.shift_right(Time(1), 0);
-        let u = Curve::identity()
-            .add(&g_prev.sub(&Curve::identity()).running_min())
-            .min_with(&Curve::identity());
+        // U(t) = min(t, t + min_{s ≤ t} (G(s⁻) − s)), tick by tick.
+        let g = |t: i64| c1.eval(Time(t)) + c2.eval(Time(t));
+        let mut run = i64::MAX;
         for t in 0..=HORIZON {
-            let t = Time(t);
-            let total = hp.eval(t) + lp.eval(t);
-            prop_assert!(total <= t.ticks().max(0));
-            prop_assert_eq!(total, u.eval(t).max(0), "t={}", t);
+            run = run.min(if t == 0 { 0 } else { g(t - 1) } - t);
+            let u = t.min(t + run);
+            let total = hp.eval(Time(t)) + lp.eval(Time(t));
+            prop_assert!(total <= t.max(0));
+            prop_assert_eq!(total, u.max(0), "t={}", t);
         }
     }
 
-    /// The generic min-form with the trivial availability bounds of
-    /// Definition 6 brackets the exact service.
+    /// The min-form with the trivial availability bounds of Definition 6
+    /// brackets the exact service: availability `t` (an idle processor) is
+    /// the exact service itself, availability 0 (a peer that takes every
+    /// tick) yields the zero service.
     #[test]
     fn trivial_availability_bounds_bracket((c, _tau) in arb_workload()) {
         let exact = exact_service(&c, &[]);
-        // Upper availability t (idle processor) reproduces the exact
-        // service; lower availability 0 yields the zero service.
-        let with_upper = service_from_availability(&Curve::identity(), &c);
-        let with_lower = service_from_availability(&Curve::zero(), &c).clamp_min(0);
+        let mut everything = SoaCurve::zero();
+        everything.set_affine(0, 1);
+        let with_lower = exact_service(&c, &[&everything]);
         for t in 0..=HORIZON {
             let t = Time(t);
-            prop_assert_eq!(with_upper.eval(t), exact.eval(t));
-            prop_assert!(with_lower.eval(t) <= exact.eval(t));
+            prop_assert_eq!(with_lower.eval(t), 0);
+            prop_assert!(exact.eval(t) >= 0);
         }
     }
 
@@ -253,19 +262,6 @@ proptest! {
             }
         }
     }
-
-    /// Availability of Equation 10 is exactly the complement of the summed
-    /// services.
-    #[test]
-    fn availability_complements_services((c1, _a) in arb_workload(), (c2, _b) in arb_workload()) {
-        let s1 = exact_service(&c1, &[]);
-        let s2 = exact_service(&c2, &[&s1]);
-        let a = availability(&[&s1, &s2]);
-        for t in 0..=HORIZON {
-            let t = Time(t);
-            prop_assert_eq!(a.eval(t), t.ticks() - s1.eval(t) - s2.eval(t));
-        }
-    }
 }
 
 proptest! {
@@ -305,6 +301,159 @@ proptest! {
             let i = t as usize;
             prop_assert_eq!(me.lower.eval(Time(t)), lower[i], "lower {:?} b={} t={}", variant, b, t);
             prop_assert_eq!(me.upper.eval(Time(t)), upper[i], "upper {:?} b={} t={}", variant, b, t);
+        }
+    }
+}
+
+/// `c(t)` on `[0, h]` for each flow's workload, and `c(s⁻)` from it.
+fn ticks_of(c: &Curve, h: i64) -> Vec<i64> {
+    (0..=h).map(|t| c.eval(Time(t))).collect()
+}
+
+/// The running maximum of `v`, clamped at 0 first — the re-monotonization
+/// both shared-workload policies apply to their raw bounds.
+fn clamp_running_max(v: impl Iterator<Item = i64>) -> Vec<i64> {
+    let mut acc = i64::MIN;
+    v.map(|y| {
+        acc = acc.max(y.max(0));
+        acc
+    })
+    .collect()
+}
+
+/// Theorems 7–9 for flow `me` among `flows` (all on one FCFS processor),
+/// tick by tick on `[0, h]`: `U` from Theorem 7, the extended total
+/// workload `G_ext` (a sentinel batch just past the horizon) inverted by a
+/// scan, the frontiers `v = G_ext⁻¹(U + 1)` and `s* = G_ext⁻¹(U)`, then
+///
+/// * lower: `min(c(v⁻), c(t), t)`, clamped at 0 and re-monotonized;
+/// * upper: `min(c(s*) + τ, t, c(t))`, clamped at 0, re-monotonized and
+///   raised to the lower bound.
+fn fcfs_bounds_per_tick(flows: &[Curve], me: usize, tau: i64, h: i64) -> (Vec<i64>, Vec<i64>) {
+    let cs: Vec<Vec<i64>> = flows.iter().map(|c| ticks_of(c, h + 1)).collect();
+    let g = |t: i64| cs.iter().map(|c| c[t as usize]).sum::<i64>();
+    let c = &cs[me];
+    let c_left = |x: i64| if x == 0 { 0 } else { c[x as usize - 1] };
+    // The workloads are staircases, so G past the horizon stays at G(h).
+    let g_ext = |s: i64| if s <= h { g(s) } else { g(h) + g(h) + h + 2 };
+    let g_ext_inv = |y: i64| (0..=h + 1).find(|&s| g_ext(s) >= y).expect("sentinel");
+    let mut run = i64::MAX;
+    let u: Vec<i64> = (0..=h)
+        .map(|t| {
+            run = run.min(if t == 0 { 0 } else { g(t - 1) } - t);
+            t.min(t + run).max(0)
+        })
+        .collect();
+    let lower = clamp_running_max((0..=h).map(|t| {
+        let v = g_ext_inv(u[t as usize] + 1);
+        c_left(v).min(c[t as usize]).min(t)
+    }));
+    let upper = clamp_running_max((0..=h).map(|t| {
+        let s_star = g_ext_inv(u[t as usize]);
+        (c[s_star as usize] + tau).min(t).min(c[t as usize])
+    }));
+    let upper = upper.iter().zip(&lower).map(|(&a, &b)| a.max(b)).collect();
+    (lower, upper)
+}
+
+/// The IWRR bounds for a flow with workload `c`, quantum `q = w·τ` and
+/// round length `l`, tick by tick on `[0, h]`: the strict service curve
+/// `β(u) = q·max(0, ⌊u/l⌋ − 1)` composed with the busy period,
+///
+/// * lower: `min(min_{s ≤ t} (c(s⁻) + β(t − s)), c(t), t)`, clamped at 0
+///   and re-monotonized;
+/// * upper: `min(t, c(t))`, clamped at 0, re-monotonized and raised to the
+///   lower bound.
+fn iwrr_bounds_per_tick(c: &Curve, q: i64, l: i64, h: i64) -> (Vec<i64>, Vec<i64>) {
+    let c = ticks_of(c, h);
+    let c_left = |s: i64| if s == 0 { 0 } else { c[s as usize - 1] };
+    let beta = |u: i64| q * (u / l - 1).max(0);
+    let lower = clamp_running_max((0..=h).map(|t| {
+        let busy = (0..=t).map(|s| c_left(s) + beta(t - s)).min().unwrap();
+        busy.min(c[t as usize]).min(t)
+    }));
+    let upper = clamp_running_max((0..=h).map(|t| t.min(c[t as usize])));
+    let upper = upper.iter().zip(&lower).map(|(&a, &b)| a.max(b)).collect();
+    (lower, upper)
+}
+
+/// Random single-hop trace flows: release times in `[0, 60)` and an
+/// execution time each, with a weight for IWRR.
+fn arb_flows() -> impl Strategy<Value = Vec<(Vec<i64>, i64, u32)>> {
+    prop::collection::vec(
+        (prop::collection::vec(0i64..60, 1..6), 1i64..8, 1i64..4).prop_map(
+            |(mut releases, exec, weight)| {
+                releases.sort_unstable();
+                (releases, exec, weight as u32)
+            },
+        ),
+        1..4,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The FCFS and IWRR policies' bounds equal their per-tick evaluators
+    /// at every tick of the horizon, for every flow on a shared processor,
+    /// through the drivers' entry points (`build_context`, then
+    /// `service_bounds`).
+    #[test]
+    fn shared_workload_bounds_match_per_tick_formulas(flows in arb_flows(), h in 60i64..120) {
+        for kind in [SchedulerKind::Fcfs, SchedulerKind::Iwrr] {
+            let mut b = SystemBuilder::new();
+            let p = b.add_processor("P", kind);
+            let mut workloads = Vec::new();
+            for (k, (releases, exec, weight)) in flows.iter().enumerate() {
+                let times: Vec<Time> = releases.iter().map(|&t| Time(t)).collect();
+                let job = b.add_job(
+                    format!("T{k}"),
+                    Time(500),
+                    ArrivalPattern::Trace(times.clone()),
+                    vec![(p, Time(*exec))],
+                );
+                b.set_weight(SubjobRef { job, index: 0 }, *weight);
+                workloads.push(Curve::from_event_times(&times).scale(*exec));
+            }
+            let sys = b.build().unwrap();
+            let soa: Vec<SoaCurve> = workloads.iter().map(SoaCurve::from_curve).collect();
+            let refs: Vec<&SoaCurve> = soa.iter().collect();
+            let policy = policy_for(kind);
+            let horizon = Time(h);
+            let ctx = policy
+                .build_context(&sys, ProcessorId(0), &sys.subjobs_on(ProcessorId(0)), &refs, horizon)
+                .unwrap();
+            let round: i64 = flows.iter().map(|(_, e, w)| e * *w as i64).sum();
+            for (me, (_, exec, weight)) in flows.iter().enumerate() {
+                let mut out = SoaServiceBounds::zeroed();
+                policy
+                    .service_bounds(
+                        &BoundsInputs {
+                            workload: &soa[me],
+                            tau: Time(*exec),
+                            weight: *weight,
+                            blocking: Time::ZERO,
+                            hp_lower: &[],
+                            hp_upper: &[],
+                            variant: SpnpAvailability::Conservative,
+                            ctx: ctx.as_ref(),
+                            horizon,
+                            processor: ProcessorId(0),
+                        },
+                        &mut Scratch::new(),
+                        &mut out,
+                    )
+                    .unwrap();
+                let (lower, upper) = match kind {
+                    SchedulerKind::Fcfs => fcfs_bounds_per_tick(&workloads, me, *exec, h),
+                    _ => iwrr_bounds_per_tick(&workloads[me], *weight as i64 * exec, round, h),
+                };
+                for t in 0..=h {
+                    let i = t as usize;
+                    prop_assert_eq!(out.lower.eval(Time(t)), lower[i], "{} lower flow {} t={}", kind, me, t);
+                    prop_assert_eq!(out.upper.eval(Time(t)), upper[i], "{} upper flow {} t={}", kind, me, t);
+                }
+            }
         }
     }
 }

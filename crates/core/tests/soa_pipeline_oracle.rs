@@ -1,13 +1,14 @@
-//! Driver-level oracle for the SoA analysis pipeline: for every scheduling
-//! policy and both workload shapes from the paper's evaluation (periodic
-//! job-shop, Eq. 25; bursty, Eq. 27), the default entry point — which runs
-//! entirely on structure-of-arrays curve buffers — must produce a report
-//! **bit-identical** to `analyze_with_loops_aos_reference`, the Jacobi
-//! rounds on the array-of-structs kernels in `support`.
+//! Driver-level oracle for the workspace analysis pipeline: for every
+//! scheduling policy and both workload shapes from the paper's evaluation
+//! (periodic job-shop, Eq. 25; bursty, Eq. 27), the default entry point —
+//! which runs on reused structure-of-arrays buffers in one pass in
+//! priority order — must produce a report **bit-identical** to
+//! `analyze_with_loops_jacobi_reference`, the plain Jacobi rounds on
+//! freshly allocated curves in `support`.
 //!
-//! `tests/soa_kernels.rs` (rta-curves) pins each SoA kernel to its AoS
-//! oracle; this test pins the composition end to end, through ingest, the
-//! fixed point, and report assembly.
+//! `tests/proptests.rs` (rta-curves) checks each kernel tick by tick; this
+//! test pins the composition end to end, through ingest, the fixed point,
+//! and report assembly, on fixed seeds.
 
 mod support;
 
@@ -19,7 +20,7 @@ use rta_model::distributions::Dist;
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::{SchedulerKind, TaskSystem};
-use support::analyze_with_loops_aos_reference;
+use support::analyze_with_loops_jacobi_reference;
 
 const POLICIES: [SchedulerKind; 4] = [
     SchedulerKind::Spp,
@@ -61,13 +62,17 @@ fn bursty() -> ShopArrivals {
 /// the comparison goes through `Debug`, which prints every field.
 fn assert_reports_identical(sys: &TaskSystem, label: &str) {
     let cfg = AnalysisConfig::default();
-    let soa = analyze_with_loops(sys, &cfg, 8).unwrap();
-    let aos = analyze_with_loops_aos_reference(sys, &cfg, 8).unwrap();
-    assert_eq!(format!("{soa:?}"), format!("{aos:?}"), "{label}");
+    let production = analyze_with_loops(sys, &cfg, 8).unwrap();
+    let reference = analyze_with_loops_jacobi_reference(sys, &cfg, 8).unwrap();
+    assert_eq!(
+        format!("{production:?}"),
+        format!("{reference:?}"),
+        "{label}"
+    );
 }
 
 #[test]
-fn soa_pipeline_matches_aos_reference_on_periodic_shops() {
+fn pipeline_matches_jacobi_reference_on_periodic_shops() {
     for (i, kind) in POLICIES.into_iter().enumerate() {
         let sys = shop(kind, periodic(), 42 + i as u64);
         assert_reports_identical(&sys, &format!("{kind:?} periodic"));
@@ -75,21 +80,21 @@ fn soa_pipeline_matches_aos_reference_on_periodic_shops() {
 }
 
 #[test]
-fn soa_pipeline_matches_aos_reference_on_bursty_shops() {
+fn pipeline_matches_jacobi_reference_on_bursty_shops() {
     for (i, kind) in POLICIES.into_iter().enumerate() {
         let sys = shop(kind, bursty(), 1042 + i as u64);
         assert_reports_identical(&sys, &format!("{kind:?} bursty"));
     }
 }
 
-/// Warm sessions reuse SoA bound buffers and the per-processor memo across
-/// calls; every warm report must still match the AoS reference bit for bit.
+/// Warm sessions reuse bound buffers and the per-processor memo across
+/// calls; every warm report must still match the reference bit for bit.
 #[test]
-fn warm_session_matches_aos_reference() {
+fn warm_session_matches_jacobi_reference() {
     for kind in POLICIES {
         let sys = shop(kind, periodic(), 7);
         let cfg = AnalysisConfig::default();
-        let aos = analyze_with_loops_aos_reference(&sys, &cfg, 8).unwrap();
+        let reference = analyze_with_loops_jacobi_reference(&sys, &cfg, 8).unwrap();
         let (w, h) = cfg.resolve(&sys);
         let pinned = AnalysisConfig {
             arrival_window: Some(w),
@@ -101,7 +106,7 @@ fn warm_session_matches_aos_reference() {
             let warm = session.analyze_with_loops(8).unwrap();
             assert_eq!(
                 format!("{warm:?}"),
-                format!("{aos:?}"),
+                format!("{reference:?}"),
                 "{kind:?} warm pass {pass}"
             );
         }

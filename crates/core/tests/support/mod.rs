@@ -1,22 +1,22 @@
-//! Test support shared by the driver oracle suites, built on allocated AoS
-//! curves through public APIs only:
+//! Test support shared by the driver oracle suites, built on freshly
+//! allocated curves through public APIs only:
 //!
-//! * [`service_bounds_aos`], the one AoS↔SoA helper: it runs
-//!   [`ServicePolicy::service_bounds`], the single bounds method, on AoS
-//!   operands. The Jacobi rounds below read every policy's bounds through
-//!   it, the legacy pass its SPP/SPNP and IWRR bounds, and
-//!   `policy_conformance.rs` checks every policy through it.
+//! * [`service_bounds_of`]: [`ServicePolicy::service_bounds`], the single
+//!   bounds method, on a fresh scratch into a fresh output. The Jacobi
+//!   rounds below read every policy's bounds through it, the legacy pass
+//!   its SPP/SPNP and IWRR bounds, and `policy_conformance.rs` checks every
+//!   policy through it.
 //! * the legacy one-pass Theorem-4 bounds pass, with explicit `match`
 //!   dispatch on the scheduler kind. This is how `analyze_bounds` computed
-//!   its nodes before the policy seam and before the SoA workspace
-//!   pipeline: per subjob in dependency order, the arrival envelope (the
-//!   primary pattern at the first hop, the upstream upper bound's Lemma-2
-//!   envelope after it), the service bounds, and the departure/next-hop
-//!   curves — every curve freshly allocated. The production driver must
-//!   reproduce it hop delay for hop delay.
+//!   its nodes before the policy seam and before the workspace pipeline:
+//!   per subjob in dependency order, the arrival envelope (the primary
+//!   pattern at the first hop, the upstream upper bound's Lemma-2 envelope
+//!   after it), the service bounds, and the departure/next-hop curves —
+//!   every curve freshly allocated. The production driver must reproduce
+//!   it hop delay for hop delay.
 //! * the Section 6 fixed point as plain Jacobi rounds
-//!   ([`analyze_with_loops_aos_reference`]): every round re-evaluates every
-//!   subjob from the previous round's bounds. The production driver
+//!   ([`analyze_with_loops_jacobi_reference`]): every round re-evaluates
+//!   every subjob from the previous round's bounds. The production driver
 //!   evaluates each subjob once, in priority order, and must reproduce
 //!   these rounds' reports at every budget.
 
@@ -27,69 +27,46 @@ use std::collections::HashMap;
 use rta_core::depgraph::{evaluation_order, SubjobIndex};
 use rta_core::fcfs::FcfsProcessor;
 use rta_core::policy::{policy_for, BoundsInputs, PeerInputs, PolicyContext, ServicePolicy};
-use rta_core::spnp::{ServiceBounds, SoaServiceBounds};
-use rta_core::{AnalysisConfig, AnalysisError, BoundsReport, JobBound, SpnpAvailability};
-use rta_curves::{Curve, CurveCursor, Scratch, SoaCurve, Time};
-use rta_model::{JobId, ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
+use rta_core::spnp::SoaServiceBounds;
+use rta_core::{AnalysisConfig, AnalysisError, BoundsReport, JobBound};
+use rta_curves::{CurveError, Scratch, SoaCursor, SoaCurve, Time};
+use rta_model::{JobId, SchedulerKind, SubjobRef, TaskSystem};
 
-/// The inputs of one [`ServicePolicy::service_bounds`] call with AoS
-/// curves, the layout the oracles keep; the fields mirror [`BoundsInputs`].
-pub struct AosBoundsInputs<'a> {
-    pub workload: &'a Curve,
-    pub tau: Time,
-    pub weight: u32,
-    pub blocking: Time,
-    pub hp_lower: &'a [&'a Curve],
-    pub hp_upper: &'a [&'a Curve],
-    pub variant: SpnpAvailability,
-    pub ctx: Option<&'a PolicyContext>,
-    pub horizon: Time,
-    pub processor: ProcessorId,
+/// `policy`'s service bounds for `inputs`, on a fresh scratch.
+pub fn service_bounds_of(
+    policy: &dyn ServicePolicy,
+    inputs: &BoundsInputs<'_>,
+) -> Result<SoaServiceBounds, AnalysisError> {
+    let mut out = SoaServiceBounds::zeroed();
+    policy.service_bounds(inputs, &mut Scratch::new(), &mut out)?;
+    Ok(out)
 }
 
-/// `policy`'s service bounds on AoS operands: the curves are converted to
-/// SoA (the AoS workload rides along as `workload_aos`, as the drivers pass
-/// it), the one trait method runs on a fresh scratch, and the bounds are
-/// converted back.
-pub fn service_bounds_aos(
-    policy: &dyn ServicePolicy,
-    inputs: &AosBoundsInputs<'_>,
-) -> Result<ServiceBounds, AnalysisError> {
-    let soa =
-        |cs: &[&Curve]| -> Vec<SoaCurve> { cs.iter().map(|c| SoaCurve::from_curve(c)).collect() };
-    let (hp_lower, hp_upper) = (soa(inputs.hp_lower), soa(inputs.hp_upper));
-    let hp_lower: Vec<&SoaCurve> = hp_lower.iter().collect();
-    let hp_upper: Vec<&SoaCurve> = hp_upper.iter().collect();
-    let mut out = SoaServiceBounds::zeroed();
-    policy.service_bounds(
-        &BoundsInputs {
-            workload: &SoaCurve::from_curve(inputs.workload),
-            workload_aos: Some(inputs.workload),
-            tau: inputs.tau,
-            weight: inputs.weight,
-            blocking: inputs.blocking,
-            hp_lower: &hp_lower,
-            hp_upper: &hp_upper,
-            variant: inputs.variant,
-            ctx: inputs.ctx,
-            horizon: inputs.horizon,
-            processor: inputs.processor,
-        },
-        &mut Scratch::new(),
-        &mut out,
-    )?;
-    Ok(ServiceBounds {
-        lower: out.lower.to_curve(),
-        upper: out.upper.to_curve(),
-    })
+/// The first-hop arrival curve of `r`'s job over `window`.
+pub fn pattern(sys: &TaskSystem, r: SubjobRef, window: Time) -> SoaCurve {
+    SoaCurve::from_curve(&sys.job(r.job).arrival.arrival_curve(window))
+}
+
+/// `k · c`, freshly allocated.
+pub fn scaled(c: &SoaCurve, k: i64) -> SoaCurve {
+    let mut out = SoaCurve::zero();
+    c.scale_into(k, &mut out);
+    out
+}
+
+/// `⌊c / τ⌋` on `[0, horizon]`, freshly allocated.
+pub fn floor_div(c: &SoaCurve, tau: Time, horizon: Time) -> Result<SoaCurve, CurveError> {
+    let mut out = SoaCurve::zero();
+    c.floor_div_into(tau.ticks(), horizon, &mut out)?;
+    Ok(out)
 }
 
 /// One subjob's curves in the legacy pass.
 pub struct LegacyNode {
-    pub arr_env: Curve,
-    pub bounds: ServiceBounds,
-    pub dep_lower: Curve,
-    pub arr_next: Curve,
+    pub arr_env: SoaCurve,
+    pub bounds: SoaServiceBounds,
+    pub dep_lower: SoaCurve,
+    pub arr_next: SoaCurve,
 }
 
 /// What `compute_nodes` looked like before the `ServicePolicy` seam: a
@@ -107,9 +84,9 @@ pub fn legacy_compute_nodes(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<Legac
     nodes.resize_with(idx.len(), || None);
     let mut fcfs: HashMap<usize, FcfsProcessor> = HashMap::new();
 
-    let arr_env_of = |nodes: &[Option<LegacyNode>], r: SubjobRef| -> Curve {
+    let arr_env_of = |nodes: &[Option<LegacyNode>], r: SubjobRef| -> SoaCurve {
         if r.index == 0 {
-            sys.job(r.job).arrival.arrival_curve(window)
+            pattern(sys, r, window)
         } else {
             let pred = SubjobRef {
                 job: r.job,
@@ -122,11 +99,11 @@ pub fn legacy_compute_nodes(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<Legac
                 .clone()
         }
     };
-    let peer_workloads = |nodes: &[Option<LegacyNode>], p| -> (Vec<SubjobRef>, Vec<Curve>) {
+    let peer_workloads = |nodes: &[Option<LegacyNode>], p| -> (Vec<SubjobRef>, Vec<SoaCurve>) {
         let peers = sys.subjobs_on(p);
         let workloads = peers
             .iter()
-            .map(|&o| arr_env_of(nodes, o).scale(sys.subjob(o).exec.ticks()))
+            .map(|&o| scaled(&arr_env_of(nodes, o), sys.subjob(o).exec.ticks()))
             .collect();
         (peers, workloads)
     };
@@ -136,16 +113,16 @@ pub fn legacy_compute_nodes(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<Legac
         let subjob = sys.subjob(r);
         let tau = subjob.exec;
         let arr_env = arr_env_of(&nodes, r);
-        let workload = arr_env.scale(tau.ticks());
+        let workload = scaled(&arr_env, tau.ticks());
 
         let bounds = match sys.processor(subjob.processor).scheduler {
             kind @ (SchedulerKind::Spp | SchedulerKind::Spnp) => {
                 let hp = sys.higher_priority_peers(r);
-                let hp_lower: Vec<&Curve> = hp
+                let hp_lower: Vec<&SoaCurve> = hp
                     .iter()
                     .map(|h| &nodes[idx.index(*h)].as_ref().expect("order").bounds.lower)
                     .collect();
-                let hp_upper: Vec<&Curve> = hp
+                let hp_upper: Vec<&SoaCurve> = hp
                     .iter()
                     .map(|h| &nodes[idx.index(*h)].as_ref().expect("order").bounds.upper)
                     .collect();
@@ -154,9 +131,9 @@ pub fn legacy_compute_nodes(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<Legac
                 } else {
                     Time::ZERO
                 };
-                service_bounds_aos(
+                service_bounds_of(
                     policy_for(kind),
-                    &AosBoundsInputs {
+                    &BoundsInputs {
                         workload: &workload,
                         tau,
                         weight: subjob.weight(),
@@ -174,21 +151,24 @@ pub fn legacy_compute_nodes(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<Legac
             SchedulerKind::Fcfs => {
                 let proc = fcfs.entry(subjob.processor.0).or_insert_with(|| {
                     let (_, workloads) = peer_workloads(&nodes, subjob.processor);
-                    let refs: Vec<&Curve> = workloads.iter().collect();
+                    let refs: Vec<&SoaCurve> = workloads.iter().collect();
                     FcfsProcessor::new(&refs, horizon).expect("fcfs slot map")
                 });
-                proc.service_bounds(&workload, tau).expect("fcfs bounds")
+                let mut bounds = SoaServiceBounds::zeroed();
+                proc.service_bounds(&workload, tau, &mut Scratch::new(), &mut bounds)
+                    .expect("fcfs bounds");
+                bounds
             }
             SchedulerKind::Iwrr => {
                 let policy = policy_for(SchedulerKind::Iwrr);
                 let (peers, workloads) = peer_workloads(&nodes, subjob.processor);
-                let refs: Vec<&Curve> = workloads.iter().collect();
+                let refs: Vec<&SoaCurve> = workloads.iter().collect();
                 let ctx = policy
                     .build_context(sys, subjob.processor, &peers, &refs, horizon)
                     .expect("iwrr context");
-                service_bounds_aos(
+                service_bounds_of(
                     policy,
-                    &AosBoundsInputs {
+                    &BoundsInputs {
                         workload: &workload,
                         tau,
                         weight: subjob.weight(),
@@ -205,8 +185,8 @@ pub fn legacy_compute_nodes(sys: &TaskSystem, cfg: &AnalysisConfig) -> Vec<Legac
             }
         };
 
-        let dep_lower = bounds.lower.floor_div(tau.ticks(), horizon).unwrap();
-        let arr_next = bounds.upper.floor_div(tau.ticks(), horizon).unwrap();
+        let dep_lower = floor_div(&bounds.lower, tau, horizon).unwrap();
+        let arr_next = floor_div(&bounds.upper, tau, horizon).unwrap();
         nodes[i] = Some(LegacyNode {
             arr_env,
             bounds,
@@ -251,9 +231,9 @@ pub fn legacy_bounds(sys: &TaskSystem, cfg: &AnalysisConfig) -> BoundsSummary {
 /// Eq. 12: the largest gap, over the first `n_instances` instances,
 /// between an instance's earliest arrival at the hop and its latest
 /// departure; `None` when some instance never departs within the horizon.
-pub fn hop_delay(arr_env: &Curve, dep_lower: &Curve, n_instances: i64) -> Option<Time> {
-    let mut arr_cur = CurveCursor::new(arr_env);
-    let mut dep_cur = CurveCursor::new(dep_lower);
+pub fn hop_delay(arr_env: &SoaCurve, dep_lower: &SoaCurve, n_instances: i64) -> Option<Time> {
+    let mut arr_cur = SoaCursor::new(arr_env);
+    let mut dep_cur = SoaCursor::new(dep_lower);
     let mut d = Some(Time::ZERO);
     for m in 1..=n_instances {
         d = match (d, arr_cur.inverse_at(m), dep_cur.inverse_at(m)) {
@@ -264,7 +244,8 @@ pub fn hop_delay(arr_env: &Curve, dep_lower: &Curve, n_instances: i64) -> Option
     d
 }
 
-/// The Section 6 fixed point as plain Jacobi rounds on AoS curves.
+/// The Section 6 fixed point as plain Jacobi rounds, every curve freshly
+/// allocated.
 ///
 /// Cycle-free envelopes (the primary pattern shifted by the upstream
 /// minimum processing) and workloads are built once; each shared-workload
@@ -273,7 +254,7 @@ pub fn hop_delay(arr_env: &Curve, dep_lower: &Curve, n_instances: i64) -> Option
 /// every round then re-evaluates every subjob's policy kernel from the
 /// previous round's bounds, stopping early once a round changes nothing;
 /// Eq. 12 hop delays against the envelopes close the report.
-pub fn analyze_with_loops_aos_reference(
+pub fn analyze_with_loops_jacobi_reference(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
     max_rounds: usize,
@@ -285,12 +266,20 @@ pub fn analyze_with_loops_aos_reference(
 
     let mut arr_env = Vec::with_capacity(idx.len());
     let mut workload = Vec::with_capacity(idx.len());
-    for job in sys.jobs() {
-        let first = job.arrival.arrival_curve(window);
+    for (k, job) in sys.jobs().iter().enumerate() {
+        let first = pattern(
+            sys,
+            SubjobRef {
+                job: JobId(k),
+                index: 0,
+            },
+            window,
+        );
         let mut shift = Time::ZERO;
         for s in &job.subjobs {
-            let env = first.shift_right(shift, 0);
-            workload.push(env.scale(s.exec.ticks()));
+            let mut env = SoaCurve::zero();
+            first.shift_right_into(shift, 0, &mut env);
+            workload.push(scaled(&env, s.exec.ticks()));
             arr_env.push(env);
             shift += s.exec;
         }
@@ -302,7 +291,7 @@ pub fn analyze_with_loops_aos_reference(
         let policy = policy_for(sys.processor(p).scheduler);
         if policy.peer_inputs() == PeerInputs::SharedWorkloads && !ctxs.contains_key(&p.0) {
             let peers = sys.subjobs_on(p);
-            let peer_workloads: Vec<&Curve> =
+            let peer_workloads: Vec<&SoaCurve> =
                 peers.iter().map(|&o| &workload[idx.index(o)]).collect();
             let ctx = policy.build_context(sys, p, &peers, &peer_workloads, horizon)?;
             ctxs.insert(p.0, ctx);
@@ -324,11 +313,16 @@ pub fn analyze_with_loops_aos_reference(
             }
         })
         .collect();
-    let mut cur: Vec<ServiceBounds> = workload
+    let mut id = SoaCurve::zero();
+    id.set_affine(0, 1);
+    let mut cur: Vec<SoaServiceBounds> = workload
         .iter()
-        .map(|w| ServiceBounds {
-            lower: Curve::affine(0, 0),
-            upper: Curve::identity().min_with(w).clamp_min(0),
+        .map(|w| {
+            let mut b = SoaServiceBounds::zeroed();
+            let mut capped = SoaCurve::zero();
+            id.min_with_into(w, &mut capped);
+            capped.clamp_min_into(0, &mut b.upper);
+            b
         })
         .collect();
     for _ in 0..max_rounds {
@@ -336,11 +330,11 @@ pub fn analyze_with_loops_aos_reference(
         for (i, &r) in idx.refs().iter().enumerate() {
             let s = sys.subjob(r);
             let policy = policy_for(sys.processor(s.processor).scheduler);
-            let hp_lower: Vec<&Curve> = hp[i].iter().map(|&h| &cur[h].lower).collect();
-            let hp_upper: Vec<&Curve> = hp[i].iter().map(|&h| &cur[h].upper).collect();
-            next.push(service_bounds_aos(
+            let hp_lower: Vec<&SoaCurve> = hp[i].iter().map(|&h| &cur[h].lower).collect();
+            let hp_upper: Vec<&SoaCurve> = hp[i].iter().map(|&h| &cur[h].upper).collect();
+            next.push(service_bounds_of(
                 policy,
-                &AosBoundsInputs {
+                &BoundsInputs {
                     workload: &workload[i],
                     tau: s.exec,
                     weight: s.weight(),
@@ -370,7 +364,7 @@ pub fn analyze_with_loops_aos_reference(
                 job: JobId(k),
                 index: j,
             });
-            let dep_lower = cur[i].lower.floor_div(s.exec.ticks(), horizon)?;
+            let dep_lower = floor_div(&cur[i].lower, s.exec, horizon)?;
             hop_delays.push(hop_delay(&arr_env[i], &dep_lower, n_instances));
         }
         let e2e_bound = hop_delays

@@ -1,84 +1,28 @@
-//! Bump-arena style buffer reuse for the hot curve kernels.
+//! Reusable scratch space for the curve kernels.
 //!
-//! The `_into` kernel variants (`*_into` methods across [`crate::ops`],
-//! [`crate::running`], [`crate::floor_div`], [`crate::envelope`],
-//! [`crate::convolution`] and [`crate::inverse`]) write their results into
-//! caller-provided [`Curve`]s, reusing the segment buffers already
-//! allocated there. This module provides the two pieces callers need to
-//! keep those buffers alive across calls:
+//! Every kernel writes its result into a caller-provided [`SoaCurve`],
+//! reusing the column buffers already allocated there. [`Scratch`] keeps
+//! the remaining buffers alive across calls: a free-list of SoA curve
+//! buffers for the temporaries of the analysis chains (`take_soa` hands out
+//! a curve whose columns retain the capacity they grew to on earlier uses;
+//! `put_soa` returns it) plus the typed side buffers some kernels need
+//! (dense lattice values for the convolution fallback, a piece-merge
+//! staging area for the convex path, run bounds and fold layers for the
+//! decomposition). After a warm-up pass over representative inputs, a
+//! take/compute/put cycle performs no heap allocation. One `Scratch` per
+//! worker thread is the intended granularity; the type is not `Sync` —
+//! sharing across threads is a compile error, not a data race.
 //!
-//! * [`CurveArenaBuf`] — a free-list of curve buffers. `take` hands out a
-//!   curve whose segment `Vec` retains the capacity it grew to on earlier
-//!   uses; `put` returns it. After a warm-up pass over representative
-//!   inputs, a take/compute/put cycle performs no heap allocation.
-//! * [`Scratch`] — a `CurveArenaBuf` plus the typed side buffers some
-//!   kernels need (dense lattice values for the convolution fallback, a
-//!   piece-merge staging area for the convex path). One `Scratch` per
-//!   worker thread is the intended granularity; none of the types are
-//!   `Sync` — sharing across threads is a compile error, not a data race.
-//!
-//! Results are **bit-identical** to the allocating kernels: every
-//! allocating entry point is a thin wrapper that runs the `_into` kernel
-//! on a fresh buffer (see `tests/into_kernels.rs` for the pinning tests),
-//! so reusing buffers can change *where* a result lives, never what it is.
-//!
-//! A kernel that panics mid-write (e.g. a debug assertion) can leave the
-//! output curve holding a partial, invariant-violating segment list; the
-//! output must be treated as poisoned and not reused after a caught panic.
+//! Reusing buffers can change *where* a result lives, never what it is: the
+//! property tests run every kernel on dirty outputs and one shared scratch.
+//! A kernel that panics mid-write (e.g. a debug assertion) can leave its
+//! output holding a partial, invariant-violating curve; the output must be
+//! treated as poisoned and not reused after a caught panic.
 
-use crate::{Curve, SoaCurve, Time};
+use crate::{SoaCurve, Time};
 
-/// A free-list of reusable curve buffers — the "bump arena" of the hot
-/// analysis paths.
-///
-/// Unlike a classical bump allocator there is no unsafe pointer bumping
-/// (the crate forbids `unsafe`); the arena instead recycles fully-grown
-/// `Vec<Segment>` storage, which achieves the same steady-state goal:
-/// zero allocator traffic once every buffer has reached its working size.
-#[derive(Default)]
-pub struct CurveArenaBuf {
-    pool: Vec<Curve>,
-}
-
-impl CurveArenaBuf {
-    /// An empty arena.
-    pub fn new() -> CurveArenaBuf {
-        CurveArenaBuf::default()
-    }
-
-    /// Hand out a curve buffer. The returned curve is the zero curve; its
-    /// segment buffer keeps whatever capacity it had when it was `put`
-    /// back, so warm takes allocate nothing.
-    pub fn take(&mut self) -> Curve {
-        match self.pool.pop() {
-            Some(mut c) => {
-                let segs = c.begin_write(1);
-                segs.push(crate::Segment::new(Time::ZERO, 0, 0));
-                c.finish_write();
-                c
-            }
-            None => Curve::zero(),
-        }
-    }
-
-    /// Return a curve buffer to the arena for later reuse.
-    pub fn put(&mut self, c: Curve) {
-        self.pool.push(c);
-    }
-
-    /// Number of buffers currently parked in the arena.
-    pub fn len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// `true` when no buffers are parked.
-    pub fn is_empty(&self) -> bool {
-        self.pool.is_empty()
-    }
-}
-
-/// Reusable scratch space for the `_into` curve kernels: a curve-buffer
-/// arena plus the typed staging buffers of the convolution kernels.
+/// Reusable scratch space for the curve kernels: a free-list of SoA curve
+/// buffers plus the typed staging buffers of the convolution kernels.
 ///
 /// Intended granularity is one `Scratch` per worker thread (the analysis
 /// drivers in `rta-core` keep one in thread-local storage); kernels borrow
@@ -86,7 +30,6 @@ impl CurveArenaBuf {
 /// capacity-warm.
 #[derive(Default)]
 pub struct Scratch {
-    bufs: CurveArenaBuf,
     /// Dense lattice samples of the left convolution operand.
     pub(crate) values_a: Vec<i64>,
     /// Dense lattice samples of the right convolution operand.
@@ -94,7 +37,7 @@ pub struct Scratch {
     /// Piece staging for the convex slope-merge: `(length, slope)` with
     /// `None` marking the unbounded tail piece.
     pub(crate) pieces: Vec<(Option<Time>, i64)>,
-    /// Free-list of structure-of-arrays curve buffers for the SoA kernels.
+    /// Free-list of SoA curve buffers.
     soa_pool: Vec<SoaCurve>,
     /// Convex-run begin indices of the left decomposition operand.
     pub(crate) run_bounds_a: Vec<u32>,
@@ -113,18 +56,7 @@ impl Scratch {
         Scratch::default()
     }
 
-    /// Borrow a temporary curve from the arena (zero curve, capacity-warm).
-    pub fn take_curve(&mut self) -> Curve {
-        self.bufs.take()
-    }
-
-    /// Return a temporary curve to the arena.
-    pub fn put_curve(&mut self, c: Curve) {
-        self.bufs.put(c);
-    }
-
-    /// Borrow a temporary SoA curve buffer (zero curve, capacity-warm) —
-    /// the structure-of-arrays counterpart of [`Scratch::take_curve`].
+    /// Borrow a temporary curve buffer (the zero curve, capacity-warm).
     pub fn take_soa(&mut self) -> SoaCurve {
         match self.soa_pool.pop() {
             Some(mut c) => {
@@ -135,7 +67,7 @@ impl Scratch {
         }
     }
 
-    /// Return a temporary SoA curve buffer to the arena.
+    /// Return a temporary curve buffer to the pool.
     pub fn put_soa(&mut self, c: SoaCurve) {
         self.soa_pool.push(c);
     }
@@ -144,34 +76,15 @@ impl Scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Segment;
 
     #[test]
-    fn arena_round_trips_capacity() {
-        let mut arena = CurveArenaBuf::new();
-        let mut c = arena.take();
-        assert_eq!(c, Curve::zero());
-        // Grow the buffer, return it, take it back: still the zero curve.
-        let segs = c.begin_write(64);
-        for t in 0..64 {
-            segs.push(Segment::new(Time(t), t, 0));
-        }
-        c.finish_write();
-        arena.put(c);
-        assert_eq!(arena.len(), 1);
-        let c2 = arena.take();
-        assert_eq!(c2, Curve::zero());
-        assert!(arena.is_empty());
-    }
-
-    #[test]
-    fn scratch_hands_out_zero_curves() {
+    fn scratch_hands_out_zero_curves_with_warm_capacity() {
         let mut s = Scratch::new();
-        let a = s.take_curve();
-        let b = s.take_curve();
-        assert_eq!(a, Curve::zero());
-        assert_eq!(b, Curve::zero());
-        s.put_curve(a);
-        s.put_curve(b);
+        let mut c = s.take_soa();
+        assert_eq!(c, SoaCurve::zero());
+        // Grow the buffer, return it, take it back: the zero curve again.
+        SoaCurve::from_event_times_into(&(0..64).map(Time).collect::<Vec<_>>(), &mut c);
+        s.put_soa(c);
+        assert_eq!(s.take_soa(), SoaCurve::zero());
     }
 }

@@ -1,65 +1,12 @@
-//! Bound curves and deviation measures.
+//! Rate-latency service bounds.
 //!
-//! Definition 6 of the paper introduces upper/lower bound functions; the
-//! response-time bound of Theorem 4 is, in network-calculus terms, the
-//! *horizontal deviation* between an arrival upper bound and a departure
-//! lower bound. This module provides that primitive plus the two classical
-//! parametric bound families of Cruz's calculus (the paper's refs [20, 21]),
-//! which the library exposes as an extension for abstracting concrete
-//! arrival traces into `(σ, ρ)` envelopes.
+//! Definition 6 of the paper introduces upper/lower bound functions. The
+//! network-calculus composition in `rta-core` (`nc.rs`) fits each hop's
+//! guaranteed service with the classical rate-latency family of Cruz's
+//! calculus (the paper's refs [20, 21]) and concatenates the fits along a
+//! chain.
 
-use crate::util::div_ceil;
 use crate::{Curve, Segment, Time};
-
-/// Maximum horizontal gap `max_{1 ≤ m ≤ m_max} ( late⁻¹(m) − early⁻¹(m) )`
-/// between two counting curves.
-///
-/// With `early` an arrival function and `late` the matching departure
-/// function this is exactly the worst-case response time of Theorem 1 (or,
-/// with bound functions, the per-hop delay `d_{k,j}` of Equation 12).
-/// Returns `None` if some instance `m ≤ m_max` never departs (`late` never
-/// reaches `m`) — the delay is unbounded at this horizon.
-pub fn horizontal_deviation(early: &Curve, late: &Curve, m_max: i64) -> Option<Time> {
-    let mut worst = Time::ZERO;
-    for m in 1..=m_max {
-        let a = early
-            .inverse_at(m)
-            .expect("early curve must dominate m_max events");
-        let d = late.inverse_at(m)?;
-        worst = worst.max(d - a);
-    }
-    Some(worst)
-}
-
-/// Maximum vertical gap `max_t ( upper(t) − lower(t) )` over `[0, horizon]`
-/// — e.g. a backlog bound between arrived and departed work.
-pub fn vertical_deviation(upper: &Curve, lower: &Curve, horizon: Time) -> i64 {
-    upper.sub(lower).sup_on(horizon)
-}
-
-/// A token-bucket (leaky-bucket) arrival envelope `α(t) = σ + ρ·t`:
-/// at most `σ` units of burst plus a sustained rate of `ρ` units per tick.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct TokenBucket {
-    /// Burst allowance (work units).
-    pub sigma: i64,
-    /// Sustained rate (work units per tick).
-    pub rho: i64,
-}
-
-impl TokenBucket {
-    /// The envelope as a concrete curve.
-    pub fn curve(&self) -> Curve {
-        Curve::affine(self.sigma, self.rho)
-    }
-
-    /// Tightest token-bucket envelope with the given rate that dominates a
-    /// workload curve on `[0, horizon]`: `σ = max_t (c(t) − ρ·t)`.
-    pub fn enclosing(c: &Curve, rho: i64, horizon: Time) -> TokenBucket {
-        let sigma = c.sub(&Curve::affine(0, rho)).sup_on(horizon).max(0);
-        TokenBucket { sigma, rho }
-    }
-}
 
 /// A rate-latency service lower bound `β(t) = max(0, R·(t − T))`: nothing for
 /// `T` ticks, then service at rate `R`.
@@ -91,64 +38,11 @@ impl RateLatency {
             rate: self.rate.min(other.rate),
         }
     }
-
-    /// Classical delay bound for a token-bucket flow through this server:
-    /// `T + ⌈σ/R⌉` (lattice-rounded), provided the rate keeps up (`ρ ≤ R`).
-    pub fn delay_bound(&self, flow: &TokenBucket) -> Option<Time> {
-        if flow.rho > self.rate {
-            return None;
-        }
-        Some(self.latency + Time(div_ceil(flow.sigma, self.rate)))
-    }
-
-    /// Classical backlog bound `σ + ρ·T` for a token-bucket flow.
-    pub fn backlog_bound(&self, flow: &TokenBucket) -> Option<i64> {
-        if flow.rho > self.rate {
-            return None;
-        }
-        Some(flow.sigma + flow.rho * self.latency.ticks())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn horizontal_deviation_is_response_time() {
-        // Arrivals at 0, 10; departures at 4, 17 ⇒ responses 4 and 7.
-        let arr = Curve::from_event_times(&[Time(0), Time(10)]);
-        let dep = Curve::from_event_times(&[Time(4), Time(17)]);
-        assert_eq!(horizontal_deviation(&arr, &dep, 2), Some(Time(7)));
-    }
-
-    #[test]
-    fn horizontal_deviation_unbounded_when_instance_stuck() {
-        let arr = Curve::from_event_times(&[Time(0), Time(1)]);
-        let dep = Curve::from_event_times(&[Time(5)]);
-        assert_eq!(horizontal_deviation(&arr, &dep, 2), None);
-        assert_eq!(horizontal_deviation(&arr, &dep, 1), Some(Time(5)));
-    }
-
-    #[test]
-    fn vertical_deviation_is_max_backlog() {
-        let arr = Curve::from_event_times(&[Time(0), Time(1), Time(2)]).scale(3);
-        let dep = Curve::identity();
-        // Backlog peaks at t=2: 9 arrived, 2 served.
-        assert_eq!(vertical_deviation(&arr, &dep, Time(20)), 7);
-    }
-
-    #[test]
-    fn token_bucket_encloses_trace() {
-        let c = Curve::from_event_times(&[Time(0), Time(1), Time(8)]).scale(5);
-        let tb = TokenBucket::enclosing(&c, 1, Time(20));
-        // At t=1: c=10, line=1 ⇒ σ ≥ 9; check domination.
-        assert_eq!(tb.sigma, 9);
-        let env = tb.curve();
-        for t in 0..=20 {
-            assert!(env.eval(Time(t)) >= c.eval(Time(t)), "t={t}");
-        }
-    }
 
     #[test]
     fn rate_latency_algebra() {
@@ -171,20 +65,6 @@ mod tests {
         let c = a.curve();
         assert_eq!(c.eval(Time(3)), 0);
         assert_eq!(c.eval(Time(7)), 8);
-    }
-
-    #[test]
-    fn delay_and_backlog_bounds() {
-        let srv = RateLatency {
-            latency: Time(4),
-            rate: 2,
-        };
-        let flow = TokenBucket { sigma: 5, rho: 1 };
-        assert_eq!(srv.delay_bound(&flow), Some(Time(4 + 3))); // ceil(5/2)=3
-        assert_eq!(srv.backlog_bound(&flow), Some(5 + 4));
-        let fast = TokenBucket { sigma: 5, rho: 3 };
-        assert_eq!(srv.delay_bound(&fast), None);
-        assert_eq!(srv.backlog_bound(&fast), None);
     }
 
     #[test]

@@ -9,75 +9,76 @@
 //! boundaries are located with exact integer ceiling division.
 
 use crate::util::div_ceil;
-use crate::{Curve, CurveError, Segment, Time};
+use crate::{CurveError, SoaCurve};
 
-/// Compose `f ∘ g`: the curve `t ↦ f(g(t))`.
+/// Compose `f ∘ g`: the curve `t ↦ f(g(t))`, written into `out`.
 ///
 /// Requirements: `g` nondecreasing with `g(0) ≥ 0` (its values index into
-/// `f`'s domain). `f` may be arbitrary.
-pub fn compose(f: &Curve, g: &Curve) -> Result<Curve, CurveError> {
+/// `f`'s domain). `f` may be arbitrary. On error `out` is left untouched.
+pub fn compose_into(f: &SoaCurve, g: &SoaCurve, out: &mut SoaCurve) -> Result<(), CurveError> {
     g.require_nondecreasing()?;
-    let g0 = g.segments()[0].value;
-    if g0 < 0 {
-        return Err(CurveError::NegativeAtZero { value: g0 });
+    if g.values[0] < 0 {
+        return Err(CurveError::NegativeAtZero { value: g.values[0] });
     }
 
-    let fsegs = f.segments();
-    let gsegs = g.segments();
-    let mut out: Vec<Segment> = Vec::new();
+    let (fs, fv, fm) = (&f.starts, &f.values, &f.slopes);
+    out.begin(g.len() + f.len());
     let mut fi = 0usize; // advances monotonically since g is nondecreasing
-
-    for (gi, gs) in gsegs.iter().enumerate() {
-        let t1 = gsegs.get(gi + 1).map(|n| n.start);
-        if gs.slope == 0 {
-            let v = gs.value;
-            while fi + 1 < fsegs.len() && fsegs[fi + 1].start.ticks() <= v {
+    for gi in 0..g.len() {
+        let (g0, gv, gm) = (g.starts[gi], g.values[gi], g.slopes[gi]);
+        let t1 = g.starts.get(gi + 1).copied();
+        if gm == 0 {
+            while fi + 1 < fs.len() && fs[fi + 1] <= gv {
                 fi += 1;
             }
-            out.push(Segment::new(gs.start, fsegs[fi].eval(Time(v)), 0));
+            out.push(g0, fv[fi] + fm[fi] * (gv - fs[fi]), 0);
             continue;
         }
-        // Rising piece: walk the f segments the swept value range touches.
-        let mut cur_t = gs.start;
+        // Rising piece: walk the f pieces the swept value range touches.
+        let mut cur_t = g0;
         loop {
-            let cur_v = gs.eval(cur_t);
-            while fi + 1 < fsegs.len() && fsegs[fi + 1].start.ticks() <= cur_v {
+            let cur_v = gv + gm * (cur_t - g0);
+            while fi + 1 < fs.len() && fs[fi + 1] <= cur_v {
                 fi += 1;
             }
-            let fseg = &fsegs[fi];
-            let piece = Segment::new(cur_t, fseg.eval(Time(cur_v)), fseg.slope * gs.slope);
+            out.push(cur_t, fv[fi] + fm[fi] * (cur_v - fs[fi]), fm[fi] * gm);
             // Where does g first reach the next f breakpoint?
-            let next_cross = fsegs.get(fi + 1).map(|nf| {
-                let off = div_ceil(nf.start.ticks() - gs.value, gs.slope);
-                gs.start + Time(off)
-            });
-            match next_cross {
+            match fs.get(fi + 1).map(|&nf| g0 + div_ceil(nf - gv, gm)) {
                 Some(tc) if t1.is_none_or(|t1| tc < t1) => {
-                    out.push(piece);
                     debug_assert!(tc > cur_t);
                     cur_t = tc;
                 }
-                _ => {
-                    out.push(piece);
-                    break;
-                }
+                _ => break,
             }
         }
     }
-    Ok(Curve::from_sorted_segments(out))
+    out.finish();
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Curve, Segment, Time};
 
     /// Brute-force reference: evaluate f(g(t)) at each lattice point.
     fn check(f: &Curve, g: &Curve, horizon: i64) {
-        let h = compose(f, g).expect("composable");
+        let mut h = SoaCurve::zero();
+        compose_into(&SoaCurve::from_curve(f), &SoaCurve::from_curve(g), &mut h)
+            .expect("composable");
         for t in 0..=horizon {
             let expect = f.eval(Time(g.eval(Time(t))));
             assert_eq!(h.eval(Time(t)), expect, "t={t} f={f} g={g}");
         }
+    }
+
+    fn compose_err(f: &Curve, g: &Curve) -> CurveError {
+        compose_into(
+            &SoaCurve::from_curve(f),
+            &SoaCurve::from_curve(g),
+            &mut SoaCurve::zero(),
+        )
+        .unwrap_err()
     }
 
     #[test]
@@ -88,10 +89,16 @@ mod tests {
             Segment::new(Time(8), 20, 0),
         ]);
         let id = Curve::identity();
-        assert_eq!(compose(&f, &id).unwrap(), f);
+        let mut h = SoaCurve::zero();
+        compose_into(
+            &SoaCurve::from_curve(&f),
+            &SoaCurve::from_curve(&id),
+            &mut h,
+        )
+        .unwrap();
+        assert_eq!(h.to_curve(), f);
         check(&id, &f, 15);
     }
-
     #[test]
     fn step_outer_with_sloped_inner() {
         // Outer: workload step; inner: slope-0/1 utilization-like curve.
@@ -142,8 +149,8 @@ mod tests {
         let f = Curve::identity();
         let g = Curve::affine(5, -1);
         assert!(matches!(
-            compose(&f, &g),
-            Err(CurveError::NotMonotone { .. })
+            compose_err(&f, &g),
+            CurveError::NotMonotone { .. }
         ));
     }
 
@@ -152,8 +159,8 @@ mod tests {
         let f = Curve::identity();
         let g = Curve::affine(-3, 1);
         assert!(matches!(
-            compose(&f, &g),
-            Err(CurveError::NegativeAtZero { value: -3 })
+            compose_err(&f, &g),
+            CurveError::NegativeAtZero { value: -3 }
         ));
     }
 }

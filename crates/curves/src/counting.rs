@@ -6,7 +6,7 @@
 //! with unit (or multi-unit, for simultaneous events) upward jumps, and are
 //! represented as plain [`Curve`]s whose values are counts.
 
-use crate::{Curve, Segment, Time};
+use crate::{Curve, SoaCurve, Time};
 
 impl Curve {
     /// Build the counting curve of a sorted sequence of event times:
@@ -15,37 +15,9 @@ impl Curve {
     /// Multiple equal times produce a single multi-unit jump. Panics if the
     /// sequence is unsorted or contains a negative time.
     pub fn from_event_times(times: &[Time]) -> Curve {
-        let mut out = Curve::zero();
-        Curve::from_event_times_into(times, &mut out);
-        out
-    }
-
-    /// [`Curve::from_event_times`] writing into a caller-provided curve,
-    /// reusing its segment buffer.
-    pub fn from_event_times_into(times: &[Time], out: &mut Curve) {
-        let segs = out.begin_write(times.len() + 1);
-        segs.push(Segment::new(Time::ZERO, 0, 0));
-        let mut count: i64 = 0;
-        let mut i = 0;
-        while i < times.len() {
-            let t = times[i];
-            assert!(t >= Time::ZERO, "event times must be nonnegative");
-            if i > 0 {
-                assert!(times[i - 1] <= t, "event times must be sorted");
-            }
-            let mut j = i;
-            while j < times.len() && times[j] == t {
-                j += 1;
-            }
-            count += (j - i) as i64;
-            if t == Time::ZERO {
-                segs[0] = Segment::new(Time::ZERO, count, 0);
-            } else {
-                segs.push(Segment::new(t, count, 0));
-            }
-            i = j;
-        }
-        out.finish_write();
+        let mut c = SoaCurve::zero();
+        SoaCurve::from_event_times_into(times, &mut c);
+        c.to_curve()
     }
 
     /// Release/completion time of the `m`-th event (`m ≥ 1`): the
@@ -66,8 +38,9 @@ impl Curve {
     /// Total number of events represented (the final value), provided the
     /// curve is a bounded step function (final slope 0).
     pub fn total_events(&self) -> i64 {
-        debug_assert_eq!(self.final_slope(), 0, "unbounded counting curve");
-        self.segments().last().expect("non-empty").value
+        let last = self.segments().last().expect("non-empty");
+        debug_assert_eq!(last.slope, 0, "unbounded counting curve");
+        last.value
     }
 
     /// Iterator over `(time, delta)` jump pairs of a step curve.
@@ -83,19 +56,6 @@ impl Curve {
             (d != 0).then_some((w[1].start, d))
         }))
     }
-
-    /// Recover the explicit event-time list of a counting curve (inverse of
-    /// [`Curve::from_event_times`]). Panics on downward jumps.
-    pub fn to_event_times(&self) -> Vec<Time> {
-        let mut out = Vec::new();
-        for (t, d) in self.jumps() {
-            assert!(d > 0, "counting curve has a downward jump at {t}");
-            for _ in 0..d {
-                out.push(t);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +66,8 @@ mod tests {
     fn counting_roundtrip() {
         let times = vec![Time(0), Time(0), Time(5), Time(9), Time(9), Time(9)];
         let c = Curve::from_event_times(&times);
-        assert_eq!(c.to_event_times(), times);
+        let js: Vec<_> = c.jumps().collect();
+        assert_eq!(js, vec![(Time(0), 2), (Time(5), 1), (Time(9), 3)]);
         assert_eq!(c.total_events(), 6);
         assert_eq!(c.count_at(Time(0)), 2);
         assert_eq!(c.count_at(Time(4)), 2);

@@ -1,6 +1,6 @@
 //! The piecewise-linear curve type.
 
-use crate::{CurveError, Segment, Time};
+use crate::{CurveError, Segment, SoaCurve, Time};
 
 /// A right-continuous piecewise-linear function `f : [0, ∞) → ℤ` with integer
 /// breakpoints, values and slopes.
@@ -95,14 +95,6 @@ impl Curve {
         Curve::affine(0, 1)
     }
 
-    /// Overwrite `self` with the affine curve `v0 + slope · t`, reusing the
-    /// segment buffer — the in-place counterpart of [`Curve::affine`].
-    pub fn set_affine(&mut self, v0: i64, slope: i64) {
-        let segs = self.begin_write(1);
-        segs.push(Segment::new(Time::ZERO, v0, slope));
-        self.finish_write();
-    }
-
     /// A pure step function from `(time, cumulative value)` breakpoints:
     /// `f(t)` equals the value of the latest breakpoint at or before `t`, and
     /// `before` prior to the first breakpoint. Breakpoints must be sorted by
@@ -118,6 +110,15 @@ impl Curve {
         Curve::from_segments(segs)
     }
 
+    /// Pointwise scaling `k·self` — e.g. the workload function
+    /// `c(t) = f_arr(t) · τ` of Definition 3.
+    #[must_use]
+    pub fn scale(&self, k: i64) -> Curve {
+        let mut out = SoaCurve::zero();
+        SoaCurve::from_curve(self).scale_into(k, &mut out);
+        out.to_curve()
+    }
+
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -126,18 +127,6 @@ impl Curve {
     #[inline]
     pub fn segments(&self) -> &[Segment] {
         &self.segs
-    }
-
-    /// Number of linear pieces.
-    #[inline]
-    pub fn num_segments(&self) -> usize {
-        self.segs.len()
-    }
-
-    /// Slope of the final (unbounded) piece.
-    #[inline]
-    pub fn final_slope(&self) -> i64 {
-        self.segs.last().expect("curve is non-empty").slope
     }
 
     /// Index of the segment whose piece contains `t` (`t ≥ 0`).
@@ -166,14 +155,6 @@ impl Curve {
         }
     }
 
-    /// Size of the jump discontinuity at `t` (`0` where continuous).
-    pub fn jump_at(&self, t: Time) -> i64 {
-        if t == Time::ZERO {
-            return 0;
-        }
-        self.eval(t) - self.eval_left(t)
-    }
-
     /// Iterator over breakpoint times (segment starts, including `0`).
     pub fn breakpoints(&self) -> impl Iterator<Item = Time> + '_ {
         self.segs.iter().map(|s| s.start)
@@ -194,18 +175,18 @@ impl Curve {
     /// First integer `t` with `f(t) < f(t−1)`, if any.
     pub fn first_decrease(&self) -> Option<Time> {
         for (i, s) in self.segs.iter().enumerate() {
-            let next_start = self.segs.get(i + 1).map(|n| n.start);
+            // Decrease across the breakpoint vs. the previous lattice point
+            // (it comes before one inside the piece).
+            if i > 0 && s.start > Time::ZERO && s.value < self.eval(s.start - Time(1)) {
+                return Some(s.start);
+            }
             // Decrease inside the piece: a negative slope observable at a
             // second lattice point.
             if s.slope < 0 {
                 let second = s.start + Time(1);
-                if next_start.is_none_or(|ns| second < ns) {
+                if self.segs.get(i + 1).is_none_or(|n| second < n.start) {
                     return Some(second);
                 }
-            }
-            // Decrease across the breakpoint vs. the previous lattice point.
-            if i > 0 && s.start > Time::ZERO && s.value < self.eval(s.start - Time(1)) {
-                return Some(s.start);
             }
         }
         None
@@ -217,98 +198,6 @@ impl Curve {
             None => Ok(()),
             Some(at) => Err(CurveError::NotMonotone { at }),
         }
-    }
-
-    /// `true` iff the curve is continuous (no jumps).
-    pub fn is_continuous(&self) -> bool {
-        self.segs
-            .windows(2)
-            .all(|w| w[1].value == w[0].eval(w[1].start))
-    }
-
-    // ------------------------------------------------------------------
-    // Simple transforms
-    // ------------------------------------------------------------------
-
-    /// Horizontal shift right by `d ≥ 0` ticks, filling `[0, d)` with `fill`:
-    /// `g(t) = f(t − d)` for `t ≥ d`, `g(t) = fill` for `t < d`.
-    #[must_use = "shift_right returns a new curve without modifying the input"]
-    pub fn shift_right(&self, d: Time, fill: i64) -> Curve {
-        let mut out = Curve::zero();
-        self.shift_right_into(d, fill, &mut out);
-        out
-    }
-
-    /// [`Curve::shift_right`] writing into a caller-provided curve, reusing
-    /// its segment buffer.
-    pub fn shift_right_into(&self, d: Time, fill: i64, out: &mut Curve) {
-        assert!(d >= Time::ZERO, "shift_right requires d >= 0");
-        if d == Time::ZERO {
-            out.copy_from(self);
-            return;
-        }
-        let segs = out.begin_write(self.segs.len() + 1);
-        push_normalized(segs, Segment::new(Time::ZERO, fill, 0));
-        for s in &self.segs {
-            push_normalized(segs, Segment::new(s.start + d, s.value, s.slope));
-        }
-        out.finish_write();
-    }
-
-    /// Replace the prefix `[0, t0)` with the constant `fill`, keeping the
-    /// curve unchanged from `t0` on — e.g. the SPNP lower availability
-    /// (Equation 17) is zero during the maximal blocking interval.
-    #[must_use = "mask_before returns a new curve without modifying the input"]
-    pub fn mask_before(&self, t0: Time, fill: i64) -> Curve {
-        let mut out = Curve::zero();
-        self.mask_before_into(t0, fill, &mut out);
-        out
-    }
-
-    /// [`Curve::mask_before`] writing into a caller-provided curve, reusing
-    /// its segment buffer.
-    pub fn mask_before_into(&self, t0: Time, fill: i64, out: &mut Curve) {
-        if t0 <= Time::ZERO {
-            out.copy_from(self);
-            return;
-        }
-        let i = self.seg_index(t0);
-        let at = self.segs[i].eval(t0);
-        let slope = self.segs[i].slope;
-        let tail = &self.segs[i + 1..];
-        let segs = out.begin_write(tail.len() + 2);
-        push_normalized(segs, Segment::new(Time::ZERO, fill, 0));
-        push_normalized(segs, Segment::new(t0, at, slope));
-        for s in tail {
-            push_normalized(segs, *s);
-        }
-        out.finish_write();
-    }
-
-    /// Drop all breakpoints strictly after `horizon`, extending the piece
-    /// active at `horizon` to infinity. The result agrees with `self` on
-    /// `[0, horizon]`.
-    #[must_use = "truncate_after returns a new curve without modifying the input"]
-    pub fn truncate_after(&self, horizon: Time) -> Curve {
-        let i = self.seg_index(horizon.max(Time::ZERO));
-        Curve {
-            segs: self.segs[..=i].to_vec(),
-        }
-    }
-
-    /// [`Curve::truncate_after`] writing into a caller-provided curve,
-    /// reusing its segment buffer.
-    pub fn truncate_after_into(&self, horizon: Time, out: &mut Curve) {
-        let i = self.seg_index(horizon.max(Time::ZERO));
-        out.segs.clear();
-        out.segs.extend_from_slice(&self.segs[..=i]);
-    }
-
-    /// Overwrite this curve with a copy of `src`, reusing the existing
-    /// segment buffer (no allocation when capacity suffices).
-    pub fn copy_from(&mut self, src: &Curve) {
-        self.segs.clear();
-        self.segs.extend_from_slice(&src.segs);
     }
 
     /// Sample the curve at every integer tick in `[from, to]` (inclusive) —
@@ -325,7 +214,7 @@ impl Curve {
 
     /// Merge segments that continue their predecessor's line — in place,
     /// without allocating, by compacting with a read/write pointer pair.
-    pub(crate) fn normalize(&mut self) {
+    fn normalize(&mut self) {
         let mut w = 0usize;
         for r in 0..self.segs.len() {
             let s = self.segs[r];
@@ -341,62 +230,20 @@ impl Curve {
         self.segs.truncate(w);
     }
 
-    /// Internal constructor for operation results: input must be sorted with
-    /// strictly increasing starts beginning at zero; normalizes, then
-    /// debug-checks the full invariant set (sortedness *and* coalesced
-    /// runs), so a writer handing over a malformed list — e.g. an SoA
-    /// round-trip that corrupted a column — fails loudly here instead of
-    /// producing a curve that silently violates the representation
-    /// invariants downstream.
-    pub(crate) fn from_sorted_segments(segs: Vec<Segment>) -> Curve {
-        debug_assert!(!segs.is_empty());
+    /// Internal constructor for segment lists already normalized (an SoA
+    /// curve's columns):
+    /// debug-checks the full invariant set, so a malformed list fails
+    /// loudly here instead of producing a curve that silently violates
+    /// the representation invariants downstream.
+    pub(crate) fn from_normalized(segs: Vec<Segment>) -> Curve {
+        debug_assert!(!segs.is_empty(), "written curve must be non-empty");
         debug_assert!(segs[0].start == Time::ZERO);
         debug_assert!(segs.windows(2).all(|w| w[0].start < w[1].start));
-        let mut c = Curve { segs };
-        c.normalize();
-        c.finish_write();
-        c
-    }
-
-    /// Start overwriting this curve in place: clears the segment buffer
-    /// (keeping its capacity, reserving room for `cap` more entries) and
-    /// hands it out for writing. The curve's invariants are suspended until
-    /// [`Curve::finish_write`]; writers must push segments with strictly
-    /// increasing starts beginning at [`Time::ZERO`], normally via
-    /// [`push_normalized`].
-    pub(crate) fn begin_write(&mut self, cap: usize) -> &mut Vec<Segment> {
-        self.segs.clear();
-        self.segs.reserve(cap);
-        &mut self.segs
-    }
-
-    /// Close a [`Curve::begin_write`] session, debug-checking the invariants
-    /// (writers using [`push_normalized`] produce normalized output, so no
-    /// normalization pass runs here).
-    pub(crate) fn finish_write(&mut self) {
-        debug_assert!(!self.segs.is_empty(), "written curve must be non-empty");
-        debug_assert!(self.segs[0].start == Time::ZERO);
-        debug_assert!(self.segs.windows(2).all(|w| w[0].start < w[1].start));
-        debug_assert!(self
-            .segs
+        debug_assert!(segs
             .windows(2)
             .all(|w| { w[0].slope != w[1].slope || w[0].eval(w[1].start) != w[1].value }));
+        Curve { segs }
     }
-}
-
-/// Append a segment to an output buffer, keeping the buffer normalized:
-/// segments that continue the previous line are skipped, exactly as
-/// [`Curve::normalize`] would merge them. Starts must be strictly
-/// increasing.
-#[inline]
-pub(crate) fn push_normalized(segs: &mut Vec<Segment>, s: Segment) {
-    if let Some(prev) = segs.last() {
-        debug_assert!(prev.start < s.start, "pushes must be strictly increasing");
-        if prev.slope == s.slope && prev.eval(s.start) == s.value {
-            return;
-        }
-    }
-    segs.push(s);
 }
 
 impl std::fmt::Display for Curve {
@@ -446,7 +293,7 @@ mod tests {
             Segment::new(Time(5), 5, 1), // continuation of the same line
             Segment::new(Time(8), 9, 1), // jump of +1
         ]);
-        assert_eq!(c.num_segments(), 2);
+        assert_eq!(c.segments().len(), 2);
         assert_eq!(c.eval(Time(7)), 7);
         assert_eq!(c.eval(Time(8)), 9);
     }
@@ -458,8 +305,7 @@ mod tests {
         assert_eq!(c.eval(Time(4)), 0);
         assert_eq!(c.eval(Time(5)), 2); // right-continuous
         assert_eq!(c.eval_left(Time(5)), 0);
-        assert_eq!(c.jump_at(Time(5)), 2);
-        assert_eq!(c.jump_at(Time(7)), 0);
+        assert_eq!(c.eval_left(Time(7)), 2);
         assert_eq!(c.eval(Time(12)), 4);
         assert_eq!(c.eval_left(Time(12)), 4);
     }
@@ -487,49 +333,14 @@ mod tests {
     }
 
     #[test]
-    fn continuity_detection() {
-        assert!(!staircase().is_continuous());
-        assert!(Curve::identity().is_continuous());
-        let cont = Curve::from_segments(vec![
-            Segment::new(Time(0), 0, 1),
-            Segment::new(Time(4), 4, 0),
-        ]);
-        assert!(cont.is_continuous());
-    }
-
-    #[test]
-    fn shift_right_fills_prefix() {
-        let c = Curve::identity().shift_right(Time(3), 0);
-        assert_eq!(c.eval(Time(0)), 0);
-        assert_eq!(c.eval(Time(2)), 0);
-        assert_eq!(c.eval(Time(3)), 0);
-        assert_eq!(c.eval(Time(10)), 7);
-        // Zero shift is identity.
-        assert_eq!(
-            Curve::identity().shift_right(Time(0), 99),
-            Curve::identity()
-        );
-    }
-
-    #[test]
-    fn mask_before_replaces_prefix() {
-        let c = Curve::identity().mask_before(Time(5), 0);
-        assert_eq!(c.sample(Time(0), Time(7)), vec![0, 0, 0, 0, 0, 5, 6, 7]);
-        // No-op masks.
-        assert_eq!(Curve::identity().mask_before(Time(0), 9), Curve::identity());
-        // Mask inside a later segment.
-        let s = staircase().mask_before(Time(7), -1);
-        assert_eq!(s.eval(Time(6)), -1);
-        assert_eq!(s.eval(Time(7)), 2);
-        assert_eq!(s.eval(Time(12)), 4);
-    }
-
-    #[test]
-    fn truncate_after_keeps_prefix() {
-        let c = staircase().truncate_after(Time(6));
-        assert_eq!(c.eval(Time(6)), 2);
-        assert_eq!(c.eval(Time(100)), 2); // plateau extended
-        assert_eq!(c.num_segments(), 2);
+    fn scale_multiplies_values_and_slopes() {
+        let c = staircase().scale(3);
+        assert_eq!(c.sample(Time(0), Time(12)), {
+            let base = staircase().sample(Time(0), Time(12));
+            base.into_iter().map(|v| 3 * v).collect::<Vec<_>>()
+        });
+        // Scaling by zero collapses every piece into the zero curve.
+        assert_eq!(staircase().scale(0), Curve::zero());
     }
 
     #[test]

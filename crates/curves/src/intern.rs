@@ -1,28 +1,15 @@
-//! Curve interning and bounded operation memoization.
+//! Curve interning.
 //!
 //! The analyses derive the same piecewise-linear curves over and over:
-//! every bisection step of a sensitivity sweep and every job set of an
-//! admission sweep re-builds arrival envelopes, workloads and service
-//! curves whose segment lists are often structurally identical to ones
-//! already computed. [`CurveArena`] hash-conses curves — structurally equal
-//! segment lists are stored once and shared behind a cheap, `Copy`-able
-//! [`CurveId`] — so equality checks between analysis rounds become integer
-//! comparisons and repeated results share memory.
-//!
-//! On top of the arena sits a **bounded** memo table for the binary
-//! operations ([`CurveOp`]): pointwise min/max, addition and min-plus
-//! convolution, keyed on the operand ids (and the horizon, for the
-//! convolution). The table evicts in FIFO order once it reaches its
-//! capacity, so a long-lived arena's memory stays proportional to the
-//! working set, not to the total operation count.
-//!
-//! All keyed operations are commutative, so keys are normalized to
-//! `(min(a, b), max(a, b))` — `f ⊗ g` and `g ⊗ f` share one entry.
+//! every bisection step of a sensitivity sweep and every warm re-analysis
+//! of a session rebuilds arrival patterns whose segment lists are often
+//! structurally identical to ones already seen. [`CurveArena`] hash-conses
+//! curves — structurally equal segment lists are stored once and shared
+//! behind a cheap, `Copy`-able [`CurveId`] — so equality checks become
+//! integer comparisons and repeated patterns share memory.
 
-use crate::convolution::convolve;
-use crate::ops::{pointwise_max, pointwise_min};
-use crate::{Curve, Time};
-use std::collections::{HashMap, VecDeque};
+use crate::Curve;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Identifier of an interned curve within one [`CurveArena`].
@@ -40,86 +27,37 @@ impl CurveId {
     }
 }
 
-/// Binary curve operations the arena memoizes.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum CurveOp {
-    /// Min-plus convolution `f ⊗ g` up to a horizon.
-    Convolve,
-    /// Pointwise minimum.
-    Min,
-    /// Pointwise maximum.
-    Max,
-    /// Pointwise sum.
-    Add,
-}
-
-/// Memo key: operation, normalized operand ids, horizon ticks (zero for
-/// horizon-free operations).
-type MemoKey = (CurveOp, CurveId, CurveId, i64);
-
-/// Snapshot of an arena's size and memo-table effectiveness.
+/// Snapshot of an arena's size and interning effectiveness.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Distinct curves interned.
     pub curves: usize,
-    /// Live memo-table entries.
-    pub memo_entries: usize,
-    /// Memo-table capacity (entries beyond this evict FIFO).
-    pub memo_capacity: usize,
-    /// Operations answered from the memo table.
+    /// Operations answered from an operation memo table. The arena keeps
+    /// none, so this reads 0; the field stays for counter readers that sum
+    /// arena lookups.
     pub memo_hits: u64,
-    /// Operations that had to be computed.
+    /// Operations computed past an operation memo table — 0, like
+    /// `memo_hits`.
     pub memo_misses: u64,
     /// `intern` calls that found an existing structural match.
     pub intern_hits: u64,
 }
 
-/// A structural-hash arena of curves with a bounded operation memo table.
+/// A structural-hash arena of curves.
 ///
-/// See the [module docs](self) for the design. The arena only ever grows
-/// (curves are never evicted — ids must stay valid); the *memo table* is
-/// bounded by [`CurveArena::with_memo_capacity`].
-#[derive(Debug)]
+/// See the [module docs](self) for the design. The arena only ever grows:
+/// curves are never evicted, so ids stay valid.
+#[derive(Debug, Default)]
 pub struct CurveArena {
     curves: Vec<Arc<Curve>>,
     lookup: HashMap<Arc<Curve>, CurveId>,
-    memo: HashMap<MemoKey, CurveId>,
-    memo_order: VecDeque<MemoKey>,
-    memo_capacity: usize,
-    memo_hits: u64,
-    memo_misses: u64,
     intern_hits: u64,
 }
 
-/// Default bound on live memo-table entries.
-pub const DEFAULT_MEMO_CAPACITY: usize = 4096;
-
-impl Default for CurveArena {
-    fn default() -> Self {
-        CurveArena::new()
-    }
-}
-
 impl CurveArena {
-    /// An empty arena with the [`DEFAULT_MEMO_CAPACITY`].
+    /// An empty arena.
     pub fn new() -> CurveArena {
-        CurveArena::with_memo_capacity(DEFAULT_MEMO_CAPACITY)
-    }
-
-    /// An empty arena whose memo table holds at most `capacity` entries
-    /// (FIFO eviction beyond that). A capacity of zero disables
-    /// memoization but keeps interning.
-    pub fn with_memo_capacity(capacity: usize) -> CurveArena {
-        CurveArena {
-            curves: Vec::new(),
-            lookup: HashMap::new(),
-            memo: HashMap::new(),
-            memo_order: VecDeque::new(),
-            memo_capacity: capacity,
-            memo_hits: 0,
-            memo_misses: 0,
-            intern_hits: 0,
-        }
+        CurveArena::default()
     }
 
     /// Intern a curve, returning the id of its structural equivalence
@@ -136,28 +74,9 @@ impl CurveArena {
         id
     }
 
-    /// Intern by reference, cloning the curve only on a miss.
-    pub fn intern_ref(&mut self, curve: &Curve) -> CurveId {
-        if let Some(&id) = self.lookup.get(curve) {
-            self.intern_hits += 1;
-            return id;
-        }
-        self.intern(curve.clone())
-    }
-
-    /// The id a curve would intern to, without inserting it.
-    pub fn find(&self, curve: &Curve) -> Option<CurveId> {
-        self.lookup.get(curve).copied()
-    }
-
     /// The interned curve behind an id.
     pub fn get(&self, id: CurveId) -> &Curve {
         &self.curves[id.index()]
-    }
-
-    /// Shared handle to the interned curve (cheap to clone across threads).
-    pub fn get_arc(&self, id: CurveId) -> Arc<Curve> {
-        Arc::clone(&self.curves[id.index()])
     }
 
     /// Number of distinct curves interned.
@@ -170,75 +89,21 @@ impl CurveArena {
         self.curves.is_empty()
     }
 
-    /// Current size and memo statistics.
+    /// Current size and interning statistics.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
             curves: self.curves.len(),
-            memo_entries: self.memo.len(),
-            memo_capacity: self.memo_capacity,
-            memo_hits: self.memo_hits,
-            memo_misses: self.memo_misses,
+            memo_hits: 0,
+            memo_misses: 0,
             intern_hits: self.intern_hits,
         }
-    }
-
-    /// Memoized min-plus convolution of two interned curves (see
-    /// [`crate::convolution::convolve`]).
-    pub fn convolve(&mut self, f: CurveId, g: CurveId, horizon: Time) -> CurveId {
-        self.binary(CurveOp::Convolve, f, g, horizon.ticks(), |a, b| {
-            convolve(a, b, horizon)
-        })
-    }
-
-    /// Memoized pointwise minimum.
-    pub fn min(&mut self, f: CurveId, g: CurveId) -> CurveId {
-        self.binary(CurveOp::Min, f, g, 0, pointwise_min)
-    }
-
-    /// Memoized pointwise maximum.
-    pub fn max(&mut self, f: CurveId, g: CurveId) -> CurveId {
-        self.binary(CurveOp::Max, f, g, 0, pointwise_max)
-    }
-
-    /// Memoized pointwise sum.
-    pub fn add(&mut self, f: CurveId, g: CurveId) -> CurveId {
-        self.binary(CurveOp::Add, f, g, 0, |a, b| a.add(b))
-    }
-
-    fn binary(
-        &mut self,
-        op: CurveOp,
-        f: CurveId,
-        g: CurveId,
-        horizon: i64,
-        compute: impl FnOnce(&Curve, &Curve) -> Curve,
-    ) -> CurveId {
-        // All four operations are commutative: normalize the key.
-        let key = (op, f.min(g), f.max(g), horizon);
-        if let Some(&id) = self.memo.get(&key) {
-            self.memo_hits += 1;
-            return id;
-        }
-        self.memo_misses += 1;
-        let result = compute(&self.curves[f.index()], &self.curves[g.index()]);
-        let id = self.intern(result);
-        if self.memo_capacity > 0 {
-            if self.memo.len() >= self.memo_capacity {
-                if let Some(old) = self.memo_order.pop_front() {
-                    self.memo.remove(&old);
-                }
-            }
-            self.memo.insert(key, id);
-            self.memo_order.push_back(key);
-        }
-        id
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Segment;
+    use crate::{Segment, Time};
     use proptest::prelude::*;
 
     fn staircase(ts: &[i64], tau: i64) -> Curve {
@@ -258,88 +123,21 @@ mod tests {
         assert_eq!(arena.get(a), &staircase(&[0, 4, 8], 3));
     }
 
-    #[test]
-    fn memoized_ops_match_direct_computation() {
-        let mut arena = CurveArena::new();
-        let f = staircase(&[0, 4, 8], 3);
-        let g = staircase(&[1, 5], 2);
-        let fi = arena.intern_ref(&f);
-        let gi = arena.intern_ref(&g);
-        let h = Time(20);
-        let conv = arena.convolve(fi, gi, h);
-        assert_eq!(arena.get(conv), &convolve(&f, &g, h));
-        let arena_min = arena.min(fi, gi);
-        assert_eq!(arena.get(arena_min), &f.min_with(&g));
-        let arena_max = arena.max(fi, gi);
-        assert_eq!(arena.get(arena_max), &f.max_with(&g));
-        let arena_add = arena.add(fi, gi);
-        assert_eq!(arena.get(arena_add), &f.add(&g));
-    }
-
-    #[test]
-    fn commutative_keys_share_one_entry() {
-        let mut arena = CurveArena::new();
-        let fi = arena.intern(staircase(&[0, 3], 2));
-        let gi = arena.intern(Curve::affine(1, 1));
-        let a = arena.convolve(fi, gi, Time(15));
-        let b = arena.convolve(gi, fi, Time(15));
-        assert_eq!(a, b);
-        let s = arena.stats();
-        assert_eq!((s.memo_hits, s.memo_misses), (1, 1));
-    }
-
-    #[test]
-    fn memo_table_is_bounded_fifo() {
-        let mut arena = CurveArena::with_memo_capacity(2);
-        let ids: Vec<CurveId> = (0..4).map(|k| arena.intern(Curve::constant(k))).collect();
-        // Three distinct entries through a capacity-2 table.
-        arena.add(ids[0], ids[1]);
-        arena.add(ids[0], ids[2]);
-        arena.add(ids[0], ids[3]); // evicts the (ids[0], ids[1]) entry
-        assert_eq!(arena.stats().memo_entries, 2);
-        arena.add(ids[0], ids[2]); // still resident
-        assert_eq!(arena.stats().memo_hits, 1);
-        arena.add(ids[0], ids[1]); // recomputed after eviction
-        assert_eq!(arena.stats().memo_misses, 4);
-    }
-
-    #[test]
-    fn zero_capacity_disables_memoization_not_interning() {
-        let mut arena = CurveArena::with_memo_capacity(0);
-        let fi = arena.intern(Curve::identity());
-        let gi = arena.intern(Curve::constant(3));
-        let a = arena.min(fi, gi);
-        let b = arena.min(fi, gi);
-        // Results still intern to the same id; only the memo is off.
-        assert_eq!(a, b);
-        assert_eq!(arena.stats().memo_hits, 0);
-        assert_eq!(arena.stats().memo_entries, 0);
-    }
-
     fn arb_curve() -> impl Strategy<Value = Curve> {
-        (
-            prop::collection::vec((0i64..40, 0i64..20, 0i64..4), 1..6),
-            any::<bool>(),
-        )
-            .prop_map(|(pieces, clip)| {
-                let mut ts: Vec<i64> = pieces.iter().map(|p| p.0).collect();
-                ts.sort();
-                ts.dedup();
-                let segs: Vec<Segment> = ts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &t)| {
-                        let (_, v, s) = pieces[i];
-                        Segment::new(Time(if i == 0 { 0 } else { t }), v + t, s)
-                    })
-                    .collect();
-                let c = Curve::from_segments(segs);
-                if clip {
-                    c.min_with(&Curve::affine(10, 2))
-                } else {
-                    c
-                }
-            })
+        prop::collection::vec((0i64..40, 0i64..20, 0i64..4), 1..6).prop_map(|pieces| {
+            let mut ts: Vec<i64> = pieces.iter().map(|p| p.0).collect();
+            ts.sort();
+            ts.dedup();
+            let segs: Vec<Segment> = ts
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| {
+                    let (_, v, s) = pieces[i];
+                    Segment::new(Time(if i == 0 { 0 } else { t }), v + t, s)
+                })
+                .collect();
+            Curve::from_segments(segs)
+        })
     }
 
     proptest! {
@@ -350,32 +148,14 @@ mod tests {
         #[test]
         fn intern_equality_consistency(a in arb_curve(), b in arb_curve()) {
             let mut arena = CurveArena::new();
-            let ia = arena.intern_ref(&a);
-            let ib = arena.intern_ref(&b);
+            let ia = arena.intern(a.clone());
+            let ib = arena.intern(b.clone());
             prop_assert_eq!(ia == ib, a == b);
             prop_assert_eq!(arena.get(ia), &a);
             prop_assert_eq!(arena.get(ib), &b);
             // Re-interning never mints a fresh id.
-            prop_assert_eq!(arena.intern_ref(&a), ia);
+            prop_assert_eq!(arena.intern(a.clone()), ia);
             prop_assert_eq!(arena.intern(b.clone()), ib);
-        }
-
-        /// Memoized results are the same curves the direct operators
-        /// produce, hit or miss.
-        #[test]
-        fn memo_transparency(a in arb_curve(), b in arb_curve(), h in 0i64..60) {
-            let mut arena = CurveArena::new();
-            let ia = arena.intern_ref(&a);
-            let ib = arena.intern_ref(&b);
-            for _ in 0..2 { // second pass exercises the hit path
-                let conv_id = arena.convolve(ia, ib, Time(h));
-                prop_assert_eq!(arena.get(conv_id), &convolve(&a, &b, Time(h)));
-                let min_id = arena.min(ia, ib);
-                prop_assert_eq!(arena.get(min_id), &a.min_with(&b));
-                let add_id = arena.add(ia, ib);
-                prop_assert_eq!(arena.get(add_id), &a.add(&b));
-            }
-            prop_assert!(arena.stats().memo_hits >= 3);
         }
     }
 }

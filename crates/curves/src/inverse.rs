@@ -6,9 +6,8 @@
 //! the step and slope-`1` curves that dominate the analysis the lattice
 //! answer coincides with the continuous one.
 
-use crate::curve::push_normalized;
 use crate::util::div_ceil;
-use crate::{Curve, CurveError, Segment, Time};
+use crate::{Curve, CurveError, SoaCurve, Time};
 
 impl Curve {
     /// Smallest integer `t ≥ 0` with `f(t) ≥ y`, or `None` if the curve never
@@ -34,151 +33,107 @@ impl Curve {
         }
         None
     }
+}
 
+impl SoaCurve {
     /// Largest value the curve attains on `[0, horizon]` (lattice points).
     pub fn sup_on(&self, horizon: Time) -> i64 {
+        let h = horizon.ticks();
         let mut best = i64::MIN;
-        let segs = self.segments();
-        for (i, s) in segs.iter().enumerate() {
-            if s.start > horizon {
+        for i in 0..self.len() {
+            if self.starts[i] > h {
                 break;
             }
-            let end = segs
-                .get(i + 1)
-                .map(|n| (n.start - Time(1)).min(horizon))
-                .unwrap_or(horizon);
-            best = best.max(s.value).max(s.eval(end));
+            let end = self.starts.get(i + 1).map_or(h, |&n| (n - 1).min(h));
+            best = best
+                .max(self.values[i])
+                .max(self.values[i] + self.slopes[i] * (end - self.starts[i]));
         }
         best
     }
 
-    /// The pseudo-inverse as a curve over the **value** axis:
-    /// `g⁻¹(y) = min { s : g(s) ≥ y }`, for nondecreasing `g`.
+    /// The pseudo-inverse as a curve over the **value** axis,
+    /// `g⁻¹(y) = min { s : g(s) ≥ y }` for nondecreasing `g`, written into
+    /// `out`.
     ///
     /// The result maps integer values `y` to times (as `i64` ticks). It is
     /// well-defined only for `y ≤ sup g`; beyond the supremum of a curve
-    /// whose final slope is zero there is no finite inverse, so the returned
-    /// curve is **valid on `[0, g.sup_on(·)]` only** (its final plateau is
+    /// whose final slope is zero there is no finite inverse, so the result
+    /// is **valid on `[0, g.sup_on(·)]` only** (its final plateau is
     /// extended, which callers must not query). Curves with final slope ≥ 1
     /// have a total inverse.
     ///
     /// Supported slopes: `0` and `1` are exact and compact; slopes ≥ 2 are
     /// expanded into an exact staircase (one step per time tick of the
-    /// piece). Negative slopes are rejected.
-    pub fn inverse_curve(&self) -> Result<Curve, CurveError> {
-        let mut out = Curve::zero();
-        self.inverse_curve_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// [`Curve::inverse_curve`] writing into a caller-provided curve,
-    /// reusing its segment buffer. On error `out` is left untouched (all
-    /// validation runs before the sweep starts writing).
-    pub fn inverse_curve_into(&self, out: &mut Curve) -> Result<(), CurveError> {
+    /// piece). Negative slopes are rejected. On error `out` is left
+    /// untouched (all validation runs before the sweep starts writing).
+    pub fn inverse_curve_into(&self, out: &mut SoaCurve) -> Result<(), CurveError> {
         self.require_nondecreasing()?;
-        let segs = self.segments();
-        if segs[0].value < 0 {
+        if self.values[0] < 0 {
             return Err(CurveError::NegativeAtZero {
-                value: segs[0].value,
+                value: self.values[0],
             });
         }
         // Validate slopes upfront, in sweep order, so the sweep itself is
         // infallible: negative slopes are unsupported anywhere, and slopes
         // ≥ 2 only on bounded pieces (the staircase expansion is finite).
-        for (i, s) in segs.iter().enumerate() {
-            let unbounded = i + 1 == segs.len();
-            if s.slope < 0 || (s.slope >= 2 && unbounded) {
-                return Err(CurveError::UnsupportedSlope { slope: s.slope });
+        for (i, &slope) in self.slopes.iter().enumerate() {
+            let unbounded = i + 1 == self.len();
+            if slope < 0 || (slope >= 2 && unbounded) {
+                return Err(CurveError::UnsupportedSlope { slope });
             }
         }
 
-        let out_segs = out.begin_write(segs.len() + 2);
+        out.begin(self.len() + 2);
         // `covered` = the largest y for which the inverse has been emitted;
         // the inverse for y ≤ g(0) is 0.
-        let v0 = segs[0].value;
-        push_normalized(out_segs, Segment::new(Time::ZERO, 0, 0));
-        let mut covered = v0;
-        for (i, s) in segs.iter().enumerate() {
-            let seg_end = segs.get(i + 1).map(|n| n.start);
-            match s.slope {
-                0 => {
-                    // A plateau contributes nothing new; an upward jump INTO
-                    // the *next* segment is handled when that segment starts.
-                    if s.value > covered {
-                        // Jump at s.start: all y in (covered, s.value] first
-                        // reached at s.start.
-                        push_normalized(
-                            out_segs,
-                            Segment::new(Time(covered + 1), s.start.ticks(), 0),
-                        );
-                        covered = s.value;
-                    }
-                }
+        out.push(0, 0, 0);
+        let mut covered = self.values[0];
+        for i in 0..self.len() {
+            let (start, value, slope) = (self.starts[i], self.values[i], self.slopes[i]);
+            let seg_end = self.starts.get(i + 1).copied();
+            // A jump at `start`: every y in (covered, value] is first reached
+            // there. (A plateau contributes nothing new; an upward jump INTO
+            // the next piece is handled when that piece starts.)
+            if value > covered {
+                out.push(covered + 1, start, 0);
+                covered = value;
+            }
+            match slope {
+                0 => {}
                 1 => {
-                    if s.value > covered {
-                        push_normalized(
-                            out_segs,
-                            Segment::new(Time(covered + 1), s.start.ticks(), 0),
-                        );
-                        covered = s.value;
-                    }
                     // On the rising piece the inverse is the mirrored line:
                     // y = value + (t − start) ⇒ t = start + (y − value).
                     let top = match seg_end {
-                        Some(t1) => s.eval(t1 - Time(1)),
+                        Some(t1) => value + (t1 - 1 - start),
                         None => {
                             // Unbounded rising tail: inverse continues forever.
                             if covered < i64::MAX {
-                                push_normalized(
-                                    out_segs,
-                                    Segment::new(
-                                        Time(covered + 1),
-                                        s.start.ticks() + (covered + 1 - s.value),
-                                        1,
-                                    ),
-                                );
+                                out.push(covered + 1, start + (covered + 1 - value), 1);
                             }
                             break;
                         }
                     };
                     if top > covered {
-                        push_normalized(
-                            out_segs,
-                            Segment::new(
-                                Time(covered + 1),
-                                s.start.ticks() + (covered + 1 - s.value),
-                                1,
-                            ),
-                        );
+                        out.push(covered + 1, start + (covered + 1 - value), 1);
                         covered = top;
                     }
                 }
                 k => {
-                    debug_assert!(k >= 2);
-                    if s.value > covered {
-                        push_normalized(
-                            out_segs,
-                            Segment::new(Time(covered + 1), s.start.ticks(), 0),
-                        );
-                        covered = s.value;
-                    }
                     // Exact staircase: tick Δ of the piece first reaches
                     // values (value + k(Δ−1), value + kΔ].
-                    let end_tick = (seg_end.expect("validated bounded") - s.start).ticks();
+                    let end_tick = seg_end.expect("validated bounded") - start;
                     for d in 1..=end_tick - 1 {
-                        let top = s.value + k * d;
+                        let top = value + k * d;
                         if top > covered {
-                            push_normalized(
-                                out_segs,
-                                Segment::new(Time(covered + 1), s.start.ticks() + d, 0),
-                            );
+                            out.push(covered + 1, start + d, 0);
                             covered = top;
                         }
                     }
                 }
             }
         }
-        out.finish_write();
+        out.finish();
         Ok(())
     }
 }
@@ -186,6 +141,7 @@ impl Curve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Segment;
 
     #[test]
     fn inverse_at_step_function() {
@@ -224,10 +180,10 @@ mod tests {
 
     #[test]
     fn sup_on_finds_piece_maxima() {
-        let c = Curve::from_segments(vec![
+        let c = SoaCurve::from_curve(&Curve::from_segments(vec![
             Segment::new(Time(0), 0, 1),
             Segment::new(Time(5), 0, 0),
-        ]);
+        ]));
         assert_eq!(c.sup_on(Time(10)), 4); // max of rising piece at t=4
         assert_eq!(c.sup_on(Time(3)), 3);
     }
@@ -263,9 +219,12 @@ mod tests {
         );
     }
 
-    /// inverse_curve agrees with inverse_at for every y in range.
+    /// inverse_curve_into agrees with inverse_at for every y in range.
     fn check_inverse_curve(c: &Curve, ymax: i64) {
-        let inv = c.inverse_curve().expect("invertible");
+        let mut inv = SoaCurve::zero();
+        SoaCurve::from_curve(c)
+            .inverse_curve_into(&mut inv)
+            .expect("invertible");
         for y in 0..=ymax {
             let expect = c.inverse_at(y).expect("y within range").ticks();
             assert_eq!(inv.eval(Time(y)), expect, "y={y} for {c}");
@@ -309,9 +268,9 @@ mod tests {
 
     #[test]
     fn inverse_curve_rejects_decreasing() {
-        let c = Curve::affine(5, -1);
+        let c = SoaCurve::from_curve(&Curve::affine(5, -1));
         assert!(matches!(
-            c.inverse_curve(),
+            c.inverse_curve_into(&mut SoaCurve::zero()),
             Err(CurveError::NotMonotone { .. })
         ));
     }

@@ -4,20 +4,30 @@
 //! response-time analysis of Li, Bettati & Zhao (ICPP 1998). Every quantity
 //! in that analysis — arrival functions, departure functions, workload
 //! functions, service functions, utilization functions — is a
-//! right-continuous piecewise-linear (PWL) function of time. This crate
-//! provides one concrete representation, [`Curve`], together with the exact
-//! operations the theorems need:
+//! right-continuous piecewise-linear (PWL) function of time.
 //!
-//! * pointwise linear combination, minimum and maximum ([`ops`]),
-//! * prefix ("running") minima and maxima ([`running`]),
-//! * the pseudo-inverse `g⁻¹(y) = min { s : g(s) ≥ y }` ([`inverse`]),
-//! * resumable monotone eval/inverse sweeps ([`cursor`]),
-//! * monotone composition `f ∘ g` ([`compose`]),
-//! * departure extraction `⌊S(t)/τ⌋` ([`floor_div`]),
-//! * event-counting helpers for arrival functions ([`counting`]),
-//! * min-plus convolution and network-calculus bound curves
-//!   ([`convolution`], [`bounds`]),
-//! * structural-hash interning with memoized operators ([`intern`]).
+//! ## One layout
+//!
+//! The analysis computes on one representation, the structure-of-arrays
+//! [`SoaCurve`] (three parallel columns of breakpoint starts, values and
+//! slopes), with the exact operations the theorems need:
+//!
+//! * pointwise linear combination, k-way sums, minimum and maximum, prefix
+//!   ("running") extrema, shifts, masks and departure extraction
+//!   `⌊S(t)/τ⌋` ([`soa`]), plus resumable monotone eval/inverse sweeps
+//!   ([`SoaCursor`]);
+//! * the pseudo-inverse `g⁻¹(y) = min { s : g(s) ≥ y }` as a curve
+//!   ([`inverse`]) and monotone composition `f ∘ g` ([`compose`]);
+//! * min-plus convolution ([`convolution`]).
+//!
+//! Every kernel writes into a caller-provided curve and draws its
+//! temporaries from a [`Scratch`], so a warm analysis allocates nothing.
+//! The array-of-structs [`Curve`] is the ingest and report type: arrival
+//! patterns are built as `Curve`s ([`counting`]), reports hand `Curve`s
+//! back, and [`SoaCurve::from_curve`] / [`SoaCurve::to_curve`] convert at
+//! those two boundaries. [`CurveArena`] interns ingest curves
+//! ([`intern`]); [`bounds`] holds the rate-latency family the
+//! network-calculus composition fits.
 //!
 //! ## Exactness model: the tick lattice
 //!
@@ -37,7 +47,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use rta_curves::{Curve, Time};
+//! use rta_curves::{Curve, SoaCurve, Time};
 //!
 //! // Arrival function of a job released at t = 0, 10, 20 (3 instances).
 //! let arr = Curve::from_event_times(&[Time(0), Time(10), Time(20)]);
@@ -46,9 +56,12 @@
 //! // Pseudo-inverse: release time of the 2nd instance.
 //! assert_eq!(arr.inverse_at(2), Some(Time(10)));
 //!
-//! // Workload function c(t) = f_arr(t) * tau with tau = 4.
-//! let c = arr.scale(4);
+//! // Workload function c(t) = f_arr(t) * tau with tau = 4, computed on
+//! // the analysis layout.
+//! let mut c = SoaCurve::zero();
+//! SoaCurve::from_curve(&arr).scale_into(4, &mut c);
 //! assert_eq!(c.eval(Time(25)), 12);
+//! assert_eq!(c.to_curve(), arr.scale(4));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,21 +72,15 @@ pub mod bounds;
 pub mod compose;
 pub mod convolution;
 pub mod counting;
-pub mod cursor;
 mod curve;
-pub mod envelope;
-pub mod floor_div;
 pub mod intern;
 pub mod inverse;
-pub mod ops;
-pub mod running;
 mod segment;
 pub mod soa;
 mod time;
 mod util;
 
-pub use arena::{CurveArenaBuf, Scratch};
-pub use cursor::CurveCursor;
+pub use arena::Scratch;
 pub use curve::Curve;
 pub use intern::{CurveArena, CurveId};
 pub use segment::Segment;

@@ -1,50 +1,45 @@
 //! Structure-of-arrays curve kernels.
 //!
-//! [`SoaCurve`] stores the same normalized piecewise-linear function as
-//! [`Curve`], but in three parallel arrays (`starts`, `values`, `slopes`)
-//! instead of an array of [`Segment`] structs. The hot merge loops walk the
-//! breakpoint columns contiguously, which halves the bytes touched per
-//! comparison (the AoS layout drags every segment's unused fields through
-//! the cache), keep both operands' active piece scalars in registers with
-//! `i64::MAX` sentinels for exhausted heads (no `Option` juggling in the
-//! merge), and write by index into pre-sized columns with the
-//! normalization predicate checked inline against a register-cached
-//! previous entry — no per-entry `Vec::push` length/capacity traffic. See
-//! [`linear_combine_into`] for the canonical shape.
+//! [`SoaCurve`] stores a normalized piecewise-linear function in three
+//! parallel arrays (`starts`, `values`, `slopes`). It is the one layout the
+//! analysis computes on: [`Curve`] is only the ingest and report type, and
+//! converts through [`SoaCurve::from_curve`] / [`SoaCurve::to_curve`]. The
+//! hot merge loops walk the breakpoint columns contiguously, keep both
+//! operands' active piece scalars in registers with `i64::MAX` sentinels
+//! for exhausted heads (no `Option` juggling in the merge), and write by
+//! index into pre-sized columns with the normalization predicate checked
+//! inline against a register-cached previous entry — no per-entry
+//! `Vec::push` length/capacity traffic. See [`linear_combine_into`] for the
+//! canonical shape.
 //!
-//! ## Equivalence contract
+//! ## Exactness contract
 //!
-//! Every kernel here is a port of its AoS counterpart in [`crate::ops`],
-//! [`crate::running`], [`crate::floor_div`], [`crate::convolution`] or
-//! [`crate::cursor`], with the *same* crossing-offset formulas
-//! (`div_floor`/`div_ceil`) and the *same* normalization predicate, so the
-//! results are **segment-identical** — not merely value-equal — to the AoS
-//! kernels. The AoS kernels are retained as oracles; the property tests in
-//! `tests/soa_kernels.rs` pin the equivalence over random curves, dirty
-//! output buffers and error paths.
-//!
-//! Writers emit breakpoints in strictly increasing order and coalesce
-//! line-continuations with the exact predicate of `Curve::normalize`
-//! (`prev.slope == s.slope && prev.eval(s.start) == s.value`) — applied
-//! inline against the last written entry; this is observationally
-//! identical to pushing through `push_normalized`, which is how the AoS
-//! kernels write.
+//! Every kernel is exact at every integer tick: its output evaluates, tick
+//! by tick, to the operator's definition applied to its inputs' values
+//! (crossings inside a piece land on the first integer tick past them, via
+//! `div_floor`/`div_ceil`). Writers emit breakpoints in strictly increasing
+//! order and coalesce line-continuations with the normalization predicate
+//! (`prev.slope == s.slope && prev.eval(s.start) == s.value`), so every
+//! output is normalized. The property tests in `tests/proptests.rs` check
+//! each kernel against a per-tick evaluation of its definition, over random
+//! curves, dirty output buffers and error paths.
 
 use crate::util::{div_ceil, div_floor};
-use crate::{Curve, CurveError, Scratch, Segment, Time};
+use crate::{Curve, CurveError, Segment, Time};
 
 /// A piecewise-linear curve in structure-of-arrays layout: three parallel
 /// arrays of breakpoint starts (ticks), values and slopes.
 ///
 /// Invariants match [`Curve`]: non-empty, first start at zero, strictly
 /// increasing starts, normalized (no segment continues its predecessor's
-/// line). Constructed from an AoS curve ([`SoaCurve::from_curve`]) or as a
-/// kernel output; arbitrary raw construction is not exposed.
+/// line). Constructed from an AoS curve ([`SoaCurve::from_curve`]), from
+/// event times ([`SoaCurve::from_event_times_into`]) or as a kernel output;
+/// arbitrary raw construction is not exposed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SoaCurve {
-    starts: Vec<i64>,
-    values: Vec<i64>,
-    slopes: Vec<i64>,
+    pub(crate) starts: Vec<i64>,
+    pub(crate) values: Vec<i64>,
+    pub(crate) slopes: Vec<i64>,
 }
 
 /// A borrowed view of a curve in structure-of-arrays layout — the operand
@@ -92,8 +87,17 @@ impl<'a> SoaView<'a> {
 
     /// Value of piece `i` extended to time `t` (ticks).
     #[inline]
-    fn piece_eval(&self, i: usize, t: i64) -> i64 {
+    pub(crate) fn piece_eval(&self, i: usize, t: i64) -> i64 {
         self.values[i] + self.slopes[i] * (t - self.starts[i])
+    }
+
+    /// The pieces `a..b` as a view of their own.
+    pub(crate) fn range(&self, a: usize, b: usize) -> SoaView<'a> {
+        SoaView {
+            starts: &self.starts[a..b],
+            values: &self.values[a..b],
+            slopes: &self.slopes[a..b],
+        }
     }
 }
 
@@ -115,47 +119,54 @@ impl SoaCurve {
 
     /// Convert an AoS curve, allocating fresh arrays.
     pub fn from_curve(c: &Curve) -> SoaCurve {
-        let mut s = SoaCurve {
-            starts: Vec::new(),
-            values: Vec::new(),
-            slopes: Vec::new(),
-        };
-        s.copy_from_curve(c);
-        s
-    }
-
-    /// Overwrite with the contents of an AoS curve, reusing the arrays.
-    pub fn copy_from_curve(&mut self, c: &Curve) {
         let segs = c.segments();
-        self.begin(segs.len());
-        for s in segs {
-            self.starts.push(s.start.ticks());
-            self.values.push(s.value);
-            self.slopes.push(s.slope);
+        SoaCurve {
+            starts: segs.iter().map(|s| s.start.ticks()).collect(),
+            values: segs.iter().map(|s| s.value).collect(),
+            slopes: segs.iter().map(|s| s.slope).collect(),
         }
     }
 
-    /// Convert back to an AoS [`Curve`], allocating.
+    /// Convert back to an AoS [`Curve`], allocating. The curve invariants
+    /// are debug-checked at this boundary, so an SoA curve can never
+    /// silently hand an invariant-violating segment list to a report.
     pub fn to_curve(&self) -> Curve {
-        let mut out = Curve::zero();
-        self.write_to_curve(&mut out);
-        out
+        Curve::from_normalized(
+            (0..self.len())
+                .map(|i| Segment::new(Time(self.starts[i]), self.values[i], self.slopes[i]))
+                .collect(),
+        )
     }
 
-    /// Convert back to an AoS [`Curve`], reusing `out`'s segment buffer.
-    /// The curve invariants are debug-checked at this boundary, so an SoA
-    /// round-trip can never silently hand an invariant-violating segment
-    /// list to the AoS world.
-    pub fn write_to_curve(&self, out: &mut Curve) {
-        let segs = out.begin_write(self.len());
-        for i in 0..self.len() {
-            segs.push(Segment::new(
-                Time(self.starts[i]),
-                self.values[i],
-                self.slopes[i],
-            ));
+    /// Overwrite `out` with the counting curve of a sorted sequence of
+    /// event times, `f(t) = #{ i : times[i] ≤ t }` — e.g. an arrival
+    /// function (Definition 1). Multiple equal times produce a single
+    /// multi-unit jump. Panics if the sequence is unsorted or contains a
+    /// negative time.
+    pub fn from_event_times_into(times: &[Time], out: &mut SoaCurve) {
+        out.begin(times.len() + 1);
+        out.push(0, 0, 0);
+        let mut count: i64 = 0;
+        let mut i = 0;
+        while i < times.len() {
+            let t = times[i];
+            assert!(t >= Time::ZERO, "event times must be nonnegative");
+            if i > 0 {
+                assert!(times[i - 1] <= t, "event times must be sorted");
+            }
+            let mut j = i;
+            while j < times.len() && times[j] == t {
+                j += 1;
+            }
+            count += (j - i) as i64;
+            if t == Time::ZERO {
+                out.values[0] = count;
+            } else {
+                out.push(t.ticks(), count, 0);
+            }
+            i = j;
         }
-        out.finish_write();
+        out.finish();
     }
 
     /// Borrow as an [`SoaView`].
@@ -211,9 +222,10 @@ impl SoaCurve {
         self.slopes.extend_from_slice(&src.slopes);
     }
 
-    /// Drop all breakpoints strictly after `horizon`, in place — the SoA
-    /// counterpart of [`Curve::truncate_after`] (a normalized prefix of a
-    /// normalized curve needs no re-normalization).
+    /// Drop all breakpoints strictly after `horizon`, extending the piece
+    /// active at `horizon` to infinity, in place. The result agrees with the
+    /// input on `[0, horizon]` (a normalized prefix of a normalized curve
+    /// needs no re-normalization).
     pub fn truncate_after(&mut self, horizon: Time) {
         let i = self.seg_index(horizon.ticks().max(0));
         self.starts.truncate(i + 1);
@@ -233,7 +245,7 @@ impl SoaCurve {
     }
 
     /// Normalized push: skip the entry when it continues the previous
-    /// line — the exact predicate of `Curve::normalize` / `push_normalized`.
+    /// line — the normalization predicate every writer applies.
     /// Starts must be strictly increasing (debug-asserted).
     #[inline]
     pub(crate) fn push(&mut self, t: i64, v: i64, m: i64) {
@@ -260,22 +272,22 @@ impl SoaCurve {
         }));
     }
 
-    /// First integer `t` with `f(t) < f(t−1)`, if any — the SoA port of
-    /// [`Curve::first_decrease`].
+    /// First integer `t` with `f(t) < f(t−1)`, if any.
     pub fn first_decrease(&self) -> Option<Time> {
         for i in 0..self.len() {
-            let next_start = self.starts.get(i + 1);
-            if self.slopes[i] < 0 {
-                let second = self.starts[i] + 1;
-                if next_start.is_none_or(|&ns| second < ns) {
-                    return Some(Time(second));
-                }
-            }
+            // A decrease across the breakpoint comes before one inside the
+            // piece.
             if i > 0 && self.starts[i] > 0 {
                 let prev_end = self.values[i - 1]
                     + self.slopes[i - 1] * (self.starts[i] - 1 - self.starts[i - 1]);
                 if self.values[i] < prev_end {
                     return Some(Time(self.starts[i]));
+                }
+            }
+            if self.slopes[i] < 0 {
+                let second = self.starts[i] + 1;
+                if self.starts.get(i + 1).is_none_or(|&ns| second < ns) {
+                    return Some(Time(second));
                 }
             }
         }
@@ -311,10 +323,11 @@ impl SoaCurve {
     }
 
     // ------------------------------------------------------------------
-    // Unary kernels (ports of the `Curve` methods of the same names)
+    // Unary kernels
     // ------------------------------------------------------------------
 
-    /// Pointwise scaling `k·self`, written into `out`.
+    /// Pointwise scaling `k·self` — e.g. the workload function
+    /// `c(t) = f_arr(t) · τ` of Definition 3 — written into `out`.
     pub fn scale_into(&self, k: i64, out: &mut SoaCurve) {
         let mut w = SoaWriter::new(out, self.len());
         for i in 0..self.len() {
@@ -322,11 +335,6 @@ impl SoaCurve {
         }
         w.finish();
         out.finish();
-    }
-
-    /// Pointwise negation, written into `out`.
-    pub fn neg_into(&self, out: &mut SoaCurve) {
-        self.scale_into(-1, out);
     }
 
     /// Pointwise constant offset `self + v`, written into `out`.
@@ -340,7 +348,7 @@ impl SoaCurve {
     }
 
     /// Horizontal shift right by `d ≥ 0` ticks, filling `[0, d)` with
-    /// `fill` — the SoA port of [`Curve::shift_right_into`].
+    /// `fill`: `g(t) = f(t − d)` for `t ≥ d`, `g(t) = fill` for `t < d`.
     pub fn shift_right_into(&self, d: Time, fill: i64, out: &mut SoaCurve) {
         assert!(d >= Time::ZERO, "shift_right requires d >= 0");
         if d == Time::ZERO {
@@ -367,8 +375,9 @@ impl SoaCurve {
         out.finish();
     }
 
-    /// Replace the prefix `[0, t0)` with the constant `fill` — the SoA
-    /// port of [`Curve::mask_before_into`].
+    /// Replace the prefix `[0, t0)` with the constant `fill`, keeping the
+    /// curve unchanged from `t0` on — e.g. the SPNP lower availability
+    /// (Equation 17) is zero during the maximal blocking interval.
     pub fn mask_before_into(&self, t0: Time, fill: i64, out: &mut SoaCurve) {
         if t0 <= Time::ZERO {
             out.copy_from(self);
@@ -393,9 +402,12 @@ impl SoaCurve {
         out.finish();
     }
 
-    /// Shared prefix-extremum kernel — the SoA port of
-    /// `Curve::running_extremum_into` (same sign folding, same crossing
-    /// offsets).
+    /// Shared prefix-extremum kernel. The minimum logic runs in a
+    /// sign-folded domain (`max = true` negates every sample on read and
+    /// every output on write), which is exactly `−running_min(−f)` without
+    /// materializing either negation. On the lattice the running minimum of
+    /// a piece is attained at an integer endpoint, so each decreasing piece
+    /// is followed from the first tick it dips below the minimum so far.
     fn running_extremum_into(&self, max: bool, out: &mut SoaCurve) {
         let sign: i64 = if max { -1 } else { 1 };
         // A curve already monotone in the accumulated direction is its own
@@ -452,7 +464,8 @@ impl SoaCurve {
         out.finish();
     }
 
-    /// The running minimum `t ↦ min_{0 ≤ s ≤ t} f(s)`, written into `out`.
+    /// The running minimum `t ↦ min_{0 ≤ s ≤ t} f(s)` over the lattice,
+    /// written into `out` — the heart of Theorem 3.
     pub fn running_min_into(&self, out: &mut SoaCurve) {
         self.running_extremum_into(false, out);
     }
@@ -463,8 +476,12 @@ impl SoaCurve {
     }
 
     /// Compute `t ↦ ⌊self(t)/τ⌋` on `[0, horizon]` as a counting curve —
-    /// the SoA port of [`Curve::floor_div_into`]. On error `out` is left
-    /// untouched.
+    /// the departure function `f_dep = ⌊S/τ⌋` of Theorem 2, whose jumps sit
+    /// at the exact instants `S` crosses multiples of `τ`.
+    ///
+    /// `self` must be nondecreasing and nonnegative at 0 (a service
+    /// function); `τ ≥ 1`. Beyond `horizon` the result is frozen at its
+    /// horizon value. On error `out` is left untouched.
     pub fn floor_div_into(
         &self,
         tau: i64,
@@ -548,8 +565,9 @@ impl SoaCurve {
         pointwise_max_into(self, rhs, out);
     }
 
-    /// Clamp below: `max(self, v)`, written into `out` — allocation-free:
-    /// the constant operand is three stack arrays, never a heap curve.
+    /// Clamp below: `max(self, v)`, written into `out` — e.g. forcing a
+    /// service lower bound to be nonnegative. Allocation-free: the
+    /// constant operand is three stack arrays, never a heap curve.
     pub fn clamp_min_into(&self, v: i64, out: &mut SoaCurve) {
         let (s, val, m) = ([0i64], [v], [0i64]);
         extremum_into(
@@ -563,27 +581,11 @@ impl SoaCurve {
             out,
         );
     }
-
-    /// Clamp above: `min(self, v)`, written into `out` — allocation-free
-    /// like [`SoaCurve::clamp_min_into`].
-    pub fn clamp_max_into(&self, v: i64, out: &mut SoaCurve) {
-        let (s, val, m) = ([0i64], [v], [0i64]);
-        extremum_into(
-            self.view(),
-            SoaView {
-                starts: &s,
-                values: &val,
-                slopes: &m,
-            },
-            false,
-            out,
-        );
-    }
 }
 
 /// Indexed writer over a curve's three columns: pre-sizes the arrays once,
 /// writes by index (no per-entry `Vec::push` length/capacity traffic), and
-/// applies the `Curve::normalize` continuation predicate inline against a
+/// applies the normalization continuation predicate inline against a
 /// register-cached previous entry, so no second normalization pass runs.
 /// All merge and unary kernels write through this.
 struct SoaWriter<'a> {
@@ -635,16 +637,14 @@ impl<'a> SoaWriter<'a> {
     }
 }
 
-/// The pointwise linear combination `ca·a + cb·b`, written into `out` —
-/// the SoA port of [`crate::ops::linear_combine_into`]. The merge keeps
-/// both operands' active piece scalars in locals (loaded once per head
-/// advance, with `i64::MAX` sentinels standing in for "no next
+/// The pointwise linear combination `ca·a + cb·b`, written into `out`. The
+/// merge walks the union of both breakpoint sets in one O(n + m) pass,
+/// keeping both operands' active piece scalars in locals (loaded once per
+/// head advance, with `i64::MAX` sentinels standing in for "no next
 /// breakpoint", so the hot loop is `Option`-free), and writes by index
-/// into pre-sized columns with the `Curve::normalize` continuation
-/// predicate checked against a register-cached previous entry — no
-/// per-entry `Vec::push` length/capacity traffic and no second
-/// normalization pass, while the output stays segment-identical to the
-/// AoS kernel.
+/// into pre-sized columns with the normalization continuation predicate
+/// checked against a register-cached previous entry — no per-entry
+/// `Vec::push` length/capacity traffic and no second normalization pass.
 pub fn linear_combine_into(a: &SoaCurve, ca: i64, b: &SoaCurve, cb: i64, out: &mut SoaCurve) {
     // A zero line folds away inside the fused kernel, including its
     // one-piece dispatches, so this is the same merge term for term.
@@ -666,11 +666,11 @@ fn combine_line(c: &SoaCurve, cc: i64, lv: i64, lm: i64, out: &mut SoaCurve) {
 }
 
 /// `ca·a + cb·b + lv + lm·t` in a single merge pass — the two-operand
-/// combine with an affine tail fused in. Staging the affine term as a
-/// separate pass produces the identical segments: the `Curve::normalize`
-/// continuation predicate is invariant under affine offsets (the offset
-/// cancels on both sides of the check), so fusing drops a full
-/// write+read of the intermediate without moving a breakpoint.
+/// combine with an affine tail fused in. Pointwise linear combination is
+/// exact on the real line and the normalized representation of a
+/// piecewise-linear function is canonical, so fusing produces the same
+/// segments as staging the affine term as a separate pass, minus a full
+/// write+read of the intermediate.
 pub fn linear_combine_line_into(
     a: &SoaCurve,
     ca: i64,
@@ -822,11 +822,6 @@ pub fn sum_many_into(curves: &[&SoaCurve], out: &mut SoaCurve) {
     out.finish();
 }
 
-/// Shared min/max kernel — the SoA port of `ops::pointwise_extremum_into`
-/// (same sign folding, same `div_floor` crossing offsets, same tie-breaks).
-/// Uses the same indexed-write scheme as [`linear_combine_into`]: pre-sized
-/// columns, sentinel-merged heads in registers, and the `Curve::normalize`
-/// continuation predicate applied inline against the last written entry.
 /// Copy a (normalized) view verbatim into `out`.
 fn copy_view(v: SoaView<'_>, out: &mut SoaCurve) {
     out.starts.clear();
@@ -838,6 +833,13 @@ fn copy_view(v: SoaView<'_>, out: &mut SoaCurve) {
     out.finish();
 }
 
+/// Shared min/max kernel. With `max = false` this is the lattice-exact
+/// minimum; `max = true` flips the sign of every comparison, which computes
+/// `−min(−a, −b)` without materializing either negation. Two pieces may
+/// cross at a fractional instant; the switch lands on the first integer
+/// tick past the crossing (`div_floor` offset), which keeps the value at
+/// every integer tick exact. Ties pick `a`. Uses the same indexed-write
+/// scheme as [`linear_combine_into`].
 fn extremum_into(a: SoaView<'_>, b: SoaView<'_>, max: bool, out: &mut SoaCurve) {
     // One-piece operands (the identity line, clamp constants) skip the
     // merge. The specialization keeps the operand roles of the general
@@ -1070,48 +1072,13 @@ pub fn pointwise_max_into(a: &SoaCurve, b: &SoaCurve, out: &mut SoaCurve) {
     extremum_into(a.view(), b.view(), true, out);
 }
 
-/// Min-plus convolution for **convex** nondecreasing curves, written into
-/// `out` — the SoA port of [`crate::convolution::convolve_convex_into`].
-/// The `(length, slope)` piece staging lives in `scratch`, so a warm call
-/// allocates nothing.
-pub fn convolve_convex_into(f: &SoaCurve, g: &SoaCurve, scratch: &mut Scratch, out: &mut SoaCurve) {
-    debug_assert!(f.is_convex(), "convolve_convex requires convex f");
-    debug_assert!(g.is_convex(), "convolve_convex requires convex g");
-
-    let pieces = &mut scratch.pieces;
-    pieces.clear();
-    for c in [f, g] {
-        for i in 0..c.len() {
-            pieces.push((
-                c.starts.get(i + 1).map(|&n| Time(n - c.starts[i])),
-                c.slopes[i],
-            ));
-        }
-    }
-    pieces.sort_by_key(|&(_, slope)| slope);
-
-    out.begin(pieces.len());
-    let mut t = 0i64;
-    let mut v = f.values[0] + g.values[0];
-    for &(len, slope) in pieces.iter() {
-        out.push(t, v, slope);
-        match len {
-            Some(len) => {
-                t += len.ticks();
-                v += slope * len.ticks();
-            }
-            None => break, // first infinite piece has the smallest remaining slope
-        }
-    }
-    out.finish();
-}
-
-/// A forward-only cursor over a **nondecreasing** SoA curve — the port of
-/// [`crate::CurveCursor`], answering [`SoaCursor::eval`] and
-/// [`SoaCursor::inverse_at`] for monotone query sequences in amortized
-/// O(1). The inverse sweep touches only the `starts`/`values` columns until
-/// a sloped piece resolves the query, so a counting-curve sweep streams two
-/// flat arrays instead of striding through segment structs.
+/// A forward-only cursor over a **nondecreasing** SoA curve, answering
+/// [`SoaCursor::eval`] and [`SoaCursor::inverse_at`] for monotone query
+/// sequences in amortized O(1) — the Theorem-1 and Eq. 12 instance sweeps
+/// read `f⁻¹(1), f⁻¹(2), …` this way instead of rescanning from the
+/// front. The inverse sweep touches only the `starts`/`values` columns
+/// until a sloped piece resolves the query, so a counting-curve sweep
+/// streams two flat arrays.
 #[derive(Clone, Debug)]
 pub struct SoaCursor<'a> {
     curve: SoaView<'a>,
@@ -1170,7 +1137,13 @@ impl<'a> SoaCursor<'a> {
             );
             self.last_y = Some(y);
         }
-        let (starts, values, slopes) = (self.curve.starts, self.curve.values, self.curve.slopes);
+        // Equal-length columns let the compiler drop the per-column
+        // bounds checks inside the loop.
+        let starts = self.curve.starts;
+        let (values, slopes) = (
+            &self.curve.values[..starts.len()],
+            &self.curve.slopes[..starts.len()],
+        );
         while self.inv_idx < starts.len() {
             let i = self.inv_idx;
             if values[i] >= y {
@@ -1197,144 +1170,135 @@ impl<'a> SoaCursor<'a> {
 mod tests {
     use super::*;
 
-    fn staircase() -> Curve {
-        Curve::from_segments(vec![
-            Segment::new(Time(0), 0, 0),
-            Segment::new(Time(5), 2, 0),
-            Segment::new(Time(10), 2, 1),
-        ])
+    fn soa(segs: &[(i64, i64, i64)]) -> SoaCurve {
+        SoaCurve::from_curve(&Curve::from_segments(
+            segs.iter()
+                .map(|&(t, v, m)| Segment::new(Time(t), v, m))
+                .collect(),
+        ))
+    }
+
+    /// 0 on [0,5), 2 on [5,10), then slope 1.
+    fn staircase() -> SoaCurve {
+        soa(&[(0, 0, 0), (5, 2, 0), (10, 2, 1)])
+    }
+
+    fn ticks(c: &SoaCurve, h: i64) -> Vec<i64> {
+        (0..=h).map(|t| c.eval(Time(t))).collect()
     }
 
     #[test]
     fn round_trip_preserves_segments() {
-        for c in [Curve::zero(), Curve::identity(), staircase()] {
+        for c in [Curve::zero(), Curve::identity(), staircase().to_curve()] {
             assert_eq!(SoaCurve::from_curve(&c).to_curve(), c);
         }
     }
 
     #[test]
-    fn eval_matches_aos() {
-        let c = staircase();
-        let s = SoaCurve::from_curve(&c);
+    fn event_times_build_the_counting_curve() {
+        let mut c = staircase(); // dirty output
+        SoaCurve::from_event_times_into(&[Time(0), Time(0), Time(5), Time(9), Time(9)], &mut c);
+        assert_eq!(ticks(&c, 10), vec![2, 2, 2, 2, 2, 3, 3, 3, 3, 5, 5]);
+        SoaCurve::from_event_times_into(&[], &mut c);
+        assert_eq!(c, SoaCurve::zero());
+    }
+
+    #[test]
+    fn linear_combine_is_pointwise() {
+        let (a, b) = (staircase(), soa(&[(0, 0, 1)]));
+        let mut out = SoaCurve::zero();
+        linear_combine_into(&a, 2, &b, -3, &mut out);
         for t in 0..=15 {
-            assert_eq!(s.eval(Time(t)), c.eval(Time(t)), "t={t}");
+            assert_eq!(out.eval(Time(t)), 2 * a.eval(Time(t)) - 3 * t, "t={t}");
+        }
+        linear_combine_line_into(&a, 1, &b, 1, 7, -2, &mut out);
+        for t in 0..=15 {
+            assert_eq!(out.eval(Time(t)), a.eval(Time(t)) + t + 7 - 2 * t, "t={t}");
         }
     }
 
     #[test]
-    fn linear_combine_matches_aos() {
-        let a = SoaCurve::from_curve(&staircase());
-        let b = SoaCurve::from_curve(&Curve::identity());
+    fn min_with_fractional_crossing_is_lattice_exact() {
+        // f = 2t, g = 7 (crossing at t = 3.5).
+        let (f, g) = (soa(&[(0, 0, 2)]), soa(&[(0, 7, 0)]));
         let mut out = SoaCurve::zero();
-        linear_combine_into(&a, 2, &b, -3, &mut out);
-        let oracle = crate::ops::linear_combine(&staircase(), 2, &Curve::identity(), -3);
-        assert_eq!(out.to_curve(), oracle);
+        pointwise_min_into(&f, &g, &mut out);
+        for t in 0..=10 {
+            assert_eq!(out.eval(Time(t)), (2 * t).min(7), "t={t}");
+        }
+        pointwise_max_into(&f, &g, &mut out);
+        for t in 0..=10 {
+            assert_eq!(out.eval(Time(t)), (2 * t).max(7), "t={t}");
+        }
+        soa(&[(0, -5, 1)]).clamp_min_into(0, &mut out);
+        for t in 0..=10 {
+            assert_eq!(out.eval(Time(t)), (t - 5).max(0), "t={t}");
+        }
     }
 
     #[test]
-    fn extrema_match_aos() {
-        let ac = staircase();
-        let bc = Curve::affine(1, 0);
-        let (a, b) = (SoaCurve::from_curve(&ac), SoaCurve::from_curve(&bc));
+    fn running_extrema_follow_the_lattice() {
+        let c = soa(&[(0, 5, 1), (3, 8, -2), (7, 10, 0), (9, -1, -1)]);
         let mut out = SoaCurve::zero();
-        pointwise_min_into(&a, &b, &mut out);
-        assert_eq!(out.to_curve(), ac.min_with(&bc));
-        pointwise_max_into(&a, &b, &mut out);
-        assert_eq!(out.to_curve(), ac.max_with(&bc));
-        a.clamp_min_into(1, &mut out);
-        assert_eq!(out.to_curve(), ac.clamp_min(1));
-        a.clamp_max_into(1, &mut out);
-        assert_eq!(out.to_curve(), ac.clamp_max(1));
+        c.running_min_into(&mut out);
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        let mut max = SoaCurve::zero();
+        c.running_max_into(&mut max);
+        for t in 0..=15 {
+            lo = lo.min(c.eval(Time(t)));
+            hi = hi.max(c.eval(Time(t)));
+            assert_eq!(out.eval(Time(t)), lo, "min t={t}");
+            assert_eq!(max.eval(Time(t)), hi, "max t={t}");
+        }
     }
 
     #[test]
-    fn running_extrema_match_aos() {
-        let c = Curve::from_segments(vec![
-            Segment::new(Time(0), 5, 1),
-            Segment::new(Time(3), 8, -2),
-            Segment::new(Time(7), 10, 0),
-            Segment::new(Time(9), -1, -1),
-        ]);
-        let s = SoaCurve::from_curve(&c);
+    fn floor_div_counts_crossings_and_rejects_decrease() {
+        let id = soa(&[(0, 0, 1)]);
         let mut out = SoaCurve::zero();
-        s.running_min_into(&mut out);
-        assert_eq!(out.to_curve(), c.running_min());
-        s.running_max_into(&mut out);
-        assert_eq!(out.to_curve(), c.running_max());
-    }
-
-    #[test]
-    fn floor_div_matches_aos_including_errors() {
-        let c = Curve::identity();
-        let s = SoaCurve::from_curve(&c);
-        let mut out = SoaCurve::zero();
-        s.floor_div_into(4, Time(30), &mut out).unwrap();
-        assert_eq!(out.to_curve(), c.floor_div(4, Time(30)).unwrap());
+        id.floor_div_into(4, Time(30), &mut out).unwrap();
+        for t in 0..=30 {
+            assert_eq!(out.eval(Time(t)), t / 4, "t={t}");
+        }
         // Errors leave out untouched.
-        let bad = SoaCurve::from_curve(&Curve::affine(5, -1));
         let before = out.clone();
-        assert!(bad.floor_div_into(2, Time(10), &mut out).is_err());
+        assert!(soa(&[(0, 5, -1)])
+            .floor_div_into(2, Time(10), &mut out)
+            .is_err());
         assert_eq!(out, before);
     }
 
     #[test]
-    fn shift_and_mask_match_aos() {
+    fn shift_mask_and_truncate_reindex_the_curve() {
         let c = staircase();
-        let s = SoaCurve::from_curve(&c);
         let mut out = SoaCurve::zero();
-        s.shift_right_into(Time(3), 7, &mut out);
-        assert_eq!(out.to_curve(), c.shift_right(Time(3), 7));
-        s.mask_before_into(Time(7), -1, &mut out);
-        assert_eq!(out.to_curve(), c.mask_before(Time(7), -1));
-    }
-
-    #[test]
-    fn convolve_convex_matches_aos() {
-        let fc = Curve::from_segments(vec![
-            Segment::new(Time(0), 1, 0),
-            Segment::new(Time(3), 1, 1),
-            Segment::new(Time(7), 5, 4),
-        ]);
-        let gc = Curve::from_segments(vec![
-            Segment::new(Time(0), 0, 2),
-            Segment::new(Time(5), 10, 3),
-        ]);
-        let (f, g) = (SoaCurve::from_curve(&fc), SoaCurve::from_curve(&gc));
-        let mut scratch = Scratch::new();
-        let mut out = SoaCurve::zero();
-        convolve_convex_into(&f, &g, &mut scratch, &mut out);
-        assert_eq!(
-            out.to_curve(),
-            crate::convolution::convolve_convex(&fc, &gc)
-        );
-    }
-
-    #[test]
-    fn cursor_matches_aos_cursor() {
-        let c = Curve::from_segments(vec![
-            Segment::new(Time(0), 0, 1),
-            Segment::new(Time(3), 3, 0),
-            Segment::new(Time(8), 5, 2),
-            Segment::new(Time(12), 13, 0),
-        ]);
-        let s = SoaCurve::from_curve(&c);
-        let mut soa = SoaCursor::new(&s);
-        let mut aos = crate::CurveCursor::new(&c);
+        c.shift_right_into(Time(3), 7, &mut out);
         for t in 0..=20 {
-            assert_eq!(soa.eval(Time(t)), aos.eval(Time(t)), "t={t}");
+            let expect = if t < 3 { 7 } else { c.eval(Time(t - 3)) };
+            assert_eq!(out.eval(Time(t)), expect, "shift t={t}");
         }
-        let mut soa = SoaCursor::new(&s);
-        let mut aos = crate::CurveCursor::new(&c);
-        for y in 0..=16 {
-            assert_eq!(soa.inverse_at(y), aos.inverse_at(y), "y={y}");
+        c.mask_before_into(Time(7), -1, &mut out);
+        for t in 0..=20 {
+            let expect = if t < 7 { -1 } else { c.eval(Time(t)) };
+            assert_eq!(out.eval(Time(t)), expect, "mask t={t}");
         }
+        let mut tr = c.clone();
+        tr.truncate_after(Time(6));
+        assert_eq!(ticks(&tr, 6), ticks(&c, 6));
+        assert_eq!(tr.eval(Time(100)), 2); // plateau extended
     }
 
     #[test]
-    fn truncate_after_matches_aos() {
-        let c = staircase();
-        let mut s = SoaCurve::from_curve(&c);
-        s.truncate_after(Time(6));
-        assert_eq!(s.to_curve(), c.truncate_after(Time(6)));
+    fn cursor_matches_rescanning_queries() {
+        let c = soa(&[(0, 0, 1), (3, 3, 0), (8, 5, 2), (12, 13, 0)]);
+        let aos = c.to_curve();
+        let mut cur = SoaCursor::new(&c);
+        for t in 0..=20 {
+            assert_eq!(cur.eval(Time(t)), c.eval(Time(t)), "t={t}");
+        }
+        let mut cur = SoaCursor::new(&c);
+        for y in 0..=16 {
+            assert_eq!(cur.inverse_at(y), aos.inverse_at(y), "y={y}");
+        }
     }
 }

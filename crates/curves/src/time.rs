@@ -58,13 +58,6 @@ impl Time {
         Time((units * ticks_per_unit as f64).floor() as i64)
     }
 
-    /// Convert back to model units (for reporting only; never used in
-    /// schedulability decisions).
-    #[inline]
-    pub fn to_units(self, ticks_per_unit: i64) -> f64 {
-        self.0 as f64 / ticks_per_unit as f64
-    }
-
     /// Saturating addition.
     #[inline]
     pub fn saturating_add(self, rhs: Time) -> Time {
@@ -87,12 +80,6 @@ impl Time {
     #[inline]
     pub fn max(self, rhs: Time) -> Time {
         Time(self.0.max(rhs.0))
-    }
-
-    /// `true` iff this is a nonnegative time (valid point on the timeline).
-    #[inline]
-    pub fn is_valid_instant(self) -> bool {
-        self.0 >= 0
     }
 }
 
@@ -209,13 +196,6 @@ mod tests {
             Time(1_999_999)
         );
         assert_eq!(Time::from_units(0.5, 10), Time(5));
-    }
-
-    #[test]
-    fn unit_conversion_roundtrip() {
-        let t = Time::from_units(3.25, 1000);
-        assert_eq!(t, Time(3250));
-        assert!((t.to_units(1000) - 3.25).abs() < 1e-12);
     }
 
     #[test]

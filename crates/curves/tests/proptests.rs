@@ -1,18 +1,29 @@
-//! Property-based tests for the curve algebra.
+//! Property-based tests for the curve kernels.
 //!
-//! Every operation is checked against a brute-force lattice evaluation on a
-//! bounded horizon: the segment-walking algorithms must agree with the
-//! definitionally-obvious per-tick computation at every integer tick.
+//! Every kernel is checked against a brute-force lattice evaluation of its
+//! definition on a bounded horizon: the segment-walking algorithms must
+//! agree with the definitionally obvious per-tick computation at every
+//! integer tick. Outputs are pre-dirtied and reused across kernels, and
+//! one [`Scratch`] serves many calls, which is how the analysis workspaces
+//! drive them: a kernel must fully overwrite whatever its output held, and
+//! a fallible kernel must leave its output untouched when it fails.
 
 use proptest::prelude::*;
-use rta_curves::ops::{linear_combine, pointwise_max, pointwise_min};
-use rta_curves::{Curve, Segment, Time};
+use rta_curves::compose::compose_into;
+use rta_curves::convolution::{
+    convolve_convex_into, convolve_decomposed_into, convolve_into, min_plus_convolve_lattice,
+};
+use rta_curves::soa::{linear_combine_into, pointwise_max_into, pointwise_min_into};
+use rta_curves::{
+    linear_combine_line_into, sum_many_into, Curve, Scratch, Segment, SoaCursor, SoaCurve, Time,
+};
 
 const HORIZON: i64 = 60;
 
 /// Strategy: an arbitrary PWL curve with small integer breakpoints, values
-/// and slopes (possibly negative, possibly with jumps).
-fn arb_curve() -> impl Strategy<Value = Curve> {
+/// and slopes (possibly negative, possibly with jumps); `rest` may be
+/// empty, so single-piece curves are covered.
+fn arb_curve() -> impl Strategy<Value = SoaCurve> {
     (
         -20i64..20,
         -3i64..4,
@@ -25,102 +36,267 @@ fn arb_curve() -> impl Strategy<Value = Curve> {
                 t += gap;
                 segs.push(Segment::new(Time(t), v, k));
             }
-            Curve::from_segments(segs)
+            soa(segs)
         })
+}
+
+/// Strategy: a long many-piece curve with values in a narrow band, so
+/// extremum merges switch winners often and winner pre-scans see both
+/// early failures and full-length successes.
+fn arb_wide_curve() -> impl Strategy<Value = SoaCurve> {
+    (
+        -4i64..4,
+        -2i64..3,
+        prop::collection::vec((1i64..5, -4i64..4, -2i64..3), 8..40),
+    )
+        .prop_map(|(v0, k0, rest)| {
+            let mut segs = vec![Segment::new(Time(0), v0, k0)];
+            let mut t = 0i64;
+            for (gap, v, k) in rest {
+                t += gap;
+                segs.push(Segment::new(Time(t), v, k));
+            }
+            soa(segs)
+        })
+}
+
+/// A nondecreasing curve with nonnegative start and the given slope range
+/// (upward jumps of `0..8` at each breakpoint).
+fn cumulative(v0: i64, k0: i64, rest: Vec<(i64, i64, i64)>) -> SoaCurve {
+    let mut segs = vec![Segment::new(Time(0), v0, k0)];
+    let mut t = 0i64;
+    for (gap, jump, k) in rest {
+        t += gap;
+        let base = segs.last().unwrap().eval(Time(t));
+        segs.push(Segment::new(Time(t), base + jump, k));
+    }
+    soa(segs)
 }
 
 /// Strategy: a nondecreasing curve with nonnegative values (a cumulative
 /// function such as an arrival, workload or service curve).
-fn arb_cumulative() -> impl Strategy<Value = Curve> {
+fn arb_cumulative() -> impl Strategy<Value = SoaCurve> {
     (
         0i64..10,
         0i64..3,
         prop::collection::vec((1i64..10, 0i64..8, 0i64..3), 0..6),
     )
-        .prop_map(|(v0, k0, rest)| {
-            let mut segs = vec![Segment::new(Time(0), v0, k0)];
-            let mut t = 0i64;
-            for (gap, jump, k) in rest {
-                t += gap;
-                let prev = *segs.last().unwrap();
-                let base = prev.eval(Time(t));
-                segs.push(Segment::new(Time(t), base + jump, k));
-            }
-            Curve::from_segments(segs)
-        })
+        .prop_map(|(v0, k0, rest)| cumulative(v0, k0, rest))
 }
 
 /// Strategy: a nondecreasing curve with slopes in {0, 1} — the shape of all
-/// service and utilization functions. (Unbounded slope-≥2 tails have no
-/// finite inverse representation and are rejected by `inverse_curve`.)
-fn arb_service_shape() -> impl Strategy<Value = Curve> {
+/// service and utilization functions, the domain of `inverse_curve_into`.
+fn arb_service_shape() -> impl Strategy<Value = SoaCurve> {
     (
         0i64..10,
         0i64..2,
         prop::collection::vec((1i64..10, 0i64..8, 0i64..2), 0..6),
     )
-        .prop_map(|(v0, k0, rest)| {
-            let mut segs = vec![Segment::new(Time(0), v0, k0)];
-            let mut t = 0i64;
-            for (gap, jump, k) in rest {
-                t += gap;
-                let prev = *segs.last().unwrap();
-                let base = prev.eval(Time(t));
-                segs.push(Segment::new(Time(t), base + jump, k));
-            }
-            Curve::from_segments(segs)
-        })
+        .prop_map(|(v0, k0, rest)| cumulative(v0, k0, rest))
 }
 
-fn lattice(c: &Curve) -> Vec<i64> {
+/// Strategy: a convex curve (continuous, slopes increasing piece by piece).
+fn arb_convex() -> impl Strategy<Value = SoaCurve> {
+    (0i64..5, 0i64..3, prop::collection::vec(1i64..8, 0..4)).prop_map(|(v0, base, lens)| {
+        let mut segs = vec![Segment::new(Time(0), v0, base)];
+        let (mut t, mut v, mut k) = (0i64, v0, base);
+        for len in lens {
+            t += len;
+            v += k * len;
+            k += 1;
+            segs.push(Segment::new(Time(t), v, k));
+        }
+        soa(segs)
+    })
+}
+
+fn soa(segs: Vec<Segment>) -> SoaCurve {
+    SoaCurve::from_curve(&Curve::from_segments(segs))
+}
+
+/// A distinctive curve used to dirty outputs before kernel calls: the
+/// kernels must fully overwrite whatever was there.
+fn dirt() -> SoaCurve {
+    soa(vec![
+        Segment::new(Time(0), 17, -2),
+        Segment::new(Time(3), -9, 5),
+        Segment::new(Time(11), 40, 0),
+    ])
+}
+
+fn lattice(c: &SoaCurve) -> Vec<i64> {
     (0..=HORIZON).map(|t| c.eval(Time(t))).collect()
+}
+
+/// The last breakpoint of `c`: beyond it the curve is one line.
+fn last_start(c: &SoaCurve) -> i64 {
+    *c.view().starts().last().unwrap()
+}
+
+/// Smallest lattice `t` in `[0, limit]` with `c(t) ≥ y`, by scanning.
+fn brute_inverse(c: &SoaCurve, y: i64, limit: i64) -> Option<Time> {
+    (0..=limit).map(Time).find(|&t| c.eval(t) >= y)
+}
+
+/// `min_{0 ≤ s ≤ t} f(s) + g(t − s)` at every tick of `[0, h]`.
+fn brute_convolution(f: &SoaCurve, g: &SoaCurve, h: i64) -> Vec<i64> {
+    (0..=h)
+        .map(|t| {
+            (0..=t)
+                .map(|s| f.eval(Time(s)) + g.eval(Time(t - s)))
+                .min()
+                .unwrap()
+        })
+        .collect()
 }
 
 proptest! {
     #[test]
+    fn roundtrip_and_monotonicity_checks(c in arb_curve()) {
+        prop_assert_eq!(&SoaCurve::from_curve(&c.to_curve()), &c);
+        // Beyond the last breakpoint one line remains, so a decrease shows
+        // within two ticks of it or never.
+        let end = last_start(&c) + 2;
+        let first = (1..=end).find(|&t| c.eval(Time(t)) < c.eval(Time(t - 1))).map(Time);
+        prop_assert_eq!(c.first_decrease(), first);
+        prop_assert_eq!(c.is_nondecreasing(), first.is_none());
+        prop_assert_eq!(c.require_nondecreasing().is_ok(), first.is_none());
+        prop_assert_eq!(c.to_curve().first_decrease(), first);
+    }
+
+    #[test]
     fn linear_combine_matches_lattice(a in arb_curve(), b in arb_curve(),
                                       ca in -3i64..4, cb in -3i64..4) {
-        let r = linear_combine(&a, ca, &b, cb);
-        let (la, lb) = (lattice(&a), lattice(&b));
-        for t in 0..=HORIZON as usize {
-            prop_assert_eq!(r.eval(Time(t as i64)), ca * la[t] + cb * lb[t]);
+        let mut out = dirt();
+        linear_combine_into(&a, ca, &b, cb, &mut out);
+        for t in (0..=HORIZON).map(Time) {
+            prop_assert_eq!(out.eval(t), ca * a.eval(t) + cb * b.eval(t), "t={}", t);
+        }
+        a.add_into(&b, &mut out);
+        for t in (0..=HORIZON).map(Time) {
+            prop_assert_eq!(out.eval(t), a.eval(t) + b.eval(t), "add t={}", t);
+        }
+        a.sub_into(&b, &mut out);
+        for t in (0..=HORIZON).map(Time) {
+            prop_assert_eq!(out.eval(t), a.eval(t) - b.eval(t), "sub t={}", t);
         }
     }
 
     #[test]
-    fn min_max_match_lattice(a in arb_curve(), b in arb_curve()) {
-        let mn = pointwise_min(&a, &b);
-        let mx = pointwise_max(&a, &b);
-        let (la, lb) = (lattice(&a), lattice(&b));
-        for t in 0..=HORIZON as usize {
-            prop_assert_eq!(mn.eval(Time(t as i64)), la[t].min(lb[t]), "min at t={}", t);
-            prop_assert_eq!(mx.eval(Time(t as i64)), la[t].max(lb[t]), "max at t={}", t);
-        }
-    }
-
-    #[test]
-    fn running_min_matches_lattice(a in arb_curve()) {
-        let r = a.running_min();
-        let mut best = i64::MAX;
-        for (t, v) in lattice(&a).into_iter().enumerate() {
-            best = best.min(v);
-            prop_assert_eq!(r.eval(Time(t as i64)), best, "t={}", t);
-        }
-    }
-
-    #[test]
-    fn running_min_is_idempotent(a in arb_curve()) {
-        let r = a.running_min();
-        let rr = r.running_min();
+    fn fused_line_combine_matches_lattice(a in arb_curve(), b in arb_curve(),
+                                          ca in -3i64..4, cb in -3i64..4,
+                                          lv in -9i64..10, lm in -3i64..4) {
+        let mut out = dirt();
+        linear_combine_line_into(&a, ca, &b, cb, lv, lm, &mut out);
         for t in 0..=HORIZON {
-            prop_assert_eq!(r.eval(Time(t)), rr.eval(Time(t)));
+            let expect = ca * a.eval(Time(t)) + cb * b.eval(Time(t)) + lv + lm * t;
+            prop_assert_eq!(out.eval(Time(t)), expect, "t={}", t);
+        }
+    }
+
+    #[test]
+    fn sum_many_matches_lattice(curves in prop::collection::vec(arb_curve(), 0..20)) {
+        // Sized to cross the k-way merge fan-out (16), so the tree-reduce
+        // cold path runs alongside the fixed-state merge.
+        let refs: Vec<&SoaCurve> = curves.iter().collect();
+        let mut out = dirt();
+        sum_many_into(&refs, &mut out);
+        for t in 0..=HORIZON {
+            let expect: i64 = curves.iter().map(|c| c.eval(Time(t))).sum();
+            prop_assert_eq!(out.eval(Time(t)), expect, "t={}", t);
+        }
+    }
+
+    #[test]
+    fn min_max_match_lattice(a in arb_curve(), b in arb_curve(), v in -6i64..7) {
+        let mut out = dirt();
+        pointwise_min_into(&a, &b, &mut out);
+        for t in (0..=HORIZON).map(Time) {
+            prop_assert_eq!(out.eval(t), a.eval(t).min(b.eval(t)), "min t={}", t);
+        }
+        pointwise_max_into(&a, &b, &mut out);
+        for t in (0..=HORIZON).map(Time) {
+            prop_assert_eq!(out.eval(t), a.eval(t).max(b.eval(t)), "max t={}", t);
+        }
+        a.min_with_into(&b, &mut out);
+        for t in (0..=HORIZON).map(Time) {
+            prop_assert_eq!(out.eval(t), a.eval(t).min(b.eval(t)), "min_with t={}", t);
+        }
+        a.max_with_into(&b, &mut out);
+        for t in (0..=HORIZON).map(Time) {
+            prop_assert_eq!(out.eval(t), a.eval(t).max(b.eval(t)), "max_with t={}", t);
+        }
+        a.clamp_min_into(v, &mut out);
+        for t in (0..=HORIZON).map(Time) {
+            prop_assert_eq!(out.eval(t), a.eval(t).max(v), "clamp t={}", t);
+        }
+    }
+
+    #[test]
+    fn wide_extremum_merges_match_lattice(a in arb_wide_curve(), b in arb_wide_curve()) {
+        // Long many-piece operands stress the winner pre-scans and the
+        // two-phase merge seeding (prefix copy + divergence handoff) in a
+        // way the short default strategy rarely does.
+        let h = last_start(&a).max(last_start(&b)) + 3;
+        let mut out = dirt();
+        pointwise_min_into(&a, &b, &mut out);
+        for t in (0..=h).map(Time) {
+            prop_assert_eq!(out.eval(t), a.eval(t).min(b.eval(t)), "min t={}", t);
+        }
+        pointwise_max_into(&a, &b, &mut out);
+        for t in (0..=h).map(Time) {
+            prop_assert_eq!(out.eval(t), a.eval(t).max(b.eval(t)), "max t={}", t);
+        }
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        let mut max = dirt();
+        a.running_min_into(&mut out);
+        a.running_max_into(&mut max);
+        for t in (0..=h).map(Time) {
+            lo = lo.min(a.eval(t));
+            hi = hi.max(a.eval(t));
+            prop_assert_eq!(out.eval(t), lo, "running_min t={}", t);
+            prop_assert_eq!(max.eval(t), hi, "running_max t={}", t);
+        }
+    }
+
+    #[test]
+    fn running_extrema_match_lattice(a in arb_curve()) {
+        let mut min = dirt();
+        let mut max = dirt();
+        a.running_min_into(&mut min);
+        a.running_max_into(&mut max);
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        for (t, v) in lattice(&a).into_iter().enumerate() {
+            lo = lo.min(v);
+            hi = hi.max(v);
+            prop_assert_eq!(min.eval(Time(t as i64)), lo, "min t={}", t);
+            prop_assert_eq!(max.eval(Time(t as i64)), hi, "max t={}", t);
+        }
+        // Idempotence: a running extremum is its own running extremum.
+        let mut again = dirt();
+        min.running_min_into(&mut again);
+        prop_assert_eq!(lattice(&again), lattice(&min));
+        max.running_max_into(&mut again);
+        prop_assert_eq!(lattice(&again), lattice(&max));
+    }
+
+    #[test]
+    fn scale_and_offset_match_lattice(c in arb_curve(), k in -3i64..4, v in -6i64..7) {
+        let mut out = dirt();
+        c.scale_into(k, &mut out);
+        for t in (0..=HORIZON).map(Time) {
+            prop_assert_eq!(out.eval(t), k * c.eval(t), "scale t={}", t);
+        }
+        c.add_const_into(v, &mut out);
+        for t in (0..=HORIZON).map(Time) {
+            prop_assert_eq!(out.eval(t), c.eval(t) + v, "offset t={}", t);
         }
     }
 
     #[test]
     fn galois_connection(c in arb_cumulative(), y in 0i64..40) {
         // g(t) ≥ y  ⇔  g⁻¹(y) ≤ t  for nondecreasing g.
-        let inv = c.inverse_at(y);
+        let inv = c.to_curve().inverse_at(y);
         for t in 0..=HORIZON {
             let reached = c.eval(Time(t)) >= y;
             let inv_le = inv.is_some_and(|i| i <= Time(t));
@@ -129,18 +305,22 @@ proptest! {
     }
 
     #[test]
-    fn inverse_curve_agrees_with_inverse_at(c in arb_service_shape()) {
+    fn inverse_curve_and_sup_match_lattice(c in arb_service_shape()) {
         let sup = c.sup_on(Time(HORIZON));
-        let inv = c.inverse_curve().unwrap();
+        let max = lattice(&c).into_iter().max().unwrap();
+        prop_assert_eq!(sup, max);
+        let mut inv = dirt();
+        c.inverse_curve_into(&mut inv).unwrap();
         for y in 0..=sup {
-            let expect = c.inverse_at(y).unwrap();
+            let expect = brute_inverse(&c, y, HORIZON).unwrap();
             prop_assert_eq!(Time(inv.eval(Time(y))), expect, "y={}", y);
         }
     }
 
     #[test]
     fn compose_matches_lattice(f in arb_curve(), g in arb_cumulative()) {
-        let h = rta_curves::compose::compose(&f, &g).unwrap();
+        let mut h = dirt();
+        compose_into(&f, &g, &mut h).unwrap();
         for t in 0..=HORIZON {
             let expect = f.eval(Time(g.eval(Time(t))));
             prop_assert_eq!(h.eval(Time(t)), expect, "t={}", t);
@@ -148,8 +328,9 @@ proptest! {
     }
 
     #[test]
-    fn floor_div_matches_lattice(c in arb_cumulative(), tau in 1i64..7) {
-        let d = c.floor_div(tau, Time(HORIZON)).unwrap();
+    fn floor_div_matches_lattice(c in arb_cumulative(), bad in arb_curve(), tau in 1i64..7) {
+        let mut d = dirt();
+        c.floor_div_into(tau, Time(HORIZON), &mut d).unwrap();
         for t in 0..=HORIZON {
             prop_assert_eq!(
                 d.eval(Time(t)),
@@ -157,11 +338,21 @@ proptest! {
                 "t={} tau={}", t, tau
             );
         }
+        // An input that decreases on the lattice or starts negative is
+        // rejected, and the output keeps its previous contents.
+        let mut untouched = dirt();
+        let rejected = !bad.is_nondecreasing() || bad.eval(Time::ZERO) < 0;
+        let res = bad.floor_div_into(tau, Time(HORIZON), &mut untouched);
+        prop_assert_eq!(res.is_err(), rejected);
+        if rejected {
+            prop_assert_eq!(&untouched, &dirt());
+        }
     }
 
     #[test]
     fn shift_right_matches_lattice(c in arb_curve(), d in 0i64..15, fill in -5i64..5) {
-        let s = c.shift_right(Time(d), fill);
+        let mut s = dirt();
+        c.shift_right_into(Time(d), fill, &mut s);
         for t in 0..=HORIZON {
             let expect = if t < d { fill } else { c.eval(Time(t - d)) };
             prop_assert_eq!(s.eval(Time(t)), expect, "t={}", t);
@@ -170,15 +361,20 @@ proptest! {
 
     #[test]
     fn truncate_agrees_before_horizon(c in arb_curve(), h in 0i64..HORIZON) {
-        let tr = c.truncate_after(Time(h));
+        let mut tr = c.clone();
+        tr.truncate_after(Time(h));
         for t in 0..=h {
             prop_assert_eq!(tr.eval(Time(t)), c.eval(Time(t)));
         }
+        // Past the horizon the piece active at it extends unchanged.
+        let slope = tr.eval(Time(h + 1)) - tr.eval(Time(h));
+        prop_assert_eq!(tr.eval(Time(h + 9)), tr.eval(Time(h)) + 9 * slope);
     }
 
     #[test]
     fn mask_before_matches_lattice(c in arb_curve(), t0 in 0i64..30, fill in -5i64..5) {
-        let m = c.mask_before(Time(t0), fill);
+        let mut m = dirt();
+        c.mask_before_into(Time(t0), fill, &mut m);
         for t in 0..=HORIZON {
             let expect = if t < t0 { fill } else { c.eval(Time(t)) };
             prop_assert_eq!(m.eval(Time(t)), expect, "t={}", t);
@@ -187,87 +383,210 @@ proptest! {
 
     #[test]
     fn monotone_ops_preserve_monotonicity(a in arb_cumulative(), b in arb_cumulative()) {
-        prop_assert!(a.add(&b).is_nondecreasing());
-        prop_assert!(pointwise_min(&a, &b).is_nondecreasing());
-        prop_assert!(pointwise_max(&a, &b).is_nondecreasing());
-        prop_assert!(a.running_min().neg().is_nondecreasing());
-        prop_assert!(a.running_max().is_nondecreasing());
+        let mut out = dirt();
+        a.add_into(&b, &mut out);
+        prop_assert!(out.is_nondecreasing());
+        pointwise_min_into(&a, &b, &mut out);
+        prop_assert!(out.is_nondecreasing());
+        pointwise_max_into(&a, &b, &mut out);
+        prop_assert!(out.is_nondecreasing());
+        a.running_max_into(&mut out);
+        prop_assert!(out.is_nondecreasing());
     }
 
     #[test]
-    fn arrival_envelope_dominates_all_windows(
-        times in prop::collection::vec(0i64..50, 0..10)
-    ) {
+    fn event_times_build_the_counting_curve(times in prop::collection::vec(0i64..40, 0..12)) {
         let mut ts: Vec<Time> = times.into_iter().map(Time).collect();
         ts.sort();
-        let env = rta_curves::envelope::arrival_envelope(&ts);
-        prop_assert!(rta_curves::envelope::is_envelope_of(&env, &ts));
-        prop_assert!(env.is_nondecreasing());
-        // Total count is reached at the full span.
-        if let (Some(&first), Some(&last)) = (ts.first(), ts.last()) {
-            prop_assert_eq!(env.eval(last - first), ts.len() as i64);
+        let mut c = dirt();
+        SoaCurve::from_event_times_into(&ts, &mut c);
+        for t in 0..=HORIZON {
+            let count = ts.iter().filter(|&&e| e <= Time(t)).count() as i64;
+            prop_assert_eq!(c.eval(Time(t)), count, "t={}", t);
         }
-    }
-
-    #[test]
-    fn eval_left_and_jumps_consistent(c in arb_curve()) {
-        for t in 1..=HORIZON {
-            let t = Time(t);
-            prop_assert_eq!(c.eval(t) - c.eval_left(t), c.jump_at(t));
-        }
-        // Continuous curves report no jumps anywhere.
-        if c.is_continuous() {
-            for t in 1..=HORIZON {
-                prop_assert_eq!(c.jump_at(Time(t)), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn counting_roundtrip(times in prop::collection::vec(0i64..40, 0..12)) {
-        let mut ts: Vec<Time> = times.into_iter().map(Time).collect();
-        ts.sort();
-        let c = Curve::from_event_times(&ts);
-        prop_assert_eq!(c.to_event_times(), ts.clone());
         // Event times are the pseudo-inverse at each count.
+        let mut cur = SoaCursor::new(&c);
         for (i, &t) in ts.iter().enumerate() {
-            let m = i as i64 + 1;
-            let et = c.event_time(m).unwrap();
-            prop_assert!(et <= t);
-            prop_assert_eq!(c.eval(et), c.eval(t).min(c.eval(et).max(m)));
+            prop_assert_eq!(cur.inverse_at(i as i64 + 1), Some(t));
         }
     }
 
     #[test]
-    fn convex_convolution_matches_oracle(
-        lens in prop::collection::vec(1i64..8, 0..4),
-        slopes_base in 0i64..3,
-        lens2 in prop::collection::vec(1i64..8, 0..4),
-        slopes_base2 in 0i64..3,
-        v0 in 0i64..5,
-        w0 in 0i64..5,
-    ) {
-        // Build convex curves: increasing slopes piece by piece.
-        fn build(v0: i64, base: i64, lens: &[i64]) -> Curve {
-            let mut segs = vec![Segment::new(Time(0), v0, base)];
-            let mut t = 0i64;
-            let mut v = v0;
-            let mut k = base;
-            for &len in lens {
-                t += len;
-                v += k * len;
-                k += 1;
-                segs.push(Segment::new(Time(t), v, k));
-            }
-            Curve::from_segments(segs)
+    fn cursor_matches_rescanning_queries(c in arb_cumulative(),
+                                         ts in prop::collection::vec(0i64..60, 1..10),
+                                         ys in prop::collection::vec(0i64..40, 1..6)) {
+        // Cursors are monotone: walked over an ascending time (resp. level)
+        // sequence they must answer what a fresh scan answers.
+        let mut times = ts;
+        times.sort_unstable();
+        let mut cur = SoaCursor::new(&c);
+        for &t in &times {
+            prop_assert_eq!(cur.eval(Time(t)), c.eval(Time(t)), "t = {}", t);
         }
-        let f = build(v0, slopes_base, &lens);
-        let g = build(w0, slopes_base2, &lens2);
+        let mut levels = ys;
+        levels.sort_unstable();
+        let mut cur = SoaCursor::new(&c);
+        // Past its last breakpoint the curve is flat or rising by ≥ 1 per
+        // tick, so any reachable level is reached within `limit`.
+        let limit = last_start(&c) + 40;
+        for &y in &levels {
+            prop_assert_eq!(cur.inverse_at(y), brute_inverse(&c, y, limit), "y = {}", y);
+        }
+    }
+
+    #[test]
+    fn convex_convolution_matches_oracle(f in arb_convex(), g in arb_convex()) {
         prop_assert!(f.is_convex() && g.is_convex());
-        let fast = rta_curves::convolution::convolve_convex(&f, &g);
-        let slow = rta_curves::convolution::min_plus_convolve_lattice(&f, &g, Time(40));
+        let mut out = dirt();
+        convolve_convex_into(&f, &g, &mut Scratch::new(), &mut out);
+        let slow = brute_convolution(&f, &g, 40);
         for t in 0..=40 {
-            prop_assert_eq!(fast.eval(Time(t)), slow.eval(Time(t)), "t={}", t);
+            prop_assert_eq!(out.eval(Time(t)), slow[t as usize], "t={}", t);
+        }
+    }
+
+    #[test]
+    fn lattice_oracle_is_the_definition(f in arb_curve(), g in arb_curve(), h in 0i64..30) {
+        let oracle = min_plus_convolve_lattice(&f, &g, Time(h));
+        let slow = brute_convolution(&f, &g, h);
+        for t in 0..=h {
+            prop_assert_eq!(oracle.eval(Time(t)), slow[t as usize], "t={}", t);
+        }
+    }
+
+    #[test]
+    fn convolution_entries_match_the_lattice_oracle(
+        f in arb_cumulative(), g in arb_cumulative(), h in 1i64..50
+    ) {
+        // The decomposition is free to fold partials in any order, so the
+        // contract is value identity at every lattice tick.
+        let lattice = min_plus_convolve_lattice(&f, &g, Time(h));
+        let mut scratch = Scratch::new();
+        let mut out = dirt();
+        convolve_into(&f, &g, Time(h), &mut scratch, &mut out);
+        for t in 0..=h {
+            prop_assert_eq!(out.eval(Time(t)), lattice.eval(Time(t)), "t = {}", t);
+        }
+        convolve_decomposed_into(&f, &g, Time(h), &mut scratch, &mut out);
+        for t in 0..=h {
+            prop_assert_eq!(out.eval(Time(t)), lattice.eval(Time(t)), "decomposed t = {}", t);
+        }
+    }
+}
+
+/// Degenerate inputs the strategies cannot hit deterministically: the zero
+/// curve, constants, empty event lists, and affine reuse of one buffer.
+#[test]
+fn degenerate_inputs() {
+    let zero = SoaCurve::zero();
+    let konst = soa(vec![Segment::new(Time(0), -4, 0)]);
+    let mut out = dirt();
+
+    zero.add_into(&konst, &mut out);
+    assert_eq!(lattice(&out), vec![-4; HORIZON as usize + 1]);
+    konst.running_min_into(&mut out);
+    assert_eq!(lattice(&out), vec![-4; HORIZON as usize + 1]);
+    zero.shift_right_into(Time(5), 3, &mut out);
+    assert_eq!(out.eval(Time(4)), 3);
+    assert_eq!(out.eval(Time(5)), 0);
+    zero.floor_div_into(3, Time(20), &mut out).unwrap();
+    assert_eq!(out, SoaCurve::zero());
+    zero.inverse_curve_into(&mut out).unwrap();
+    assert_eq!(out, SoaCurve::zero());
+    SoaCurve::from_event_times_into(&[], &mut out);
+    assert_eq!(out, SoaCurve::zero());
+    sum_many_into(&[], &mut out);
+    assert_eq!(out, SoaCurve::zero());
+    convolve_into(&zero, &zero, Time(10), &mut Scratch::new(), &mut out);
+    assert_eq!(lattice(&out), vec![0; HORIZON as usize + 1]);
+
+    // Slope ≥ 2 on a bounded piece: the staircase expansion.
+    let stair = soa(vec![
+        Segment::new(Time(0), 0, 2),
+        Segment::new(Time(4), 8, 1),
+    ]);
+    stair.inverse_curve_into(&mut out).unwrap();
+    for y in 0..=stair.sup_on(Time(HORIZON)) {
+        assert_eq!(
+            Time(out.eval(Time(y))),
+            brute_inverse(&stair, y, HORIZON).unwrap(),
+            "y={y}"
+        );
+    }
+
+    // `set_affine` reuses whatever buffer was there.
+    out.set_affine(7, 2);
+    assert_eq!(
+        out.to_curve(),
+        Curve::from_segments(vec![Segment::new(Time(0), 7, 2)])
+    );
+}
+
+/// Fallible kernels must leave `out` untouched on error, so a workspace
+/// slot never ends up holding a half-written curve.
+#[test]
+fn errors_leave_out_untouched() {
+    let decreasing = soa(vec![Segment::new(Time(0), 3, -1)]);
+    let negative = soa(vec![Segment::new(Time(0), -2, 1)]);
+    let unbounded_steep = soa(vec![Segment::new(Time(0), 0, 3)]);
+    // An unbounded slope-2 tail after a plateau has no finite inverse.
+    let steep_tail = soa(vec![
+        Segment::new(Time(0), 0, 0),
+        Segment::new(Time(1), 0, 2),
+    ]);
+
+    let mut out = dirt();
+    for bad in [&decreasing, &negative] {
+        assert!(bad.floor_div_into(2, Time(20), &mut out).is_err());
+        assert_eq!(out, dirt());
+        assert!(compose_into(&SoaCurve::zero(), bad, &mut out).is_err());
+        assert_eq!(out, dirt());
+    }
+    for bad in [&decreasing, &negative, &unbounded_steep, &steep_tail] {
+        assert!(bad.inverse_curve_into(&mut out).is_err());
+        assert_eq!(out, dirt());
+    }
+}
+
+/// One `Scratch` and one output driven through many dissimilar inputs in
+/// sequence — the arena-reuse pattern of the analysis workspaces. Buffer
+/// capacity carried over from a large input must never leak into the
+/// result of a small one.
+#[test]
+fn shared_scratch_and_out_survive_reuse() {
+    let mut scratch = Scratch::new();
+    let mut out = SoaCurve::zero();
+    let mut inputs: Vec<SoaCurve> = Vec::new();
+    // A deterministic family of increasingly spiky cumulative curves.
+    for i in 0..20i64 {
+        let rest = (1..=(i % 6))
+            .map(|j| (1 + i % 3, j + i % 5, (i + j) % 3))
+            .collect();
+        inputs.push(cumulative(i % 4, i % 3, rest));
+    }
+    for (i, f) in inputs.iter().enumerate() {
+        let g = &inputs[(i * 7 + 3) % inputs.len()];
+        convolve_into(f, g, Time(30), &mut scratch, &mut out);
+        let slow = brute_convolution(f, g, 30);
+        for t in 0..=30 {
+            assert_eq!(out.eval(Time(t)), slow[t as usize], "convolve #{i} t={t}");
+        }
+        f.add_into(g, &mut out);
+        for t in (0..=30).map(Time) {
+            assert_eq!(out.eval(t), f.eval(t) + g.eval(t), "add #{i} t={t}");
+        }
+        f.max_with_into(g, &mut out);
+        for t in (0..=30).map(Time) {
+            assert_eq!(out.eval(t), f.eval(t).max(g.eval(t)), "max #{i} t={t}");
+        }
+        let tau = 1 + i as i64 % 5;
+        f.floor_div_into(tau, Time(30), &mut out).unwrap();
+        for t in (0..=30).map(Time) {
+            assert_eq!(
+                out.eval(t),
+                f.eval(t).div_euclid(tau),
+                "floor_div #{i} t={t}"
+            );
         }
     }
 }

@@ -25,8 +25,8 @@ cargo test -p rta-core --test policy_golden -q
 cargo test -p rta-core --test bounds_driver -q
 cargo test -p rta-core --test fixpoint_oracle -q
 
-echo "==> SoA kernel gates: SoA kernels vs AoS oracles, Theorem 5/6 chain vs per-tick oracle"
-cargo test -p rta-curves --test soa_kernels -q
+echo "==> kernel gates: curve kernels and Theorem 5/6 chain vs per-tick oracles"
+cargo test -p rta-curves --test proptests -q
 cargo test -p rta-core --test proptests -q spnp_chain_matches_per_tick_theorem_5_6_oracle
 
 # The sim crate builds in two configurations: trace-off (how `-p rta-sim`
@@ -73,6 +73,18 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     echo "==> service load generator (writes BENCH_service.json; floor 10k req/s)"
     cargo run --release --bin load_gen
 
+    # Every gate runs and reports; the failures are summarized once at
+    # the end, so one slow suite cannot hide the verdicts of the others.
+    failed=()
+    gate() {
+        local name="$1"
+        shift
+        echo "==> bench gate: $name"
+        if ! cargo run -p rta-bench --release --bin bench_gate -- "$@"; then
+            failed+=("$name")
+        fi
+    }
+
     # The 1024-point inverse-sweep rows swing with machine-wide speed
     # shifts well beyond the 25% budget; they are gated on their *ratio*
     # to the stable same-kernel 128-point siblings below instead, and
@@ -84,28 +96,23 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
             if [[ "$f" == BENCH_curves.json ]]; then
                 skips=(--skip inverse_sweep/rescan/1024 --skip inverse_sweep/cursor/1024)
             fi
-            echo "==> bench gate: $f vs committed baseline (max +25%)"
-            cargo run -p rta-bench --release --bin bench_gate -- "$basedir/$f" "$f" 25 "${skips[@]}"
+            gate "$f vs committed baseline (max +25%)" "$basedir/$f" "$f" 25 "${skips[@]}"
         fi
     done
 
     if [[ -f "$basedir/BENCH_curves.json" ]]; then
-        echo "==> bench gate: inverse-sweep 1024-point rows vs 128-point siblings (ratio)"
-        cargo run -p rta-bench --release --bin bench_gate -- \
-            --ratio "$basedir/BENCH_curves.json" BENCH_curves.json \
-            inverse_sweep/rescan/1024 inverse_sweep/rescan/128 25
-        cargo run -p rta-bench --release --bin bench_gate -- \
-            --ratio "$basedir/BENCH_curves.json" BENCH_curves.json \
-            inverse_sweep/cursor/1024 inverse_sweep/cursor/128 25
+        for kernel in rescan cursor; do
+            gate "inverse_sweep/$kernel 1024-point row vs 128-point sibling (ratio)" \
+                --ratio "$basedir/BENCH_curves.json" BENCH_curves.json \
+                "inverse_sweep/$kernel/1024" "inverse_sweep/$kernel/128" 25
+        done
     fi
 
-    # Layout parity: the SoA kernel rows must not fall behind their
-    # retained AoS oracles (15% grace for run-to-run noise).
-    echo "==> bench gate: SoA-vs-AoS kernel pairs"
-    cargo run -p rta-bench --release --bin bench_gate -- \
-        --pair BENCH_curves.json soa/linear_combine/256 aos/linear_combine/256 15
-    cargo run -p rta-bench --release --bin bench_gate -- \
-        --pair BENCH_curves.json soa/pointwise_min/256 aos/pointwise_min/256 15
+    if (( ${#failed[@]} )); then
+        echo "==> ${#failed[@]} bench gate(s) failed:"
+        printf '    %s\n' "${failed[@]}"
+        exit 1
+    fi
 fi
 
 echo "OK"
