@@ -79,8 +79,9 @@ fn node_pass(
     ws: &mut LoopWorkspace,
     stop_at_miss: bool,
 ) -> Result<bool, AnalysisError> {
-    let order = evaluation_order(sys, &SubjobIndex::new(sys))?;
-    let n = ws.index_system(sys);
+    let idx = SubjobIndex::new(sys);
+    let order = evaluation_order(sys, &idx)?;
+    let n = ws.index_system(sys, &idx);
     ensure_bounds(&mut ws.cur, n);
     ensure_soa_curves(&mut ws.arr_env, n);
     ensure_soa_curves(&mut ws.workload, n);
@@ -129,8 +130,7 @@ fn node_pass(
         if policy[i].peer_inputs() == PeerInputs::SharedWorkloads && !ctxs.contains(p) {
             // The context reads every peer's workload: their envelopes are
             // in place, since the peers' predecessors precede this node.
-            for o in sys.subjobs_on(p) {
-                let j = job_start[o.job.0] + o.index;
+            for &j in idx.on(p) {
                 arr_env[j].scale_into(tau[j].ticks(), &mut workload[j]);
             }
             let (workload, job_start) = (&*workload, &*job_start);

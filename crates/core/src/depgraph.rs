@@ -19,21 +19,47 @@
 
 use crate::error::AnalysisError;
 use crate::policy::{policy_for, PeerInputs};
-use rta_model::{SubjobRef, TaskSystem};
+use rta_model::{JobId, ProcessorId, SubjobRef, TaskSystem};
 
-/// Dense index for subjobs within one analysis run.
+/// Dense index for subjobs within one analysis run: subjobs enumerated job
+/// by job, hop by hop, with each processor's subjob list — the one
+/// structure the dependency edges, the evaluation order and the drivers'
+/// peer tables are read from.
 #[derive(Debug)]
 pub struct SubjobIndex {
     refs: Vec<SubjobRef>,
-    lookup: std::collections::HashMap<SubjobRef, usize>,
+    /// Dense index of each job's first subjob.
+    job_start: Vec<usize>,
+    /// Per processor, the dense indices of its subjobs in enumeration
+    /// order.
+    on: Vec<Vec<usize>>,
 }
 
 impl SubjobIndex {
     /// Enumerate all subjobs of a system.
     pub fn new(sys: &TaskSystem) -> SubjobIndex {
-        let refs: Vec<SubjobRef> = sys.all_subjobs().collect();
-        let lookup = refs.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-        SubjobIndex { refs, lookup }
+        let mut refs = Vec::new();
+        let mut job_start = Vec::with_capacity(sys.jobs().len());
+        let mut on: Vec<Vec<usize>> = vec![Vec::new(); sys.processors().len()];
+        for (k, job) in sys.jobs().iter().enumerate() {
+            job_start.push(refs.len());
+            for (j, s) in job.subjobs.iter().enumerate() {
+                let p = s.processor.0;
+                if p >= on.len() {
+                    on.resize_with(p + 1, Vec::new);
+                }
+                on[p].push(refs.len());
+                refs.push(SubjobRef {
+                    job: JobId(k),
+                    index: j,
+                });
+            }
+        }
+        SubjobIndex {
+            refs,
+            job_start,
+            on,
+        }
     }
 
     /// Number of subjobs.
@@ -53,33 +79,57 @@ impl SubjobIndex {
 
     /// Dense index of a subjob.
     pub fn index(&self, r: SubjobRef) -> usize {
-        self.lookup[&r]
+        let i = self.job_start[r.job.0] + r.index;
+        debug_assert_eq!(self.refs[i], r, "subjob outside the indexed system");
+        i
     }
 
     /// All subjob references in enumeration order.
     pub fn refs(&self) -> &[SubjobRef] {
         &self.refs
     }
+
+    /// Dense index of each job's first subjob.
+    pub(crate) fn job_starts(&self) -> &[usize] {
+        &self.job_start
+    }
+
+    /// Dense indices of the subjobs on processor `p`, in enumeration order.
+    pub(crate) fn on(&self, p: ProcessorId) -> &[usize] {
+        self.on.get(p.0).map_or(&[], Vec::as_slice)
+    }
+
+    /// Dense indices of subjob `i`'s strictly-higher-priority peers on its
+    /// processor (the summations of Theorems 3, 5 and 6), in enumeration
+    /// order — [`TaskSystem::higher_priority_peers`] read from the
+    /// processor's subjob list.
+    pub(crate) fn higher_priority_peers<'a>(
+        &'a self,
+        sys: &'a TaskSystem,
+        i: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let s = sys.subjob(self.refs[i]);
+        let phi = s.priority.expect("priorities must be assigned");
+        self.on(s.processor)
+            .iter()
+            .copied()
+            .filter(move |&h| h != i && sys.subjob(self.refs[h]).priority.expect("assigned") < phi)
+    }
 }
 
-/// Build the dependency edge list (`from → to` as dense indices).
+/// Build the dependency edge list (`from → to` as dense indices), sorted
+/// and deduplicated.
 pub fn dependency_edges(sys: &TaskSystem, idx: &SubjobIndex) -> Vec<(usize, usize)> {
     let mut edges = Vec::new();
     for (i, &r) in idx.refs().iter().enumerate() {
-        // Chain edge from the predecessor hop.
+        // Chain edge from the predecessor hop, the previous dense index.
         if r.index > 0 {
-            let pred = SubjobRef {
-                job: r.job,
-                index: r.index - 1,
-            };
-            edges.push((idx.index(pred), i));
+            edges.push((i - 1, i));
         }
-        let s = sys.subjob(r);
-        match policy_for(sys.processor(s.processor).scheduler).peer_inputs() {
+        let p = sys.subjob(r).processor;
+        match policy_for(sys.processor(p).scheduler).peer_inputs() {
             PeerInputs::HigherPriorityServices => {
-                for h in sys.higher_priority_peers(r) {
-                    edges.push((idx.index(h), i));
-                }
+                edges.extend(idx.higher_priority_peers(sys, i).map(|h| (h, i)));
             }
             PeerInputs::SharedWorkloads => {
                 // Need every sharing subjob's arrival, i.e. its predecessor's
@@ -88,13 +138,9 @@ pub fn dependency_edges(sys: &TaskSystem, idx: &SubjobIndex) -> Vec<(usize, usiz
                 // hop shares the processor), the edge is a self-loop: the
                 // subjob's context would read its own departure, a physical
                 // loop (Section 6) that the one-pass analyses must refuse.
-                for o in sys.subjobs_on(s.processor) {
-                    if o != r && o.index > 0 {
-                        let pred = SubjobRef {
-                            job: o.job,
-                            index: o.index - 1,
-                        };
-                        edges.push((idx.index(pred), i));
+                for &o in idx.on(p) {
+                    if o != i && idx.subjob(o).index > 0 {
+                        edges.push((o - 1, i));
                     }
                 }
             }
@@ -107,44 +153,93 @@ pub fn dependency_edges(sys: &TaskSystem, idx: &SubjobIndex) -> Vec<(usize, usiz
 
 /// Dependency edges with forward **and** reverse adjacency, the substrate of
 /// incremental invalidation: forward edges give "who must be recomputed
-/// after me", reverse edges give "whose outputs I read".
+/// after me", reverse edges give "whose outputs I read". Both directions
+/// are flat (compressed-row) tables over the one edge list.
 #[derive(Debug)]
 pub struct DepGraph {
-    out: Vec<Vec<usize>>,
-    input: Vec<Vec<usize>>,
+    out_start: Vec<usize>,
+    out: Vec<usize>,
+    in_start: Vec<usize>,
+    input: Vec<usize>,
 }
 
 impl DepGraph {
     /// Build both adjacency directions from [`dependency_edges`].
     pub fn new(sys: &TaskSystem, idx: &SubjobIndex) -> DepGraph {
+        let edges = dependency_edges(sys, idx);
         let n = idx.len();
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut input: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (a, b) in dependency_edges(sys, idx) {
-            out[a].push(b);
-            input[b].push(a);
+        let (mut out_start, mut in_start) = (vec![0usize; n + 1], vec![0usize; n + 1]);
+        for &(a, b) in &edges {
+            out_start[a + 1] += 1;
+            in_start[b + 1] += 1;
         }
-        DepGraph { out, input }
+        for i in 0..n {
+            out_start[i + 1] += out_start[i];
+            in_start[i + 1] += in_start[i];
+        }
+        // The edges are sorted by source, then target: the targets in
+        // order are the forward table, and a counting pass by target keeps
+        // each node's sources ascending.
+        let out = edges.iter().map(|&(_, b)| b).collect();
+        let mut input = vec![0usize; edges.len()];
+        let mut fill = in_start[..n].to_vec();
+        for &(a, b) in &edges {
+            input[fill[b]] = a;
+            fill[b] += 1;
+        }
+        DepGraph {
+            out_start,
+            out,
+            in_start,
+            input,
+        }
     }
 
     /// Number of subjobs (nodes).
     pub fn len(&self) -> usize {
-        self.out.len()
+        self.out_start.len() - 1
     }
 
     /// `true` when the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.out.is_empty()
+        self.len() == 0
     }
 
     /// Subjobs whose curves must be recomputed when `i` changes.
     pub fn dependents(&self, i: usize) -> &[usize] {
-        &self.out[i]
+        &self.out[self.out_start[i]..self.out_start[i + 1]]
     }
 
     /// Subjobs whose curves `i` reads.
     pub fn inputs(&self, i: usize) -> &[usize] {
-        &self.input[i]
+        &self.input[self.in_start[i]..self.in_start[i + 1]]
+    }
+
+    /// Topologically order the subjobs (Kahn's algorithm, ties in index
+    /// order); errors with the residual node set on a cycle.
+    pub(crate) fn evaluation_order(&self, idx: &SubjobIndex) -> Result<Vec<usize>, AnalysisError> {
+        let n = self.len();
+        let mut indegree: Vec<usize> = (0..n).map(|i| self.inputs(i).len()).collect();
+        let mut queue: std::collections::VecDeque<usize> =
+            (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(i) = queue.pop_front() {
+            order.push(i);
+            for &j in self.dependents(i) {
+                indegree[j] -= 1;
+                if indegree[j] == 0 {
+                    queue.push_back(j);
+                }
+            }
+        }
+        if order.len() < n {
+            let cycle = (0..n)
+                .filter(|&i| indegree[i] > 0)
+                .map(|i| idx.subjob(i))
+                .collect();
+            return Err(AnalysisError::CyclicDependency { cycle });
+        }
+        Ok(order)
     }
 }
 
@@ -217,36 +312,10 @@ impl DirtyCone {
 }
 
 /// Topologically order the subjobs; errors with the residual node set on a
-/// cycle.
+/// cycle. Callers that also need the graph build it once and ask it
+/// ([`DepGraph::evaluation_order`]).
 pub fn evaluation_order(sys: &TaskSystem, idx: &SubjobIndex) -> Result<Vec<usize>, AnalysisError> {
-    let n = idx.len();
-    let edges = dependency_edges(sys, idx);
-    let mut indegree = vec![0usize; n];
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b) in &edges {
-        indegree[b] += 1;
-        out[a].push(b);
-    }
-    let mut queue: std::collections::VecDeque<usize> =
-        (0..n).filter(|i| indegree[*i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(i) = queue.pop_front() {
-        order.push(i);
-        for &j in &out[i] {
-            indegree[j] -= 1;
-            if indegree[j] == 0 {
-                queue.push_back(j);
-            }
-        }
-    }
-    if order.len() < n {
-        let cycle = (0..n)
-            .filter(|i| indegree[*i] > 0)
-            .map(|i| idx.subjob(i))
-            .collect();
-        return Err(AnalysisError::CyclicDependency { cycle });
-    }
-    Ok(order)
+    DepGraph::new(sys, idx).evaluation_order(idx)
 }
 
 #[cfg(test)]

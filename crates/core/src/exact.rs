@@ -81,15 +81,9 @@ pub(crate) fn subjob_node_curves(
     };
     let mut workload = scratch.take_soa();
     arrival.scale_into(subjob.exec.ticks(), &mut workload);
-    let hp_services: Vec<&SoaCurve> = sys
-        .higher_priority_peers(r)
-        .into_iter()
-        .map(|h| {
-            &curves[idx.index(h)]
-                .as_ref()
-                .expect("dependency order")
-                .service
-        })
+    let hp_services: Vec<&SoaCurve> = idx
+        .higher_priority_peers(sys, i)
+        .map(|h| &curves[h].as_ref().expect("dependency order").service)
         .collect();
     let mut service = SoaCurve::zero();
     exact_service_into(&workload, &hp_services, scratch, &mut service);

@@ -65,6 +65,7 @@
 use std::cell::RefCell;
 
 use crate::config::AnalysisConfig;
+use crate::depgraph::SubjobIndex;
 use crate::error::AnalysisError;
 use crate::policy::{policy_for, BoundsInputs, PeerInputs, ProcessorContexts, ServicePolicy};
 use crate::report::{BoundsReport, JobBound};
@@ -144,22 +145,16 @@ pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut LoopWorkspace) -> R) -> R {
 }
 
 impl LoopWorkspace {
-    /// Fill the dense subjob tables for `sys`: `refs`/`job_start`, and per
-    /// subjob its policy, execution time, weight, blocking term, processor
-    /// and higher-priority peers (enumerated in `higher_priority_peers`
-    /// order). Returns the subjob count.
-    pub(crate) fn index_system(&mut self, sys: &TaskSystem) -> usize {
+    /// Fill the dense subjob tables for `sys` from its index `idx`:
+    /// `refs`/`job_start`, and per subjob its policy, execution time,
+    /// weight, blocking term, processor and higher-priority peers (in
+    /// enumeration order, read from the processor's subjob list). Returns
+    /// the subjob count.
+    pub(crate) fn index_system(&mut self, sys: &TaskSystem, idx: &SubjobIndex) -> usize {
         self.refs.clear();
+        self.refs.extend_from_slice(idx.refs());
         self.job_start.clear();
-        for (k, job) in sys.jobs().iter().enumerate() {
-            self.job_start.push(self.refs.len());
-            for j in 0..job.subjobs.len() {
-                self.refs.push(SubjobRef {
-                    job: JobId(k),
-                    index: j,
-                });
-            }
-        }
+        self.job_start.extend_from_slice(idx.job_starts());
         let n = self.refs.len();
         self.policy.clear();
         self.tau.clear();
@@ -174,16 +169,7 @@ impl LoopWorkspace {
             let policy = policy_for(sys.processor(s.processor).scheduler);
             self.hp_start.push(self.hp_flat.len());
             if policy.peer_inputs() == PeerInputs::HigherPriorityServices {
-                let phi = s.priority.expect("validated: priorities assigned");
-                for (h, &o) in self.refs.iter().enumerate() {
-                    if o == r {
-                        continue;
-                    }
-                    let os = sys.subjob(o);
-                    if os.processor == s.processor && os.priority.expect("assigned") < phi {
-                        self.hp_flat.push(h);
-                    }
-                }
+                self.hp_flat.extend(idx.higher_priority_peers(sys, i));
             }
             self.policy.push(policy);
             self.tau.push(s.exec);
@@ -324,7 +310,7 @@ fn analyze_in(
     sys.validate(true)?;
     assert!(max_rounds >= 1);
     let (window, horizon) = cfg.resolve(sys);
-    let n = ws.index_system(sys);
+    let n = ws.index_system(sys, &SubjobIndex::new(sys));
 
     // Evaluate every subjob cold; warm, copy those on valid processors.
     ensure_bounds(&mut ws.cur, n);

@@ -22,7 +22,7 @@
 //!    job's first-hop arrival workload and the composed curve.
 
 use crate::config::AnalysisConfig;
-use crate::depgraph::{evaluation_order, SubjobIndex};
+use crate::depgraph::SubjobIndex;
 use crate::error::AnalysisError;
 use rta_curves::bounds::RateLatency;
 use rta_curves::{Curve, Time};
@@ -88,9 +88,9 @@ pub fn e2e_composition_bound(
     job: JobId,
 ) -> Result<Option<Time>, AnalysisError> {
     let (window, horizon) = cfg.resolve(sys);
-    let idx = SubjobIndex::new(sys);
-    let _ = evaluation_order(sys, &idx)?; // cycle check up front
+    // The one-pass sweep orders the subjobs and refuses a cyclic system.
     let lower = crate::bounds::lower_service_curves(sys, cfg)?;
+    let idx = SubjobIndex::new(sys);
 
     let jb = &sys.jobs()[job.0];
     let tau = jb.subjobs[0].exec;

@@ -55,7 +55,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::config::AnalysisConfig;
-use crate::depgraph::{evaluation_order, DepGraph, DirtyCone, SubjobIndex};
+use crate::depgraph::{DepGraph, DirtyCone, SubjobIndex};
 use crate::error::AnalysisError;
 use crate::exact::{
     assemble_exact_report, job_report, require_exact_capable, subjob_node_curves, NodeCurves,
@@ -400,8 +400,8 @@ impl AnalysisSession {
             Some(sc) => sc,
             None => {
                 let idx = SubjobIndex::new(&self.current);
-                let order = evaluation_order(&self.current, &idx)?;
                 let graph = DepGraph::new(&self.current, &idx);
+                let order = graph.evaluation_order(&idx)?;
                 StructureCache { idx, order, graph }
             }
         };

@@ -23,15 +23,21 @@
 //! heterogeneous bounds analysis by setting `b = 0` (preemption removes
 //! blocking; Theorems 5/6 then mirror Theorem 3 with bounded inputs).
 //!
-//! There is one chain, [`spnp_bounds`]: structure-of-arrays operands in,
-//! [`SoaServiceBounds`] out, every intermediate drawn from a [`Scratch`].
-//! Both drivers reach it through
-//! [`crate::policy::ServicePolicy::service_bounds`]. Its independent check
-//! is a per-tick evaluator of the same formulas in
+//! Both theorems are the busy-window bound Theorem 3 also is
+//! ([`rta_curves::busy`]); they differ only in which peer sums are charged
+//! at the window's start and end, in the blocking term, and in the
+//! availability at the window start (the variant table in that module).
+//! There is one chain, [`spnp_bounds`]: the peers' lower (and, for the
+//! conservative variant, upper) bounds summed in one k-way merge each, one
+//! two-pass kernel call per bound, and a final pointwise maximum — at most
+//! seven passes, every intermediate drawn from a [`Scratch`]. Both drivers
+//! reach it through [`crate::policy::ServicePolicy::service_bounds`]. Its
+//! independent check is a per-tick evaluator of the same formulas in
 //! `crates/core/tests/proptests.rs`.
 
 use crate::config::SpnpAvailability;
-use rta_curves::{linear_combine_line_into, sum_many_into, CurveError, Scratch, SoaCurve, Time};
+use crate::spp::peer_sum;
+use rta_curves::{busy_window_into, CurveError, Scratch, SoaCurve, Time, WindowStart};
 
 /// Lower/upper service-function bounds of one subjob — what
 /// [`crate::policy::ServicePolicy::service_bounds`] writes and the drivers
@@ -64,7 +70,8 @@ impl SoaServiceBounds {
 /// * `variant` — which availability recursion Theorem 5 uses.
 ///
 /// Every intermediate curve is drawn from `scratch`'s pool, so a warm call
-/// allocates nothing. Both bounds are nondecreasing and nonnegative: the
+/// allocates nothing. With one peer its bounds are read in place, unsummed.
+/// Both bounds are nondecreasing and nonnegative: the
 /// raw formulas can lose monotonicity when peer bounds overlap, and are
 /// re-monotonized soundly (`running_max` of a lower bound is still a lower
 /// bound of a nondecreasing function; likewise the upper bound can only be
@@ -73,7 +80,6 @@ impl SoaServiceBounds {
 /// Errors with [`CurveError::MismatchedLengths`] when the peer bound
 /// slices cannot be paired — a caller bug that would otherwise silently
 /// drop interference. On error `out` is left unchanged.
-#[allow(clippy::many_single_char_names)]
 pub fn spnp_bounds(
     workload_upper: &SoaCurve,
     hp_lower: &[&SoaCurve],
@@ -89,91 +95,57 @@ pub fn spnp_bounds(
             right: hp_upper.len(),
         });
     }
-    let b = blocking;
-    let w = workload_upper;
-    let mut id = scratch.take_soa();
-    let mut c_prev = scratch.take_soa();
-    let mut hp_lo_sum = scratch.take_soa();
-    let mut hp_up_sum = scratch.take_soa();
+    let mut lo_buf = scratch.take_soa();
+    let mut up_buf = scratch.take_soa();
     let mut up = scratch.take_soa();
-    let mut s_avail = scratch.take_soa();
-    let mut t1 = scratch.take_soa();
-    let mut t2 = scratch.take_soa();
-    let mut t3 = scratch.take_soa();
-
-    id.set_affine(0, 1);
-    w.shift_right_into(Time::ONE, 0, &mut c_prev);
-    // Σ hp bounds in one k-way merge (pointwise add is exact and canonical
-    // on the segment representation, so the peer order does not matter).
-    sum_many_into(hp_lower, &mut hp_lo_sum);
-    sum_many_into(hp_upper, &mut hp_up_sum);
-
-    // The busy-period candidate is
-    //     avail(s, t] + c̄(s⁻)
-    // with avail(s, t] bracketed through the hp service bounds. A single
+    let lo_sum = peer_sum(hp_lower, &mut lo_buf);
+    // `AsPrinted` charges `ΣS̲_h` at every position, so it never reads the
+    // upper sum.
+    let up_sum = match variant {
+        SpnpAvailability::AsPrinted => lo_sum,
+        SpnpAvailability::Conservative => peer_sum(hp_upper, &mut up_buf),
+    };
+    // The busy-period candidate is `avail(s, t] + c̄(s⁻)`, with
+    // `avail(s, t]` bracketed through the hp service bounds. A single
     // availability curve `B(t) − B(s)` (the paper's Eqs. 17/19) cannot
     // bracket the *increment* of hp interference — the `t` and `s`
     // positions need opposite hp bounds:
     //     lower: (t−s) − b − [ΣS̄_h(t) − ΣS̲_h(s)]
     //     upper: (t−s)     − [ΣS̲_h(t) − ΣS̄_h(s)]
     // The `Conservative` variant implements exactly that; `AsPrinted` keeps
-    // the paper's single-curve form with `ΣS̲_h` at both positions.
-
-    // ---- Theorem 6: upper bound (no blocking in an upper bound). ----
-    // The `− s` / `+ t` identity-line terms ride along inside the merges
-    // (`linear_combine_line_into` fuses the affine term), so neither
-    // `t_part_up` nor `s_part_up` costs a separate pass over the hp sums.
-    match variant {
-        SpnpAvailability::AsPrinted => {
-            linear_combine_line_into(&c_prev, 1, &hp_lo_sum, 1, 0, -1, &mut t3)
-        }
-        SpnpAvailability::Conservative => {
-            linear_combine_line_into(&c_prev, 1, &hp_up_sum, 1, 0, -1, &mut t3)
-        }
-    } // t3 = s_part_up = c̄(s⁻) + Σ − s
-    t3.running_min_into(&mut t2);
-    linear_combine_line_into(&t2, 1, &hp_lo_sum, -1, 0, 1, &mut t3); // + t_part_up
-    t3.min_with_into(w, &mut t1); // t1 = upper_raw
-    t1.min_with_into(&id, &mut t2);
-    t2.clamp_min_into(0, &mut t3);
-    t3.running_max_into(&mut up); // up = upper, pre-reorder fix
-
-    // ---- Theorem 5: lower bound. ----
-    id.add_const_into(-b.ticks(), &mut t1);
-    match variant {
-        SpnpAvailability::AsPrinted => t1.sub_into(&hp_lo_sum, &mut t2),
-        SpnpAvailability::Conservative => t1.sub_into(&hp_up_sum, &mut t2),
-    } // t2 = t_part_lo, unmasked
-      // s-part availability: the paper's B̲ (masked to 0 on [0, b]) for
-      // AsPrinted; for Conservative the blocking term lives only in the
-      // t-part (it is a one-shot delay, not an increment at both ends), so
-      // the s-part is the unmasked `s − ΣS̲_h(s)` — folded straight into
-      // `c̄(s⁻) − avail_s(s)` below as `c̄(s⁻) + ΣS̲_h(s) − s`.
-    if variant == SpnpAvailability::AsPrinted {
-        t2.mask_before_into(b + Time::ONE, 0, &mut s_avail);
-    }
-    t2.mask_before_into(b + Time::ONE, 0, &mut t1); // t1 = masked t_part_lo
-                                                    // S̲(t) = T(t) + min_{0 ≤ s ≤ t−b} ( c̄(s⁻) − avail_s(s) ), the running
-                                                    // minimum delayed by the blocking interval (Theorem 5's min range).
-    match variant {
-        SpnpAvailability::AsPrinted => c_prev.sub_into(&s_avail, &mut t2),
-        SpnpAvailability::Conservative => {
-            linear_combine_line_into(&c_prev, 1, &hp_lo_sum, 1, 0, -1, &mut t2)
-        }
-    }
-    t2.running_min_into(&mut t3); // t3 = run
-    t3.shift_right_into(b, t3.eval(Time::ZERO), &mut t2); // t2 = delayed_run
-    t1.add_into(&t2, &mut t3);
-    t3.min_with_into(w, &mut t2);
-    t2.mask_before_into(b + Time::ONE, 0, &mut t1); // t1 = lower_raw
-    t1.clamp_min_into(0, &mut t2);
-    t2.min_with_into(&id, &mut t3);
-    t3.running_max_into(&mut out.lower);
-
+    // the paper's single-curve form with `ΣS̲_h` at both positions, and
+    // Eq. 17's blocked availability `B̲` at the window start.
+    //
+    // Theorem 6: the upper bound, with no blocking (blocking can only
+    // delay service).
+    busy_window_into(
+        workload_upper,
+        up_sum,
+        lo_sum,
+        Time::ZERO,
+        WindowStart::Open,
+        scratch,
+        &mut up,
+    );
+    // Theorem 5: the lower bound. For `Conservative` the blocking term
+    // lives only in the window end (a one-shot delay, not an increment at
+    // both ends).
+    let start = match variant {
+        SpnpAvailability::AsPrinted => WindowStart::Blocked,
+        SpnpAvailability::Conservative => WindowStart::Open,
+    };
+    busy_window_into(
+        workload_upper,
+        lo_sum,
+        up_sum,
+        blocking,
+        start,
+        scratch,
+        &mut out.lower,
+    );
     // Clipping can reorder the raw curves in degenerate spots.
     up.max_with_into(&out.lower, &mut out.upper);
-
-    for c in [id, c_prev, hp_lo_sum, hp_up_sum, up, s_avail, t1, t2, t3] {
+    for c in [lo_buf, up_buf, up] {
         scratch.put_soa(c);
     }
     Ok(())

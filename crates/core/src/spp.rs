@@ -23,10 +23,13 @@
 //! the empty-backlog case. On the tick lattice `c(s⁻) = c(s − 1)` with
 //! `c(−1) = 0`.
 //!
-//! The kernel runs on the structure-of-arrays layout, with temporaries
-//! from a [`Scratch`]: the `+ t`/`− t` of the availability ride along
-//! inside the fused linear combinations, so `A` itself is never
-//! materialized.
+//! This is the busy-window bound of [`rta_curves::busy`] with no blocking
+//! and the same peer sum at both ends of the window: one k-way sum of the
+//! peers (none with one peer, whose service is read in place) and one
+//! two-pass kernel call, temporaries from a [`Scratch`]. Neither `A` nor
+//! any other intermediate of the formula is materialized besides the
+//! running minimum. On exact peers the kernel's clamp to `[0, t]` and its
+//! running maximum change nothing at any tick.
 //!
 //! ```
 //! use rta_core::spp::exact_service_into;
@@ -47,7 +50,7 @@
 //! assert_eq!(dep.to_curve().event_time(2), Some(Time(14)));
 //! ```
 
-use rta_curves::{linear_combine_line_into, sum_many_into, Scratch, SoaCurve, Time};
+use rta_curves::{busy_window_into, sum_many_into, Scratch, SoaCurve, Time, WindowStart};
 
 /// The exact SPP service function of a subjob (Theorem 3), written into
 /// `out`: `S(t) = min( c(t), A(t) + min_{0 ≤ s ≤ t} ( c(s⁻) − A(s) ) )`
@@ -63,25 +66,61 @@ pub fn exact_service_into(
     scratch: &mut Scratch,
     out: &mut SoaCurve,
 ) {
-    let mut hp_sum = scratch.take_soa();
-    let mut c_prev = scratch.take_soa();
-    let mut t1 = scratch.take_soa();
-    let mut t2 = scratch.take_soa();
-    sum_many_into(hp_services, &mut hp_sum);
-    workload.shift_right_into(Time::ONE, 0, &mut c_prev);
-    // c(s⁻) − A(s) = c(s⁻) + Σ S_h(s) − s, then its running minimum.
-    linear_combine_line_into(&c_prev, 1, &hp_sum, 1, 0, -1, &mut t1);
-    t1.running_min_into(&mut t2);
-    // A(t) + run(t) = run(t) − Σ S_h(t) + t, capped by the demand.
-    linear_combine_line_into(&t2, 1, &hp_sum, -1, 0, 1, &mut t1);
-    t1.min_with_into(workload, out);
+    let mut buf = scratch.take_soa();
+    let hp_sum = peer_sum(hp_services, &mut buf);
+    // The kernel's clamp and running maximum would hide a wrong peer sum
+    // (overlapping peers), so check the exact shape before the call.
+    debug_assert!(
+        workload.is_nondecreasing(),
+        "workload must be nondecreasing"
+    );
+    debug_assert!(
+        grows_by_at_most_one_per_tick(hp_sum),
+        "peer services must sum to a curve that grows by 0 or 1 per tick (peers overlap?)"
+    );
+    // `A(t) = t − Σ(t)` at both ends of the window, no blocking.
+    busy_window_into(
+        workload,
+        hp_sum,
+        hp_sum,
+        Time::ZERO,
+        WindowStart::Open,
+        scratch,
+        out,
+    );
     debug_assert!(
         out.is_nondecreasing(),
-        "exact SPP service must be nondecreasing (peers overlap?)"
+        "exact SPP service must be nondecreasing"
     );
     debug_assert!(out.eval(Time::ZERO) >= 0, "service must be nonnegative");
-    for c in [hp_sum, c_prev, t1, t2] {
-        scratch.put_soa(c);
+    scratch.put_soa(buf);
+}
+
+/// `true` iff `c` grows by 0 or 1 from each tick to the next (within its
+/// pieces and across each breakpoint): the shape of a sum of services that
+/// never overlap.
+fn grows_by_at_most_one_per_tick(c: &SoaCurve) -> bool {
+    let v = c.view();
+    let (s, x, m) = (v.starts(), v.values(), v.slopes());
+    (0..s.len()).all(|i| {
+        let step = if i == 0 {
+            0
+        } else {
+            x[i] - (x[i - 1] + m[i - 1] * (s[i] - 1 - s[i - 1]))
+        };
+        (m[i] == 0 || m[i] == 1) && (step == 0 || step == 1)
+    })
+}
+
+/// The pointwise sum of `peers`: the one peer itself, or their k-way sum
+/// written into `buf` (the zero curve when there are none).
+pub(crate) fn peer_sum<'a>(peers: &[&'a SoaCurve], buf: &'a mut SoaCurve) -> &'a SoaCurve {
+    match peers {
+        [one] => one,
+        many => {
+            sum_many_into(many, buf);
+            buf
+        }
     }
 }
 

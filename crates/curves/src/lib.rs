@@ -13,9 +13,11 @@
 //! slopes), with the exact operations the theorems need:
 //!
 //! * pointwise linear combination, k-way sums, minimum and maximum, prefix
-//!   ("running") extrema, shifts, masks and departure extraction
+//!   ("running") extrema, shifts and departure extraction
 //!   `⌊S(t)/τ⌋` ([`soa`]), plus resumable monotone eval/inverse sweeps
 //!   ([`SoaCursor`]);
+//! * the busy-window bound that Theorems 3, 5 and 6 share, in two fused
+//!   merge passes ([`busy`]);
 //! * the pseudo-inverse `g⁻¹(y) = min { s : g(s) ≥ y }` as a curve
 //!   ([`inverse`]) and monotone composition `f ∘ g` ([`compose`]);
 //! * min-plus convolution ([`convolution`]).
@@ -69,6 +71,7 @@
 
 pub mod arena;
 pub mod bounds;
+pub mod busy;
 pub mod compose;
 pub mod convolution;
 pub mod counting;
@@ -81,6 +84,7 @@ mod time;
 mod util;
 
 pub use arena::Scratch;
+pub use busy::{busy_window_into, WindowStart};
 pub use curve::Curve;
 pub use intern::{CurveArena, CurveId};
 pub use segment::Segment;

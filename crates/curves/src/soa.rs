@@ -375,33 +375,6 @@ impl SoaCurve {
         out.finish();
     }
 
-    /// Replace the prefix `[0, t0)` with the constant `fill`, keeping the
-    /// curve unchanged from `t0` on — e.g. the SPNP lower availability
-    /// (Equation 17) is zero during the maximal blocking interval.
-    pub fn mask_before_into(&self, t0: Time, fill: i64, out: &mut SoaCurve) {
-        if t0 <= Time::ZERO {
-            out.copy_from(self);
-            return;
-        }
-        let i = self.seg_index(t0.ticks());
-        let at = self.values[i] + self.slopes[i] * (t0.ticks() - self.starts[i]);
-        let mut w = SoaWriter::new(out, self.len() - i + 1);
-        w.emit(0, fill, 0);
-        w.emit(t0.ticks(), at, self.slopes[i]);
-        // The entry at `t0` lies on piece `i`'s line and the input is
-        // normalized, so piece `i + 1` continues neither it nor the fill
-        // line it may have collapsed into — the tail copies verbatim.
-        let k = w.w;
-        let tail = i + 1;
-        let cnt = self.len() - tail;
-        w.s[k..k + cnt].copy_from_slice(&self.starts[tail..]);
-        w.v[k..k + cnt].copy_from_slice(&self.values[tail..]);
-        w.m[k..k + cnt].copy_from_slice(&self.slopes[tail..]);
-        w.w = k + cnt;
-        w.finish();
-        out.finish();
-    }
-
     /// Shared prefix-extremum kernel. The minimum logic runs in a
     /// sign-folded domain (`max = true` negates every sample on read and
     /// every output on write), which is exactly `−running_min(−f)` without
@@ -588,7 +561,7 @@ impl SoaCurve {
 /// applies the normalization continuation predicate inline against a
 /// register-cached previous entry, so no second normalization pass runs.
 /// All merge and unary kernels write through this.
-struct SoaWriter<'a> {
+pub(crate) struct SoaWriter<'a> {
     s: &'a mut Vec<i64>,
     v: &'a mut Vec<i64>,
     m: &'a mut Vec<i64>,
@@ -600,7 +573,7 @@ struct SoaWriter<'a> {
 
 impl<'a> SoaWriter<'a> {
     #[inline]
-    fn new(out: &'a mut SoaCurve, cap: usize) -> SoaWriter<'a> {
+    pub(crate) fn new(out: &'a mut SoaCurve, cap: usize) -> SoaWriter<'a> {
         out.starts.resize(cap, 0);
         out.values.resize(cap, 0);
         out.slopes.resize(cap, 0);
@@ -618,7 +591,7 @@ impl<'a> SoaWriter<'a> {
     }
 
     #[inline]
-    fn emit(&mut self, t: i64, v: i64, m: i64) {
+    pub(crate) fn emit(&mut self, t: i64, v: i64, m: i64) {
         if self.pm == m && self.pv + self.pm * (t - self.pt) == v {
             return;
         }
@@ -629,11 +602,32 @@ impl<'a> SoaWriter<'a> {
         self.w += 1;
     }
 
+    /// Make room for `extra` more entries — for kernels whose output
+    /// length has no cheap tight bound up front. Grows geometrically, so
+    /// a warm output rarely resizes; the growth is out of line and never
+    /// sees the writer itself, which keeps the writer's state in
+    /// registers through the caller's loop.
     #[inline]
-    fn finish(self) {
+    pub(crate) fn room(&mut self, extra: usize) {
+        let need = self.w + extra;
+        if need > self.s.len() {
+            grow_columns([&mut *self.s, &mut *self.v, &mut *self.m], need);
+        }
+    }
+
+    #[inline]
+    pub(crate) fn finish(self) {
         self.s.truncate(self.w);
         self.v.truncate(self.w);
         self.m.truncate(self.w);
+    }
+}
+
+#[cold]
+fn grow_columns(columns: [&mut Vec<i64>; 3], need: usize) {
+    for c in columns {
+        let cap = (2 * c.len()).max(need);
+        c.resize(cap, 0);
     }
 }
 
@@ -1269,18 +1263,13 @@ mod tests {
     }
 
     #[test]
-    fn shift_mask_and_truncate_reindex_the_curve() {
+    fn shift_and_truncate_reindex_the_curve() {
         let c = staircase();
         let mut out = SoaCurve::zero();
         c.shift_right_into(Time(3), 7, &mut out);
         for t in 0..=20 {
             let expect = if t < 3 { 7 } else { c.eval(Time(t - 3)) };
             assert_eq!(out.eval(Time(t)), expect, "shift t={t}");
-        }
-        c.mask_before_into(Time(7), -1, &mut out);
-        for t in 0..=20 {
-            let expect = if t < 7 { -1 } else { c.eval(Time(t)) };
-            assert_eq!(out.eval(Time(t)), expect, "mask t={t}");
         }
         let mut tr = c.clone();
         tr.truncate_after(Time(6));

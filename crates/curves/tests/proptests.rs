@@ -15,7 +15,8 @@ use rta_curves::convolution::{
 };
 use rta_curves::soa::{linear_combine_into, pointwise_max_into, pointwise_min_into};
 use rta_curves::{
-    linear_combine_line_into, sum_many_into, Curve, Scratch, Segment, SoaCursor, SoaCurve, Time,
+    busy_window_into, linear_combine_line_into, sum_many_into, Curve, Scratch, Segment, SoaCursor,
+    SoaCurve, Time, WindowStart,
 };
 
 const HORIZON: i64 = 60;
@@ -372,16 +373,6 @@ proptest! {
     }
 
     #[test]
-    fn mask_before_matches_lattice(c in arb_curve(), t0 in 0i64..30, fill in -5i64..5) {
-        let mut m = dirt();
-        c.mask_before_into(Time(t0), fill, &mut m);
-        for t in 0..=HORIZON {
-            let expect = if t < t0 { fill } else { c.eval(Time(t)) };
-            prop_assert_eq!(m.eval(Time(t)), expect, "t={}", t);
-        }
-    }
-
-    #[test]
     fn monotone_ops_preserve_monotonicity(a in arb_cumulative(), b in arb_cumulative()) {
         let mut out = dirt();
         a.add_into(&b, &mut out);
@@ -545,6 +536,87 @@ fn errors_leave_out_untouched() {
     for bad in [&decreasing, &negative, &unbounded_steep, &steep_tail] {
         assert!(bad.inverse_curve_into(&mut out).is_err());
         assert_eq!(out, dirt());
+    }
+}
+
+/// The busy-window bound of `rta_curves::busy` evaluated tick by tick on
+/// `[0, h]`, straight from its definition:
+/// `running_max(clamp_[0,t](mask_[0,b](min(w(t), t − b − Σ_t(t) + run(t − b)))))`
+/// with `run` the running minimum of `g(s) = w(s − 1) − A(s)`, `A(s) =
+/// s − Σ_s(s)` for an open start and `0` on `[0, b]`, `s − b − Σ_s(s)`
+/// after, for a blocked one.
+fn busy_window_lattice(
+    w: &SoaCurve,
+    ss: &SoaCurve,
+    st: &SoaCurve,
+    b: i64,
+    start: WindowStart,
+    h: i64,
+) -> Vec<i64> {
+    let at = |c: &SoaCurve, t: i64| c.eval(Time(t));
+    let mut lo = i64::MAX;
+    let run: Vec<i64> = (0..=h)
+        .map(|s| {
+            let prev = if s == 0 { 0 } else { at(w, s - 1) };
+            let avail = match start {
+                WindowStart::Open => s - at(ss, s),
+                WindowStart::Blocked if s <= b => 0,
+                WindowStart::Blocked => s - b - at(ss, s),
+            };
+            lo = lo.min(prev - avail);
+            lo
+        })
+        .collect();
+    let mut hi = i64::MIN;
+    (0..=h)
+        .map(|t| {
+            let raw = if t <= b {
+                0
+            } else {
+                at(w, t).min(t - b - at(st, t) + run[(t - b) as usize])
+            };
+            hi = hi.max(raw.clamp(0, t));
+            hi
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The busy-window kernel equals its definition at every tick to far
+    /// past all breakpoints, for both window starts and blocking 0–11, on
+    /// any curves (negative slopes and downward jumps included, start and end
+    /// interference swapped too) and on the cumulative shapes the analysis
+    /// feeds it (workloads and service sums); one scratch and one dirty
+    /// output serve every call.
+    #[test]
+    fn busy_window_matches_lattice(
+        w in arb_curve(),
+        ss in arb_curve(),
+        st in arb_wide_curve(),
+        (cw, cs, ct) in (arb_cumulative(), arb_service_shape(), arb_service_shape()),
+        b in 0i64..12,
+    ) {
+        let mut scratch = Scratch::new();
+        let mut out = dirt();
+        for (w, s_part, t_part) in [(&w, &ss, &st), (&w, &st, &ss), (&cw, &cs, &ct)] {
+            let last_in = last_start(w).max(last_start(s_part)).max(last_start(t_part));
+            for start in [WindowStart::Open, WindowStart::Blocked] {
+                busy_window_into(w, s_part, t_part, Time(b), start, &mut scratch, &mut out);
+                // Past the inputs' last breakpoints the kernel makes its
+                // own (running-minimum crossing, rise of the maximum,
+                // envelope crossings), up to about 200 ticks later on
+                // these strategies: check past the output's last one, and
+                // 1 024 ticks past the inputs' so that a crossing the
+                // kernel missed shows too.
+                let h = last_in.max(last_start(&out)) + b + 1024;
+                let want = busy_window_lattice(w, s_part, t_part, b, start, h);
+                for (t, &v) in want.iter().enumerate() {
+                    prop_assert_eq!(out.eval(Time(t as i64)), v, "{:?} b={} t={}", start, b, t);
+                }
+            }
+        }
     }
 }
 

@@ -25,6 +25,8 @@ use rta_curves::Time;
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::{distributions::Dist, JobId, SchedulerKind, TaskSystem};
+#[cfg(feature = "trace")]
+use rta_model::{ArrivalPattern, SubjobRef, SystemBuilder};
 use rta_sim::{simulate, SimConfig};
 
 fn shop(scheduler: SchedulerKind, stages: usize, utilization: f64, bursty: bool) -> ShopConfig {
@@ -133,6 +135,102 @@ fn exact_spp_service_curves_match_observed() {
                 );
             }
         }
+    }
+}
+
+/// Every subjob's simulated cumulative service is at or above its
+/// analytic lower bound `S̲` (`lower_service_curves`) at every tick of
+/// `[0, horizon]`.
+#[cfg(feature = "trace")]
+fn assert_lower_service_dominated(sys: &TaskSystem, what: &str) {
+    let (acfg, scfg) = resolved(sys);
+    let lower = rta_core::bounds::lower_service_curves(sys, &acfg).unwrap();
+    let sim = simulate(sys, &scfg);
+    for (i, r) in sys.all_subjobs().enumerate() {
+        let observed = sim.observed_service(r);
+        for t in (0..=scfg.horizon.ticks()).map(Time) {
+            assert!(
+                observed.eval(t) >= lower[i].eval(t),
+                "{what}: subjob {r} at t={t}: served {} < S̲ {}",
+                observed.eval(t),
+                lower[i].eval(t)
+            );
+        }
+    }
+}
+
+/// A periodic IWRR flow: `(exec, period, offset, weight)`.
+#[cfg(feature = "trace")]
+type Flow = (i64, i64, i64, u32);
+
+/// One IWRR processor with the given flows, in round order.
+#[cfg(feature = "trace")]
+fn iwrr_processor(flows: &[Flow]) -> TaskSystem {
+    let mut b = SystemBuilder::new();
+    let p = b.add_processor("P", SchedulerKind::Iwrr);
+    for (k, &(exec, period, offset, weight)) in flows.iter().enumerate() {
+        let job = b.add_job(
+            format!("F{k}"),
+            Time(4 * period),
+            ArrivalPattern::Periodic {
+                period: Time(period),
+                offset: Time(offset),
+            },
+            vec![(p, Time(exec))],
+        );
+        b.set_weight(SubjobRef { job, index: 0 }, weight);
+    }
+    b.build().unwrap()
+}
+
+#[cfg(feature = "trace")]
+#[test]
+fn iwrr_service_curves_dominate_lower_bounds() {
+    // The IWRR guarantee checked where it is stated, on service curves
+    // rather than end-to-end responses: equal and unequal weights,
+    // synchronous and staggered releases.
+    let cases: [(&str, &[Flow]); 4] = [
+        (
+            "equal, synchronous",
+            &[(3, 20, 0, 1), (2, 20, 0, 1), (4, 30, 0, 1)],
+        ),
+        (
+            "unequal, synchronous",
+            &[(2, 24, 0, 1), (3, 24, 0, 2), (1, 16, 0, 3)],
+        ),
+        (
+            "equal, staggered",
+            &[(3, 20, 0, 1), (2, 20, 5, 1), (4, 30, 11, 1)],
+        ),
+        (
+            "unequal, staggered",
+            &[(2, 24, 3, 2), (3, 36, 0, 1), (1, 12, 7, 3)],
+        ),
+    ];
+    for (what, flows) in cases {
+        assert_lower_service_dominated(&iwrr_processor(flows), what);
+    }
+    // A tagged flow released at every offset across two rounds of its
+    // backlogged peers, so some release lands just after the round has
+    // passed its turn and waits for every other quantum.
+    let round: i64 = 2 + 2 * 3 + 4;
+    for offset in 0..2 * round {
+        let flows = [
+            (2, 40, 0, 1),
+            (2, 40, offset, 1),
+            (3, 40, 0, 2),
+            (4, 40, 0, 1),
+        ];
+        assert_lower_service_dominated(&iwrr_processor(&flows), &format!("tagged +{offset}"));
+    }
+    // Generated single-stage shops with weights 1–3.
+    for seed in 0..10u64 {
+        let mut sys = prepared(&shop(SchedulerKind::Iwrr, 1, 0.7, seed % 2 == 1), seed);
+        let subjobs: Vec<_> = sys.all_subjobs().collect();
+        for r in subjobs {
+            sys.set_weight(r, Some((r.job.0 as u32 + seed as u32) % 3 + 1));
+        }
+        assert_lower_service_dominated(&sys, &format!("shop seed {seed}"));
     }
 }
 

@@ -322,38 +322,105 @@ fn flush_batch<W: Write>(
     out.flush()
 }
 
+/// The longest line, request head or `LOAD` payload line, that [`serve`]
+/// accepts: bytes before the newline. A longer line is answered in order
+/// with `ERR line too long …` and the rest of it is read and discarded, so
+/// no single line grows the daemon's memory without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// The most requests [`serve`] collects into one batch: a batch this long
+/// is flushed on its own, without waiting for a blank line.
+pub const MAX_BATCH_REQUESTS: usize = 1024;
+
+/// Read one line into `buf`, newline excluded, keeping at most
+/// [`MAX_LINE_BYTES`] of it. `None` at EOF; otherwise the line's text, or
+/// the `ERR` message of a line the protocol refuses (too long, or not
+/// UTF-8).
+fn read_line_capped<'b, R: BufRead>(
+    input: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let (mut read_any, mut too_long) = (false, false);
+    loop {
+        let avail = match input.fill_buf() {
+            Ok(a) => a,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if avail.is_empty() {
+            break;
+        }
+        read_any = true;
+        let (line, used, done) = match avail.iter().position(|&b| b == b'\n') {
+            Some(i) => (&avail[..i], i + 1, true),
+            None => (avail, avail.len(), false),
+        };
+        let keep = line.len().min(MAX_LINE_BYTES - buf.len());
+        too_long |= keep < line.len();
+        buf.extend_from_slice(&line[..keep]);
+        input.consume(used);
+        if done {
+            break;
+        }
+    }
+    if !read_any {
+        return Ok(None);
+    }
+    if too_long {
+        return Ok(Some(Err(format!(
+            "line too long (over {MAX_LINE_BYTES} bytes)"
+        ))));
+    }
+    Ok(Some(
+        std::str::from_utf8(buf).map_err(|_| "line is not valid UTF-8".to_string()),
+    ))
+}
+
 /// Serve the line protocol on an arbitrary reader/writer pair until EOF or
-/// `QUIT`. Blank lines flush the current batch through the worker pool;
-/// malformed lines answer `ERR` in order and never tear the loop down.
+/// `QUIT`. Blank lines flush the current batch through the worker pool, as
+/// does a batch of [`MAX_BATCH_REQUESTS`]; malformed or over-long lines
+/// answer `ERR` in order and never tear the loop down.
 pub fn serve<R: BufRead, W: Write>(
     svc: &Arc<ShardedService>,
     mut input: R,
     output: &mut W,
 ) -> io::Result<()> {
     let mut batch: Vec<Slot> = Vec::new();
-    let mut line = String::new();
+    let (mut head_buf, mut payload_buf) = (Vec::new(), Vec::new());
     loop {
-        line.clear();
-        if input.read_line(&mut line)? == 0 {
-            break;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            flush_batch(svc, &mut batch, output)?;
-            continue;
-        }
-        if trimmed == "QUIT" {
-            break;
-        }
-        let head = trimmed.to_string();
-        let req = Request::parse(&head, || {
-            let mut payload = String::new();
-            match input.read_line(&mut payload) {
-                Ok(0) | Err(_) => None,
-                Ok(_) => Some(payload.trim_end_matches(['\n', '\r']).to_string()),
+        let slot = match read_line_capped(&mut input, &mut head_buf)? {
+            None => break,
+            Some(Err(message)) => Err(message),
+            Some(Ok(line)) => {
+                let head = line.trim();
+                if head.is_empty() {
+                    flush_batch(svc, &mut batch, output)?;
+                    continue;
+                }
+                if head == "QUIT" {
+                    break;
+                }
+                // A refused payload line still counts toward the payload,
+                // so the request keeps its framing and fails as a whole.
+                let mut refused = None;
+                let req = Request::parse(head, || {
+                    match read_line_capped(&mut input, &mut payload_buf) {
+                        Ok(None) | Err(_) => None,
+                        Ok(Some(Ok(text))) => Some(text.trim_end_matches('\r').to_string()),
+                        Ok(Some(Err(message))) => {
+                            refused.get_or_insert(message);
+                            Some(String::new())
+                        }
+                    }
+                });
+                refused.map_or(req, Err)
             }
-        });
-        batch.push(req);
+        };
+        batch.push(slot);
+        if batch.len() >= MAX_BATCH_REQUESTS {
+            flush_batch(svc, &mut batch, output)?;
+        }
     }
     flush_batch(svc, &mut batch, output)
 }

@@ -3,11 +3,12 @@
 //! answers junk with `ERR` — in order, without dying, and without wedging
 //! the tenant sessions it serves.
 
+use std::io::{self, BufReader, Read};
 use std::sync::Arc;
 
 use bursty_rta::analysis::service::ServiceConfig;
 use bursty_rta::curves::Time;
-use bursty_rta::daemon::{serve, ShardedService};
+use bursty_rta::daemon::{serve, ShardedService, MAX_BATCH_REQUESTS, MAX_LINE_BYTES};
 use bursty_rta::model::ArrivalPattern;
 use bursty_rta::proto::{Request, Response, WcdfpJobLine, WcdfpSpec};
 use bursty_rta::textfmt::{HopSpec, JobDraft};
@@ -420,4 +421,68 @@ PING
     assert!(lines[0].starts_with("OK LOAD t "), "{}", lines[0]);
     assert!(lines[1].starts_with("OK ADMIT t "), "{}", lines[1]);
     assert_eq!(lines[2], "PONG");
+}
+
+#[test]
+fn oversize_line_answers_err_and_leaves_the_tenant_unchanged() {
+    // An ADMIT head and a LOAD payload line past the cap: each answers
+    // `ERR` in order, the rest of the line is discarded rather than read as
+    // requests, the LOAD keeps its framing, and tenant `t` keeps its
+    // generation and jobs.
+    let padding = " ".repeat(MAX_LINE_BYTES);
+    let input = format!(
+        "\
+LOAD t 2
+processor P1 spp
+job A deadline 50 periodic 20 0 hop P1 5
+ADMIT t job B deadline 100 periodic 50 0 hop P1 3{padding}
+PING
+LOAD t 2
+processor P1 spp{padding}
+job Z deadline 50 periodic 20 0 hop P1 5
+ADMIT t job C deadline 200 periodic 100 0 hop P1 1
+"
+    );
+    let lines = serve_lines(&input);
+    assert_eq!(lines.len(), 5, "{lines:#?}");
+    assert_eq!(lines[0], "OK LOAD t gen=1 jobs=1 verdict=schedulable");
+    assert!(lines[1].starts_with("ERR line too long"), "{}", lines[1]);
+    assert_eq!(lines[2], "PONG");
+    assert!(lines[3].starts_with("ERR line too long"), "{}", lines[3]);
+    assert_eq!(lines[4], "OK ADMIT t gen=2 job=C verdict=admitted jobs=2");
+    // A line that is not UTF-8 is refused the same way.
+    let svc = Arc::new(ShardedService::new(ServiceConfig::default(), 2));
+    let mut out = Vec::new();
+    serve(&svc, &b"PI\xffNG\nPING\n"[..], &mut out).expect("in-memory serve cannot fail");
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        "ERR line is not valid UTF-8\nPONG\n"
+    );
+}
+
+/// A reader that fails: the stream behind the last line never ends
+/// cleanly, so only responses the serve loop flushed on its own come out.
+struct Broken;
+
+impl Read for Broken {
+    fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+        Err(io::Error::new(io::ErrorKind::ConnectionReset, "peer gone"))
+    }
+}
+
+#[test]
+fn batch_past_the_cap_is_flushed_without_a_blank_line() {
+    // `2·cap + 3` requests and no blank line: the first two full batches
+    // are answered in order before the stream breaks; the partial third
+    // batch dies with the connection.
+    let requests = "PING\n".repeat(2 * MAX_BATCH_REQUESTS + 3);
+    let svc = Arc::new(ShardedService::new(ServiceConfig::default(), 2));
+    let mut out = Vec::new();
+    let input = BufReader::new(requests.as_bytes().chain(Broken));
+    assert!(serve(&svc, input, &mut out).is_err());
+    let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+    assert_eq!(lines, vec!["PONG"; 2 * MAX_BATCH_REQUESTS]);
+    // With a clean end, every request is answered in order.
+    let lines = serve_lines(&requests);
+    assert_eq!(lines, vec!["PONG".to_string(); 2 * MAX_BATCH_REQUESTS + 3]);
 }
