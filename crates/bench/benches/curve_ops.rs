@@ -8,10 +8,11 @@
 
 use rta_bench::harness::Bench;
 use rta_core::spp::exact_service_into;
-use rta_curves::compose::compose_into;
 use rta_curves::convolution::{convolve_into, min_plus_convolve_lattice};
 use rta_curves::soa::pointwise_min_into;
-use rta_curves::{Curve, Scratch, SoaCursor, SoaCurve, Time};
+use rta_curves::{
+    fcfs_context_into, frontier_bound_into, Curve, Scratch, SoaCursor, SoaCurve, Time,
+};
 
 /// A periodic arrival curve with `n` events spaced `gap` apart, scaled by
 /// `k`.
@@ -60,16 +61,18 @@ fn main() {
     }
 
     for n in SIZES {
-        let step = arrivals(n, 10, 7);
-        b.run(&format!("inverse_compose/inverse_curve/{n}"), || {
-            step.inverse_curve_into(&mut out).unwrap()
+        // An FCFS processor of two staircase workloads: its context, then
+        // one subjob's Theorem 8 bound off the lower frontier.
+        let (c, peer) = (arrivals(n, 10, 4), arrivals(n, 14, 3));
+        let mut g = SoaCurve::zero();
+        c.add_into(&peer, &mut g);
+        let horizon = Time(n * 14 + 100);
+        let (mut u, mut v1, mut v0) = (SoaCurve::zero(), SoaCurve::zero(), SoaCurve::zero());
+        b.run(&format!("fcfs/context/{n}"), || {
+            fcfs_context_into(&g, horizon, &mut u, &mut v1, &mut v0).unwrap()
         });
-        let mut inv = SoaCurve::zero();
-        step.inverse_curve_into(&mut inv).unwrap();
-        let mut u = SoaCurve::zero();
-        affine(0, 1).min_with_into(&affine(n * 7, 0), &mut u);
-        b.run(&format!("inverse_compose/compose/{n}"), || {
-            compose_into(&inv, &u, &mut out).unwrap()
+        b.run(&format!("fcfs/frontier_bound/{n}"), || {
+            frontier_bound_into(&c, &v1, 1, 0, &mut out).unwrap()
         });
     }
 

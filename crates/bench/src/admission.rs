@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use rta_core::bounds::bounds_schedulable;
 use rta_core::{analyze_exact_spp, holistic::holistic_schedulable, AnalysisConfig};
 use rta_model::jobshop::{generate, ShopConfig, ShopSampler};
-use rta_model::priority::{assign_priorities, PriorityPolicy};
+use rta_model::priority::{rank_priorities, PriorityPolicy};
 use rta_model::SchedulerKind;
 
 /// The four analysis methods compared in Section 5.
@@ -64,12 +64,17 @@ pub fn admits(base: &ShopConfig, method: Method, seed: u64, acfg: &AnalysisConfi
     decide(&mut sys, method, acfg)
 }
 
-/// Assign priorities (Eq. 24) and run `method`'s analysis on a freshly
+/// Rank priorities (Eq. 24) and run `method`'s analysis on a freshly
 /// drawn system. Shared verdict tail of [`admits`] and the batched sweep.
+/// Ranking skips [`assign_priorities`]' closing validation: every driver
+/// below validates the system first, and a failed validation is `false`
+/// either way.
+///
+/// [`assign_priorities`]: rta_model::priority::assign_priorities
 fn decide(sys: &mut rta_model::TaskSystem, method: Method, acfg: &AnalysisConfig) -> bool {
     if method.scheduler().uses_priorities() {
         // The paper's relative-deadline-monotonic rule (Eq. 24).
-        if assign_priorities(sys, PriorityPolicy::RelativeDeadlineMonotonic).is_err() {
+        if rank_priorities(sys, PriorityPolicy::RelativeDeadlineMonotonic).is_err() {
             return false;
         }
     }

@@ -36,7 +36,7 @@ use crate::config::AnalysisConfig;
 use crate::depgraph::{evaluation_order, SubjobIndex};
 use crate::error::AnalysisError;
 use crate::fixpoint::{ensure_bounds, ensure_soa_curves, with_workspace, LoopWorkspace};
-use crate::policy::{BoundsInputs, PeerInputs, ProcessorContexts};
+use crate::policy::{BoundsInputs, PeerInputs};
 use crate::report::{BoundsReport, JobBound};
 use rta_curves::{Curve, SoaCursor, SoaCurve, Time};
 use rta_model::{JobId, ProcessorId, TaskSystem};
@@ -100,7 +100,7 @@ fn node_pass(
         SoaCurve::from_event_times_into(&ws.times, &mut ws.arr_env[ws.job_start[k]]);
     }
 
-    let mut ctxs = ProcessorContexts::new();
+    ws.ctxs.clear();
     let LoopWorkspace {
         scratch,
         refs,
@@ -120,16 +120,19 @@ fn node_pass(
         instances,
         e2e,
         node,
+        ctxs,
         ..
     } = ws;
     for i in order {
         let k = refs[i].job.0;
         let p = ProcessorId(processor[i]);
-        // The workload `c̄ = f̄_arr · τ`.
-        arr_env[i].scale_into(tau[i].ticks(), &mut workload[i]);
-        if policy[i].peer_inputs() == PeerInputs::SharedWorkloads && !ctxs.contains(p) {
-            // The context reads every peer's workload: their envelopes are
-            // in place, since the peers' predecessors precede this node.
+        // The workload `c̄ = f̄_arr · τ`. On a shared-workload processor the
+        // context reads every peer's, so the first node there scales them
+        // all: their envelopes are in place, since the peers' predecessors
+        // precede this node.
+        if policy[i].peer_inputs() == PeerInputs::HigherPriorityServices {
+            arr_env[i].scale_into(tau[i].ticks(), &mut workload[i]);
+        } else if !ctxs.contains(p) {
             for &j in idx.on(p) {
                 arr_env[j].scale_into(tau[j].ticks(), &mut workload[j]);
             }

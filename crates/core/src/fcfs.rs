@@ -2,41 +2,54 @@
 //! (Definition 7, Theorems 7, 8 and 9).
 //!
 //! FCFS serves aggregate work in arrival order, so per-subjob service is
-//! bounded through the processor's **utilization function**
+//! bounded through the processor's **utilization function** (Theorem 7)
+//! of the total workload `G = Σ c̄` (Eq. 21). Under the left-limit/idle-cap
+//! reading that mirrors Theorem 3 (see [`crate::spp`] and DESIGN §5),
+//! `U(t) = min(t, min_{0 ≤ s ≤ t} (t − s + G(s⁻)))`, which on the tick
+//! lattice is the recursion
 //!
 //! ```text
-//! U(t) = min( t,  min_{0 ≤ s ≤ t} ( t − s + G(s⁻) ) )        (Theorem 7)
+//! U(0) = 0,   U(t + 1) = min(U(t) + 1, G(t))
 //! ```
 //!
-//! where `G = Σ c` is the total workload of the processor (Eq. 21) — the
-//! left-limit/idle-cap reading mirrors Theorem 3 (see [`crate::spp`]).
 //! `U(t)` is how much aggregate work has provably been served by `t`; FCFS
-//! then maps the served amount back to a *serving frontier* in time:
+//! then maps the served amount back to a *serving frontier* in time,
+//! `v_k(t) = min { s ≤ H : G(s) ≥ U(t) + k }`, or `H + 1` when no instant
+//! up to the horizon `H` has that much work:
 //!
 //! * **Lower bound** (Theorem 8): our work is only guaranteed served once
 //!   the aggregate served amount covers *everything that arrived up to and
 //!   including* our arrival instant (simultaneous arrivals are broken
 //!   arbitrarily — the paper highlights exactly this ambiguity), so
-//!   `S̲(t) = c(v⁻)` with `v = min{ s : G(s) ≥ U(t) + 1 }`.
+//!   `S̲(t) = c(v₁(t)⁻)`, capped by `c(t)` and `t` and made nondecreasing.
 //! * **Upper bound** (Theorem 9): the `U(t)` oldest units all arrived by
-//!   `s* = G⁻¹(U(t))`, so our served work is at most `c(s*) + τ` (the `+τ`
-//!   absorbs the partially-served boundary instance), capped by `t`.
+//!   `v₀(t)`, so our served work is at most `c(v₀(t)) + τ` (the `+τ`
+//!   absorbs the partially-served boundary instance), capped by `c(t)` and
+//!   `t`, made nondecreasing and raised to the lower bound.
+//!
+//! Every workload is a staircase, so `U` and both frontiers come from one
+//! pass over `G` and each bound from one pass over its frontier
+//! ([`rta_curves::fcfs`]): a context takes two passes (the sum and the
+//! fused pass), a subjob three (one per bound and the final maximum).
 
 use crate::spnp::SoaServiceBounds;
-use rta_curves::compose::compose_into;
-use rta_curves::{sum_many_into, Curve, CurveError, Scratch, SoaCurve, Time};
+use rta_curves::{
+    fcfs_context_into, frontier_bound_into, sum_many_into, CurveError, Scratch, SoaCurve, Time,
+};
 
-/// Per-processor FCFS context: the utilization `U` of the total workload
-/// `G = Σ c̄` (Eq. 21) and the two serving frontiers of Theorems 8/9,
-/// which depend only on the processor and so are shared by every subjob's
+/// Per-processor FCFS context: the total workload `G = Σ c̄` (Eq. 21), its
+/// utilization `U` and the two serving frontiers of Theorems 8/9, which
+/// depend only on the processor and so are shared by every subjob's
 /// bounds.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FcfsProcessor {
+    /// Total workload `G`.
+    total: SoaCurve,
     /// Utilization function `U` (Theorem 7, left-limit reading).
     pub utilization: SoaCurve,
-    /// Theorem 8 frontier `v(t) = G⁻¹(U(t) + 1)`.
+    /// Theorem 8 frontier `v₁`.
     lower_frontier: SoaCurve,
-    /// Theorem 9 frontier `s*(t) = G⁻¹(U(t))`.
+    /// Theorem 9 frontier `v₀`.
     upper_frontier: SoaCurve,
 }
 
@@ -44,49 +57,31 @@ impl FcfsProcessor {
     /// Build the processor context from the workload curves of all subjobs
     /// sharing the processor.
     pub fn new(workloads: &[&SoaCurve], horizon: Time) -> Result<FcfsProcessor, CurveError> {
-        let mut g = SoaCurve::zero();
-        sum_many_into(workloads, &mut g);
-        let mut id = SoaCurve::zero();
-        id.set_affine(0, 1);
-        let (mut t1, mut t2) = (SoaCurve::zero(), SoaCurve::zero());
-        // U(t) = min(t, t + min_s (G(s⁻) − s)).
-        g.shift_right_into(Time::ONE, 0, &mut t1);
-        t1.sub_into(&id, &mut t2);
-        t2.running_min_into(&mut t1);
-        id.add_into(&t1, &mut t2);
-        t2.min_with_into(&id, &mut t1);
-        let mut u = SoaCurve::zero();
-        t1.clamp_min_into(0, &mut u);
-        debug_assert!(u.is_nondecreasing(), "utilization must be nondecreasing");
+        let mut ctx = FcfsProcessor::default();
+        ctx.rebuild(workloads, horizon)?;
+        Ok(ctx)
+    }
 
-        // The frontiers invert `G` extended with a sentinel: pretend an
-        // enormous batch arrives just past the horizon, so G⁻¹(y) for y
-        // beyond the real total resolves to horizon + 1 and the workload
-        // compositions in `service_bounds` yield "all of c" there.
-        let total = g.sup_on(horizon);
-        let sentinel = SoaCurve::from_curve(&Curve::step_from_points(
-            0,
-            &[(horizon + Time::ONE, total + horizon.ticks() + 2)],
-        ));
-        t1.copy_from(&g);
-        t1.truncate_after(horizon);
-        t1.add_into(&sentinel, &mut t2);
-        let mut g_ext_inv = SoaCurve::zero();
-        t2.inverse_curve_into(&mut g_ext_inv)?;
-        let (mut lower_frontier, mut upper_frontier) = (SoaCurve::zero(), SoaCurve::zero());
-        u.add_const_into(1, &mut t1);
-        compose_into(&g_ext_inv, &t1, &mut lower_frontier)?;
-        compose_into(&g_ext_inv, &u, &mut upper_frontier)?;
-        Ok(FcfsProcessor {
-            utilization: u,
-            lower_frontier,
-            upper_frontier,
-        })
+    /// Rebuild the context in place from new peer workloads, reusing this
+    /// context's storage.
+    pub(crate) fn rebuild(
+        &mut self,
+        workloads: &[&SoaCurve],
+        horizon: Time,
+    ) -> Result<(), CurveError> {
+        sum_many_into(workloads, &mut self.total);
+        fcfs_context_into(
+            &self.total,
+            horizon,
+            &mut self.utilization,
+            &mut self.lower_frontier,
+            &mut self.upper_frontier,
+        )
     }
 
     /// Theorem 8 / Theorem 9 service bounds for one subjob of this
     /// processor, given its (upper-bounded) workload `c̄` and execution time
-    /// `τ`, written into `out` with temporaries from `scratch`.
+    /// `τ`, written into `out` with one temporary from `scratch`.
     pub fn service_bounds(
         &self,
         workload: &SoaCurve,
@@ -94,35 +89,16 @@ impl FcfsProcessor {
         scratch: &mut Scratch,
         out: &mut SoaServiceBounds,
     ) -> Result<(), CurveError> {
-        let mut id = scratch.take_soa();
-        let mut t1 = scratch.take_soa();
-        let mut t2 = scratch.take_soa();
-        id.set_affine(0, 1);
-        let result = (|| {
-            // Lower: served ≥ c(v⁻) = c_prev(v) at the frontier v.
-            workload.shift_right_into(Time::ONE, 0, &mut t1);
-            compose_into(&t1, &self.lower_frontier, &mut t2)?;
-            t2.min_with_into(workload, &mut t1);
-            t1.min_with_into(&id, &mut t2);
-            t2.clamp_min_into(0, &mut t1);
-            t1.running_max_into(&mut out.lower);
-
-            // Upper: served ≤ c(s*) + τ at the frontier s*, and ≤ t.
-            compose_into(workload, &self.upper_frontier, &mut t1)?;
-            t1.add_const_into(tau.ticks(), &mut t2);
-            t2.min_with_into(&id, &mut t1);
-            t1.min_with_into(workload, &mut t2);
-            t2.clamp_min_into(0, &mut t1);
-            t1.running_max_into(&mut t2);
-
+        frontier_bound_into(workload, &self.lower_frontier, 1, 0, &mut out.lower)?;
+        let mut upper = scratch.take_soa();
+        let result =
+            frontier_bound_into(workload, &self.upper_frontier, 0, tau.ticks(), &mut upper);
+        if result.is_ok() {
             // The clipped upper bound can only sit above the clipped lower
             // bound.
-            t2.max_with_into(&out.lower, &mut out.upper);
-            Ok(())
-        })();
-        for c in [id, t1, t2] {
-            scratch.put_soa(c);
+            upper.max_with_into(&out.lower, &mut out.upper);
         }
+        scratch.put_soa(upper);
         result
     }
 }
@@ -130,6 +106,7 @@ impl FcfsProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rta_curves::Curve;
 
     fn workload(times: &[i64], tau: i64) -> SoaCurve {
         SoaCurve::from_curve(

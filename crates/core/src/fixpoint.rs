@@ -133,6 +133,9 @@ pub(crate) struct LoopWorkspace {
     pub(crate) instances: Vec<i64>,
     pub(crate) e2e: Vec<Option<Time>>,
     pub(crate) node: SoaServiceBounds,
+    /// The cold passes' processor contexts, cleared at the start of each
+    /// pass and rebuilt in the storage of the previous one.
+    pub(crate) ctxs: ProcessorContexts,
 }
 
 thread_local! {
@@ -260,7 +263,7 @@ impl LoopMemo {
     /// Forget every processor's bounds and context.
     pub(crate) fn drop_all(&mut self) {
         self.valid.iter_mut().for_each(|v| *v = false);
-        self.ctxs = ProcessorContexts::new();
+        self.ctxs.clear();
     }
 
     /// Key the memo to a run under `key` and shape its tables to `sys`.
@@ -349,7 +352,8 @@ fn analyze_in(
 
     // Shared-workload policy contexts (FCFS, IWRR) depend only on the peer
     // workloads: build each evaluated processor's context up front.
-    let mut cold_ctxs = ProcessorContexts::new();
+    let mut cold_ctxs = std::mem::take(&mut ws.ctxs);
+    cold_ctxs.clear();
     let ctxs = memo.as_deref_mut().map_or(&mut cold_ctxs, |m| &mut m.ctxs);
     for i in 0..n {
         if ws.evaluate[i] && ws.policy[i].peer_inputs() == PeerInputs::SharedWorkloads {
@@ -371,6 +375,7 @@ fn analyze_in(
         collect_early_rounds(ws, max_rounds);
     }
     forward_pass(ws, cfg, ctxs, horizon, max_rounds, deep)?;
+    ws.ctxs = cold_ctxs;
     if let Some(m) = memo {
         for &i in &ws.order {
             let row = &mut m.rows[ws.refs[i].job.0][ws.refs[i].index];

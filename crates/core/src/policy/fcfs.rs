@@ -1,9 +1,12 @@
 //! First-come-first-served behind the policy seam.
 //!
-//! The per-processor state (Theorem 7's utilization function and the
-//! extended-inverse of the total workload) lives in a
-//! [`crate::fcfs::FcfsProcessor`] wrapped in a [`PolicyContext`]; the
-//! Theorem 8/9 bounds delegate to
+//! The per-processor state lives in a [`crate::fcfs::FcfsProcessor`]
+//! wrapped in a [`PolicyContext`]: the total workload `G`, Theorem 7's
+//! utilization `U(0) = 0, U(t + 1) = min(U(t) + 1, G(t))`, and the
+//! Theorem 8/9 serving frontiers `v_k(t) = min { s ≤ H : G(s) ≥ U(t) + k }`
+//! (`H + 1` when there is none, `k = 1` and `k = 0`), all from one pass
+//! over `G`. A warm driver pass rebuilds a slot that already holds an
+//! `FcfsProcessor` in its storage. The Theorem 8/9 bounds delegate to
 //! [`crate::fcfs::FcfsProcessor::service_bounds`].
 
 use super::{
@@ -37,6 +40,25 @@ impl ServicePolicy for FcfsPolicy {
     ) -> Result<Option<PolicyContext>, AnalysisError> {
         let ctx = FcfsProcessor::new(peer_workloads, horizon)?;
         Ok(Some(PolicyContext::new(ctx)))
+    }
+
+    fn rebuild_context(
+        &self,
+        sys: &TaskSystem,
+        p: ProcessorId,
+        peers: &[SubjobRef],
+        peer_workloads: &[&SoaCurve],
+        horizon: Time,
+        slot: &mut Option<PolicyContext>,
+    ) -> Result<(), AnalysisError> {
+        match slot
+            .as_mut()
+            .and_then(|c| c.downcast_mut::<FcfsProcessor>())
+        {
+            Some(ctx) => ctx.rebuild(peer_workloads, horizon)?,
+            None => *slot = self.build_context(sys, p, peers, peer_workloads, horizon)?,
+        }
+        Ok(())
     }
 
     fn service_bounds(

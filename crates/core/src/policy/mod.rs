@@ -49,8 +49,6 @@
 //! ([`iwrr`]) was landed exactly this way.
 
 use std::any::Any;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 use crate::config::SpnpAvailability;
 use crate::error::AnalysisError;
@@ -92,6 +90,12 @@ impl PolicyContext {
     /// belongs to a different policy.
     pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
         self.0.downcast_ref::<T>()
+    }
+
+    /// Mutable [`PolicyContext::downcast_ref`], for a policy rebuilding
+    /// its context in place.
+    pub fn downcast_mut<T: Any>(&mut self) -> Option<&mut T> {
+        self.0.downcast_mut::<T>()
     }
 }
 
@@ -188,6 +192,23 @@ pub trait ServicePolicy: Send + Sync {
         Ok(None)
     }
 
+    /// [`ServicePolicy::build_context`] into `slot`, which holds processor
+    /// `p`'s context from an earlier build (or `None`). The default builds
+    /// afresh; a policy whose context owns curves rebuilds it in their
+    /// storage, so a warm driver pass allocates no new context.
+    fn rebuild_context(
+        &self,
+        sys: &TaskSystem,
+        p: ProcessorId,
+        peers: &[SubjobRef],
+        peer_workloads: &[&SoaCurve],
+        horizon: Time,
+        slot: &mut Option<PolicyContext>,
+    ) -> Result<(), AnalysisError> {
+        *slot = self.build_context(sys, p, peers, peer_workloads, horizon)?;
+        Ok(())
+    }
+
     /// Lower/upper service bounds for one subjob — the policy kernel —
     /// written into `out`, with temporaries drawn from `scratch`. The one
     /// bounds entry both drivers call.
@@ -224,11 +245,15 @@ pub fn all_policies() -> Vec<&'static dyn ServicePolicy> {
 }
 
 /// Per-processor policy contexts, built lazily — the single home of the
-/// slot bookkeeping previously duplicated across the bounds and fixpoint
-/// drivers.
+/// slot bookkeeping of the bounds and fixpoint drivers. A context that is
+/// dropped ([`ProcessorContexts::remove`], [`ProcessorContexts::clear`])
+/// keeps its storage, and the next [`ProcessorContexts::ensure`] rebuilds
+/// it there through [`ServicePolicy::rebuild_context`].
 #[derive(Default)]
 pub struct ProcessorContexts {
-    slots: HashMap<usize, Option<PolicyContext>>,
+    /// Per processor id: whether the context is current, and the context
+    /// of its latest build.
+    slots: Vec<(bool, Option<PolicyContext>)>,
 }
 
 impl ProcessorContexts {
@@ -248,34 +273,48 @@ impl ProcessorContexts {
         horizon: Time,
         workload_of: &dyn Fn(SubjobRef) -> &'w SoaCurve,
     ) -> Result<Option<&PolicyContext>, AnalysisError> {
-        if let Entry::Vacant(e) = self.slots.entry(p.0) {
+        if self.slots.len() <= p.0 {
+            self.slots.resize_with(p.0 + 1, || (false, None));
+        }
+        let (current, ctx) = &mut self.slots[p.0];
+        if !*current {
             let policy = policy_for(sys.processor(p).scheduler);
-            let ctx = if policy.peer_inputs() == PeerInputs::SharedWorkloads {
+            if policy.peer_inputs() == PeerInputs::SharedWorkloads {
                 let peers = sys.subjobs_on(p);
                 let workloads: Vec<&SoaCurve> = peers.iter().map(|&o| workload_of(o)).collect();
-                policy.build_context(sys, p, &peers, &workloads, horizon)?
+                policy.rebuild_context(sys, p, &peers, &workloads, horizon, ctx)?;
             } else {
-                None
-            };
-            e.insert(ctx);
+                *ctx = None;
+            }
+            *current = true;
         }
-        Ok(self.get(p))
+        Ok(ctx.as_ref())
     }
 
     /// Whether processor `p`'s context has been built (it may be `None`).
     pub(crate) fn contains(&self, p: ProcessorId) -> bool {
-        self.slots.contains_key(&p.0)
+        self.slots.get(p.0).is_some_and(|s| s.0)
     }
 
     /// The context of processor `p`, if one has been built.
     pub fn get(&self, p: ProcessorId) -> Option<&PolicyContext> {
-        self.slots.get(&p.0).and_then(|c| c.as_ref())
+        self.slots
+            .get(p.0)
+            .filter(|s| s.0)
+            .and_then(|s| s.1.as_ref())
     }
 
     /// Forget processor `p`'s context; the next [`ProcessorContexts::ensure`]
     /// rebuilds it.
     pub fn remove(&mut self, p: ProcessorId) {
-        self.slots.remove(&p.0);
+        if let Some(s) = self.slots.get_mut(p.0) {
+            s.0 = false;
+        }
+    }
+
+    /// Forget every processor's context.
+    pub(crate) fn clear(&mut self) {
+        self.slots.iter_mut().for_each(|s| s.0 = false);
     }
 }
 

@@ -95,21 +95,6 @@ impl Curve {
         Curve::affine(0, 1)
     }
 
-    /// A pure step function from `(time, cumulative value)` breakpoints:
-    /// `f(t)` equals the value of the latest breakpoint at or before `t`, and
-    /// `before` prior to the first breakpoint. Breakpoints must be sorted by
-    /// strictly increasing time.
-    pub fn step_from_points(before: i64, points: &[(Time, i64)]) -> Curve {
-        let mut segs = Vec::with_capacity(points.len() + 1);
-        if points.first().map(|p| p.0) != Some(Time::ZERO) {
-            segs.push(Segment::new(Time::ZERO, before, 0));
-        }
-        for &(t, v) in points {
-            segs.push(Segment::new(t, v, 0));
-        }
-        Curve::from_segments(segs)
-    }
-
     /// Pointwise scaling `k·self` — e.g. the workload function
     /// `c(t) = f_arr(t) · τ` of Definition 3.
     #[must_use]
@@ -341,15 +326,6 @@ mod tests {
         });
         // Scaling by zero collapses every piece into the zero curve.
         assert_eq!(staircase().scale(0), Curve::zero());
-    }
-
-    #[test]
-    fn step_from_points_builds_staircase() {
-        let c = Curve::step_from_points(0, &[(Time(2), 1), (Time(4), 3)]);
-        assert_eq!(c.sample(Time(0), Time(5)), vec![0, 0, 1, 1, 3, 3]);
-        // Breakpoint at zero replaces the implicit prefix.
-        let d = Curve::step_from_points(7, &[(Time(0), 1), (Time(4), 3)]);
-        assert_eq!(d.eval(Time(0)), 1);
     }
 
     #[test]

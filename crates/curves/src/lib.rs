@@ -18,8 +18,11 @@
 //!   ([`SoaCursor`]);
 //! * the busy-window bound that Theorems 3, 5 and 6 share, in two fused
 //!   merge passes ([`busy`]);
-//! * the pseudo-inverse `g⁻¹(y) = min { s : g(s) ≥ y }` as a curve
-//!   ([`inverse`]) and monotone composition `f ∘ g` ([`compose`]);
+//! * FCFS on staircases: Theorem 7's utilization with both Theorem 8/9
+//!   serving frontiers in one pass, and each frontier bound in one more
+//!   ([`fcfs`]);
+//! * the pseudo-inverse `g⁻¹(y) = min { s : g(s) ≥ y }` at a point
+//!   ([`inverse`]);
 //! * min-plus convolution ([`convolution`]).
 //!
 //! Every kernel writes into a caller-provided curve and draws its
@@ -72,10 +75,10 @@
 pub mod arena;
 pub mod bounds;
 pub mod busy;
-pub mod compose;
 pub mod convolution;
 pub mod counting;
 mod curve;
+pub mod fcfs;
 pub mod intern;
 pub mod inverse;
 mod segment;
@@ -86,6 +89,7 @@ mod util;
 pub use arena::Scratch;
 pub use busy::{busy_window_into, WindowStart};
 pub use curve::Curve;
+pub use fcfs::{fcfs_context_into, frontier_bound_into};
 pub use intern::{CurveArena, CurveId};
 pub use segment::Segment;
 pub use soa::{linear_combine_line_into, sum_many_into, SoaCursor, SoaCurve, SoaView};

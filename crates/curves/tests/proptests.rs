@@ -9,14 +9,13 @@
 //! a fallible kernel must leave its output untouched when it fails.
 
 use proptest::prelude::*;
-use rta_curves::compose::compose_into;
 use rta_curves::convolution::{
     convolve_convex_into, convolve_decomposed_into, convolve_into, min_plus_convolve_lattice,
 };
 use rta_curves::soa::{linear_combine_into, pointwise_max_into, pointwise_min_into};
 use rta_curves::{
-    busy_window_into, linear_combine_line_into, sum_many_into, Curve, Scratch, Segment, SoaCursor,
-    SoaCurve, Time, WindowStart,
+    busy_window_into, fcfs_context_into, frontier_bound_into, linear_combine_line_into,
+    sum_many_into, Curve, CurveError, Scratch, Segment, SoaCursor, SoaCurve, Time, WindowStart,
 };
 
 const HORIZON: i64 = 60;
@@ -86,7 +85,7 @@ fn arb_cumulative() -> impl Strategy<Value = SoaCurve> {
 }
 
 /// Strategy: a nondecreasing curve with slopes in {0, 1} — the shape of all
-/// service and utilization functions, the domain of `inverse_curve_into`.
+/// service and utilization functions.
 fn arb_service_shape() -> impl Strategy<Value = SoaCurve> {
     (
         0i64..10,
@@ -306,29 +305,6 @@ proptest! {
     }
 
     #[test]
-    fn inverse_curve_and_sup_match_lattice(c in arb_service_shape()) {
-        let sup = c.sup_on(Time(HORIZON));
-        let max = lattice(&c).into_iter().max().unwrap();
-        prop_assert_eq!(sup, max);
-        let mut inv = dirt();
-        c.inverse_curve_into(&mut inv).unwrap();
-        for y in 0..=sup {
-            let expect = brute_inverse(&c, y, HORIZON).unwrap();
-            prop_assert_eq!(Time(inv.eval(Time(y))), expect, "y={}", y);
-        }
-    }
-
-    #[test]
-    fn compose_matches_lattice(f in arb_curve(), g in arb_cumulative()) {
-        let mut h = dirt();
-        compose_into(&f, &g, &mut h).unwrap();
-        for t in 0..=HORIZON {
-            let expect = f.eval(Time(g.eval(Time(t))));
-            prop_assert_eq!(h.eval(Time(t)), expect, "t={}", t);
-        }
-    }
-
-    #[test]
     fn floor_div_matches_lattice(c in arb_cumulative(), bad in arb_curve(), tau in 1i64..7) {
         let mut d = dirt();
         c.floor_div_into(tau, Time(HORIZON), &mut d).unwrap();
@@ -482,28 +458,12 @@ fn degenerate_inputs() {
     assert_eq!(out.eval(Time(5)), 0);
     zero.floor_div_into(3, Time(20), &mut out).unwrap();
     assert_eq!(out, SoaCurve::zero());
-    zero.inverse_curve_into(&mut out).unwrap();
-    assert_eq!(out, SoaCurve::zero());
     SoaCurve::from_event_times_into(&[], &mut out);
     assert_eq!(out, SoaCurve::zero());
     sum_many_into(&[], &mut out);
     assert_eq!(out, SoaCurve::zero());
     convolve_into(&zero, &zero, Time(10), &mut Scratch::new(), &mut out);
     assert_eq!(lattice(&out), vec![0; HORIZON as usize + 1]);
-
-    // Slope ≥ 2 on a bounded piece: the staircase expansion.
-    let stair = soa(vec![
-        Segment::new(Time(0), 0, 2),
-        Segment::new(Time(4), 8, 1),
-    ]);
-    stair.inverse_curve_into(&mut out).unwrap();
-    for y in 0..=stair.sup_on(Time(HORIZON)) {
-        assert_eq!(
-            Time(out.eval(Time(y))),
-            brute_inverse(&stair, y, HORIZON).unwrap(),
-            "y={y}"
-        );
-    }
 
     // `set_affine` reuses whatever buffer was there.
     out.set_affine(7, 2);
@@ -519,23 +479,64 @@ fn degenerate_inputs() {
 fn errors_leave_out_untouched() {
     let decreasing = soa(vec![Segment::new(Time(0), 3, -1)]);
     let negative = soa(vec![Segment::new(Time(0), -2, 1)]);
-    let unbounded_steep = soa(vec![Segment::new(Time(0), 0, 3)]);
-    // An unbounded slope-2 tail after a plateau has no finite inverse.
-    let steep_tail = soa(vec![
-        Segment::new(Time(0), 0, 0),
-        Segment::new(Time(1), 0, 2),
-    ]);
 
     let mut out = dirt();
     for bad in [&decreasing, &negative] {
         assert!(bad.floor_div_into(2, Time(20), &mut out).is_err());
         assert_eq!(out, dirt());
-        assert!(compose_into(&SoaCurve::zero(), bad, &mut out).is_err());
-        assert_eq!(out, dirt());
     }
-    for bad in [&decreasing, &negative, &unbounded_steep, &steep_tail] {
-        assert!(bad.inverse_curve_into(&mut out).is_err());
-        assert_eq!(out, dirt());
+}
+
+/// The FCFS kernels take staircases only: a sloped piece anywhere in an
+/// input is refused with its slope, a step going down in `G` or in a
+/// frontier with where it goes down, and a negative `G(0)` as such; every
+/// output keeps its previous contents.
+#[test]
+fn fcfs_kernels_refuse_what_is_not_a_staircase() {
+    let step = soa(vec![
+        Segment::new(Time(0), 2, 0),
+        Segment::new(Time(4), 6, 0),
+    ]);
+    let sloped = soa(vec![
+        Segment::new(Time(0), 2, 0),
+        Segment::new(Time(4), 6, 2),
+    ]);
+    let down = soa(vec![
+        Segment::new(Time(0), 6, 0),
+        Segment::new(Time(4), 2, 0),
+    ]);
+    let negative = soa(vec![
+        Segment::new(Time(0), -1, 0),
+        Segment::new(Time(4), 2, 0),
+    ]);
+    let (mut u, mut v1, mut v0) = (dirt(), dirt(), dirt());
+    let mut context = |g: &SoaCurve| {
+        let res = fcfs_context_into(g, Time(20), &mut u, &mut v1, &mut v0);
+        assert!([&u, &v1, &v0].iter().all(|c| **c == dirt()));
+        res
+    };
+    assert_eq!(
+        context(&sloped),
+        Err(CurveError::UnsupportedSlope { slope: 2 })
+    );
+    assert_eq!(context(&down), Err(CurveError::NotMonotone { at: Time(4) }));
+    assert_eq!(
+        context(&negative),
+        Err(CurveError::NegativeAtZero { value: -1 })
+    );
+    let mut out = dirt();
+    for (c, v, err) in [
+        (&sloped, &step, CurveError::UnsupportedSlope { slope: 2 }),
+        (&step, &sloped, CurveError::UnsupportedSlope { slope: 2 }),
+        (&step, &down, CurveError::NotMonotone { at: Time(4) }),
+    ] {
+        for lag in [0, 1] {
+            assert_eq!(
+                frontier_bound_into(c, v, lag, 3, &mut out),
+                Err(err.clone())
+            );
+            assert_eq!(out, dirt());
+        }
     }
 }
 
@@ -659,6 +660,133 @@ fn shared_scratch_and_out_survive_reuse() {
                 f.eval(t).div_euclid(tau),
                 "floor_div #{i} t={t}"
             );
+        }
+    }
+}
+
+/// Strategy: a staircase (slope 0 everywhere) with arbitrary levels,
+/// negative ones and downward steps included.
+fn arb_steps() -> impl Strategy<Value = SoaCurve> {
+    (
+        -6i64..12,
+        prop::collection::vec((1i64..10, -6i64..14), 0..8),
+    )
+        .prop_map(|(v0, rest)| {
+            let mut segs = vec![Segment::new(Time(0), v0, 0)];
+            let mut t = 0i64;
+            for (gap, v) in rest {
+                t += gap;
+                segs.push(Segment::new(Time(t), v, 0));
+            }
+            soa(segs)
+        })
+}
+
+/// Strategy: a nondecreasing staircase with `f(0) ≥ 0` — a workload, a
+/// total workload `G`, or a frontier.
+fn arb_cumulative_steps() -> impl Strategy<Value = SoaCurve> {
+    (0i64..8, prop::collection::vec((1i64..10, 0i64..9), 0..8)).prop_map(|(v0, rest)| {
+        cumulative(v0, 0, rest.into_iter().map(|(g, j)| (g, j, 0)).collect())
+    })
+}
+
+/// Theorem 7's utilization and the Theorem 8/9 frontiers of `g` on horizon
+/// `hz`, tick by tick on `[0, h]`, straight from their definitions:
+/// `U(0) = 0, U(t + 1) = min(U(t) + 1, G(t))` and
+/// `v_k(t) = min { s ≤ hz : G(s) ≥ U(t) + k }`, or `hz + 1` when there is
+/// none, by scanning.
+fn fcfs_context_lattice(g: &SoaCurve, hz: i64, h: i64) -> [Vec<i64>; 3] {
+    let mut u = vec![0i64];
+    for t in 0..h {
+        u.push((u[t as usize] + 1).min(g.eval(Time(t))));
+    }
+    let frontier = |k: i64| -> Vec<i64> {
+        u.iter()
+            .map(|&y| {
+                (0..=hz)
+                    .find(|&s| g.eval(Time(s)) >= y + k)
+                    .unwrap_or(hz + 1)
+            })
+            .collect()
+    };
+    let (v1, v0) = (frontier(1), frontier(0));
+    [u, v1, v0]
+}
+
+/// The frontier bound `running_max(max(0, min(c(v(t) − lag) + bonus, c(t),
+/// t)))`, with `c(s) = 0` for `s < 0`, tick by tick on `[0, h]`.
+fn frontier_bound_lattice(c: &SoaCurve, v: &SoaCurve, lag: i64, bonus: i64, h: i64) -> Vec<i64> {
+    let at = |s: i64| if s < 0 { 0 } else { c.eval(Time(s)) };
+    let mut hi = i64::MIN;
+    (0..=h)
+        .map(|t| {
+            let raw = (at(v.eval(Time(t)) - lag) + bonus).min(at(t)).min(t);
+            hi = hi.max(raw.max(0));
+            hi
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The FCFS context kernel equals its definition at every tick to past
+    /// the last breakpoint of its input and of all three outputs, on
+    /// horizons before, at and past the breakpoints of `G` (a horizon on a
+    /// breakpoint picks one of them); the outputs start dirty and are
+    /// reused from the previous call.
+    #[test]
+    fn fcfs_context_matches_lattice(
+        gs in prop::collection::vec(arb_cumulative_steps(), 1..4),
+        pick in 0usize..12,
+        free in 0i64..80,
+    ) {
+        let (mut u, mut v1, mut v0) = (dirt(), dirt(), dirt());
+        for g in &gs {
+            let starts = g.view().starts();
+            let hz = starts.get(pick).copied().unwrap_or(free);
+            fcfs_context_into(g, Time(hz), &mut u, &mut v1, &mut v0).unwrap();
+            let h = [g, &u, &v1, &v0].iter().map(|c| last_start(c)).max().unwrap().max(hz) + 8;
+            let [wu, w1, w0] = fcfs_context_lattice(g, hz, h);
+            for t in 0..=h {
+                let i = t as usize;
+                prop_assert_eq!(u.eval(Time(t)), wu[i], "U hz={} t={}", hz, t);
+                prop_assert_eq!(v1.eval(Time(t)), w1[i], "v1 hz={} t={}", hz, t);
+                prop_assert_eq!(v0.eval(Time(t)), w0[i], "v0 hz={} t={}", hz, t);
+            }
+        }
+    }
+
+    /// The frontier-bound kernel equals its definition at every tick to
+    /// past the last breakpoint of its inputs and its output, with lag 0/1
+    /// and bonus 0/τ, on any staircase workload (negative levels and
+    /// downward steps included, so the zero clamp acts) against any
+    /// nondecreasing staircase frontier and against the frontiers the
+    /// context kernel builds; one dirty output serves every call.
+    #[test]
+    fn frontier_bound_matches_lattice(
+        c in arb_steps(),
+        cw in arb_cumulative_steps(),
+        v in arb_cumulative_steps(),
+        peer in arb_cumulative_steps(),
+        hz in 0i64..60,
+        tau in 1i64..8,
+    ) {
+        let mut g = dirt();
+        sum_many_into(&[&cw, &peer], &mut g);
+        let (mut u, mut v1, mut v0) = (dirt(), dirt(), dirt());
+        fcfs_context_into(&g, Time(hz), &mut u, &mut v1, &mut v0).unwrap();
+        let mut out = dirt();
+        for (c, v) in [(&c, &v), (&cw, &v), (&cw, &v1), (&cw, &v0), (&c, &v1)] {
+            for (lag, bonus) in [(0, 0), (1, 0), (0, tau), (1, tau)] {
+                frontier_bound_into(c, v, lag, bonus, &mut out).unwrap();
+                let h = last_start(c).max(last_start(v)).max(last_start(&out))
+                    + v.view().values().last().unwrap() + lag + 8;
+                let want = frontier_bound_lattice(c, v, lag, bonus, h);
+                for (t, &w) in want.iter().enumerate() {
+                    prop_assert_eq!(out.eval(Time(t as i64)), w, "lag={} bonus={} t={}", lag, bonus, t);
+                }
+            }
         }
     }
 }

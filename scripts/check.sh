@@ -25,9 +25,10 @@ cargo test -p rta-core --test policy_golden -q
 cargo test -p rta-core --test bounds_driver -q
 cargo test -p rta-core --test fixpoint_oracle -q
 
-echo "==> kernel gates: curve kernels and Theorem 5/6 chain vs per-tick oracles"
+echo "==> kernel gates: curve kernels, Theorem 5/6 chain and Theorem 7-9 FCFS bounds vs per-tick oracles"
 cargo test -p rta-curves --test proptests -q
 cargo test -p rta-core --test proptests -q spnp_chain_matches_per_tick_theorem_5_6_oracle
+cargo test -p rta-core --test proptests -q shared_workload_bounds_match_per_tick_formulas
 
 # The sim crate builds in two configurations: trace-off (how `-p rta-sim`
 # and the bench binaries see it — the gated hot path) and trace-on (how
@@ -50,6 +51,7 @@ scripts/service_smoke.sh
 echo "==> service soak + alloc budget gates (alloc_stats, release)"
 cargo test -p rta-bench --features alloc_stats --release --test service_soak -q
 cargo test -p rta-bench --features alloc_stats --release --test alloc_budget -q
+cargo test -p rta-bench --features alloc_stats --release --test alloc_budget_fcfs -q
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     # Stash the committed baselines before perf_snapshot overwrites them,

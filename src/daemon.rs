@@ -332,6 +332,12 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// is flushed on its own, without waiting for a blank line.
 pub const MAX_BATCH_REQUESTS: usize = 1024;
 
+/// The most `LOAD` payload bytes [`serve`] buffers in one batch: a batch
+/// whose payloads pass this is flushed on its own, as at
+/// [`MAX_BATCH_REQUESTS`], so a batch holds at most this plus one
+/// [`crate::proto::MAX_LOAD_BYTES`] payload.
+pub const MAX_BATCH_BYTES: usize = 32 << 20;
+
 /// Read one line into `buf`, newline excluded, keeping at most
 /// [`MAX_LINE_BYTES`] of it. `None` at EOF; otherwise the line's text, or
 /// the `ERR` message of a line the protocol refuses (too long, or not
@@ -379,14 +385,16 @@ fn read_line_capped<'b, R: BufRead>(
 
 /// Serve the line protocol on an arbitrary reader/writer pair until EOF or
 /// `QUIT`. Blank lines flush the current batch through the worker pool, as
-/// does a batch of [`MAX_BATCH_REQUESTS`]; malformed or over-long lines
-/// answer `ERR` in order and never tear the loop down.
+/// does a batch of [`MAX_BATCH_REQUESTS`] or of [`MAX_BATCH_BYTES`] payload
+/// bytes; malformed or over-long lines answer `ERR` in order and never tear
+/// the loop down.
 pub fn serve<R: BufRead, W: Write>(
     svc: &Arc<ShardedService>,
     mut input: R,
     output: &mut W,
 ) -> io::Result<()> {
     let mut batch: Vec<Slot> = Vec::new();
+    let mut batch_bytes = 0;
     let (mut head_buf, mut payload_buf) = (Vec::new(), Vec::new());
     loop {
         let slot = match read_line_capped(&mut input, &mut head_buf)? {
@@ -396,6 +404,7 @@ pub fn serve<R: BufRead, W: Write>(
                 let head = line.trim();
                 if head.is_empty() {
                     flush_batch(svc, &mut batch, output)?;
+                    batch_bytes = 0;
                     continue;
                 }
                 if head == "QUIT" {
@@ -417,9 +426,13 @@ pub fn serve<R: BufRead, W: Write>(
                 refused.map_or(req, Err)
             }
         };
+        if let Ok(Request::Load { system, .. }) = &slot {
+            batch_bytes += system.len();
+        }
         batch.push(slot);
-        if batch.len() >= MAX_BATCH_REQUESTS {
+        if batch.len() >= MAX_BATCH_REQUESTS || batch_bytes > MAX_BATCH_BYTES {
             flush_batch(svc, &mut batch, output)?;
+            batch_bytes = 0;
         }
     }
     flush_batch(svc, &mut batch, output)

@@ -277,6 +277,15 @@ where
         .map_err(|e| format!("bad {what}: {e}"))
 }
 
+/// The most bytes a `LOAD` payload may hold, the newlines between its
+/// lines included. A larger payload is still read to its announced line
+/// count, so the stream keeps its framing, but nothing past this budget is
+/// stored, and the request answers `ERR LOAD payload too large (over N
+/// bytes)`. The largest payload in the tests, the examples and `perfbench`
+/// is 685 bytes (a `perfbench` `fig_sweep` tenant), apart from the one
+/// test that exceeds this budget on purpose.
+pub const MAX_LOAD_BYTES: usize = 4 << 20;
+
 impl Request {
     /// Parse a request from its first line; `LOAD` payload lines are pulled
     /// from `next_line` (return `None` on EOF, which is an error mid-payload).
@@ -293,13 +302,26 @@ impl Request {
                     return Err("LOAD payload too large".into());
                 }
                 let mut system = String::new();
+                let mut over = false;
                 for i in 0..nlines {
                     let line = next_line()
                         .ok_or_else(|| format!("LOAD payload truncated at line {}", i + 1))?;
+                    if over {
+                        continue;
+                    }
                     if i > 0 {
                         system.push('\n');
                     }
                     system.push_str(&line);
+                    if system.len() > MAX_LOAD_BYTES {
+                        over = true;
+                        system = String::new();
+                    }
+                }
+                if over {
+                    return Err(format!(
+                        "LOAD payload too large (over {MAX_LOAD_BYTES} bytes)"
+                    ));
                 }
                 Ok(Request::Load { tenant, system })
             }

@@ -10,7 +10,7 @@ use bursty_rta::analysis::service::ServiceConfig;
 use bursty_rta::curves::Time;
 use bursty_rta::daemon::{serve, ShardedService, MAX_BATCH_REQUESTS, MAX_LINE_BYTES};
 use bursty_rta::model::ArrivalPattern;
-use bursty_rta::proto::{Request, Response, WcdfpJobLine, WcdfpSpec};
+use bursty_rta::proto::{Request, Response, WcdfpJobLine, WcdfpSpec, MAX_LOAD_BYTES};
 use bursty_rta::textfmt::{HopSpec, JobDraft};
 use proptest::prelude::*;
 
@@ -458,6 +458,36 @@ ADMIT t job C deadline 200 periodic 100 0 hop P1 1
         String::from_utf8(out).unwrap(),
         "ERR line is not valid UTF-8\nPONG\n"
     );
+}
+
+#[test]
+fn over_budget_load_answers_err_and_leaves_the_tenant_unchanged() {
+    // A LOAD whose payload passes the byte budget is read to its announced
+    // end without being stored: it answers `ERR` in order, the PING after
+    // it `PONG`, and tenant `t` keeps its generation and jobs.
+    let line = format!("# {}", "x".repeat(MAX_LINE_BYTES / 2));
+    let n = MAX_LOAD_BYTES / line.len() + 2;
+    let payload = vec![line; n].join("\n");
+    let input = format!(
+        "\
+LOAD t 2
+processor P1 spp
+job A deadline 50 periodic 20 0 hop P1 5
+LOAD t {n}
+{payload}
+PING
+ADMIT t job C deadline 200 periodic 100 0 hop P1 1
+"
+    );
+    let lines = serve_lines(&input);
+    assert_eq!(lines.len(), 4, "{lines:#?}");
+    assert_eq!(lines[0], "OK LOAD t gen=1 jobs=1 verdict=schedulable");
+    assert_eq!(
+        lines[1],
+        format!("ERR LOAD payload too large (over {MAX_LOAD_BYTES} bytes)")
+    );
+    assert_eq!(lines[2], "PONG");
+    assert_eq!(lines[3], "OK ADMIT t gen=2 job=C verdict=admitted jobs=2");
 }
 
 /// A reader that fails: the stream behind the last line never ends
