@@ -8,10 +8,10 @@
 
 use rta_bench::harness::Bench;
 use rta_core::spp::exact_service_into;
-use rta_curves::convolution::{convolve_into, min_plus_convolve_lattice};
 use rta_curves::soa::pointwise_min_into;
 use rta_curves::{
-    fcfs_context_into, frontier_bound_into, Curve, Scratch, SoaCursor, SoaCurve, Time,
+    fcfs_context_into, frontier_bound_into, iwrr_bounds_into, Curve, Scratch, SoaCursor, SoaCurve,
+    Time,
 };
 
 /// A periodic arrival curve with `n` events spaced `gap` apart, scaled by
@@ -85,33 +85,14 @@ fn main() {
         });
     }
 
-    // The segment-native general convolution vs the lattice-scan oracle.
-    // Staircase arrival curves are the worst (non-convex) case.
-    for n in [16i64, 64, 256] {
-        let f = arrivals(n, 10, 3);
-        let g = arrivals(n, 12, 2);
-        let horizon = Time(n * 12 + 120);
-        b.run(&format!("convolve/segment/{n}"), || {
-            convolve_into(&f, &g, horizon, &mut scratch, &mut out)
-        });
-        if n <= 64 {
-            b.run(&format!("convolve/lattice_oracle/{n}"), || {
-                min_plus_convolve_lattice(&f, &g, horizon)
-            });
-        }
-    }
-
-    // At realistic tick resolution the horizon is tens of thousands of
-    // ticks while breakpoints stay sparse — the segment kernel's regime.
-    {
-        let f = arrivals(32, 625, 3);
-        let g = arrivals(32, 750, 2);
-        let horizon = Time(25_000);
-        b.run("convolve/segment/sparse_h25k", || {
-            convolve_into(&f, &g, horizon, &mut scratch, &mut out)
-        });
-        b.run("convolve/lattice_oracle/sparse_h25k", || {
-            min_plus_convolve_lattice(&f, &g, horizon)
+    // IWRR's round-robin recurrence on a staircase workload whose round
+    // is a few of its gaps long.
+    for n in SIZES {
+        let work = arrivals(n, 10, 3);
+        let mut upper = SoaCurve::zero();
+        let horizon = Time(n * 10 + 120);
+        b.run(&format!("iwrr_bounds/{n}"), || {
+            iwrr_bounds_into(&work, 25, 6, horizon, &mut scratch, &mut out, &mut upper).unwrap()
         });
     }
 

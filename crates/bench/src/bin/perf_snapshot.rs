@@ -13,11 +13,11 @@ use rand::SeedableRng;
 use rta_bench::admission::{admission_probability, Method};
 use rta_bench::figures;
 use rta_bench::harness::Bench;
+use rta_core::bounds::bounds_schedulable;
 use rta_core::sensitivity::region::{explore_region, RegionConfig};
 use rta_core::sensitivity::Oracle;
 use rta_core::{analyze_bounds, analyze_exact_spp, AnalysisConfig, AnalysisSession};
 use rta_curves::arena::Scratch;
-use rta_curves::convolution::{convolve_decomposed_into, convolve_into, min_plus_convolve_lattice};
 use rta_curves::{Curve, SoaCursor, SoaCurve, Time};
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
@@ -135,47 +135,6 @@ fn with_burst(sys: &TaskSystem, len: u32) -> TaskSystem {
 
 fn main() {
     let mut b = Bench::new();
-
-    // Kernel vs oracle: the general min-plus convolution on non-convex
-    // staircase curves. `hybrid` is the crossover-dispatching entry,
-    // `convolve_into`; `segment` pins its decomposition path; both are
-    // driven the way the analyses drive them (warm `Scratch`, reused
-    // output). `lattice_oracle` is the O(horizon²) scan, pinned so the
-    // heuristic's choice stays visible.
-    let mut scratch = Scratch::new();
-    let mut conv_out = SoaCurve::zero();
-    for n in [16i64, 64] {
-        let f = SoaCurve::from_curve(&arrivals(n, 10).scale(3));
-        let g = SoaCurve::from_curve(&arrivals(n, 12).scale(2));
-        let horizon = Time(n * 12 + 120);
-        b.run(&format!("convolve/hybrid/{n}"), || {
-            convolve_into(&f, &g, horizon, &mut scratch, &mut conv_out)
-        });
-        b.run(&format!("convolve/segment/{n}"), || {
-            convolve_decomposed_into(&f, &g, horizon, &mut scratch, &mut conv_out)
-        });
-        b.run(&format!("convolve/lattice_oracle/{n}"), || {
-            min_plus_convolve_lattice(&f, &g, horizon)
-        });
-    }
-
-    // At realistic tick resolution (the job-shop generator uses 500
-    // ticks/unit) the horizon is tens of thousands of ticks while the
-    // breakpoint count stays small — the regime the segment kernel is for.
-    {
-        let f = SoaCurve::from_curve(&arrivals(32, 625).scale(3));
-        let g = SoaCurve::from_curve(&arrivals(32, 750).scale(2));
-        let horizon = Time(25_000);
-        b.run("convolve/hybrid/sparse_h25k", || {
-            convolve_into(&f, &g, horizon, &mut scratch, &mut conv_out)
-        });
-        b.run("convolve/segment/sparse_h25k", || {
-            convolve_decomposed_into(&f, &g, horizon, &mut scratch, &mut conv_out)
-        });
-        b.run("convolve/lattice_oracle/sparse_h25k", || {
-            min_plus_convolve_lattice(&f, &g, horizon)
-        });
-    }
 
     // The curve kernels on the merge-heavy shapes the fixpoint inner loop
     // produces, with warm output buffers.
@@ -318,6 +277,22 @@ fn main() {
             analyze_bounds(&sys, &AnalysisConfig::default()).unwrap()
         });
     }
+
+    // The warm verdict-only bounds pass on the same panel under IWRR at
+    // utilization 0.3: one round-robin kernel call per subjob
+    // (`rta_curves::iwrr`).
+    let iwrr = generate(
+        &ShopConfig {
+            scheduler: SchedulerKind::Iwrr,
+            utilization: 0.3,
+            ..fig3_4stage.clone()
+        },
+        &mut StdRng::seed_from_u64(42),
+    )
+    .unwrap();
+    b.run("iwrr/bounds_fig3_4stage", || {
+        bounds_schedulable(&iwrr, &AnalysisConfig::default()).unwrap()
+    });
 
     let json = b.to_json(&[
         ("suite", "BENCH_curves"),

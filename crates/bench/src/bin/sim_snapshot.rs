@@ -42,7 +42,7 @@ fn throughput_workload() -> (TaskSystem, SimConfig) {
     // A long window (vs the analysis default) so one run retires tens of
     // thousands of subjob completions.
     let window = Time(400_000);
-    let horizon = rta_model::horizon::analysis_horizon(&sys, window);
+    let horizon = rta_model::horizon::analysis_horizon(&sys, window).unwrap();
     (sys, SimConfig { window, horizon })
 }
 

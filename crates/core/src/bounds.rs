@@ -184,14 +184,14 @@ fn node_pass(
 }
 
 /// Per-subjob lower service bounds `S̲` of the one-pass analysis, in
-/// [`crate::depgraph::SubjobIndex`] order — the per-hop guarantees the
-/// network-calculus composition in [`crate::nc`] convolves.
+/// [`crate::depgraph::SubjobIndex`] order — the per-hop guarantees that
+/// `rta-sim`'s agreement suite checks simulated service against.
 pub fn lower_service_curves(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
 ) -> Result<Vec<Curve>, AnalysisError> {
     sys.validate(true)?;
-    let (window, horizon) = cfg.resolve(sys);
+    let (window, horizon) = cfg.try_resolve(sys)?;
     with_workspace(|ws| {
         node_pass(sys, cfg, window, horizon, ws, false)?;
         Ok(ws.cur[..ws.refs.len()]
@@ -208,7 +208,7 @@ pub fn analyze_bounds(
     cfg: &AnalysisConfig,
 ) -> Result<BoundsReport, AnalysisError> {
     sys.validate(true)?;
-    let (window, horizon) = cfg.resolve(sys);
+    let (window, horizon) = cfg.try_resolve(sys)?;
     with_workspace(|ws| {
         node_pass(sys, cfg, window, horizon, ws, false)?;
         // Equations 11 and 12 per job.
@@ -242,7 +242,7 @@ pub fn analyze_bounds(
 /// admission sweeps want, where only the verdict survives the set.
 pub fn bounds_schedulable(sys: &TaskSystem, cfg: &AnalysisConfig) -> Result<bool, AnalysisError> {
     sys.validate(true)?;
-    let (window, horizon) = cfg.resolve(sys);
+    let (window, horizon) = cfg.try_resolve(sys)?;
     with_workspace(|ws| node_pass(sys, cfg, window, horizon, ws, true))
 }
 

@@ -1,7 +1,7 @@
 //! Analysis configuration.
 
 use rta_curves::Time;
-use rta_model::TaskSystem;
+use rta_model::{ModelError, TaskSystem};
 
 /// Which availability recursion the SPNP lower bound (Theorem 5) uses.
 ///
@@ -49,15 +49,29 @@ impl Default for AnalysisConfig {
 }
 
 impl AnalysisConfig {
-    /// Resolve the `(arrival window, analysis horizon)` pair for a system.
+    /// Resolve the `(arrival window, analysis horizon)` pair for a system,
+    /// or [`ModelError::TickOverflow`] when a default does not fit in a
+    /// tick. Every driver resolves through this before it builds a curve.
+    pub fn try_resolve(&self, sys: &TaskSystem) -> Result<(Time, Time), ModelError> {
+        let window = match self.arrival_window {
+            Some(w) => w,
+            None => rta_model::horizon::default_arrival_window(sys, self.window_cycles)?,
+        };
+        let horizon = match self.horizon {
+            Some(h) => h,
+            None => rta_model::horizon::analysis_horizon(sys, window)?,
+        };
+        Ok((window, horizon))
+    }
+
+    /// [`AnalysisConfig::try_resolve`] for a system known to fit.
+    ///
+    /// # Panics
+    ///
+    /// When the window or the horizon overflows a tick.
     pub fn resolve(&self, sys: &TaskSystem) -> (Time, Time) {
-        let window = self
-            .arrival_window
-            .unwrap_or_else(|| rta_model::horizon::default_arrival_window(sys, self.window_cycles));
-        let horizon = self
-            .horizon
-            .unwrap_or_else(|| rta_model::horizon::analysis_horizon(sys, window));
-        (window, horizon)
+        self.try_resolve(sys)
+            .expect("the analysis window and horizon fit in a tick")
     }
 }
 

@@ -184,7 +184,7 @@ pub fn analyze_exact_spp(
 ) -> Result<ExactReport, AnalysisError> {
     sys.validate(true)?;
     require_exact_capable(sys)?;
-    let (window, horizon) = cfg.resolve(sys);
+    let (window, horizon) = cfg.try_resolve(sys)?;
     let idx = SubjobIndex::new(sys);
     let order = evaluation_order(sys, &idx)?;
 

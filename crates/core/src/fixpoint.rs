@@ -312,7 +312,7 @@ fn analyze_in(
 ) -> Result<(BoundsReport, usize), AnalysisError> {
     sys.validate(true)?;
     assert!(max_rounds >= 1);
-    let (window, horizon) = cfg.resolve(sys);
+    let (window, horizon) = cfg.try_resolve(sys)?;
     let n = ws.index_system(sys, &SubjobIndex::new(sys));
 
     // Evaluate every subjob cold; warm, copy those on valid processors.

@@ -208,7 +208,7 @@ fn run_fixpoint(
         }
     }
 
-    let (window, horizon) = cfg.resolve(sys);
+    let (window, horizon) = cfg.try_resolve(sys)?;
     let cap = horizon.max(Time(1)) * 4;
     ws.refs.clear();
     ws.job_start.clear();

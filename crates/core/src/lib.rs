@@ -95,7 +95,6 @@ pub mod exact;
 pub mod fcfs;
 pub mod fixpoint;
 pub mod holistic;
-pub mod nc;
 pub mod par;
 pub mod policy;
 mod report;

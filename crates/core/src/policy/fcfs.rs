@@ -72,6 +72,10 @@ impl ServicePolicy for FcfsPolicy {
         Ok(())
     }
 
+    fn fast_path(&self) -> FastPath {
+        FastPath::FifoMin
+    }
+
     fn sim_scheduler(&self, _sys: &TaskSystem, _p: ProcessorId) -> Box<dyn SimScheduler> {
         Box::new(FcfsSim)
     }
@@ -86,14 +90,6 @@ impl SimScheduler for FcfsSim {
             let inst = &ready[i];
             (inst.hop_release.ticks(), inst.subjob.job.0 as i64, inst.seq)
         })
-    }
-
-    fn reset(&mut self, _sys: &TaskSystem, _p: ProcessorId) -> bool {
-        true // stateless
-    }
-
-    fn fast_path(&self) -> FastPath {
-        FastPath::FifoMin
     }
 }
 

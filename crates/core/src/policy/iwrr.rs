@@ -20,24 +20,32 @@
 //! busy-period argument of Theorem 3 yields the guaranteed service
 //!
 //! ```text
-//! S̲(t) = min( c̄(t), min_{0 ≤ s ≤ t} ( c̄(s⁻) + β_i(t − s) ) )
+//! S̲(t) = min( t, c̄(t), min_{0 ≤ s ≤ t} ( c̄(s⁻) + β_i(t − s) ) )
 //! ```
 //!
-//! — a min-plus convolution ([`rta_curves::convolution::convolve_into`]) of
-//! the left-shifted workload with the staircase. Note the staircase is **not**
-//! subadditive, so the availability-increment form used by SPP/SPNP
-//! (`B(t) − B(s)`) would be unsound here; the convolution form is the
-//! standard sound composition. The upper bound is the information-free
-//! `min(t, c̄(t))`: non-preemptive round-robin guarantees nothing tighter
-//! without peer *service* curves, and the looseness only feeds the next
-//! hop's arrival envelope conservatively.
+//! — a min-plus convolution of the left-shifted workload with the
+//! staircase. Note the staircase is **not** subadditive, so the
+//! availability-increment form used by SPP/SPNP (`B(t) − B(s)`) would be
+//! unsound here; the convolution form is the standard sound composition.
+//! The upper bound is the information-free `min(t, c̄(t))`: non-preemptive
+//! round-robin guarantees nothing tighter without peer *service* curves,
+//! and the looseness only feeds the next hop's arrival envelope
+//! conservatively. Every workload is a staircase, on which the
+//! convolution is the recurrence
+//! `G(t) = min(c̄(t − 2L), G(t − L) + w_i·τ_i)`; both bounds are one call
+//! to [`rta_curves::iwrr_bounds_into`].
+//!
+//! In the event engine IWRR dispatches through [`FastPath::RoundRobin`];
+//! `IwrrSim` below is the scheduler of the legacy simulator, the
+//! independent spec the engine is checked against.
 
-use super::{BoundsInputs, PeerInputs, PolicyContext, ReadySet, ServicePolicy, SimScheduler};
+use super::{
+    BoundsInputs, FastPath, PeerInputs, PolicyContext, ReadySet, ServicePolicy, SimScheduler,
+};
 use crate::error::AnalysisError;
 use crate::spnp::SoaServiceBounds;
-use rta_curves::convolution::convolve_into;
-use rta_curves::{Scratch, SoaCurve, Time};
-use rta_model::{ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
+use rta_curves::{iwrr_bounds_into, Scratch, SoaCurve, Time};
+use rta_model::{ModelError, ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
 
 /// Per-processor IWRR state: the worst-case round length `L`.
 #[derive(Clone, Debug)]
@@ -66,14 +74,24 @@ impl ServicePolicy for IwrrPolicy {
         _peer_workloads: &[&SoaCurve],
         _horizon: Time,
     ) -> Result<Option<PolicyContext>, AnalysisError> {
-        let round_len = peers
-            .iter()
-            .map(|&o| {
-                let s = sys.subjob(o);
-                s.weight() as i64 * s.exec.ticks()
-            })
-            .sum();
+        let round_len = round_len(sys, peers)?;
         Ok(Some(PolicyContext::new(IwrrContext { round_len })))
+    }
+
+    fn rebuild_context(
+        &self,
+        sys: &TaskSystem,
+        p: ProcessorId,
+        peers: &[SubjobRef],
+        peer_workloads: &[&SoaCurve],
+        horizon: Time,
+        slot: &mut Option<PolicyContext>,
+    ) -> Result<(), AnalysisError> {
+        match slot.as_mut().and_then(|c| c.downcast_mut::<IwrrContext>()) {
+            Some(ctx) => ctx.round_len = round_len(sys, peers)?,
+            None => *slot = self.build_context(sys, p, peers, peer_workloads, horizon)?,
+        }
+        Ok(())
     }
 
     fn service_bounds(
@@ -83,39 +101,23 @@ impl ServicePolicy for IwrrPolicy {
         out: &mut SoaServiceBounds,
     ) -> Result<(), AnalysisError> {
         let ctx = inputs.context::<IwrrContext>()?;
-        let w = inputs.workload;
-        let l = ctx.round_len.max(1);
-        let quantum = inputs.weight as i64 * inputs.tau.ticks();
-
-        // β(u) = quantum · max(0, ⌊u/L⌋ − 1): jumps of `quantum` at
-        // u = 2L, 3L, … — the counting curve of those instants, scaled.
-        let jumps: Vec<Time> = (2..)
-            .map(|k| Time(k * l))
-            .take_while(|&u| u <= inputs.horizon)
-            .collect();
-        let mut id = scratch.take_soa();
-        let mut beta = scratch.take_soa();
-        let mut t1 = scratch.take_soa();
-        let mut t2 = scratch.take_soa();
-        id.set_affine(0, 1);
-        SoaCurve::from_event_times_into(&jumps, &mut t1);
-        t1.scale_into(quantum, &mut beta);
-
-        w.shift_right_into(Time::ONE, 0, &mut t1);
-        convolve_into(&t1, &beta, inputs.horizon, scratch, &mut t2);
-        t2.min_with_into(w, &mut t1);
-        t1.min_with_into(&id, &mut t2);
-        t2.clamp_min_into(0, &mut t1);
-        t1.running_max_into(&mut out.lower);
-
-        id.min_with_into(w, &mut t1);
-        t1.clamp_min_into(0, &mut t2);
-        t2.running_max_into(&mut t1);
-        t1.max_with_into(&out.lower, &mut out.upper);
-        for c in [id, beta, t1, t2] {
-            scratch.put_soa(c);
-        }
+        let quantum = quantum(inputs.weight, inputs.tau).ok_or(ModelError::TickOverflow {
+            quantity: "IWRR quantum",
+        })?;
+        iwrr_bounds_into(
+            inputs.workload,
+            ctx.round_len.max(1),
+            quantum,
+            inputs.horizon,
+            scratch,
+            &mut out.lower,
+            &mut out.upper,
+        )?;
         Ok(())
+    }
+
+    fn fast_path(&self) -> FastPath {
+        FastPath::RoundRobin
     }
 
     fn sim_scheduler(&self, sys: &TaskSystem, p: ProcessorId) -> Box<dyn SimScheduler> {
@@ -130,6 +132,24 @@ impl ServicePolicy for IwrrPolicy {
             cycle: 1,
         })
     }
+}
+
+/// `L = Σ_j w_j · τ_j` over `peers`, or [`ModelError::TickOverflow`].
+fn round_len(sys: &TaskSystem, peers: &[SubjobRef]) -> Result<i64, ModelError> {
+    peers
+        .iter()
+        .try_fold(0i64, |sum, &o| {
+            let s = sys.subjob(o);
+            sum.checked_add(quantum(s.weight(), s.exec)?)
+        })
+        .ok_or(ModelError::TickOverflow {
+            quantity: "IWRR round length",
+        })
+}
+
+/// A flow's quantum `w·τ`, or `None` when it overflows.
+fn quantum(weight: u32, tau: Time) -> Option<i64> {
+    i64::from(weight).checked_mul(tau.ticks())
 }
 
 /// The interleaved round cursor: cycle `c` visits each flow in list order

@@ -17,7 +17,8 @@
 //! drawn from a [`Scratch`]. Both drivers call it and nothing else. SPP and
 //! SPNP run the SoA chain ([`crate::spnp::spnp_bounds`]), FCFS its
 //! Theorem 8/9 frontiers ([`crate::fcfs::FcfsProcessor`]) and IWRR its
-//! convolution, all on the same layout: no policy converts curves.
+//! round-robin recurrence ([`rta_curves::iwrr_bounds_into`]), all on the
+//! same layout: no policy converts curves.
 //!
 //! ## Contract (DESIGN.md §4c)
 //!
@@ -37,16 +38,18 @@
 //! 1. Add a [`SchedulerKind`] variant in `rta-model` (plus any per-subjob
 //!    parameters, e.g. weights).
 //! 2. Write a submodule here implementing [`ServicePolicy`] (and a
-//!    [`SimScheduler`] for the event engine). Per-processor state derived
+//!    [`SimScheduler`] for the legacy simulator). Per-processor state derived
 //!    from peer workloads lives in a [`PolicyContext`] built by
 //!    [`ServicePolicy::build_context`]. Kernels compute on
 //!    [`SoaCurve`]s with temporaries from the [`Scratch`].
 //! 3. Register it in [`policy_for`] and [`all_policies`].
 //!
-//! No driver edits are required: the drivers consult
+//! No analysis driver edits are required: the drivers consult
 //! [`ServicePolicy::peer_inputs`] for dependency wiring and call
-//! [`ServicePolicy::service_bounds`] for the math. The IWRR policy
-//! ([`iwrr`]) was landed exactly this way.
+//! [`ServicePolicy::service_bounds`] for the math. The event engine in
+//! `rta-sim` runs a policy's [`ServicePolicy::fast_path`] inline; a
+//! discipline whose dispatch none of the [`FastPath`] shapes describes
+//! needs a new shape there.
 
 use std::any::Any;
 
@@ -219,8 +222,14 @@ pub trait ServicePolicy: Send + Sync {
         out: &mut SoaServiceBounds,
     ) -> Result<(), AnalysisError>;
 
-    /// A fresh event-engine scheduler for one processor running this
-    /// discipline.
+    /// The dispatch shape the event engine runs inline for this
+    /// discipline. It must decide exactly as
+    /// [`ServicePolicy::sim_scheduler`] does.
+    fn fast_path(&self) -> FastPath;
+
+    /// A fresh scheduler for one processor running this discipline, for
+    /// the legacy simulator — the independent spec the event engine is
+    /// checked against.
     fn sim_scheduler(&self, sys: &TaskSystem, p: ProcessorId) -> Box<dyn SimScheduler>;
 }
 
@@ -381,15 +390,12 @@ impl std::ops::Index<usize> for ReadySet<'_> {
     }
 }
 
-/// A scheduler's static decision shape, when it has one.
+/// A policy's dispatch shape in the event engine.
 ///
-/// Disciplines whose dispatch is a pure argmin over the fields of
-/// [`ReadyInstance`] — no internal state, no `sys` consultation — can
-/// advertise that shape here, and the event engine runs the scan inline
-/// instead of making two virtual calls per scheduling decision. The
-/// declared shape **must** be observably identical to the scheduler's
-/// `pick_idx`/`preempts` (the simulator's oracle suite pins this); when in
-/// doubt, stay [`FastPath::Dynamic`].
+/// Every discipline dispatches by one of these shapes, and the event
+/// engine runs the shape inline instead of calling into the policy per
+/// decision. The declared shape **must** be observably identical to the
+/// policy's [`SimScheduler`] (the simulator's oracle suite pins this).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum FastPath {
     /// Dispatch the minimum of `(prio, hop_release, seq)`; when
@@ -402,43 +408,29 @@ pub enum FastPath {
     /// Dispatch the minimum of `(hop_release, job, seq)`; never preempts
     /// (FCFS).
     FifoMin,
-    /// No static shape — the engine calls `pick_idx`/`preempts` (IWRR's
-    /// round cursor).
-    Dynamic,
+    /// Interleaved weighted round-robin; never preempts (IWRR). Cycle
+    /// `c = 1..=w_max` of a round visits the flows in [`TaskSystem::subjobs_on`]
+    /// order and serves those with `w ≥ c`. A dispatch takes the first
+    /// visit from a cursor whose flow has a ready instance, serves its
+    /// earliest `(hop_release, seq)`, and moves the cursor past the visit;
+    /// the cursor starts at the first flow of cycle 1.
+    RoundRobin,
 }
 
-/// The dispatch side of a policy: which ready instance runs next, and
-/// whether an arrival preempts the running one. Stateful schedulers (IWRR's
-/// round cursor) advance on each successful `pick_idx`. Both hooks operate
-/// on a borrowed [`ReadySet`] so a decision never allocates.
+/// The dispatch side of a policy in the legacy simulator: which ready
+/// instance runs next, and whether an arrival preempts the running one.
+/// Stateful schedulers (IWRR's round cursor) advance on each successful
+/// `pick_idx`. Both hooks operate on a borrowed [`ReadySet`] so a decision
+/// never allocates.
 pub trait SimScheduler: Send {
     /// Index into `ready` of the instance to dispatch, `None` when empty.
     fn pick_idx(&mut self, sys: &TaskSystem, ready: &ReadySet<'_>) -> Option<usize>;
 
     /// Whether any instance in `ready` preempts `running` — an
     /// exists-test over the set, with no ordering or completeness
-    /// assumptions. Callers may pass any subset of the true ready set that
-    /// is guaranteed to contain every instance that could preempt (the
-    /// engine passes just the newly released instance when it is the only
-    /// state change since the last decision).
+    /// assumptions.
     fn preempts(&self, _sys: &TaskSystem, _running: &ReadyInstance, _ready: &ReadySet<'_>) -> bool {
         false
-    }
-
-    /// Restore the scheduler to its start-of-run state for a new run on
-    /// (possibly) a different system, returning `true` on success. A
-    /// `false` return means the scheduler holds system-derived state it
-    /// cannot cheaply re-derive; the caller must construct a fresh one.
-    /// Stateless dispatchers return `true` and Monte-Carlo drivers then
-    /// recycle the allocation across draws.
-    fn reset(&mut self, _sys: &TaskSystem, _p: ProcessorId) -> bool {
-        false
-    }
-
-    /// The scheduler's static decision shape (see [`FastPath`]). Must
-    /// match `pick_idx`/`preempts` exactly; defaults to dynamic dispatch.
-    fn fast_path(&self) -> FastPath {
-        FastPath::Dynamic
     }
 }
 

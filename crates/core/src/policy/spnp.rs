@@ -4,7 +4,7 @@
 //! Eq. 15 blocking term supplied by [`ServicePolicy::blocking`].
 
 use super::spp::PrioritySim;
-use super::{BoundsInputs, PeerInputs, ServicePolicy, SimScheduler};
+use super::{BoundsInputs, FastPath, PeerInputs, ServicePolicy, SimScheduler};
 use crate::error::AnalysisError;
 use crate::spnp::{spnp_bounds, SoaServiceBounds};
 use rta_curves::{Scratch, Time};
@@ -42,6 +42,10 @@ impl ServicePolicy for SpnpPolicy {
             out,
         )
         .map_err(AnalysisError::from)
+    }
+
+    fn fast_path(&self) -> FastPath {
+        FastPath::PrioMin { preemptive: false }
     }
 
     fn sim_scheduler(&self, _sys: &TaskSystem, _p: ProcessorId) -> Box<dyn SimScheduler> {

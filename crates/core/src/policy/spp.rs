@@ -52,6 +52,10 @@ impl ServicePolicy for SppPolicy {
         .map_err(AnalysisError::from)
     }
 
+    fn fast_path(&self) -> FastPath {
+        FastPath::PrioMin { preemptive: true }
+    }
+
     fn sim_scheduler(&self, _sys: &TaskSystem, _p: ProcessorId) -> Box<dyn SimScheduler> {
         Box::new(PrioritySim { preemptive: true })
     }
@@ -76,16 +80,6 @@ impl SimScheduler for PrioritySim {
             return false;
         }
         ready.iter().any(|c| c.prio < running.prio)
-    }
-
-    fn reset(&mut self, _sys: &TaskSystem, _p: ProcessorId) -> bool {
-        true // stateless
-    }
-
-    fn fast_path(&self) -> FastPath {
-        FastPath::PrioMin {
-            preemptive: self.preemptive,
-        }
     }
 }
 

@@ -219,7 +219,7 @@ pub fn explore_region(
         frame_sys.set_arrival(id, with_burst_len(&frame_sys.job(id).arrival, max_burst));
     }
     frame_sys.validate(false)?;
-    let (window, horizon) = cfg.resolve(&frame_sys);
+    let (window, horizon) = cfg.try_resolve(&frame_sys)?;
     let pinned = AnalysisConfig {
         arrival_window: Some(window),
         horizon: Some(horizon),

@@ -65,7 +65,7 @@ use crate::holistic::{analyze_holistic_seeded, HolisticSeed};
 use crate::report::{BoundsReport, ExactReport};
 use crate::sensitivity::Oracle;
 use rta_curves::{CurveArena, CurveId, Scratch, SoaCurve, Time};
-use rta_model::{ArrivalPattern, Job, JobId, ProcessorId, SubjobRef, TaskSystem};
+use rta_model::{ArrivalPattern, Job, JobId, ModelError, ProcessorId, SubjobRef, TaskSystem};
 
 /// Counters describing how much work a session reused vs. recomputed.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -112,8 +112,9 @@ pub struct AnalysisSession {
     base: TaskSystem,
     current: TaskSystem,
     cfg: AnalysisConfig,
-    /// Frame fixed at construction (pinned mode); `None` = resolve per run.
-    pinned: Option<(Time, Time)>,
+    /// Frame fixed at construction (pinned mode), or the overflow that kept
+    /// it from resolving; `None` = resolve per run.
+    pinned: Option<Result<(Time, Time), ModelError>>,
     /// Frame of the cached exact curves; a frame change dirties everything.
     cached_frame: Option<(Time, Time)>,
     /// Cached exact curves and direct-dirty marks, rows parallel to jobs.
@@ -161,7 +162,7 @@ impl AnalysisSession {
     }
 
     fn build(sys: TaskSystem, cfg: AnalysisConfig, pin: bool) -> AnalysisSession {
-        let pinned = pin.then(|| cfg.resolve(&sys));
+        let pinned = pin.then(|| cfg.try_resolve(&sys));
         let n_jobs = sys.jobs().len();
         let rows: Vec<Vec<Option<NodeCurves>>> = sys
             .jobs()
@@ -202,12 +203,12 @@ impl AnalysisSession {
     /// The analysis configuration, with the pinned frame applied if any.
     pub fn config(&self) -> AnalysisConfig {
         match self.pinned {
-            Some((w, h)) => AnalysisConfig {
+            Some(Ok((w, h))) => AnalysisConfig {
                 arrival_window: Some(w),
                 horizon: Some(h),
                 ..self.cfg.clone()
             },
-            None => self.cfg.clone(),
+            _ => self.cfg.clone(),
         }
     }
 
@@ -221,9 +222,12 @@ impl AnalysisSession {
         self.arena.stats()
     }
 
-    fn frame(&self) -> (Time, Time) {
-        self.pinned
-            .unwrap_or_else(|| self.cfg.resolve(&self.current))
+    fn frame(&self) -> Result<(Time, Time), AnalysisError> {
+        let frame = match &self.pinned {
+            Some(pinned) => pinned.clone(),
+            None => self.cfg.try_resolve(&self.current),
+        };
+        Ok(frame?)
     }
 
     fn exec_vector(&self) -> Vec<i64> {
@@ -391,7 +395,7 @@ impl AnalysisSession {
     fn refresh_exact_curves(&mut self) -> Result<(Time, Time), AnalysisError> {
         self.current.validate(true)?;
         require_exact_capable(&self.current)?;
-        let (window, horizon) = self.frame();
+        let (window, horizon) = self.frame()?;
         if self.cached_frame != Some((window, horizon)) {
             self.mark_all_dirty();
             self.cached_frame = Some((window, horizon));
@@ -585,7 +589,7 @@ impl AnalysisSession {
     /// [`HolisticSeed`]) and the frame matches.
     pub fn analyze_holistic(&mut self) -> Result<BoundsReport, AnalysisError> {
         let cfg = self.config();
-        let (window, horizon) = self.frame();
+        let (window, horizon) = self.frame()?;
         let exec = self.exec_vector();
         let seed = self.holistic_seed.take().filter(|(s, seed_exec)| {
             s.matches(window, horizon, exec.len())

@@ -11,9 +11,9 @@
 //! * (c) identical reports when the per-thread workspace is reused dirty —
 //!   a big system, then a small one (and a fixpoint run, which shares the
 //!   workspace), then the big one again;
-//! * (d) the lower service curves the network-calculus composition
-//!   (`rta_core::nc`) consumes equal to the legacy pass's, so the composed
-//!   bounds are unchanged.
+//! * (d) the per-subjob lower service curves (`lower_service_curves`,
+//!   which the simulated service-curve check in `rta-sim`'s
+//!   `agreement.rs` reads) equal to the legacy pass's.
 
 mod support;
 

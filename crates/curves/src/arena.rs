@@ -2,16 +2,13 @@
 //!
 //! Every kernel writes its result into a caller-provided [`SoaCurve`],
 //! reusing the column buffers already allocated there. [`Scratch`] keeps
-//! the remaining buffers alive across calls: a free-list of SoA curve
-//! buffers for the temporaries of the analysis chains (`take_soa` hands out
-//! a curve whose columns retain the capacity they grew to on earlier uses;
-//! `put_soa` returns it) plus the typed side buffers some kernels need
-//! (dense lattice values for the convolution fallback, a piece-merge
-//! staging area for the convex path, run bounds and fold layers for the
-//! decomposition). After a warm-up pass over representative inputs, a
-//! take/compute/put cycle performs no heap allocation. One `Scratch` per
-//! worker thread is the intended granularity; the type is not `Sync` —
-//! sharing across threads is a compile error, not a data race.
+//! the buffers of the kernels' temporaries alive across calls: a free-list
+//! of SoA curve buffers (`take_soa` hands out a curve whose columns retain
+//! the capacity they grew to on earlier uses; `put_soa` returns it). After
+//! a warm-up pass over representative inputs, a take/compute/put cycle
+//! performs no heap allocation. One `Scratch` per worker thread is the
+//! intended granularity; the type is not `Sync` — sharing across threads is
+//! a compile error, not a data race.
 //!
 //! Reusing buffers can change *where* a result lives, never what it is: the
 //! property tests run every kernel on dirty outputs and one shared scratch.
@@ -19,35 +16,18 @@
 //! output holding a partial, invariant-violating curve; the output must be
 //! treated as poisoned and not reused after a caught panic.
 
-use crate::{SoaCurve, Time};
+use crate::SoaCurve;
 
 /// Reusable scratch space for the curve kernels: a free-list of SoA curve
-/// buffers plus the typed staging buffers of the convolution kernels.
+/// buffers.
 ///
 /// Intended granularity is one `Scratch` per worker thread (the analysis
 /// drivers in `rta-core` keep one in thread-local storage); kernels borrow
-/// it mutably for the duration of a call and leave all buffers empty but
-/// capacity-warm.
+/// it mutably for the duration of a call and return every buffer they take.
 #[derive(Default)]
 pub struct Scratch {
-    /// Dense lattice samples of the left convolution operand.
-    pub(crate) values_a: Vec<i64>,
-    /// Dense lattice samples of the right convolution operand.
-    pub(crate) values_b: Vec<i64>,
-    /// Piece staging for the convex slope-merge: `(length, slope)` with
-    /// `None` marking the unbounded tail piece.
-    pub(crate) pieces: Vec<(Option<Time>, i64)>,
     /// Free-list of SoA curve buffers.
     soa_pool: Vec<SoaCurve>,
-    /// Convex-run begin indices of the left decomposition operand.
-    pub(crate) run_bounds_a: Vec<u32>,
-    /// Convex-run begin indices of the right decomposition operand.
-    pub(crate) run_bounds_b: Vec<u32>,
-    /// Tree-fold layer staging for the decomposed convolution (curves held
-    /// here come from `soa_pool` and return to it between calls).
-    pub(crate) fold_layer: Vec<SoaCurve>,
-    /// Second tree-fold layer, ping-ponged with `fold_layer`.
-    pub(crate) fold_spare: Vec<SoaCurve>,
 }
 
 impl Scratch {
@@ -76,6 +56,7 @@ impl Scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Time;
 
     #[test]
     fn scratch_hands_out_zero_curves_with_warm_capacity() {

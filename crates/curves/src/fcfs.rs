@@ -51,7 +51,7 @@ pub fn fcfs_context_into(
     lower_frontier: &mut SoaCurve,
     upper_frontier: &mut SoaCurve,
 ) -> Result<(), CurveError> {
-    require_steps(total)?;
+    total.require_steps()?;
     total.require_nondecreasing()?;
     if total.values[0] < 0 {
         return Err(CurveError::NegativeAtZero {
@@ -180,8 +180,8 @@ pub fn frontier_bound_into(
     bonus: i64,
     out: &mut SoaCurve,
 ) -> Result<(), CurveError> {
-    require_steps(workload)?;
-    require_steps(frontier)?;
+    workload.require_steps()?;
+    frontier.require_steps()?;
     frontier.require_nondecreasing()?;
     let (nc, nv) = (workload.len(), frontier.len());
     let (cs, cv) = (&workload.starts[..], &workload.values[..nc]);
@@ -237,12 +237,4 @@ pub fn frontier_bound_into(
     wr.finish();
     out.finish();
     Ok(())
-}
-
-/// [`CurveError::UnsupportedSlope`] unless every piece of `c` is flat.
-fn require_steps(c: &SoaCurve) -> Result<(), CurveError> {
-    match c.slopes.iter().find(|&&m| m != 0) {
-        Some(&slope) => Err(CurveError::UnsupportedSlope { slope }),
-        None => Ok(()),
-    }
 }

@@ -21,9 +21,10 @@
 //! * FCFS on staircases: Theorem 7's utilization with both Theorem 8/9
 //!   serving frontiers in one pass, and each frontier bound in one more
 //!   ([`fcfs`]);
+//! * IWRR on staircases: the convolution of a workload with the strict
+//!   round-robin service curve as one recurrence pass ([`iwrr`]);
 //! * the pseudo-inverse `g⁻¹(y) = min { s : g(s) ≥ y }` at a point
-//!   ([`inverse`]);
-//! * min-plus convolution ([`convolution`]).
+//!   ([`inverse`]).
 //!
 //! Every kernel writes into a caller-provided curve and draws its
 //! temporaries from a [`Scratch`], so a warm analysis allocates nothing.
@@ -31,8 +32,8 @@
 //! patterns are built as `Curve`s ([`counting`]), reports hand `Curve`s
 //! back, and [`SoaCurve::from_curve`] / [`SoaCurve::to_curve`] convert at
 //! those two boundaries. [`CurveArena`] interns ingest curves
-//! ([`intern`]); [`bounds`] holds the rate-latency family the
-//! network-calculus composition fits.
+//! ([`intern`]). The lattice min-plus convolution ([`convolution`]) is a
+//! test oracle.
 //!
 //! ## Exactness model: the tick lattice
 //!
@@ -73,7 +74,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod bounds;
 pub mod busy;
 pub mod convolution;
 pub mod counting;
@@ -81,6 +81,7 @@ mod curve;
 pub mod fcfs;
 pub mod intern;
 pub mod inverse;
+pub mod iwrr;
 mod segment;
 pub mod soa;
 mod time;
@@ -91,6 +92,7 @@ pub use busy::{busy_window_into, WindowStart};
 pub use curve::Curve;
 pub use fcfs::{fcfs_context_into, frontier_bound_into};
 pub use intern::{CurveArena, CurveId};
+pub use iwrr::iwrr_bounds_into;
 pub use segment::Segment;
 pub use soa::{linear_combine_line_into, sum_many_into, SoaCursor, SoaCurve, SoaView};
 pub use time::{Time, DEFAULT_TICKS_PER_UNIT};

@@ -90,15 +90,6 @@ impl<'a> SoaView<'a> {
     pub(crate) fn piece_eval(&self, i: usize, t: i64) -> i64 {
         self.values[i] + self.slopes[i] * (t - self.starts[i])
     }
-
-    /// The pieces `a..b` as a view of their own.
-    pub(crate) fn range(&self, a: usize, b: usize) -> SoaView<'a> {
-        SoaView {
-            starts: &self.starts[a..b],
-            values: &self.values[a..b],
-            slopes: &self.slopes[a..b],
-        }
-    }
 }
 
 impl Default for SoaCurve {
@@ -308,18 +299,13 @@ impl SoaCurve {
         }
     }
 
-    /// `true` iff the curve is continuous (no jumps).
-    pub fn is_continuous(&self) -> bool {
-        (1..self.len()).all(|i| {
-            self.values[i - 1] + self.slopes[i - 1] * (self.starts[i] - self.starts[i - 1])
-                == self.values[i]
-        })
-    }
-
-    /// `true` iff the curve is convex on the lattice: continuous with
-    /// nondecreasing slopes.
-    pub fn is_convex(&self) -> bool {
-        self.is_continuous() && self.slopes.windows(2).all(|w| w[0] <= w[1])
+    /// [`CurveError::UnsupportedSlope`] unless every piece is flat — the
+    /// input check of the step-curve kernels.
+    pub(crate) fn require_steps(&self) -> Result<(), CurveError> {
+        match self.slopes.iter().find(|&&m| m != 0) {
+            Some(&slope) => Err(CurveError::UnsupportedSlope { slope }),
+            None => Ok(()),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -600,6 +586,13 @@ impl<'a> SoaWriter<'a> {
         self.m[self.w] = m;
         (self.pt, self.pv, self.pm) = (t, v, m);
         self.w += 1;
+    }
+
+    /// Start and value of entry `i` if it has been written — for a kernel
+    /// that reads its own output back.
+    #[inline]
+    pub(crate) fn entry(&self, i: usize) -> Option<(i64, i64)> {
+        (i < self.w).then(|| (self.s[i], self.v[i]))
     }
 
     /// Make room for `extra` more entries — for kernels whose output

@@ -9,13 +9,12 @@
 //! a fallible kernel must leave its output untouched when it fails.
 
 use proptest::prelude::*;
-use rta_curves::convolution::{
-    convolve_convex_into, convolve_decomposed_into, convolve_into, min_plus_convolve_lattice,
-};
+use rta_curves::convolution::min_plus_convolve_lattice;
 use rta_curves::soa::{linear_combine_into, pointwise_max_into, pointwise_min_into};
 use rta_curves::{
-    busy_window_into, fcfs_context_into, frontier_bound_into, linear_combine_line_into,
-    sum_many_into, Curve, CurveError, Scratch, Segment, SoaCursor, SoaCurve, Time, WindowStart,
+    busy_window_into, fcfs_context_into, frontier_bound_into, iwrr_bounds_into,
+    linear_combine_line_into, sum_many_into, Curve, CurveError, Scratch, Segment, SoaCursor,
+    SoaCurve, Time, WindowStart,
 };
 
 const HORIZON: i64 = 60;
@@ -93,21 +92,6 @@ fn arb_service_shape() -> impl Strategy<Value = SoaCurve> {
         prop::collection::vec((1i64..10, 0i64..8, 0i64..2), 0..6),
     )
         .prop_map(|(v0, k0, rest)| cumulative(v0, k0, rest))
-}
-
-/// Strategy: a convex curve (continuous, slopes increasing piece by piece).
-fn arb_convex() -> impl Strategy<Value = SoaCurve> {
-    (0i64..5, 0i64..3, prop::collection::vec(1i64..8, 0..4)).prop_map(|(v0, base, lens)| {
-        let mut segs = vec![Segment::new(Time(0), v0, base)];
-        let (mut t, mut v, mut k) = (0i64, v0, base);
-        for len in lens {
-            t += len;
-            v += k * len;
-            k += 1;
-            segs.push(Segment::new(Time(t), v, k));
-        }
-        soa(segs)
-    })
 }
 
 fn soa(segs: Vec<Segment>) -> SoaCurve {
@@ -402,41 +386,11 @@ proptest! {
     }
 
     #[test]
-    fn convex_convolution_matches_oracle(f in arb_convex(), g in arb_convex()) {
-        prop_assert!(f.is_convex() && g.is_convex());
-        let mut out = dirt();
-        convolve_convex_into(&f, &g, &mut Scratch::new(), &mut out);
-        let slow = brute_convolution(&f, &g, 40);
-        for t in 0..=40 {
-            prop_assert_eq!(out.eval(Time(t)), slow[t as usize], "t={}", t);
-        }
-    }
-
-    #[test]
     fn lattice_oracle_is_the_definition(f in arb_curve(), g in arb_curve(), h in 0i64..30) {
         let oracle = min_plus_convolve_lattice(&f, &g, Time(h));
         let slow = brute_convolution(&f, &g, h);
         for t in 0..=h {
             prop_assert_eq!(oracle.eval(Time(t)), slow[t as usize], "t={}", t);
-        }
-    }
-
-    #[test]
-    fn convolution_entries_match_the_lattice_oracle(
-        f in arb_cumulative(), g in arb_cumulative(), h in 1i64..50
-    ) {
-        // The decomposition is free to fold partials in any order, so the
-        // contract is value identity at every lattice tick.
-        let lattice = min_plus_convolve_lattice(&f, &g, Time(h));
-        let mut scratch = Scratch::new();
-        let mut out = dirt();
-        convolve_into(&f, &g, Time(h), &mut scratch, &mut out);
-        for t in 0..=h {
-            prop_assert_eq!(out.eval(Time(t)), lattice.eval(Time(t)), "t = {}", t);
-        }
-        convolve_decomposed_into(&f, &g, Time(h), &mut scratch, &mut out);
-        for t in 0..=h {
-            prop_assert_eq!(out.eval(Time(t)), lattice.eval(Time(t)), "decomposed t = {}", t);
         }
     }
 }
@@ -462,8 +416,6 @@ fn degenerate_inputs() {
     assert_eq!(out, SoaCurve::zero());
     sum_many_into(&[], &mut out);
     assert_eq!(out, SoaCurve::zero());
-    convolve_into(&zero, &zero, Time(10), &mut Scratch::new(), &mut out);
-    assert_eq!(lattice(&out), vec![0; HORIZON as usize + 1]);
 
     // `set_affine` reuses whatever buffer was there.
     out.set_affine(7, 2);
@@ -639,10 +591,18 @@ fn shared_scratch_and_out_survive_reuse() {
     }
     for (i, f) in inputs.iter().enumerate() {
         let g = &inputs[(i * 7 + 3) % inputs.len()];
-        convolve_into(f, g, Time(30), &mut scratch, &mut out);
-        let slow = brute_convolution(f, g, 30);
+        busy_window_into(
+            f,
+            g,
+            g,
+            Time::ZERO,
+            WindowStart::Open,
+            &mut scratch,
+            &mut out,
+        );
+        let want = busy_window_lattice(f, g, g, 0, WindowStart::Open, 30);
         for t in 0..=30 {
-            assert_eq!(out.eval(Time(t)), slow[t as usize], "convolve #{i} t={t}");
+            assert_eq!(out.eval(Time(t)), want[t as usize], "busy #{i} t={t}");
         }
         f.add_into(g, &mut out);
         for t in (0..=30).map(Time) {
@@ -788,5 +748,105 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// IWRR's bounds tick by tick on `[0, h]`, from the convolution form the
+/// kernel replaces: the workload released strictly before each window
+/// start (`c̄` shifted right by one) convolved by the lattice oracle with
+/// the strict service curve `q·max(0, ⌊u/L⌋ − 1)` (jumps at `2L, 3L, …`
+/// up to `hz`), capped by `c̄` and `t`, clamped at 0 and made
+/// nondecreasing; the upper bound is `min(t, c̄)` clamped and made
+/// nondecreasing, and at least the lower one.
+fn iwrr_bounds_lattice(c: &SoaCurve, l: i64, q: i64, hz: i64, h: i64) -> [Vec<i64>; 2] {
+    let mut shifted = SoaCurve::zero();
+    c.shift_right_into(Time(1), 0, &mut shifted);
+    let jumps: Vec<Time> = (2..)
+        .map(|k| Time(k * l))
+        .take_while(|u| u.ticks() <= hz)
+        .collect();
+    let mut rounds = SoaCurve::zero();
+    SoaCurve::from_event_times_into(&jumps, &mut rounds);
+    let mut beta = SoaCurve::zero();
+    rounds.scale_into(q, &mut beta);
+    let conv = min_plus_convolve_lattice(&shifted, &beta, Time(hz));
+    let (mut lo, mut hi) = (i64::MIN, i64::MIN);
+    let (mut lower, mut upper) = (Vec::new(), Vec::new());
+    for t in 0..=h {
+        let ct = c.eval(Time(t));
+        lo = lo.max(conv.eval(Time(t)).min(ct).min(t).max(0));
+        hi = hi.max(t.min(ct).max(0));
+        lower.push(lo);
+        upper.push(hi.max(lo));
+    }
+    [lower, upper]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The IWRR kernel equals the convolution form of its bounds at every
+    /// tick to 1 024 ticks past the last breakpoint of its input and of
+    /// both outputs, on workload staircases against round lengths 1–20
+    /// and quanta 1–10 (a quantum above the round length lets `G` pass
+    /// `t`) and horizons 0–80, before, among and past the breakpoints;
+    /// one scratch and two dirty outputs serve every call.
+    #[test]
+    fn iwrr_bounds_match_lattice(
+        cs in prop::collection::vec(arb_cumulative_steps(), 1..4),
+        l in 1i64..21,
+        q in 1i64..11,
+        hz in 0i64..81,
+    ) {
+        let mut scratch = Scratch::new();
+        let (mut lower, mut upper) = (dirt(), dirt());
+        for c in &cs {
+            iwrr_bounds_into(c, l, q, Time(hz), &mut scratch, &mut lower, &mut upper).unwrap();
+            let h = [c, &lower, &upper].iter().map(|x| last_start(x)).max().unwrap().max(hz) + 1024;
+            let [lo, hi] = iwrr_bounds_lattice(c, l, q, hz, h);
+            for t in 0..=h {
+                let i = t as usize;
+                prop_assert_eq!(lower.eval(Time(t)), lo[i], "lower L={} q={} H={} t={}", l, q, hz, t);
+                prop_assert_eq!(upper.eval(Time(t)), hi[i], "upper L={} q={} H={} t={}", l, q, hz, t);
+            }
+        }
+    }
+}
+
+/// The IWRR kernel takes nondecreasing staircases with `c̄(0) ≥ 0` only: a
+/// sloped piece is refused with its slope, a step going down with where
+/// it goes down, and a negative start as such; both outputs keep their
+/// previous contents.
+#[test]
+fn iwrr_kernel_refuses_what_is_not_a_staircase() {
+    let sloped = soa(vec![
+        Segment::new(Time(0), 2, 0),
+        Segment::new(Time(4), 6, 3),
+    ]);
+    let down = soa(vec![
+        Segment::new(Time(0), 6, 0),
+        Segment::new(Time(4), 2, 0),
+    ]);
+    let negative = soa(vec![
+        Segment::new(Time(0), -1, 0),
+        Segment::new(Time(4), 2, 0),
+    ]);
+    for (c, err) in [
+        (&sloped, CurveError::UnsupportedSlope { slope: 3 }),
+        (&down, CurveError::NotMonotone { at: Time(4) }),
+        (&negative, CurveError::NegativeAtZero { value: -1 }),
+    ] {
+        let (mut lower, mut upper) = (dirt(), dirt());
+        let res = iwrr_bounds_into(
+            c,
+            4,
+            2,
+            Time(40),
+            &mut Scratch::new(),
+            &mut lower,
+            &mut upper,
+        );
+        assert_eq!(res, Err(err));
+        assert_eq!((lower, upper), (dirt(), dirt()));
     }
 }

@@ -18,7 +18,7 @@
 //! bursty streams (Eq. 27) the dense burst — and hence the worst response —
 //! is at the very beginning.
 
-use crate::system::TaskSystem;
+use crate::system::{ModelError, TaskSystem};
 use rta_curves::Time;
 
 /// Default number of longest-periods an arrival window spans.
@@ -26,8 +26,9 @@ pub const DEFAULT_WINDOW_CYCLES: i64 = 4;
 
 /// An arrival window covering `cycles` multiples of the longest nominal
 /// period in the system (falling back to the largest deadline for patterns
-/// without a period, e.g. traces).
-pub fn default_arrival_window(sys: &TaskSystem, cycles: i64) -> Time {
+/// without a period, e.g. traces), or [`ModelError::TickOverflow`] when it
+/// does not fit in a tick.
+pub fn default_arrival_window(sys: &TaskSystem, cycles: i64) -> Result<Time, ModelError> {
     assert!(cycles >= 1);
     let tpu = sys.ticks_per_unit();
     let max_period = sys
@@ -41,25 +42,36 @@ pub fn default_arrival_window(sys: &TaskSystem, cycles: i64) -> Time {
         .map(|j| j.deadline)
         .max()
         .unwrap_or(Time::ONE);
-    match max_period {
-        Some(p) => p * cycles,
-        None => max_deadline * cycles,
-    }
+    let base = max_period.unwrap_or(max_deadline);
+    base.ticks()
+        .checked_mul(cycles)
+        .map(Time)
+        .ok_or(ModelError::TickOverflow {
+            quantity: "arrival window",
+        })
 }
 
 /// The analysis horizon for a given arrival window: the window plus the
 /// largest deadline plus one full round of everyone's execution time (a
 /// generous drain pad — completions relevant to the admission decision all
-/// occur before `window + max deadline`).
-pub fn analysis_horizon(sys: &TaskSystem, window: Time) -> Time {
+/// occur before `window + max deadline`), or [`ModelError::TickOverflow`]
+/// when it does not fit in a tick.
+pub fn analysis_horizon(sys: &TaskSystem, window: Time) -> Result<Time, ModelError> {
     let max_deadline = sys
         .jobs()
         .iter()
         .map(|j| j.deadline)
         .max()
         .unwrap_or(Time::ZERO);
-    let total_exec: Time = sys.jobs().iter().map(|j| j.total_exec()).sum();
-    window + max_deadline + total_exec
+    let mut execs = sys.jobs().iter().flat_map(|j| &j.subjobs);
+    window
+        .ticks()
+        .checked_add(max_deadline.ticks())
+        .and_then(|h| execs.try_fold(h, |h, s| h.checked_add(s.exec.ticks())))
+        .map(Time)
+        .ok_or(ModelError::TickOverflow {
+            quantity: "analysis horizon",
+        })
 }
 
 #[cfg(test)]
@@ -94,15 +106,15 @@ mod tests {
 
     #[test]
     fn window_spans_longest_period() {
-        assert_eq!(default_arrival_window(&sys(), 4), Time(200));
-        assert_eq!(default_arrival_window(&sys(), 1), Time(50));
+        assert_eq!(default_arrival_window(&sys(), 4), Ok(Time(200)));
+        assert_eq!(default_arrival_window(&sys(), 1), Ok(Time(50)));
     }
 
     #[test]
     fn horizon_covers_window_plus_deadline_plus_drain() {
         let s = sys();
         let h = analysis_horizon(&s, Time(200));
-        assert_eq!(h, Time(200 + 80 + 15));
+        assert_eq!(h, Ok(Time(200 + 80 + 15)));
     }
 
     #[test]
@@ -116,6 +128,35 @@ mod tests {
             vec![(p, Time(3))],
         );
         let s = b.build().unwrap();
-        assert_eq!(default_arrival_window(&s, 2), Time(140));
+        assert_eq!(default_arrival_window(&s, 2), Ok(Time(140)));
+    }
+
+    /// A period of 2⁶¹ ticks: four of them wrap an `i64`, and a window
+    /// that fits still leaves no room for the deadline and the executions.
+    #[test]
+    fn window_and_horizon_overflow_is_an_error_not_a_wrap() {
+        let mut b = SystemBuilder::new();
+        let p = b.add_processor("P", SchedulerKind::Iwrr);
+        b.add_job(
+            "a",
+            Time(100),
+            ArrivalPattern::Periodic {
+                period: Time(1 << 61),
+                offset: Time::ZERO,
+            },
+            vec![(p, Time(5))],
+        );
+        let s = b.build().unwrap();
+        let overflow = |quantity| Err(ModelError::TickOverflow { quantity });
+        assert_eq!(default_arrival_window(&s, 4), overflow("arrival window"));
+        assert_eq!(default_arrival_window(&s, 3), Ok(Time(3 << 61)));
+        assert_eq!(
+            analysis_horizon(&s, Time(3 << 61)),
+            Ok(Time((3 << 61) + 105))
+        );
+        assert_eq!(
+            analysis_horizon(&s, Time(i64::MAX - 104)),
+            overflow("analysis horizon")
+        );
     }
 }

@@ -150,6 +150,12 @@ pub enum ModelError {
         /// The offending job.
         job: JobId,
     },
+    /// A tick count derived from the system's periods, deadlines,
+    /// execution times or weights does not fit in a signed 64-bit tick.
+    TickOverflow {
+        /// What was being computed (e.g. `"arrival window"`).
+        quantity: &'static str,
+    },
 }
 
 impl std::fmt::Display for ModelError {
@@ -195,6 +201,9 @@ impl std::fmt::Display for ModelError {
                     f,
                     "job {job} has a burst train whose extent reaches its train period"
                 )
+            }
+            ModelError::TickOverflow { quantity } => {
+                write!(f, "the {quantity} overflows the 64-bit tick range")
             }
         }
     }

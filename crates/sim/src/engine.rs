@@ -34,10 +34,17 @@
 //! * policies pick by `(priority-key, hop_release, seq)` — a total order —
 //!   so the *insertion* order of a ready queue is immaterial, and a chain
 //!   release may be enqueued during the completion phase even though the
-//!   retired loop formally processed it in the release phase. When the
-//!   coalescing could matter (two or more state changes on one processor
-//!   at one instant) the `multi_trigger` flag already forces the check to
-//!   consult the full ready set.
+//!   retired loop formally processed it in the release phase. Every check
+//!   consults the processor's full ready set, so several state changes
+//!   coalesced into one check decide as they would one by one.
+//!
+//! ## Dispatch
+//!
+//! Each processor runs its policy's [`FastPath`] inline: the minimum of
+//! `(prio, hop_release, seq)` with or without preemption (SPP, SPNP), of
+//! `(hop_release, job, seq)` (FCFS), or IWRR's `(pos, cycle)` round-robin
+//! cursor over the processor's flows and weights, kept per processor and
+//! refilled in place each run. No decision calls into the policy.
 //!
 //! Processors whose state did not change at an instant are never visited —
 //! a processor with no completion and no arrival either keeps running
@@ -47,9 +54,10 @@
 
 use crate::arena::{InstanceArena, InstanceId, InstanceState};
 use crate::result::SimResult;
-use rta_core::policy::{policy_for, FastPath, ReadyInstance, ReadySet, SimScheduler};
+use rta_core::policy::{policy_for, FastPath, ReadyInstance};
+use rta_core::AnalysisConfig;
 use rta_curves::Time;
-use rta_model::{Job, JobId, ProcessorId, SchedulerKind, SubjobRef, TaskSystem};
+use rta_model::{Job, JobId, SubjobRef, TaskSystem};
 
 /// What a simulation run reports to its caller. The single event loop is
 /// generic over this, so the full-trace path ([`SimResult`] via
@@ -121,21 +129,16 @@ impl SimConfig {
     /// Window/horizon matching the defaults of `rta-model::horizon` (and
     /// hence of the analyses), so simulation and analysis cover the same
     /// instances.
+    ///
+    /// # Panics
+    ///
+    /// When the window or the horizon overflows a tick (see
+    /// [`AnalysisConfig::try_resolve`]).
     pub fn defaults_for(sys: &TaskSystem) -> SimConfig {
-        let window = rta_model::horizon::default_arrival_window(
-            sys,
-            rta_model::horizon::DEFAULT_WINDOW_CYCLES,
-        );
-        SimConfig {
-            window,
-            horizon: rta_model::horizon::analysis_horizon(sys, window),
-        }
+        let (window, horizon) = AnalysisConfig::default().resolve(sys);
+        SimConfig { window, horizon }
     }
 }
-
-/// `trigger` value for a dirty processor whose pending check was caused by
-/// a hop completion rather than by a single identifiable release.
-const NO_TRIGGER: u32 = u32::MAX;
 
 /// A processor's `complete_at` when nothing is dispatched on it.
 const IDLE: i64 = i64::MAX;
@@ -151,17 +154,13 @@ const NO_VIEW: ReadyInstance = ReadyInstance {
     prio: u32::MAX,
 };
 
-/// Per-processor run state. Discipline logic lives behind
-/// [`SimScheduler`]; the engine owns the queues.
+/// Per-processor run state: the policy's dispatch shape and the queues.
 struct ProcState {
-    scheduler: Box<dyn SimScheduler>,
-    /// The [`SchedulerKind`] `scheduler` was built for, so a rerun on a
-    /// processor of the same kind can [`SimScheduler::reset`] the existing
-    /// box instead of reallocating.
-    kind: SchedulerKind,
-    /// The scheduler's declared [`FastPath`], cached at setup so the
-    /// per-decision dispatch below runs inline for the static shapes.
+    /// The processor's [`FastPath`], from its policy at the start of a run.
     fast: FastPath,
+    /// [`FastPath::RoundRobin`]'s flows and cursor (empty for the other
+    /// shapes).
+    rr: RoundRobin,
     /// Ready instances, by arena id. Order is insertion order; policies
     /// select by index through the views buffer.
     ready: Vec<InstanceId>,
@@ -177,14 +176,6 @@ struct ProcState {
     /// Whether this processor is already on the current instant's
     /// dirty list.
     dirty: bool,
-    /// Arena id of the release that marked it dirty, or [`NO_TRIGGER`].
-    /// Meaningful only while `multi_trigger` is clear — with exactly one
-    /// new arrival, that instance is the only possible preemptor.
-    trigger: u32,
-    /// Set when a second state change coalesces into the pending check:
-    /// `trigger` no longer names the only change, so the check must
-    /// consult the full ready set.
-    multi_trigger: bool,
 }
 
 /// The policy-facing view of one instance, with its subjob's priority
@@ -200,14 +191,60 @@ fn view(sys: &TaskSystem, inst: &InstanceState) -> ReadyInstance {
 }
 
 /// Mark `proc` for a phase-3 check at the instant being drained.
-fn mark(procs: &mut [ProcState], dirty: &mut Vec<u32>, proc: usize, trigger: u32) {
+fn mark(procs: &mut [ProcState], dirty: &mut Vec<u32>, proc: usize) {
     let p = &mut procs[proc];
     if !p.dirty {
         p.dirty = true;
-        p.trigger = trigger;
         dirty.push(proc as u32);
-    } else {
-        p.multi_trigger = true;
+    }
+}
+
+/// [`FastPath::RoundRobin`]'s state on one processor: its flows in
+/// [`TaskSystem::subjobs_on`] order with their weights, and IWRR's cursor.
+/// Cycle `c = 1..=w_max` of a round visits the flows in order and serves
+/// those with `w ≥ c`; `(pos, cycle)` is the next visit. Memory is one
+/// entry per flow, whatever the weights.
+#[derive(Default)]
+struct RoundRobin {
+    flows: Vec<(SubjobRef, u32)>,
+    w_max: u32,
+    pos: usize,
+    cycle: u32,
+}
+
+impl RoundRobin {
+    /// The dispatch: the first visit from the cursor whose flow is eligible
+    /// and has a ready instance serves that flow's earliest
+    /// `(hop_release, seq)`, and the cursor moves past the visit.
+    /// Eligibility only narrows as the cycle grows, so a ready flow not
+    /// met by the end of the cycle after the cursor's is next eligible in
+    /// cycle 1 of the next round: three passes over the flows find the
+    /// visit, however large the weights.
+    fn pick(&mut self, views: &[ReadyInstance]) -> Option<usize> {
+        let (n, w_max) = (self.flows.len(), self.w_max);
+        let next = if self.cycle < w_max {
+            self.cycle + 1
+        } else {
+            1
+        };
+        for (c, from) in [(self.cycle, self.pos), (next, 0), (1, 0)] {
+            for (j, &(flow, w)) in self.flows.iter().enumerate().skip(from) {
+                let best = views
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| w >= c && v.subjob == flow)
+                    .min_by_key(|(_, v)| (v.hop_release, v.seq));
+                if let Some((i, _)) = best {
+                    (self.pos, self.cycle) = match (j + 1 < n, c < w_max) {
+                        (true, _) => (j + 1, c),
+                        (false, true) => (0, c + 1),
+                        (false, false) => (0, 1),
+                    };
+                    return Some(i);
+                }
+            }
+        }
+        None
     }
 }
 
@@ -358,39 +395,37 @@ impl SimEngine {
         // stable sort's per-run merge allocation.
         self.order.sort_unstable();
 
-        // Start-of-run schedulers (stateful cursors must restart): reuse
-        // the existing box when the kind matches and the scheduler can
-        // reset itself, else build afresh. Recycle the queues either way.
+        // Start-of-run dispatch state: each processor's shape, and the
+        // round-robin flows refilled in their recycled buffers in one pass
+        // over the subjobs. Recycle the queues too.
         self.procs.truncate(sys.processors().len());
-        for (i, p) in self.procs.iter_mut().enumerate() {
-            let kind = sys.processors()[i].scheduler;
-            if p.kind != kind || !p.scheduler.reset(sys, ProcessorId(i)) {
-                p.scheduler = policy_for(kind).sim_scheduler(sys, ProcessorId(i));
-                p.kind = kind;
-            }
-            p.fast = p.scheduler.fast_path();
-            p.ready.clear();
-            p.views.clear();
-            p.running = None;
-            p.dirty = false;
-            p.multi_trigger = false;
-        }
-        for i in self.procs.len()..sys.processors().len() {
-            let kind = sys.processors()[i].scheduler;
-            let scheduler = policy_for(kind).sim_scheduler(sys, ProcessorId(i));
-            let fast = scheduler.fast_path();
+        while self.procs.len() < sys.processors().len() {
             self.procs.push(ProcState {
-                scheduler,
-                kind,
-                fast,
+                fast: FastPath::FifoMin,
+                rr: RoundRobin::default(),
                 ready: Vec::new(),
                 views: Vec::new(),
                 running: None,
                 running_view: NO_VIEW,
                 dirty: false,
-                trigger: NO_TRIGGER,
-                multi_trigger: false,
             });
+        }
+        for (i, p) in self.procs.iter_mut().enumerate() {
+            p.fast = policy_for(sys.processors()[i].scheduler).fast_path();
+            p.rr.flows.clear();
+            (p.rr.w_max, p.rr.pos, p.rr.cycle) = (0, 0, 1);
+            p.ready.clear();
+            p.views.clear();
+            p.running = None;
+            p.dirty = false;
+        }
+        for r in sys.all_subjobs() {
+            let s = sys.subjob(r);
+            let p = &mut self.procs[s.processor.0];
+            if p.fast == FastPath::RoundRobin {
+                p.rr.flows.push((r, s.weight()));
+                p.rr.w_max = p.rr.w_max.max(s.weight());
+            }
         }
 
         let SimEngine {
@@ -460,15 +495,13 @@ impl SimEngine {
                     let target = nxt.proc as usize;
                     procs[target].ready.push(id);
                     procs[target].views.push(v);
-                    mark(procs, dirty, target, id.0);
+                    mark(procs, dirty, target);
                 }
                 // The freed processor only needs a check when something is
                 // queued for it. If a release lands here later this same
-                // instant, its own mark triggers the dispatch — and with
-                // the processor idle the check consults the full ready set
-                // regardless of the recorded trigger.
+                // instant, its own mark triggers the dispatch.
                 if !procs[pi].ready.is_empty() {
-                    mark(procs, dirty, pi, NO_TRIGGER);
+                    mark(procs, dirty, pi);
                 }
             }
 
@@ -490,7 +523,7 @@ impl SimEngine {
                 let target = info.proc as usize;
                 procs[target].ready.push(id);
                 procs[target].views.push(v);
-                mark(procs, dirty, target, s);
+                mark(procs, dirty, target);
             }
 
             // Phase 3: one preemption/dispatch check per dirtied processor.
@@ -500,37 +533,13 @@ impl SimEngine {
                 let pi = d as usize;
                 let p = &mut procs[pi];
                 p.dirty = false;
-                let trigger = p.trigger;
-                let multi = std::mem::take(&mut p.multi_trigger);
                 if let Some((id, at)) = p.running {
                     let wants = match p.fast {
                         FastPath::PrioMin { preemptive } => {
                             let rp = p.running_view.prio;
                             preemptive && p.views.iter().any(|v| v.prio < rp)
                         }
-                        FastPath::FifoMin => false,
-                        FastPath::Dynamic => {
-                            // With exactly one release since the last
-                            // decision, that instance is the only possible
-                            // preemptor: every other ready instance already
-                            // declined against this running instance (or
-                            // lost the dispatch that seated it), and
-                            // `preempts` is an any-exists test, so the
-                            // one-element view is equivalent to the full
-                            // set.
-                            !p.ready.is_empty()
-                                && if multi || trigger == NO_TRIGGER {
-                                    p.scheduler.preempts(
-                                        sys,
-                                        &p.running_view,
-                                        &ReadySet::new(&p.views),
-                                    )
-                                } else {
-                                    let tv = [view(sys, &arena[InstanceId(trigger)])];
-                                    p.scheduler
-                                        .preempts(sys, &p.running_view, &ReadySet::new(&tv))
-                                }
-                        }
+                        FastPath::FifoMin | FastPath::RoundRobin => false,
                     };
                     if wants {
                         #[cfg(feature = "trace")]
@@ -570,7 +579,7 @@ impl SimEngine {
                             }
                             Some(bi)
                         }
-                        FastPath::Dynamic => p.scheduler.pick_idx(sys, &ReadySet::new(&p.views)),
+                        FastPath::RoundRobin => p.rr.pick(&p.views),
                     };
                     if let Some(i) = pick {
                         let id = p.ready.swap_remove(i);
@@ -824,6 +833,36 @@ mod tests {
     }
 
     #[test]
+    fn iwrr_skips_cycles_no_ready_flow_is_eligible_in() {
+        // T1 (w = u32::MAX, τ=2) releases 3 instances at 0; T2 (w=1, τ=3)
+        // releases 2. Cycles 1–3 serve T1, T2, T1, T1; T1 is then empty
+        // and T2 is next eligible in cycle 1 of the next round, some 4·10⁹
+        // cycles on: T1 [0,2) T2 [2,5) T1 [5,7) T1 [7,9) T2 [9,12).
+        let mut b = SystemBuilder::new();
+        let p = b.add_processor("P1", SchedulerKind::Iwrr);
+        let t1 = b.add_job(
+            "T1",
+            Time(100),
+            ArrivalPattern::Trace(vec![Time(0), Time(0), Time(0)]),
+            vec![(p, Time(2))],
+        );
+        b.add_job(
+            "T2",
+            Time(100),
+            ArrivalPattern::Trace(vec![Time(0), Time(0)]),
+            vec![(p, Time(3))],
+        );
+        b.set_weight(SubjobRef { job: t1, index: 0 }, u32::MAX);
+        let sys = b.build().unwrap();
+        let r = simulate(&sys, &cfg(50, 200));
+        assert_eq!(r.completion(JobId(0), 1), Some(Time(2)));
+        assert_eq!(r.completion(JobId(1), 1), Some(Time(5)));
+        assert_eq!(r.completion(JobId(0), 2), Some(Time(7)));
+        assert_eq!(r.completion(JobId(0), 3), Some(Time(9)));
+        assert_eq!(r.completion(JobId(1), 2), Some(Time(12)));
+    }
+
+    #[test]
     fn mixed_schedulers_along_one_chain() {
         // SPP first hop, FCFS second: the chain crosses policies intact.
         let mut b = SystemBuilder::new();
@@ -903,8 +942,8 @@ mod tests {
 
     #[test]
     fn coalesced_check_consults_the_full_ready_set() {
-        // Two releases at the same instant coalesce into one PreemptCheck
-        // whose `trigger` names only the first. The first (T1a) is lower
+        // Two releases at the same instant coalesce into one check. The
+        // first (T1a) is lower
         // priority than the running T2 and would not preempt on its own;
         // the second (T1b) must still get its preemption.
         let mut b = SystemBuilder::new();

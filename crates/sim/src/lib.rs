@@ -17,8 +17,9 @@
 //!
 //! The engine is an indexed discrete-event core (see DESIGN.md §4f): a
 //! sorted primary-release table and one pending-completion slot per
-//! processor, instances in a flat arena, per-processor ready queues
-//! feeding zero-allocation policy decisions. It is exact on
+//! processor, instances in a flat arena, per-processor ready queues, and
+//! each policy's dispatch shape run inline with no call into the policy
+//! and no allocation per decision. It is exact on
 //! the integer tick lattice — no quantum loop, no floating point.
 //!
 //! ## Features

@@ -36,7 +36,7 @@ use rta_core::{analyze_bounds, AnalysisConfig};
 use rta_curves::Time;
 use rta_model::jobshop::{ShopConfig, ShopSampler};
 use rta_model::priority::{rank_priorities, PriorityPolicy};
-use rta_model::{ArrivalPattern, TaskSystem};
+use rta_model::{ArrivalPattern, ModelError, TaskSystem};
 use std::sync::Arc;
 
 /// What varies between draws.
@@ -52,8 +52,20 @@ pub enum DrawModel {
     /// [`ArrivalPattern::SporadicEnvelope`] draws inter-arrival gaps
     /// uniformly from `[min_gap, 2·min_gap]` (a modeling choice — the
     /// envelope only bounds gaps from below). Deterministic patterns
-    /// (periodic, bursty, trace, …) release identically in every draw.
+    /// (periodic, bursty, trace, …) release identically in every draw,
+    /// over the system's default frame. Build it with
+    /// [`DrawModel::arrivals`], which refuses a system whose frame does not
+    /// fit in a tick; the estimators panic on such a system.
     Arrivals(TaskSystem),
+}
+
+impl DrawModel {
+    /// [`DrawModel::Arrivals`] of `sys`, or the
+    /// [`ModelError::TickOverflow`] of its default frame.
+    pub fn arrivals(sys: TaskSystem) -> Result<DrawModel, ModelError> {
+        AnalysisConfig::default().try_resolve(&sys)?;
+        Ok(DrawModel::Arrivals(sys))
+    }
 }
 
 /// Estimation parameters shared by the fixed and adaptive drivers.
@@ -642,6 +654,25 @@ mod tests {
             vec![(p, Time(7))],
         );
         b.build().unwrap()
+    }
+
+    #[test]
+    fn arrivals_model_refuses_a_frame_past_a_tick() {
+        // A period of 2⁶¹ ticks wraps a window of four periods.
+        let mut b = SystemBuilder::new();
+        let p = b.add_processor("P1", SchedulerKind::Iwrr);
+        let periodic = |period| ArrivalPattern::Periodic {
+            period: Time(period),
+            offset: Time::ZERO,
+        };
+        b.add_job("A", Time(100), periodic(1 << 61), vec![(p, Time(5))]);
+        let sys = b.build().unwrap();
+        assert_eq!(
+            DrawModel::arrivals(sys).unwrap_err(),
+            ModelError::TickOverflow {
+                quantity: "arrival window"
+            }
+        );
     }
 
     #[test]

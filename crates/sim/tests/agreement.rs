@@ -21,6 +21,7 @@ use rand::SeedableRng;
 use rta_core::fixpoint::analyze_with_loops;
 use rta_core::service::DEFAULT_MAX_ROUNDS;
 use rta_core::{analyze_bounds, analyze_exact_spp, AnalysisConfig, BoundsReport, SpnpAvailability};
+#[cfg(feature = "trace")]
 use rta_curves::Time;
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
@@ -484,63 +485,6 @@ fn iwrr_multi_stage_is_a_good_approximation() {
         "violation rate too high: {bad}/{total}"
     );
     assert!(ratio < 1.8, "worst excess ratio {ratio}");
-}
-
-#[test]
-fn nc_composition_bound_dominates_simulation() {
-    // The pay-bursts-once composition (rta_core::nc) must dominate the
-    // simulated responses on uniform-τ pipelines with competing local jobs.
-    use rta_model::{ArrivalPattern, SystemBuilder};
-    for seed in 0..30u64 {
-        let mut rng = StdRng::seed_from_u64(7_000 + seed);
-        use rand::Rng;
-        let hops = rng.gen_range(1..4usize);
-        let tau = rng.gen_range(3..9i64);
-        let burst = rng.gen_range(1..5usize);
-        let gap = rng.gen_range(0..4i64);
-        let mut b = SystemBuilder::new();
-        let procs: Vec<_> = (0..hops)
-            .map(|i| b.add_processor(format!("P{}", i + 1), SchedulerKind::Spp))
-            .collect();
-        let times: Vec<Time> = (0..burst).map(|i| Time(i as i64 * (1 + gap))).collect();
-        b.add_job(
-            "flow",
-            Time(100_000),
-            ArrivalPattern::Trace(times),
-            procs.iter().map(|p| (*p, Time(tau))).collect(),
-        );
-        // A competing local job on each hop.
-        for (i, p) in procs.iter().enumerate() {
-            b.add_job(
-                format!("local{i}"),
-                Time(100_000),
-                ArrivalPattern::Periodic {
-                    period: Time(40),
-                    offset: Time::ZERO,
-                },
-                vec![(*p, Time(rng.gen_range(1..6)))],
-            );
-        }
-        let mut sys = b.build().unwrap();
-        assign_priorities(&mut sys, PriorityPolicy::DeadlineMonotonic).unwrap();
-        let cfg = AnalysisConfig {
-            arrival_window: Some(Time(200)),
-            ..Default::default()
-        };
-        let Some(nc) = rta_core::nc::e2e_composition_bound(&sys, &cfg, JobId(0)).unwrap() else {
-            continue;
-        };
-        let (window, horizon) = cfg.resolve(&sys);
-        let sim = simulate(&sys, &SimConfig { window, horizon });
-        for m in 1..=sim.instances(JobId(0)) {
-            if let Some(resp) = sim.response(JobId(0), m) {
-                assert!(
-                    resp <= nc,
-                    "seed {seed}: simulated {resp} > composition bound {nc}"
-                );
-            }
-        }
-    }
 }
 
 #[test]

@@ -83,6 +83,49 @@ fn shops_match_legacy_across_policies_and_arrivals() {
     }
 }
 
+/// IWRR shops whose flows carry round-robin weights 1–3. With every weight
+/// 1 a flow-major slot order equals the interleaved one, so only weights
+/// above 1 tell the engine's slot sequence apart from the legacy cursor.
+#[test]
+fn weighted_iwrr_shops_match_legacy() {
+    for bursty in [false, true] {
+        for (stages, util) in [(1usize, 0.6f64), (2, 0.7), (3, 0.5), (1, 0.9)] {
+            for seed in 0..8u64 {
+                let cfg = ShopConfig {
+                    stages,
+                    procs_per_stage: 2,
+                    n_jobs: 5,
+                    scheduler: SchedulerKind::Iwrr,
+                    utilization: util,
+                    arrivals: if bursty {
+                        ShopArrivals::Bursty {
+                            deadline: rta_model::distributions::Dist::Exponential { mean: 6.0 },
+                        }
+                    } else {
+                        ShopArrivals::Periodic {
+                            deadline_factor: 2.0 * stages as f64,
+                        }
+                    },
+                    x_min: 0.25,
+                    ticks_per_unit: 100,
+                };
+                let mut sys = prepared(&cfg, seed);
+                let subjobs: Vec<SubjobRef> = sys.all_subjobs().collect();
+                for r in subjobs {
+                    let w = (r.job.0 + r.index + seed as usize) % 3 + 1;
+                    sys.set_weight(r, Some(w as u32));
+                }
+                assert_identical(
+                    &sys,
+                    &format!(
+                        "weighted IWRR stages={stages} util={util} bursty={bursty} seed={seed}"
+                    ),
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn mixed_scheduler_chain_matches_legacy() {
     // Two jobs crossing an SPP processor and an FCFS processor in opposite

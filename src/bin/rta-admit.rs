@@ -147,7 +147,14 @@ fn run_wcdfp(paths: &[String]) -> i32 {
                 return 2;
             }
         };
-        let rep = estimate_adaptive(&DrawModel::Arrivals(sys), &cfg, &stop, MAX_DRAWS);
+        let model = match DrawModel::arrivals(sys) {
+            Ok(model) => model,
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                return 2;
+            }
+        };
+        let rep = estimate_adaptive(&model, &cfg, &stop, MAX_DRAWS);
         println!(
             "{path}: {} draws{}",
             rep.draws,
@@ -221,7 +228,9 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bursty_rta::analysis::AnalysisConfig;
+    use bursty_rta::analysis::service::ServiceError;
+    use bursty_rta::analysis::{AnalysisConfig, AnalysisError};
+    use bursty_rta::model::ModelError;
     use bursty_rta::textfmt::analyze_cold;
 
     fn service_for(n: usize) -> Arc<ShardedService> {
@@ -265,5 +274,29 @@ mod tests {
             .map(|o| o.as_ref().unwrap().schedulable)
             .collect();
         assert_eq!(verdicts, vec![true, true, false]);
+    }
+
+    #[test]
+    fn window_overflow_is_refused_with_its_typed_error() {
+        // Job a's period of 2⁶¹ ticks wraps a window of four periods; job b
+        // alone overloads the processor (utilization 1.5). The file is
+        // refused with the overflow before any curve is built, never
+        // admitted over a wrapped window.
+        let sys = parse_system(
+            "processor P spp\n\
+             job a deadline 100 periodic 2305843009213693952 0\nhop P 5\n\
+             job b deadline 100 periodic 100 0\nhop P 150\n",
+        )
+        .unwrap();
+        let overflow = AnalysisError::Model(ModelError::TickOverflow {
+            quantity: "arrival window",
+        });
+        match service_for(1).load_full("wrap", sys.clone()) {
+            Err(ServiceError::Analysis(e)) => assert_eq!(e, overflow),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(o) => panic!("admitted over a wrapped window:\n{}", o.report),
+        }
+        let cold = analyze_cold(&sys, &AnalysisConfig::default()).unwrap_err();
+        assert!(cold.contains(&overflow.to_string()), "{cold}");
     }
 }

@@ -204,9 +204,9 @@ impl ShardedService {
                 let sys = svc
                     .tenant_system(tenant)
                     .ok_or_else(|| format!("unknown tenant '{tenant}'"))?;
+                let model = DrawModel::arrivals(sys.clone()).map_err(|e| e.to_string())?;
                 // The verdict-only configuration: the admission path wants
                 // miss probabilities and intervals, not response histograms.
-                let model = DrawModel::Arrivals(sys.clone());
                 let base = |seed: u64| WcdfpConfig {
                     base_seed: seed,
                     sketches: false,

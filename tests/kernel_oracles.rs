@@ -1,15 +1,14 @@
 //! Property tests pinning the segment-native kernels to their lattice-scan
-//! oracles: the general min-plus convolution vs the O(horizon²) tick scan,
-//! cursor sweeps vs front-rescanning queries, and the Theorem-3 service
-//! kernel vs a brute-force evaluation of the min-form on the lattice.
+//! oracles: cursor sweeps vs front-rescanning queries, and the Theorem-3
+//! service kernel vs a brute-force evaluation of the min-form on the
+//! lattice.
 
 use bursty_rta::analysis::spp::exact_service_into;
-use bursty_rta::curves::convolution::{convolve_into, min_plus_convolve_lattice};
 use bursty_rta::curves::{Curve, Scratch, SoaCursor, SoaCurve, Time};
 use proptest::prelude::*;
 
 /// A random bursty staircase: `n` event times in `[0, span)`, steps of
-/// height `tau`. Non-convex in general — the hard case for the convolution.
+/// height `tau`.
 fn arb_staircase(span: i64) -> impl Strategy<Value = SoaCurve> {
     (prop::collection::vec(0i64..span, 1..8), 1i64..5).prop_map(|(mut ts, tau)| {
         ts.sort();
@@ -44,27 +43,6 @@ fn exact_service(work: &SoaCurve, hp: &[&SoaCurve]) -> SoaCurve {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The segment-native general convolution agrees with the lattice-scan
-    /// oracle at every tick of the horizon.
-    #[test]
-    fn convolve_matches_lattice_oracle(
-        f in arb_monotone(60),
-        g in arb_monotone(60),
-        h in 0i64..150,
-    ) {
-        let horizon = Time(h);
-        let mut fast = SoaCurve::zero();
-        convolve_into(&f, &g, horizon, &mut Scratch::new(), &mut fast);
-        let oracle = min_plus_convolve_lattice(&f, &g, horizon);
-        for t in 0..=h {
-            prop_assert_eq!(
-                fast.eval(Time(t)),
-                oracle.eval(Time(t)),
-                "t={} f={:?} g={:?}", t, f, g
-            );
-        }
-    }
 
     /// Cursor sweeps return exactly what the front-rescanning queries do,
     /// for both the pseudo-inverse and pointwise evaluation.

@@ -490,6 +490,68 @@ ADMIT t job C deadline 200 periodic 100 0 hop P1 1
     assert_eq!(lines[3], "OK ADMIT t gen=2 job=C verdict=admitted jobs=2");
 }
 
+#[test]
+fn window_overflow_load_answers_err_and_leaves_no_tenant() {
+    // A period of 2⁶¹ ticks wraps a window of four periods. The LOAD is
+    // refused with the overflow, the daemon keeps serving, and no tenant
+    // `w` is left behind. A resident tenant offered such a job answers the
+    // ADMIT and a WCDFP, and the daemon keeps serving.
+    let input = "\
+LOAD w 5
+processor P iwrr
+job a deadline 100 periodic 2305843009213693952 0
+hop P 5
+job b deadline 100 periodic 100 0
+hop P 1
+PING
+STATS w
+LOAD t 2
+processor P1 iwrr
+job A deadline 50 periodic 20 0 hop P1 5
+ADMIT t job C deadline 200 periodic 2305843009213693952 0 hop P1 1
+WCDFP t fixed 10 1
+PING
+";
+    let lines = serve_lines(input);
+    assert_eq!(lines.len(), 7, "{lines:#?}");
+    let overflow = "the arrival window overflows the 64-bit tick range";
+    assert_eq!(
+        lines[0],
+        format!("ERR analysis failed: model error: {overflow}")
+    );
+    assert_eq!(lines[1], "PONG");
+    assert_eq!(lines[2], "ERR unknown tenant 'w'");
+    assert_eq!(lines[3], "OK LOAD t gen=1 jobs=1 verdict=schedulable");
+    assert!(lines[4].starts_with("OK ADMIT t ") || lines[4].starts_with("ERR "));
+    assert!(lines[5].starts_with("OK WCDFP t ") || lines[5].starts_with("ERR "));
+    assert_eq!(lines[6], "PONG");
+}
+
+#[test]
+fn largest_iwrr_weight_is_simulated_and_the_daemon_keeps_serving() {
+    // A weight of u32::MAX makes a round of about 4·10⁹ cycles, in all but
+    // the first of which only flow `a` is eligible: the WCDFP draws
+    // dispatch `b` without walking those cycles or holding a slot per
+    // cycle, and the daemon answers the PING after them.
+    let input = "\
+LOAD h 3
+processor P iwrr
+job a deadline 100 periodic 20 0 hop P 2 weight 4294967295
+job b deadline 100 periodic 20 0 hop P 3
+WCDFP h fixed 20 1
+PING
+";
+    let lines = serve_lines(input);
+    assert_eq!(lines.len(), 3, "{lines:#?}");
+    assert!(
+        lines[0].starts_with("OK LOAD h gen=1 jobs=2 "),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].starts_with("OK WCDFP h draws=20 "), "{}", lines[1]);
+    assert_eq!(lines[2], "PONG");
+}
+
 /// A reader that fails: the stream behind the last line never ends
 /// cleanly, so only responses the serve loop flushed on its own come out.
 struct Broken;
