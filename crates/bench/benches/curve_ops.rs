@@ -8,17 +8,20 @@
 
 use rta_bench::harness::Bench;
 use rta_core::spp::exact_service_into;
-use rta_curves::soa::pointwise_min_into;
+use rta_curves::soa::linear_combine_into;
 use rta_curves::{
-    fcfs_context_into, frontier_bound_into, iwrr_bounds_into, Curve, Scratch, SoaCursor, SoaCurve,
-    Time,
+    fcfs_context_into, frontier_bound_into, iwrr_bounds_into, Scratch, SoaCursor, SoaCurve, Time,
 };
 
 /// A periodic arrival curve with `n` events spaced `gap` apart, scaled by
 /// `k`.
 fn arrivals(n: i64, gap: i64, k: i64) -> SoaCurve {
     let times: Vec<Time> = (0..n).map(|i| Time(i * gap)).collect();
-    SoaCurve::from_curve(&Curve::from_event_times(&times).scale(k))
+    let mut counts = SoaCurve::zero();
+    SoaCurve::from_event_times_into(&times, &mut counts);
+    let mut c = SoaCurve::zero();
+    counts.scale_into(k, &mut c);
+    c
 }
 
 fn affine(v0: i64, slope: i64) -> SoaCurve {
@@ -35,22 +38,6 @@ fn main() {
     let mut scratch = Scratch::new();
 
     for n in SIZES {
-        let mut saw = SoaCurve::zero();
-        arrivals(n, 10, 3).sub_into(&affine(0, 1), &mut saw);
-        b.run(&format!("running_min/{n}"), || {
-            saw.running_min_into(&mut out)
-        });
-    }
-
-    for n in SIZES {
-        let a = arrivals(n, 10, 2);
-        let b2 = affine(5, 1);
-        b.run(&format!("pointwise_min/{n}"), || {
-            pointwise_min_into(&a, &b2, &mut out)
-        });
-    }
-
-    for n in SIZES {
         // A service-like curve: workload clipped by elapsed time.
         let mut service = SoaCurve::zero();
         arrivals(n, 10, 4).min_with_into(&affine(0, 1), &mut service);
@@ -65,7 +52,7 @@ fn main() {
         // one subjob's Theorem 8 bound off the lower frontier.
         let (c, peer) = (arrivals(n, 10, 4), arrivals(n, 14, 3));
         let mut g = SoaCurve::zero();
-        c.add_into(&peer, &mut g);
+        linear_combine_into(&c, 1, &peer, 1, &mut g);
         let horizon = Time(n * 14 + 100);
         let (mut u, mut v1, mut v0) = (SoaCurve::zero(), SoaCurve::zero(), SoaCurve::zero());
         b.run(&format!("fcfs/context/{n}"), || {
@@ -96,10 +83,10 @@ fn main() {
         });
     }
 
-    // Cursor sweep vs front-rescanning inverse: the Theorem-1 inner loop.
+    // Cursor sweep vs front-rescanning inverse (one fresh cursor per
+    // query): the Theorem-1 inner loop.
     for n in SIZES {
         let arr = arrivals(n, 10, 1);
-        let aos = arr.to_curve();
         b.run(&format!("inverse_sweep/cursor/{n}"), || {
             let mut cur = SoaCursor::new(&arr);
             let mut acc = Time::ZERO;
@@ -113,7 +100,7 @@ fn main() {
         b.run(&format!("inverse_sweep/rescan/{n}"), || {
             let mut acc = Time::ZERO;
             for m in 1..=n {
-                if let Some(t) = aos.inverse_at(m) {
+                if let Some(t) = SoaCursor::new(&arr).inverse_at(m) {
                     acc += t;
                 }
             }

@@ -13,6 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rta_core::bounds::bounds_schedulable;
+use rta_core::par::pool_map_stateful;
 use rta_core::{analyze_exact_spp, holistic::holistic_schedulable, AnalysisConfig};
 use rta_model::jobshop::{generate, ShopConfig, ShopSampler};
 use rta_model::priority::{rank_priorities, PriorityPolicy};
@@ -94,13 +95,12 @@ fn decide(sys: &mut rta_model::TaskSystem, method: Method, acfg: &AnalysisConfig
 /// Estimate the admission probability of `method` over `sets` random job
 /// sets derived from `master_seed`.
 ///
-/// Runs on the batched scenario engine ([`rta_core::BatchAnalyzer`] over
-/// the persistent worker pool, which sizes itself): each participating
-/// thread builds a [`ShopSampler`] once and redraws every set it claims
-/// into that sampler's reusable `TaskSystem` (plus a cloned
-/// [`AnalysisConfig`]), so the per-set cost is the random draws and the
-/// warm, workspace-backed analysis — no per-set Strings, builders, or
-/// shared-state captures.
+/// Runs on the persistent worker pool, which sizes itself
+/// ([`pool_map_stateful`]): each participating thread builds a
+/// [`ShopSampler`] once and redraws every set it claims into that
+/// sampler's reusable `TaskSystem` (plus a cloned [`AnalysisConfig`]), so
+/// the per-set cost is the random draws and the warm, workspace-backed
+/// analysis — no per-set Strings, builders, or shared-state captures.
 ///
 /// The estimate is a pure function of `(base, method, sets, master_seed,
 /// acfg)`: the sampler is draw-for-draw identical to `generate`
@@ -117,30 +117,29 @@ pub fn admission_probability(
     assert!(sets >= 1);
     let mut shop = base.clone();
     shop.scheduler = method.scheduler();
-    let batch = rta_core::BatchAnalyzer::new(acfg.clone());
-    let admitted = batch
-        .run(
-            sets as usize,
-            move |cfg| (ShopSampler::new(shop.clone()), cfg.clone()),
-            move |(sampler, cfg), i| {
-                let Ok(sampler) = sampler else {
-                    // Template construction failed: `generate` would fail
-                    // identically for every seed, so nothing admits.
-                    return false;
-                };
-                let seed = master_seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(i as u64);
-                let mut rng = StdRng::seed_from_u64(seed);
-                match sampler.sample(&mut rng) {
-                    Ok(sys) => decide(sys, method, cfg),
-                    Err(_) => false,
-                }
-            },
-        )
-        .into_iter()
-        .filter(|&a| a)
-        .count();
+    let acfg = acfg.clone();
+    let admitted = pool_map_stateful(
+        sets as usize,
+        move || (ShopSampler::new(shop.clone()), acfg.clone()),
+        move |(sampler, cfg), i| {
+            let Ok(sampler) = sampler else {
+                // Template construction failed: `generate` would fail
+                // identically for every seed, so nothing admits.
+                return false;
+            };
+            let seed = master_seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(i as u64);
+            let mut rng = StdRng::seed_from_u64(seed);
+            match sampler.sample(&mut rng) {
+                Ok(sys) => decide(sys, method, cfg),
+                Err(_) => false,
+            }
+        },
+    )
+    .into_iter()
+    .filter(|&a| a)
+    .count();
     admitted as f64 / sets as f64
 }
 

@@ -18,14 +18,20 @@ use rta_core::sensitivity::region::{explore_region, RegionConfig};
 use rta_core::sensitivity::Oracle;
 use rta_core::{analyze_bounds, analyze_exact_spp, AnalysisConfig, AnalysisSession};
 use rta_curves::arena::Scratch;
-use rta_curves::{Curve, SoaCursor, SoaCurve, Time};
+use rta_curves::{SoaCursor, SoaCurve, Time};
 use rta_model::jobshop::{generate, ShopArrivals, ShopConfig};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::{ArrivalPattern, Job, SchedulerKind, Subjob, SystemBuilder, TaskSystem};
 
-fn arrivals(n: i64, gap: i64) -> Curve {
+/// A periodic arrival curve with `n` events spaced `gap` apart, scaled by
+/// `k`.
+fn arrivals(n: i64, gap: i64, k: i64) -> SoaCurve {
     let times: Vec<Time> = (0..n).map(|i| Time(i * gap)).collect();
-    Curve::from_event_times(&times)
+    let mut counts = SoaCurve::zero();
+    SoaCurve::from_event_times_into(&times, &mut counts);
+    let mut c = SoaCurve::zero();
+    counts.scale_into(k, &mut c);
+    c
 }
 
 fn shop(scheduler: SchedulerKind, stages: usize, n_jobs: usize) -> TaskSystem {
@@ -139,8 +145,8 @@ fn main() {
     // The curve kernels on the merge-heavy shapes the fixpoint inner loop
     // produces, with warm output buffers.
     {
-        let sa = SoaCurve::from_curve(&arrivals(256, 7).scale(3));
-        let sc = SoaCurve::from_curve(&arrivals(256, 11).scale(2));
+        let sa = arrivals(256, 7, 3);
+        let sc = arrivals(256, 11, 2);
         let mut soa_out = SoaCurve::zero();
         b.run("soa/linear_combine/256", || {
             rta_curves::soa::linear_combine_into(&sa, 2, &sc, -1, &mut soa_out)
@@ -153,12 +159,12 @@ fn main() {
         });
     }
 
-    // Cursor sweep vs front-rescanning pseudo-inverse (Theorem-1 loop).
+    // Cursor sweep vs front-rescanning pseudo-inverse (Theorem-1 loop):
+    // the rescan starts one fresh cursor per query.
     for n in [128i64, 1024] {
-        let arr = arrivals(n, 10);
-        let soa = SoaCurve::from_curve(&arr);
+        let arr = arrivals(n, 10, 1);
         b.run(&format!("inverse_sweep/cursor/{n}"), || {
-            let mut cur = SoaCursor::new(&soa);
+            let mut cur = SoaCursor::new(&arr);
             let mut acc = Time::ZERO;
             for m in 1..=n {
                 if let Some(t) = cur.inverse_at(m) {
@@ -170,7 +176,7 @@ fn main() {
         b.run(&format!("inverse_sweep/rescan/{n}"), || {
             let mut acc = Time::ZERO;
             for m in 1..=n {
-                if let Some(t) = arr.inverse_at(m) {
+                if let Some(t) = SoaCursor::new(&arr).inverse_at(m) {
                     acc += t;
                 }
             }
@@ -181,15 +187,15 @@ fn main() {
     // Policy-seam overhead: identical Theorem 5/6 inputs through the
     // chain itself and through `policy_for(...).service_bounds` (one vtable
     // hop plus `BoundsInputs` construction per call). Both run on the same
-    // SoA operands, converted once up front, each with its own warm
+    // operands, built once up front, each with its own warm
     // `Scratch` and output buffer, so the pair pins the trait dispatch as
     // noise (<5%) next to the curve algebra.
     {
         use rta_core::policy::{policy_for, BoundsInputs};
         use rta_core::spnp::{spnp_bounds, SoaServiceBounds};
         use rta_core::SpnpAvailability;
-        let workload = SoaCurve::from_curve(&arrivals(48, 10).scale(3));
-        let hp_work = SoaCurve::from_curve(&arrivals(48, 14).scale(2));
+        let workload = arrivals(48, 10, 3);
+        let hp_work = arrivals(48, 14, 2);
         let mut hp = SoaServiceBounds::zeroed();
         spnp_bounds(
             &hp_work,

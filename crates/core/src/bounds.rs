@@ -38,7 +38,7 @@ use crate::error::AnalysisError;
 use crate::fixpoint::{ensure_bounds, ensure_soa_curves, with_workspace, LoopWorkspace};
 use crate::policy::{BoundsInputs, PeerInputs};
 use crate::report::{BoundsReport, JobBound};
-use rta_curves::{Curve, SoaCursor, SoaCurve, Time};
+use rta_curves::{SoaCursor, SoaCurve, Time};
 use rta_model::{JobId, ProcessorId, TaskSystem};
 
 /// The per-hop worst-case delay of Equation 12: the maximal horizontal
@@ -189,14 +189,14 @@ fn node_pass(
 pub fn lower_service_curves(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
-) -> Result<Vec<Curve>, AnalysisError> {
+) -> Result<Vec<SoaCurve>, AnalysisError> {
     sys.validate(true)?;
     let (window, horizon) = cfg.try_resolve(sys)?;
     with_workspace(|ws| {
         node_pass(sys, cfg, window, horizon, ws, false)?;
         Ok(ws.cur[..ws.refs.len()]
             .iter()
-            .map(|b| b.lower.to_curve())
+            .map(|b| b.lower.clone())
             .collect())
     })
 }

@@ -1,12 +1,17 @@
-//! Classical uniprocessor schedulability results, used as test oracles.
+//! Classical uniprocessor schedulability results. Their role is that of
+//! independent test oracles: the references the `holistic` unit tests and
+//! `tests/cross_method.rs` compare the paper's analyses against. No
+//! production path calls them.
 //!
 //! * [`rta_uniprocessor`] — the exact response-time analysis of Joseph &
 //!   Pandya (1986) / Audsley et al. for synchronous periodic tasks under
 //!   preemptive static priorities, extended to multiple pending instances
 //!   (Lehoczky's arbitrary-deadline busy-period scan). On a single SPP
-//!   processor it must agree with the paper's exact analysis — a strong
-//!   cross-check exercised by the integration tests.
-//! * [`liu_layland_bound`] — the 1973 utilization bound `n(2^{1/n} − 1)`.
+//!   processor it must agree with the paper's exact analysis and with the
+//!   holistic baseline.
+//! * [`liu_layland_bound`] — the Liu & Layland (1973) utilization bound
+//!   `n(2^{1/n} − 1)`, the classical sufficient test, and [`utilization`],
+//!   which `tests/cross_method.rs` uses to pick its task sets.
 
 use rta_curves::Time;
 

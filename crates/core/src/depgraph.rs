@@ -313,7 +313,7 @@ impl DirtyCone {
 
 /// Topologically order the subjobs; errors with the residual node set on a
 /// cycle. Callers that also need the graph build it once and ask it
-/// ([`DepGraph::evaluation_order`]).
+/// (`DepGraph::evaluation_order`).
 pub fn evaluation_order(sys: &TaskSystem, idx: &SubjobIndex) -> Result<Vec<usize>, AnalysisError> {
     DepGraph::new(sys, idx).evaluation_order(idx)
 }

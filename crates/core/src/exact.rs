@@ -34,40 +34,25 @@ pub(crate) fn require_exact_capable(sys: &TaskSystem) -> Result<(), AnalysisErro
     Ok(())
 }
 
-/// The arrival, service and departure curves of one subjob on the analysis
-/// layout — what the exact path computes and the session caches. Reports
-/// convert them once, to [`SubjobCurves`].
-#[derive(Clone, Debug)]
-pub(crate) struct NodeCurves {
-    pub(crate) arrival: SoaCurve,
-    pub(crate) service: SoaCurve,
-    pub(crate) departure: SoaCurve,
-}
-
 /// Compute the arrival/service/departure curves of one subjob from the
 /// curves of its dependencies (predecessor hop and higher-priority peers),
 /// which must already be present in `curves`. `hop0_arrival` optionally
-/// supplies a precomputed pattern curve for first hops (the session's
-/// interned pattern cache); it must equal what
-/// `arrival.arrival_curve(window)` would build. The caller has checked
-/// [`require_exact_capable`].
+/// supplies the first hop's arrival curve (the session reuses the one it
+/// holds); it must equal what `arrival.arrival_curve(window)` builds. The
+/// caller has checked [`require_exact_capable`].
 pub(crate) fn subjob_node_curves(
     sys: &TaskSystem,
     idx: &SubjobIndex,
     i: usize,
     (window, horizon): (Time, Time),
-    curves: &[Option<NodeCurves>],
+    curves: &[Option<SubjobCurves>],
     hop0_arrival: Option<SoaCurve>,
     scratch: &mut Scratch,
-) -> Result<NodeCurves, AnalysisError> {
+) -> Result<SubjobCurves, AnalysisError> {
     let r = idx.subjob(i);
     let subjob = sys.subjob(r);
     let arrival = if r.index == 0 {
-        hop0_arrival.unwrap_or_else(|| {
-            let mut c = SoaCurve::zero();
-            SoaCurve::from_event_times_into(&sys.job(r.job).arrival.release_times(window), &mut c);
-            c
-        })
+        hop0_arrival.unwrap_or_else(|| sys.job(r.job).arrival.arrival_curve(window))
     } else {
         let pred = rta_model::SubjobRef {
             job: r.job,
@@ -90,7 +75,7 @@ pub(crate) fn subjob_node_curves(
     scratch.put_soa(workload);
     let mut departure = SoaCurve::zero();
     service.floor_div_into(subjob.exec.ticks(), horizon, &mut departure)?;
-    Ok(NodeCurves {
+    Ok(SubjobCurves {
         arrival,
         service,
         departure,
@@ -131,11 +116,11 @@ pub(crate) fn job_report(
 }
 
 /// Assemble the per-job Theorem-1 reports from a complete dense curve set,
-/// converting the curves to the report layout.
+/// which the report then keeps.
 pub(crate) fn assemble_exact_report(
     sys: &TaskSystem,
     idx: &SubjobIndex,
-    nodes: &[&NodeCurves],
+    curves: Vec<SubjobCurves>,
     window: Time,
     horizon: Time,
 ) -> ExactReport {
@@ -153,22 +138,15 @@ pub(crate) fn assemble_exact_report(
         jobs.push(job_report(
             job_id,
             job.deadline,
-            &nodes[first].arrival,
-            &nodes[last].departure,
+            &curves[first].arrival,
+            &curves[last].departure,
         ));
     }
     ExactReport {
         window,
         horizon,
         jobs,
-        curves: nodes
-            .iter()
-            .map(|n| SubjobCurves {
-                arrival: n.arrival.to_curve(),
-                service: n.service.to_curve(),
-                departure: n.departure.to_curve(),
-            })
-            .collect(),
+        curves,
     }
 }
 
@@ -189,7 +167,7 @@ pub fn analyze_exact_spp(
     let order = evaluation_order(sys, &idx)?;
 
     let mut scratch = Scratch::new();
-    let mut curves: Vec<Option<NodeCurves>> = vec![None; idx.len()];
+    let mut curves: Vec<Option<SubjobCurves>> = vec![None; idx.len()];
     for i in order {
         curves[i] = Some(subjob_node_curves(
             sys,
@@ -201,11 +179,11 @@ pub fn analyze_exact_spp(
             &mut scratch,
         )?);
     }
-    let nodes: Vec<&NodeCurves> = curves
-        .iter()
-        .map(|c| c.as_ref().expect("all computed"))
+    let curves = curves
+        .into_iter()
+        .map(|c| c.expect("all computed"))
         .collect();
-    Ok(assemble_exact_report(sys, &idx, &nodes, window, horizon))
+    Ok(assemble_exact_report(sys, &idx, curves, window, horizon))
 }
 
 #[cfg(test)]
@@ -345,29 +323,6 @@ mod tests {
         );
         assert_eq!(r.jobs[0].wcrt, Some(Time(13)));
         let _ = t1;
-    }
-
-    #[test]
-    fn hop_level_accessors_decompose_the_chain() {
-        let mut b = SystemBuilder::new();
-        let p1 = b.add_processor("P1", SchedulerKind::Spp);
-        let p2 = b.add_processor("P2", SchedulerKind::Spp);
-        b.add_job(
-            "T1",
-            Time(100),
-            periodic(50),
-            vec![(p1, Time(4)), (p2, Time(6))],
-        );
-        let mut sys = b.build().unwrap();
-        assign_priorities(&mut sys, PriorityPolicy::RelativeDeadlineMonotonic).unwrap();
-        let r = analyze_exact_spp(&sys, &AnalysisConfig::default()).unwrap();
-        // Instance 1: hop 1 completes at 4, hop 2 at 10.
-        assert_eq!(r.hop_completion(0, 1), Some(Time(4)));
-        assert_eq!(r.hop_completion(1, 1), Some(Time(10)));
-        // Sojourns 4 and 6 sum to the end-to-end response.
-        let sojourns = r.hop_sojourns(0, 2, 1);
-        assert_eq!(sojourns, vec![Some(Time(4)), Some(Time(6))]);
-        assert_eq!(r.jobs[0].responses[0], Some(Time(10)));
     }
 
     #[test]

@@ -106,26 +106,13 @@ impl FcfsProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rta_curves::Curve;
-
-    fn workload(times: &[i64], tau: i64) -> SoaCurve {
-        SoaCurve::from_curve(
-            &Curve::from_event_times(&times.iter().map(|&t| Time(t)).collect::<Vec<_>>())
-                .scale(tau),
-        )
-    }
+    use crate::testutil::{departure_time, workload};
 
     fn bounds(f: &FcfsProcessor, c: &SoaCurve, tau: i64) -> SoaServiceBounds {
         let mut out = SoaServiceBounds::zeroed();
         f.service_bounds(c, Time(tau), &mut Scratch::new(), &mut out)
             .unwrap();
         out
-    }
-
-    fn first_departure(s: &SoaCurve, tau: i64, horizon: i64) -> Option<Time> {
-        let mut dep = SoaCurve::zero();
-        s.floor_div_into(tau, Time(horizon), &mut dep).unwrap();
-        dep.to_curve().event_time(1)
     }
 
     #[test]
@@ -175,7 +162,7 @@ mod tests {
         // The instance is provably fully served by its completion time 5.
         assert_eq!(b.lower.eval(Time(5)), 5);
         // Departure bounds: completes somewhere in [0, 5].
-        assert_eq!(first_departure(&b.lower, 5, 50), Some(Time(5)));
+        assert_eq!(departure_time(&b.lower, 5, 50, 1), Some(Time(5)));
     }
 
     #[test]

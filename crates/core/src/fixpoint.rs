@@ -56,7 +56,7 @@
 //!
 //! All interior state — dense subjob tables, arrival/workload curves,
 //! per-subjob bound slots and the curve [`Scratch`] — lives in a per-thread
-//! [`LoopWorkspace`] reused across calls (and shared with the one-pass
+//! `LoopWorkspace` reused across calls (and shared with the one-pass
 //! bounds driver, [`crate::bounds`]). Kernels write into one output buffer
 //! that is copied into the retained slots (DESIGN.md §4d), so a memoized
 //! re-analysis performs O(1) heap allocations once warm (the

@@ -31,32 +31,6 @@ use crate::report::{BoundsReport, JobBound};
 use rta_curves::Time;
 use rta_model::{ArrivalPattern, JobId, SubjobRef, TaskSystem};
 
-/// Converged jitter/response state of a holistic run, reusable to warm-start
-/// the next run.
-///
-/// Seeding is *sound only from below*: the jitter iteration is monotone and
-/// converges to its least fixed point from any state below that fixed point,
-/// so a seed taken from a system with pointwise smaller-or-equal execution
-/// times (e.g. the previous, smaller λ of a scaling sweep) reproduces the
-/// cold-start result exactly in fewer rounds. Callers are responsible for
-/// that precondition; [`crate::AnalysisSession`] enforces it.
-#[derive(Clone, Debug)]
-pub struct HolisticSeed {
-    pub(crate) window: Time,
-    pub(crate) horizon: Time,
-    pub(crate) jitter: Vec<Time>,
-    pub(crate) response: Vec<Time>,
-    pub(crate) diverged: Vec<bool>,
-}
-
-impl HolisticSeed {
-    /// `true` when this seed can start an analysis at frame
-    /// `(window, horizon)` over `n` subjobs.
-    pub fn matches(&self, window: Time, horizon: Time, n: usize) -> bool {
-        self.window == window && self.horizon == horizon && self.jitter.len() == n
-    }
-}
-
 /// Per-thread state of the holistic iteration, reused across calls. The
 /// busy-window scans are scalar arithmetic — microseconds per round — so
 /// the rounds run sequentially in the caller's thread: dispatching them
@@ -95,20 +69,9 @@ pub fn analyze_holistic(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
 ) -> Result<BoundsReport, AnalysisError> {
-    analyze_holistic_seeded(sys, cfg, None).map(|(report, _)| report)
-}
-
-/// [`analyze_holistic`] with an optional warm-start seed; also returns the
-/// converged state as the seed for the next run. See [`HolisticSeed`] for
-/// the from-below soundness precondition.
-pub fn analyze_holistic_seeded(
-    sys: &TaskSystem,
-    cfg: &AnalysisConfig,
-    seed: Option<&HolisticSeed>,
-) -> Result<(BoundsReport, HolisticSeed), AnalysisError> {
     HOL_WS.with(|ws| {
         let mut ws = ws.borrow_mut();
-        analyze_holistic_in(sys, cfg, seed, &mut ws)
+        analyze_holistic_in(sys, cfg, &mut ws)
     })
 }
 
@@ -116,13 +79,13 @@ pub fn analyze_holistic_seeded(
 /// is finite and within its deadline. Same fixed point as
 /// [`analyze_holistic`] (the verdict agrees with
 /// `analyze_holistic(..)?.all_schedulable()` bit for bit) but skips the
-/// report and seed assembly, so a warm call allocates nothing — the form
+/// report assembly, so a warm call allocates nothing — the form
 /// the Monte-Carlo admission sweeps want, where only the verdict survives
 /// the scenario.
 pub fn holistic_schedulable(sys: &TaskSystem, cfg: &AnalysisConfig) -> Result<bool, AnalysisError> {
     HOL_WS.with(|ws| {
         let mut ws = ws.borrow_mut();
-        run_fixpoint(sys, cfg, None, &mut ws)?;
+        run_fixpoint(sys, cfg, &mut ws)?;
         let ws = &*ws;
         for (k, job) in sys.jobs().iter().enumerate() {
             let start = ws.job_start[k];
@@ -141,10 +104,9 @@ pub fn holistic_schedulable(sys: &TaskSystem, cfg: &AnalysisConfig) -> Result<bo
 fn analyze_holistic_in(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
-    seed: Option<&HolisticSeed>,
     ws: &mut HolisticWorkspace,
-) -> Result<(BoundsReport, HolisticSeed), AnalysisError> {
-    let (window, horizon) = run_fixpoint(sys, cfg, seed, ws)?;
+) -> Result<BoundsReport, AnalysisError> {
+    let (window, horizon) = run_fixpoint(sys, cfg, ws)?;
     let mut jobs = Vec::with_capacity(sys.jobs().len());
     for (k, job) in sys.jobs().iter().enumerate() {
         let job_id = JobId(k);
@@ -175,19 +137,11 @@ fn analyze_holistic_in(
             deadline: job.deadline,
         });
     }
-    let report = BoundsReport {
+    Ok(BoundsReport {
         window,
         horizon,
         jobs,
-    };
-    let next_seed = HolisticSeed {
-        window,
-        horizon,
-        jitter: ws.jitter.clone(),
-        response: ws.response.clone(),
-        diverged: ws.diverged.clone(),
-    };
-    Ok((report, next_seed))
+    })
 }
 
 /// Converge the jitter iteration, leaving the fixed point in `ws`
@@ -195,7 +149,6 @@ fn analyze_holistic_in(
 fn run_fixpoint(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
-    seed: Option<&HolisticSeed>,
     ws: &mut HolisticWorkspace,
 ) -> Result<(Time, Time), AnalysisError> {
     sys.validate(true)?;
@@ -225,23 +178,12 @@ fn run_fixpoint(
 
     // Jitter per subjob (measured from the job's nominal release).
     // `diverged` marks subjobs past the cap: their interference is capped.
-    // A matching seed replaces the all-zero start; the iteration below
-    // converges to the same least fixed point from any state below it.
     ws.jitter.clear();
+    ws.jitter.resize(n, Time::ZERO);
     ws.diverged.clear();
+    ws.diverged.resize(n, false);
     ws.response.clear();
-    match seed {
-        Some(s) if s.matches(window, horizon, n) => {
-            ws.jitter.extend_from_slice(&s.jitter);
-            ws.diverged.extend_from_slice(&s.diverged);
-            ws.response.extend_from_slice(&s.response);
-        }
-        _ => {
-            ws.jitter.resize(n, Time::ZERO);
-            ws.diverged.resize(n, false);
-            ws.response.resize(n, Time::ZERO);
-        }
-    }
+    ws.response.resize(n, Time::ZERO);
     ws.jitter_next.clear();
     ws.jitter_next.resize(n, Time::ZERO);
     ws.diverged_next.clear();
@@ -481,40 +423,6 @@ mod tests {
         assert_eq!(h.jobs[0].e2e_bound, Some(Time(11)));
         assert_eq!(h.jobs[0].hop_delays, vec![Some(Time(4)), Some(Time(7))]);
         assert_eq!(h.jobs[1].e2e_bound, Some(Time(2)));
-    }
-
-    #[test]
-    fn warm_start_from_below_matches_cold() {
-        // A scale-up sequence under a pinned frame: the seed of the smaller
-        // system sits below the larger system's least fixed point, so the
-        // warm run must land on exactly the cold-start result.
-        let mut b = SystemBuilder::new();
-        let p1 = b.add_processor("P1", SchedulerKind::Spp);
-        let p2 = b.add_processor("P2", SchedulerKind::Spp);
-        b.add_job(
-            "T1",
-            Time(200),
-            periodic(20),
-            vec![(p1, Time(3)), (p2, Time(4))],
-        );
-        b.add_job(
-            "T2",
-            Time(200),
-            periodic(30),
-            vec![(p1, Time(5)), (p2, Time(6))],
-        );
-        let mut small = b.build().unwrap();
-        assign_priorities(&mut small, PriorityPolicy::RelativeDeadlineMonotonic).unwrap();
-        let big = small.with_scaled_exec(1.25);
-        let cfg = AnalysisConfig {
-            arrival_window: Some(Time(120)),
-            horizon: Some(Time(400)),
-            ..AnalysisConfig::default()
-        };
-        let (_, seed) = analyze_holistic_seeded(&small, &cfg, None).unwrap();
-        let cold = analyze_holistic(&big, &cfg).unwrap();
-        let (warm, _) = analyze_holistic_seeded(&big, &cfg, Some(&seed)).unwrap();
-        assert_eq!(format!("{cold}"), format!("{warm}"));
     }
 
     #[test]

@@ -85,7 +85,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod bounds;
 pub mod classic;
 mod config;
@@ -99,14 +98,12 @@ pub mod par;
 pub mod policy;
 mod report;
 pub mod sensitivity;
-pub mod server;
 pub mod service;
 pub mod session;
 pub mod spnp;
 pub mod spp;
 pub mod wcdfp;
 
-pub use batch::BatchAnalyzer;
 pub use bounds::analyze_bounds;
 pub use config::{AnalysisConfig, SpnpAvailability};
 pub use error::AnalysisError;
@@ -114,3 +111,27 @@ pub use exact::analyze_exact_spp;
 pub use report::{BoundsReport, ExactReport, JobBound, JobReport, SubjobCurves};
 pub use service::{AdmissionService, ServiceConfig, ServiceError, Verdict};
 pub use session::{AnalysisSession, SessionStats};
+
+#[cfg(test)]
+mod testutil {
+    use rta_curves::{SoaCursor, SoaCurve, Time};
+
+    /// The `τ`-workload `c = τ·f_arr` of instances released at `times`.
+    pub(crate) fn workload(times: &[i64], tau: i64) -> SoaCurve {
+        let times: Vec<Time> = times.iter().map(|&t| Time(t)).collect();
+        let mut arrivals = SoaCurve::zero();
+        SoaCurve::from_event_times_into(&times, &mut arrivals);
+        let mut c = SoaCurve::zero();
+        arrivals.scale_into(tau, &mut c);
+        c
+    }
+
+    /// Completion time of instance `m` (1-based) under service `s` of
+    /// `τ`-instances: the departure function `⌊S/τ⌋` of Theorem 2 on
+    /// `[0, horizon]`, inverted at `m`.
+    pub(crate) fn departure_time(s: &SoaCurve, tau: i64, horizon: i64, m: i64) -> Option<Time> {
+        let mut dep = SoaCurve::zero();
+        s.floor_div_into(tau, Time(horizon), &mut dep).unwrap();
+        SoaCursor::new(&dep).inverse_at(m)
+    }
+}

@@ -25,8 +25,8 @@
 //!   overhead stays constant-per-participant even for thousand-element maps.
 //! * [`pool_map_stateful`] additionally gives every participating thread a
 //!   private, `init`-built state value threaded through its `f` calls — the
-//!   substrate for batched Monte-Carlo sweeps that reuse warm analysis
-//!   sessions per thread.
+//!   substrate for batched Monte-Carlo sweeps that reuse a scenario sampler
+//!   and warm buffers per thread.
 //!
 //! Results are returned in index order and are deterministic: which thread
 //! computes `f(i)` never affects the output.
@@ -152,16 +152,21 @@ where
 /// thread makes.
 ///
 /// This is the hook that lets Monte-Carlo sweeps reuse expensive per-thread
-/// resources (analysis sessions, curve arenas) across the scenarios a thread
-/// happens to process: a thread calls `init()` exactly once, then evaluates
-/// each claimed index with `&mut` access to its state. `S` never crosses a
-/// thread boundary, so it needs neither `Send` nor `Sync` — a
-/// [`rta_curves::Scratch`] works fine.
+/// resources (a scenario sampler, warm buffers) across the scenarios a
+/// thread happens to process: a thread calls `init()` exactly once, then
+/// evaluates each claimed index with `&mut` access to its state. `S` never
+/// crosses a thread boundary, so it needs neither `Send` nor `Sync` — a
+/// [`rta_curves::Scratch`] works fine. The admission sweeps derive job set
+/// `i` from a seed inside `f`, so no `Vec<TaskSystem>` ever materializes.
 ///
-/// Which indices land on which thread (and hence on which state value) is
-/// **not** deterministic; results are deterministic only when `f(state, i)`
-/// depends on mutations of `state` in a value-independent way (caches,
-/// arenas, warm buffers — not accumulators).
+/// Determinism contract: the returned `Vec` is index-ordered, but which
+/// indices land on which thread (and hence on which state value) is **not**
+/// deterministic, so results are reproducible only when `f(state, i)`
+/// depends on `state` through value-independent reuse (caches, warm
+/// buffers), never through accumulation. Carrying one scenario's analysis
+/// state (a fixpoint memo, a verdict) into the next would break this and
+/// would be unsound besides: such state belongs to the system it was
+/// computed on.
 pub fn pool_map_stateful<S, T, I, F>(n: usize, init: I, f: F) -> Vec<T>
 where
     T: Send + 'static,

@@ -97,10 +97,9 @@ impl SimScheduler for FcfsSim {
 mod tests {
     use super::*;
     use crate::config::SpnpAvailability;
-    use rta_curves::Curve;
 
     fn workload(at: i64) -> SoaCurve {
-        SoaCurve::from_curve(&Curve::from_event_times(&[Time(at)]).scale(4))
+        crate::testutil::workload(&[at], 4)
     }
 
     fn bounds_via_policy(

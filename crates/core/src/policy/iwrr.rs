@@ -246,12 +246,12 @@ mod tests {
         let workloads: Vec<SoaCurve> = peers
             .iter()
             .map(|&o| {
-                SoaCurve::from_curve(
-                    &sys.job(o.job)
-                        .arrival
-                        .arrival_curve(window)
-                        .scale(sys.subjob(o).exec.ticks()),
-                )
+                let mut c = SoaCurve::zero();
+                sys.job(o.job)
+                    .arrival
+                    .arrival_curve(window)
+                    .scale_into(sys.subjob(o).exec.ticks(), &mut c);
+                c
             })
             .collect();
         let refs: Vec<&SoaCurve> = workloads.iter().collect();

@@ -255,7 +255,7 @@ pub fn all_policies() -> Vec<&'static dyn ServicePolicy> {
 
 /// Per-processor policy contexts, built lazily — the single home of the
 /// slot bookkeeping of the bounds and fixpoint drivers. A context that is
-/// dropped ([`ProcessorContexts::remove`], [`ProcessorContexts::clear`])
+/// dropped ([`ProcessorContexts::remove`], `ProcessorContexts::clear`)
 /// keeps its storage, and the next [`ProcessorContexts::ensure`] rebuilds
 /// it there through [`ServicePolicy::rebuild_context`].
 #[derive(Default)]

@@ -88,11 +88,11 @@ mod tests {
     use super::super::policy_for;
     use super::*;
     use crate::config::SpnpAvailability;
-    use rta_curves::{Curve, SoaCurve, Time};
+    use rta_curves::Time;
 
     #[test]
     fn bounds_match_the_kernel_verbatim() {
-        let c = SoaCurve::from_curve(&Curve::from_event_times(&[Time(0), Time(10)]).scale(4));
+        let c = crate::testutil::workload(&[0, 10], 4);
         let mut scratch = Scratch::new();
         let mut via_policy = SoaServiceBounds::zeroed();
         policy_for(SchedulerKind::Spp)

@@ -1,17 +1,17 @@
 //! Analysis result types.
 
-use rta_curves::{Curve, Time};
+use rta_curves::{SoaCurve, Time};
 use rta_model::JobId;
 
 /// The three cumulative functions of one subjob from an exact analysis.
 #[derive(Clone, Debug)]
 pub struct SubjobCurves {
     /// Arrival function `f_arr` (Definition 1).
-    pub arrival: Curve,
+    pub arrival: SoaCurve,
     /// Service function `S` (Definition 4).
-    pub service: Curve,
+    pub service: SoaCurve,
     /// Departure function `f_dep = ⌊S/τ⌋` (Theorem 2).
-    pub departure: Curve,
+    pub departure: SoaCurve,
 }
 
 /// Per-job outcome of the exact analysis (Theorem 1).
@@ -54,36 +54,6 @@ impl ExactReport {
     /// Whether every job meets its deadline.
     pub fn all_schedulable(&self) -> bool {
         self.jobs.iter().all(JobReport::schedulable)
-    }
-
-    /// Completion time of instance `m` (1-based) at a given hop, read off
-    /// the hop's departure function. `None` when the instance does not
-    /// provably complete that hop within the horizon.
-    ///
-    /// `subjob_index` is the position in `TaskSystem::all_subjobs()` order
-    /// (job-major), i.e. the same indexing as [`ExactReport::curves`].
-    pub fn hop_completion(&self, subjob_index: usize, m: i64) -> Option<Time> {
-        self.curves[subjob_index].departure.event_time(m)
-    }
-
-    /// Per-hop sojourn times of instance `m` of a job: time from arrival at
-    /// each hop to its completion there. Uses the dense subjob indexing of
-    /// [`ExactReport::curves`]; `first_subjob_index` is the index of the
-    /// job's hop 0.
-    pub fn hop_sojourns(
-        &self,
-        first_subjob_index: usize,
-        n_hops: usize,
-        m: i64,
-    ) -> Vec<Option<Time>> {
-        (0..n_hops)
-            .map(|j| {
-                let i = first_subjob_index + j;
-                let arr = self.curves[i].arrival.event_time(m)?;
-                let dep = self.curves[i].departure.event_time(m)?;
-                Some(dep - arr)
-            })
-            .collect()
     }
 }
 

@@ -11,8 +11,8 @@
 //! The whole grid is driven through **one** [`AnalysisSession`]:
 //!
 //! * moving along the scale axis is [`AnalysisSession::schedulable_at_scale`]
-//!   — an in-place exec rewrite that reuses interned pattern curves and the
-//!   verdict memo;
+//!   — an in-place exec rewrite that reuses the jobs' arrival curves and
+//!   the verdict memo;
 //! * moving along the burst axis is one [`AnalysisSession::set_arrival`]
 //!   delta per bursty job — a structural edit that invalidates exactly what
 //!   the new envelope can reach.
@@ -21,7 +21,7 @@
 //! the **inner** axis. For the exact oracle that is the burst axis: a
 //! burst edit dirties only the subjobs on the processors the train
 //! crosses, so the session re-derives that cone and reuses every other
-//! cached subjob curve and interned envelope verbatim (and re-probing the
+//! cached subjob curve and arrival curve verbatim (and re-probing the
 //! unchanged scale leaves the caches clean). For the bounds-based oracles
 //! — whose per-processor fixpoint memo an execution-time delta drops
 //! entirely, and which reuse only verdict memos across scales — the scale
@@ -234,7 +234,7 @@ pub fn explore_region(
         // Scale-outer, burst-inner: the inner delta is one `set_arrival`
         // per bursty job, whose dirty cone covers only the processors the
         // burst train crosses — the exact path's cached subjob curves and
-        // interned envelopes of every untouched job are reused verbatim,
+        // arrival curves of every untouched job are reused verbatim,
         // and `scale_exec` at an unchanged factor leaves them all clean.
         // Both axes are monotone, so a column stops at its first
         // unschedulable burst, and the first column that fails at the

@@ -192,7 +192,8 @@ pub struct TenantStats {
     pub jobs: usize,
     /// The warm session's reuse counters.
     pub session: SessionStats,
-    /// Distinct curves interned in the tenant's arena.
+    /// First-hop arrival curves the tenant's session holds (the `STATS`
+    /// reply's `interned=`): at most one per job.
     pub interned_curves: usize,
 }
 

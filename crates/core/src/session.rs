@@ -28,16 +28,16 @@
 //!   job's processors; a priority move: that processor; an execution-time
 //!   or frame change: all of them), and the next run evaluates only those
 //!   and copies the rest — exact, because every input of a subjob's bounds
-//!   lies on its own processor or in its own job. The holistic driver
-//!   warm-starts from the carried [`crate::holistic::HolisticSeed`] when
-//!   sound (see that type for the from-below argument).
+//!   lies on its own processor or in its own job.
 //! * **Verdict memoization** — execution times are quantized to ticks, so a
 //!   narrowing bisection re-visits *identical* systems once `λ` steps fall
 //!   below one tick; schedulability verdicts are cached on the execution
 //!   vector (bounded FIFO) and repeated probes cost a hash lookup.
-//! * **Interned pattern curves** — hop-0 arrival curves live in a
-//!   [`CurveArena`], so jobs sharing a pattern (and repeated re-analyses)
-//!   share one structural copy.
+//! * **Reused arrival curves** — a dirty first hop takes the arrival curve
+//!   its job's cached curves already hold, unless the job's pattern or the
+//!   arrival window changed since; only then is the curve rebuilt. Nothing
+//!   is keyed by curve content and nothing outlives its job, so the
+//!   session's curve memory is bounded by the jobs it holds.
 //!
 //! ## Frames
 //!
@@ -46,8 +46,8 @@
 //! the free analysis functions — bit-compatible, but execution-time deltas
 //! move the horizon and force full recomputes. A pinned session
 //! ([`AnalysisSession::pinned`]) resolves the frame once, from the initial
-//! system, and reuses it for every run: caches, memos and seeds stay valid
-//! across scale deltas. Verdicts under a pinned frame are still sound (an
+//! system, and reuses it for every run: caches and memos stay valid across
+//! scale deltas. Verdicts under a pinned frame are still sound (an
 //! undersized horizon can only leave instances unresolved, which reads as
 //! unschedulable), and they are bit-identical to a cold analysis *given the
 //! same pinned configuration*.
@@ -57,14 +57,11 @@ use std::collections::{HashMap, VecDeque};
 use crate::config::AnalysisConfig;
 use crate::depgraph::{DepGraph, DirtyCone, SubjobIndex};
 use crate::error::AnalysisError;
-use crate::exact::{
-    assemble_exact_report, job_report, require_exact_capable, subjob_node_curves, NodeCurves,
-};
+use crate::exact::{assemble_exact_report, job_report, require_exact_capable, subjob_node_curves};
 use crate::fixpoint::{analyze_with_loops_memo, LoopMemo};
-use crate::holistic::{analyze_holistic_seeded, HolisticSeed};
-use crate::report::{BoundsReport, ExactReport};
+use crate::report::{BoundsReport, ExactReport, SubjobCurves};
 use crate::sensitivity::Oracle;
-use rta_curves::{CurveArena, CurveId, Scratch, SoaCurve, Time};
+use rta_curves::{Scratch, Time};
 use rta_model::{ArrivalPattern, Job, JobId, ModelError, ProcessorId, SubjobRef, TaskSystem};
 
 /// Counters describing how much work a session reused vs. recomputed.
@@ -82,9 +79,27 @@ pub struct SessionStats {
     pub verdict_hits: u64,
     /// Schedulability verdicts that required an analysis.
     pub verdict_misses: u64,
-    /// Holistic runs that started from a carried seed (the loops fixpoint
-    /// reports its reuse through the subjob counters above).
+    /// Analyses warm-started from a carried iterate. No driver carries
+    /// one (the loops fixpoint reports its reuse through the subjob
+    /// counters above), so this reads 0; it stays for the `STATS` reply's
+    /// `warm_starts=` field.
     pub warm_starts: u64,
+}
+
+/// The first-hop arrival curves a session holds, and how often it reused
+/// them, in the counter shape that readers summing curve lookups expect.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct ArrivalCurveStats {
+    /// First-hop arrival curves the session holds: one per job whose exact
+    /// curves are cached.
+    pub curves: usize,
+    /// Dirty first hops that reused the arrival curve their job held.
+    pub intern_hits: u64,
+    /// Curve operations answered from a memo table. The session keeps
+    /// none, so this reads 0.
+    pub memo_hits: u64,
+    /// Curve operations computed past a memo table — 0, like `memo_hits`.
+    pub memo_misses: u64,
 }
 
 /// Bound on the verdict memo table (FIFO eviction).
@@ -117,14 +132,15 @@ pub struct AnalysisSession {
     pinned: Option<Result<(Time, Time), ModelError>>,
     /// Frame of the cached exact curves; a frame change dirties everything.
     cached_frame: Option<(Time, Time)>,
-    /// Cached exact curves and direct-dirty marks, rows parallel to jobs.
-    curves: Vec<Vec<Option<NodeCurves>>>,
+    /// Cached exact curves and direct-dirty marks, rows parallel to jobs. A
+    /// cached first hop's arrival curve always belongs to the job's current
+    /// pattern over the cached window: a pattern or window change drops it.
+    curves: Vec<Vec<Option<SubjobCurves>>>,
     dirty: Vec<Vec<bool>>,
     /// Kernel temporaries of the exact path.
     scratch: Scratch,
-    arena: CurveArena,
-    /// Interned hop-0 pattern curves keyed by `(job index, window)`.
-    pattern_cache: HashMap<(usize, Time), CurveId>,
+    /// Dirty first hops that reused their job's arrival curve.
+    arrival_reuses: u64,
     /// Subjob index, evaluation order and dependency graph of the exact
     /// path. These depend only on chains, processor assignment and
     /// priorities — never on execution times or arrival patterns — so
@@ -137,9 +153,6 @@ pub struct AnalysisSession {
     /// The loops fixpoint's per-processor memo of final bounds and
     /// contexts.
     loop_memo: LoopMemo,
-    /// Holistic seed plus the execution vector it was computed under (the
-    /// from-below gate needs pointwise comparison).
-    holistic_seed: Option<(HolisticSeed, Vec<i64>)>,
     verdicts: HashMap<VerdictKey, bool>,
     verdict_order: VecDeque<VerdictKey>,
     stats: SessionStats,
@@ -154,8 +167,8 @@ impl AnalysisSession {
     }
 
     /// Open a session whose frame is resolved **once**, from `sys`, and
-    /// pinned for every subsequent run, keeping curve caches, the fixpoint
-    /// memo and seeds valid across deltas. See the module docs for the
+    /// pinned for every subsequent run, keeping curve caches and the
+    /// fixpoint memo valid across deltas. See the module docs for the
     /// soundness trade.
     pub fn pinned(sys: TaskSystem, cfg: AnalysisConfig) -> AnalysisSession {
         Self::build(sys, cfg, true)
@@ -164,7 +177,7 @@ impl AnalysisSession {
     fn build(sys: TaskSystem, cfg: AnalysisConfig, pin: bool) -> AnalysisSession {
         let pinned = pin.then(|| cfg.try_resolve(&sys));
         let n_jobs = sys.jobs().len();
-        let rows: Vec<Vec<Option<NodeCurves>>> = sys
+        let rows: Vec<Vec<Option<SubjobCurves>>> = sys
             .jobs()
             .iter()
             .map(|j| vec![None; j.subjobs.len()])
@@ -183,12 +196,10 @@ impl AnalysisSession {
             curves: rows,
             dirty,
             scratch: Scratch::new(),
-            arena: CurveArena::new(),
-            pattern_cache: HashMap::new(),
+            arrival_reuses: 0,
             structure: None,
             job_sched: vec![None; n_jobs],
             loop_memo: LoopMemo::default(),
-            holistic_seed: None,
             verdicts: HashMap::new(),
             verdict_order: VecDeque::new(),
             stats: SessionStats::default(),
@@ -217,9 +228,18 @@ impl AnalysisSession {
         self.stats
     }
 
-    /// Interning statistics of the session's curve arena.
-    pub fn arena_stats(&self) -> rta_curves::intern::ArenaStats {
-        self.arena.stats()
+    /// The first-hop arrival curves the session holds and their reuse.
+    pub fn arena_stats(&self) -> ArrivalCurveStats {
+        ArrivalCurveStats {
+            curves: self
+                .curves
+                .iter()
+                .filter(|row| row.first().is_some_and(Option::is_some))
+                .count(),
+            intern_hits: self.arrival_reuses,
+            memo_hits: 0,
+            memo_misses: 0,
+        }
     }
 
     fn frame(&self) -> Result<(Time, Time), AnalysisError> {
@@ -252,12 +272,11 @@ impl AnalysisSession {
         }
     }
 
-    /// Structural deltas invalidate anything keyed on the old structure.
-    fn forget_structural_caches(&mut self) {
+    /// Structural deltas invalidate the verdicts, which are keyed on the
+    /// execution vector alone.
+    fn forget_verdicts(&mut self) {
         self.verdicts.clear();
         self.verdict_order.clear();
-        self.holistic_seed = None;
-        self.pattern_cache.clear();
     }
 
     /// Scale every execution time from the **base** system by `factor`
@@ -265,7 +284,7 @@ impl AnalysisSession {
     /// Every workload curve depends on its execution time, so when any
     /// execution time moves the whole cone is dirty and the whole fixpoint
     /// memo is dropped; the cross-run reuse for that case comes from
-    /// verdict memoization, the holistic seed and interned pattern curves.
+    /// verdict memoization and the reused arrival curves.
     /// When quantization maps `factor` onto the execution vector already in
     /// place (re-probing a scale, or a bisection step below one tick),
     /// nothing an analysis depends on has changed and every cached curve
@@ -289,7 +308,7 @@ impl AnalysisSession {
         self.mark_processor_dirty(p);
         self.loop_memo.drop_processor(p);
         self.structure = None; // priorities shape the interference edges
-        self.forget_structural_caches();
+        self.forget_verdicts();
     }
 
     /// Replace one job's arrival pattern (e.g. grow its burst train while
@@ -304,9 +323,9 @@ impl AnalysisSession {
     /// The cache invalidation is similarly narrow: verdict memos are keyed
     /// on execution vectors only, so they must all go, and the fixpoint
     /// memo of the job's processors is dropped (its envelopes feed their
-    /// bounds and contexts) — but pattern curves are keyed per job, so only
-    /// the edited job's envelopes are evicted and every other job's
-    /// interned envelope survives the delta. This is what makes an inner
+    /// bounds and contexts) — but arrival curves are held per job, so only
+    /// the edited job's first hop drops its curves and every other job's
+    /// envelope survives the delta. This is what makes an inner
     /// burst-axis walk of [`crate::sensitivity::region::explore_region`]
     /// cheap: probe after probe, the unedited jobs' curves and verdicts are
     /// reused verbatim.
@@ -316,10 +335,10 @@ impl AnalysisSession {
             *d = true;
         }
         self.loop_memo.drop_job(self.current.job(id));
-        self.verdicts.clear();
-        self.verdict_order.clear();
-        self.holistic_seed = None;
-        self.pattern_cache.retain(|&(job, _), _| job != id.0);
+        self.forget_verdicts();
+        if let Some(first) = self.curves[id.0].first_mut() {
+            *first = None;
+        }
     }
 
     /// Append a job. Existing jobs keep their ids. Only the new job's
@@ -338,7 +357,7 @@ impl AnalysisSession {
         self.dirty.push(vec![true; hops]);
         self.job_sched.push(None);
         self.structure = None;
-        self.forget_structural_caches();
+        self.forget_verdicts();
         id
     }
 
@@ -367,26 +386,11 @@ impl AnalysisSession {
             }
         }
         self.structure = None;
-        self.forget_structural_caches();
+        self.forget_verdicts();
         removed
     }
 
     // ---- exact analysis -------------------------------------------------
-
-    /// Hop-0 arrival curve of job `k`, via the interned pattern cache of
-    /// ingest curves.
-    fn pattern_curve(&mut self, k: usize, window: Time) -> SoaCurve {
-        let id = match self.pattern_cache.get(&(k, window)) {
-            Some(&id) => id,
-            None => {
-                let c = self.current.jobs()[k].arrival.arrival_curve(window);
-                let id = self.arena.intern(c);
-                self.pattern_cache.insert((k, window), id);
-                id
-            }
-        };
-        SoaCurve::from_curve(self.arena.get(id))
-    }
 
     /// Bring the cached curve set up to date: close the dirty marks over
     /// the dependency graph and recompute exactly the cone. On success the
@@ -397,6 +401,13 @@ impl AnalysisSession {
         require_exact_capable(&self.current)?;
         let (window, horizon) = self.frame()?;
         if self.cached_frame != Some((window, horizon)) {
+            if self.cached_frame.map(|(w, _)| w) != Some(window) {
+                // The first-hop arrival curves were built over another
+                // window; a horizon change alone keeps them.
+                for first in self.curves.iter_mut().filter_map(|row| row.first_mut()) {
+                    *first = None;
+                }
+            }
             self.mark_all_dirty();
             self.cached_frame = Some((window, horizon));
         }
@@ -428,20 +439,11 @@ impl AnalysisSession {
             }
         }
 
-        // Pre-resolve pattern curves for dirty first hops (needs `&mut
-        // self` for the arena, so it happens before the rows are detached).
-        let mut hop0: HashMap<usize, SoaCurve> = HashMap::new();
-        for (i, &r) in idx.refs().iter().enumerate() {
-            if r.index == 0 && cone.is_dirty(i) {
-                let c = self.pattern_curve(r.job.0, window);
-                hop0.insert(r.job.0, c);
-            }
-        }
-
         // Move clean entries into the dense working set; recompute the cone
-        // in topological order; move everything back.
+        // in topological order, a dirty first hop taking its job's arrival
+        // curve along; move everything back.
         let mut rows = std::mem::take(&mut self.curves);
-        let mut dense: Vec<Option<NodeCurves>> = idx
+        let mut dense: Vec<Option<SubjobCurves>> = idx
             .refs()
             .iter()
             .enumerate()
@@ -460,7 +462,12 @@ impl AnalysisSession {
                 continue;
             }
             let r = idx.subjob(i);
-            let pattern = (r.index == 0).then(|| hop0.remove(&r.job.0)).flatten();
+            let pattern = if r.index == 0 {
+                rows[r.job.0][0].take().map(|held| held.arrival)
+            } else {
+                None
+            };
+            self.arrival_reuses += u64::from(pattern.is_some());
             match subjob_node_curves(
                 &self.current,
                 idx,
@@ -500,19 +507,19 @@ impl AnalysisSession {
         let (window, horizon) = self.refresh_exact_curves()?;
         self.stats.analyses += 1;
         let idx = &self.structure.as_ref().expect("refreshed").idx;
-        let nodes: Vec<&NodeCurves> = idx
+        let curves = idx
             .refs()
             .iter()
             .map(|&r| {
                 self.curves[r.job.0][r.index]
-                    .as_ref()
+                    .clone()
                     .expect("refreshed cache is complete")
             })
             .collect();
         Ok(assemble_exact_report(
             &self.current,
             idx,
-            &nodes,
+            curves,
             window,
             horizon,
         ))
@@ -580,29 +587,6 @@ impl AnalysisSession {
         self.stats.analyses += 1;
         self.stats.subjobs_reused += copied as u64;
         self.stats.subjobs_recomputed += (n - copied) as u64;
-        Ok(report)
-    }
-
-    /// Holistic (SPP/S&L) analysis, warm-started when sound: the carried
-    /// seed is used only if every execution time it was computed under is
-    /// pointwise ≤ the current one (the from-below precondition of
-    /// [`HolisticSeed`]) and the frame matches.
-    pub fn analyze_holistic(&mut self) -> Result<BoundsReport, AnalysisError> {
-        let cfg = self.config();
-        let (window, horizon) = self.frame()?;
-        let exec = self.exec_vector();
-        let seed = self.holistic_seed.take().filter(|(s, seed_exec)| {
-            s.matches(window, horizon, exec.len())
-                && seed_exec.len() == exec.len()
-                && seed_exec.iter().zip(&exec).all(|(a, b)| a <= b)
-        });
-        if seed.is_some() {
-            self.stats.warm_starts += 1;
-        }
-        let (report, next) =
-            analyze_holistic_seeded(&self.current, &cfg, seed.as_ref().map(|(s, _)| s))?;
-        self.stats.analyses += 1;
-        self.holistic_seed = Some((next, exec));
         Ok(report)
     }
 
@@ -882,6 +866,62 @@ mod tests {
         let warm = session.analyze_with_loops(8).unwrap();
         assert_eq!(session.stats().subjobs_reused - after.subjobs_reused, 4);
         assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+    }
+
+    /// Every curve of a warm report equals the cold report's, across a
+    /// pattern change, a job that moves the arrival window and a
+    /// scale-only rerun; the session holds one arrival curve per job and
+    /// reuses it wherever neither the pattern nor the window moved.
+    #[test]
+    fn reused_arrival_curves_follow_pattern_and_window_changes() {
+        fn assert_curves_match(session: &mut AnalysisSession) {
+            let warm = session.analyze_exact().unwrap();
+            let cold = crate::analyze_exact_spp(session.system(), &session.config()).unwrap();
+            assert_eq!(format!("{cold}"), format!("{warm}"));
+            for (a, b) in cold.curves.iter().zip(&warm.curves) {
+                assert_eq!(
+                    (&a.arrival, &a.service, &a.departure),
+                    (&b.arrival, &b.service, &b.departure)
+                );
+            }
+        }
+        let mut session = AnalysisSession::new(pipeline_system(), AnalysisConfig::default());
+        assert_curves_match(&mut session);
+        assert_eq!(session.arena_stats().intern_hits, 0);
+
+        // T3's pattern changes: only its first hop rebuilds its curve.
+        session.set_arrival(JobId(2), periodic(50));
+        assert_eq!(session.arena_stats().curves, 2);
+        assert_curves_match(&mut session);
+        assert_eq!(session.arena_stats().curves, 3);
+
+        // A scale delta dirties everything but keeps window and patterns.
+        session.scale_exec(1.5);
+        let hits = session.arena_stats().intern_hits;
+        assert_curves_match(&mut session);
+        assert_eq!(session.arena_stats().intern_hits, hits + 3);
+
+        // A longer period moves the window: every arrival is rebuilt.
+        session.add_job(Job {
+            name: "T4".into(),
+            deadline: Time(400),
+            arrival: periodic(200),
+            subjobs: vec![Subjob {
+                processor: rta_model::ProcessorId(1),
+                exec: Time(2),
+                priority: Some(99),
+                weight: None,
+            }],
+        });
+        let hits = session.arena_stats().intern_hits;
+        assert_curves_match(&mut session);
+        assert_eq!(session.arena_stats().intern_hits, hits);
+        assert_eq!(session.arena_stats().curves, 4);
+
+        // Removing a job takes its curve along.
+        session.remove_job(JobId(3));
+        assert_eq!(session.arena_stats().curves, 3);
+        assert_curves_match(&mut session);
     }
 
     #[test]

@@ -155,11 +155,11 @@ pub fn spnp_bounds(
 mod tests {
     use super::*;
     use crate::spp::exact_service_into;
-    use rta_curves::Curve;
+    use crate::testutil::workload;
 
-    /// The chain on an ingest workload with the given peers' bounds.
+    /// The chain on a workload with the given peers' bounds.
     fn chain(
-        c: &Curve,
+        c: &SoaCurve,
         hp: &[&SoaServiceBounds],
         b: Time,
         variant: SpnpAvailability,
@@ -167,16 +167,7 @@ mod tests {
         let lower: Vec<&SoaCurve> = hp.iter().map(|h| &h.lower).collect();
         let upper: Vec<&SoaCurve> = hp.iter().map(|h| &h.upper).collect();
         let mut out = SoaServiceBounds::zeroed();
-        spnp_bounds(
-            &SoaCurve::from_curve(c),
-            &lower,
-            &upper,
-            b,
-            variant,
-            &mut Scratch::new(),
-            &mut out,
-        )
-        .unwrap();
+        spnp_bounds(c, &lower, &upper, b, variant, &mut Scratch::new(), &mut out).unwrap();
         out
     }
 
@@ -193,11 +184,11 @@ mod tests {
 
     #[test]
     fn mismatched_peer_slices_are_rejected() {
-        let c = Curve::from_event_times(&[Time(0)]).scale(2);
+        let c = workload(&[0], 2);
         let hp = chain(&c, &[], Time::ZERO, SpnpAvailability::Conservative);
         let mut out = SoaServiceBounds::zeroed();
         let err = spnp_bounds(
-            &SoaCurve::from_curve(&c),
+            &c,
             &[&hp.lower],
             &[],
             Time::ZERO,
@@ -212,14 +203,9 @@ mod tests {
 
     #[test]
     fn no_blocking_no_interference_brackets_exact() {
-        let c = Curve::from_event_times(&[Time(0), Time(10)]).scale(4);
+        let c = workload(&[0, 10], 4);
         let mut exact = SoaCurve::zero();
-        exact_service_into(
-            &SoaCurve::from_curve(&c),
-            &[],
-            &mut Scratch::new(),
-            &mut exact,
-        );
+        exact_service_into(&c, &[], &mut Scratch::new(), &mut exact);
         for variant in [SpnpAvailability::AsPrinted, SpnpAvailability::Conservative] {
             let b = chain(&c, &[], Time::ZERO, variant);
             check_sane(&b, 25);
@@ -233,7 +219,7 @@ mod tests {
 
     #[test]
     fn blocking_delays_the_lower_bound() {
-        let c = Curve::from_event_times(&[Time(0)]).scale(5);
+        let c = workload(&[0], 5);
         let b = chain(&c, &[], Time(3), SpnpAvailability::Conservative);
         check_sane(&b, 20);
         // Nothing guaranteed during the blocking interval.
@@ -247,9 +233,9 @@ mod tests {
     #[test]
     fn interference_shrinks_bounds() {
         // hp takes [0,4) guaranteed.
-        let hp_c = Curve::from_event_times(&[Time(0)]).scale(4);
+        let hp_c = workload(&[0], 4);
         let hp = chain(&hp_c, &[], Time::ZERO, SpnpAvailability::Conservative);
-        let c = Curve::from_event_times(&[Time(0)]).scale(5);
+        let c = workload(&[0], 5);
         let lo = chain(&c, &[&hp], Time::ZERO, SpnpAvailability::Conservative);
         check_sane(&lo, 20);
         // Lower bound: hp may consume the first 4 ticks ⇒ our 5 units are
@@ -263,9 +249,9 @@ mod tests {
 
     #[test]
     fn variants_are_both_sane() {
-        let hp_c = Curve::from_event_times(&[Time(0), Time(6)]).scale(3);
+        let hp_c = workload(&[0, 6], 3);
         let hp = chain(&hp_c, &[], Time(2), SpnpAvailability::Conservative);
-        let c = Curve::from_event_times(&[Time(0), Time(8)]).scale(4);
+        let c = workload(&[0, 8], 4);
         let printed = chain(&c, &[&hp], Time(2), SpnpAvailability::AsPrinted);
         let conserv = chain(&c, &[&hp], Time(2), SpnpAvailability::Conservative);
         check_sane(&printed, 30);
@@ -290,9 +276,9 @@ mod tests {
     fn warm_scratch_and_dirty_output_do_not_leak() {
         // Repeated calls on one scratch, into one reused output, equal
         // fresh calls — across variants and blocking values.
-        let hp_c = Curve::from_event_times(&[Time(0), Time(6), Time(11)]).scale(3);
+        let hp_c = workload(&[0, 6, 11], 3);
         let hp = chain(&hp_c, &[], Time(2), SpnpAvailability::Conservative);
-        let c = SoaCurve::from_curve(&Curve::from_event_times(&[Time(0), Time(8)]).scale(4));
+        let c = workload(&[0, 8], 4);
         let mut scratch = Scratch::new();
         let mut out = SoaServiceBounds::zeroed();
         for variant in [SpnpAvailability::AsPrinted, SpnpAvailability::Conservative] {
@@ -307,18 +293,14 @@ mod tests {
                     &mut out,
                 )
                 .unwrap();
-                assert_eq!(
-                    out,
-                    chain(&c.to_curve(), &[&hp], b, variant),
-                    "{variant:?} b={b}"
-                );
+                assert_eq!(out, chain(&c, &[&hp], b, variant), "{variant:?} b={b}");
             }
         }
     }
 
     #[test]
     fn lower_bound_capped_by_workload() {
-        let c = Curve::from_event_times(&[Time(0)]).scale(2);
+        let c = workload(&[0], 2);
         let b = chain(&c, &[], Time::ZERO, SpnpAvailability::Conservative);
         for t in 0..=15 {
             assert!(b.lower.eval(Time(t)) <= c.eval(Time(t)));

@@ -33,11 +33,14 @@
 //!
 //! ```
 //! use rta_core::spp::exact_service_into;
-//! use rta_curves::{Curve, Scratch, SoaCurve, Time};
+//! use rta_curves::{Scratch, SoaCursor, SoaCurve, Time};
 //!
 //! // Two instances of 4 ticks each, released at 0 and 10, alone on the
 //! // processor: served back to back within their periods.
-//! let workload = SoaCurve::from_curve(&Curve::from_event_times(&[Time(0), Time(10)]).scale(4));
+//! let mut arrivals = SoaCurve::zero();
+//! SoaCurve::from_event_times_into(&[Time(0), Time(10)], &mut arrivals);
+//! let mut workload = SoaCurve::zero();
+//! arrivals.scale_into(4, &mut workload);
 //! let mut service = SoaCurve::zero();
 //! exact_service_into(&workload, &[], &mut Scratch::new(), &mut service);
 //! assert_eq!(service.eval(Time(4)), 4);   // first instance done
@@ -47,7 +50,7 @@
 //! // Departures per Theorem 2.
 //! let mut dep = SoaCurve::zero();
 //! service.floor_div_into(4, Time(100), &mut dep).unwrap();
-//! assert_eq!(dep.to_curve().event_time(2), Some(Time(14)));
+//! assert_eq!(SoaCursor::new(&dep).inverse_at(2), Some(Time(14)));
 //! ```
 
 use rta_curves::{busy_window_into, sum_many_into, Scratch, SoaCurve, Time, WindowStart};
@@ -57,9 +60,6 @@ use rta_curves::{busy_window_into, sum_many_into, Scratch, SoaCurve, Time, Windo
 /// for the availability `A(t) = t − Σ_h S_h(t)` (Equation 10) its
 /// higher-priority peers' exact services leave over.
 ///
-/// Any nondecreasing availability of slope 0 or 1 can be expressed this
-/// way: a periodic reservation with supply `sbf` passes `t − sbf` as its
-/// one peer ([`crate::server`]).
 pub fn exact_service_into(
     workload: &SoaCurve,
     hp_services: &[&SoaCurve],
@@ -127,23 +127,18 @@ pub(crate) fn peer_sum<'a>(peers: &[&'a SoaCurve], buf: &'a mut SoaCurve) -> &'a
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rta_curves::Curve;
+    use crate::testutil::{departure_time, workload};
 
-    /// The kernel on an ingest workload.
-    fn service(c: &Curve, hp: &[&SoaCurve]) -> SoaCurve {
+    /// The kernel on a fresh scratch and output.
+    fn service(c: &SoaCurve, hp: &[&SoaCurve]) -> SoaCurve {
         let mut out = SoaCurve::zero();
-        exact_service_into(&SoaCurve::from_curve(c), hp, &mut Scratch::new(), &mut out);
+        exact_service_into(c, hp, &mut Scratch::new(), &mut out);
         out
-    }
-
-    /// `τ`-workload of instances released at `times`.
-    fn workload(times: &[i64], tau: i64) -> Curve {
-        Curve::from_event_times(&times.iter().map(|&t| Time(t)).collect::<Vec<_>>()).scale(tau)
     }
 
     /// Brute-force Theorem 3 on the lattice, with the availability `t − Σ`
     /// of the given peer services.
-    fn brute_service(hp: &[&SoaCurve], c: &Curve, horizon: i64) -> Vec<i64> {
+    fn brute_service(hp: &[&SoaCurve], c: &SoaCurve, horizon: i64) -> Vec<i64> {
         let avail = |t: i64| t - hp.iter().map(|s| s.eval(Time(t))).sum::<i64>();
         (0..=horizon)
             .map(|t| {
@@ -157,12 +152,6 @@ mod tests {
                 inner.min(c.eval(Time(t)))
             })
             .collect()
-    }
-
-    fn departure(s: &SoaCurve, tau: i64, horizon: i64) -> Curve {
-        let mut dep = SoaCurve::zero();
-        s.floor_div_into(tau, Time(horizon), &mut dep).unwrap();
-        dep.to_curve()
     }
 
     #[test]
@@ -190,7 +179,7 @@ mod tests {
         for t in 0..=10 {
             assert_eq!(s.eval(Time(t)), t.min(5), "t={t}");
         }
-        assert_eq!(departure(&s, 5, 10).event_time(1), Some(Time(5)));
+        assert_eq!(departure_time(&s, 5, 10, 1), Some(Time(5)));
     }
 
     #[test]
@@ -205,7 +194,7 @@ mod tests {
         assert_eq!(lp_s.eval(Time(16)), 8);
         assert_eq!(lp_s.eval(Time(30)), 8); // no more demand
                                             // Departure: single instance completes at 16.
-        assert_eq!(departure(&lp_s, 8, 30).event_time(1), Some(Time(16)));
+        assert_eq!(departure_time(&lp_s, 8, 30, 1), Some(Time(16)));
     }
 
     #[test]
@@ -274,12 +263,12 @@ mod tests {
     #[test]
     fn warm_scratch_and_dirty_output_do_not_leak() {
         let hp_s = service(&workload(&[0, 6, 11], 3), &[]);
-        let c = SoaCurve::from_curve(&workload(&[0, 8], 4));
+        let c = workload(&[0, 8], 4);
         let mut scratch = Scratch::new();
         let mut out = hp_s.clone(); // dirty
         for _ in 0..3 {
             exact_service_into(&c, &[&hp_s], &mut scratch, &mut out);
-            assert_eq!(out, service(&c.to_curve(), &[&hp_s]));
+            assert_eq!(out, service(&c, &[&hp_s]));
         }
     }
 }

@@ -151,10 +151,7 @@ fn check_against_legacy(sys: &TaskSystem, cfg: &AnalysisConfig) -> Result<(), Te
     let legacy = legacy_compute_nodes(sys, cfg);
     prop_assert_eq!(lower.len(), legacy.len());
     for (i, (curve, node)) in lower.iter().zip(&legacy).enumerate() {
-        prop_assert!(
-            curve == &node.bounds.lower.to_curve(),
-            "subjob {i}: lower bound"
-        );
+        prop_assert!(curve == &node.bounds.lower, "subjob {i}: lower bound");
     }
     Ok(())
 }

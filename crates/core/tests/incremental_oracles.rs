@@ -1,12 +1,11 @@
 //! Oracle tests for the incremental re-analysis engine: every reuse
-//! mechanism (dirty-cone curve caching, the memoized loops fixpoint, the
-//! warm-started holistic fixpoint, verdict memoization) must be
+//! mechanism (dirty-cone curve caching, the memoized loops fixpoint,
+//! verdict memoization) must be
 //! **bit-identical** to a cold start under the same configuration, for
 //! random systems and random deltas.
 
 use proptest::prelude::*;
 use rta_core::fixpoint::analyze_with_loops;
-use rta_core::holistic::{analyze_holistic, analyze_holistic_seeded};
 use rta_core::sensitivity::Oracle;
 use rta_core::{analyze_exact_spp, AnalysisConfig, AnalysisSession, ExactReport};
 use rta_curves::Time;
@@ -263,23 +262,6 @@ proptest! {
         let cold2 = analyze_with_loops(&sys.with_scaled_exec(factor), &cfg, rounds).unwrap();
         let warm2 = session.analyze_with_loops(rounds).unwrap();
         prop_assert_eq!(format!("{cold2}"), format!("{warm2}"));
-    }
-
-    /// Holistic analysis warm-started from below (a uniformly scaled-down
-    /// system) converges to the cold solution exactly.
-    #[test]
-    fn warm_holistic_from_below_matches_cold(specs in arb_jobs(), shrink in 0.3f64..1.0) {
-        let sys = build_sys(&specs);
-        let cfg = AnalysisConfig {
-            arrival_window: Some(Time(400)),
-            horizon: Some(Time(1600)),
-            ..AnalysisConfig::default()
-        };
-        let small = sys.with_scaled_exec(shrink); // ceil(s·c) ≤ c for c ≥ 1
-        let (_, seed) = analyze_holistic_seeded(&small, &cfg, None).unwrap();
-        let cold = analyze_holistic(&sys, &cfg).unwrap();
-        let (warm, _) = analyze_holistic_seeded(&sys, &cfg, Some(&seed)).unwrap();
-        prop_assert_eq!(format!("{cold}"), format!("{warm}"));
     }
 
     /// Bursty (trace-release) workloads through a warm session: scale

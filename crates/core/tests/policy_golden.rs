@@ -22,21 +22,21 @@ use proptest::prelude::*;
 use rta_core::depgraph::{evaluation_order, SubjobIndex};
 use rta_core::spp::exact_service_into;
 use rta_core::{analyze_bounds, analyze_exact_spp, AnalysisConfig};
-use rta_curves::{Curve, Scratch, SoaCursor, SoaCurve, Time};
+use rta_curves::{Scratch, SoaCursor, SoaCurve, Time};
 use rta_model::priority::{assign_priorities, PriorityPolicy};
 use rta_model::{ArrivalPattern, JobId, SchedulerKind, SubjobRef, SystemBuilder, TaskSystem};
 use support::{floor_div, legacy_bounds, pattern, scaled};
 
 /// Legacy `analyze_exact_spp`: Theorem 3 service functions called inline,
 /// Theorem 1 responses read off the chain ends. Returns per-subjob
-/// (arrival, service, departure) curves in the report layout plus per-job
+/// (arrival, service, departure) curves plus per-job
 /// responses.
 #[allow(clippy::type_complexity)]
 fn legacy_exact(
     sys: &TaskSystem,
     cfg: &AnalysisConfig,
 ) -> (
-    Vec<(Curve, Curve, Curve)>,
+    Vec<(SoaCurve, SoaCurve, SoaCurve)>,
     Vec<(Vec<Option<Time>>, Option<Time>)>,
 ) {
     let (window, horizon) = cfg.resolve(sys);
@@ -89,7 +89,9 @@ fn legacy_exact(
             index: job.subjobs.len() - 1,
         })]
         .2;
-        let n = first.to_curve().total_events();
+        // A finite window's arrival curve is a bounded step function: its
+        // final value counts the instances.
+        let n = *first.view().values().last().expect("non-empty");
         let mut arr_cur = SoaCursor::new(first);
         let mut dep_cur = SoaCursor::new(last);
         let mut responses = Vec::new();
@@ -108,10 +110,6 @@ fn legacy_exact(
         }
         jobs.push((responses, wcrt));
     }
-    let curves = curves
-        .iter()
-        .map(|(a, s, d)| (a.to_curve(), s.to_curve(), d.to_curve()))
-        .collect();
     (curves, jobs)
 }
 

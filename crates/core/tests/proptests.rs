@@ -7,22 +7,31 @@ use rta_core::policy::{policy_for, BoundsInputs};
 use rta_core::spnp::{spnp_bounds, SoaServiceBounds};
 use rta_core::spp::exact_service_into;
 use rta_core::SpnpAvailability;
-use rta_curves::{Curve, Scratch, SoaCurve, Time};
+use rta_curves::{Scratch, SoaCurve, Time};
 use rta_model::{ArrivalPattern, ProcessorId, SchedulerKind, SubjobRef, SystemBuilder};
 
 const HORIZON: i64 = 80;
 
-/// The Theorem-3 kernel on an ingest workload, given its peers' services.
-fn exact_service(c: &Curve, hp: &[&SoaCurve]) -> SoaCurve {
+/// The `τ`-workload `c = τ·f_arr` of instances released at `times`.
+fn workload_of(times: &[Time], tau: i64) -> SoaCurve {
+    let mut arrivals = SoaCurve::zero();
+    SoaCurve::from_event_times_into(times, &mut arrivals);
+    let mut c = SoaCurve::zero();
+    arrivals.scale_into(tau, &mut c);
+    c
+}
+
+/// The Theorem-3 kernel on a workload, given its peers' services.
+fn exact_service(c: &SoaCurve, hp: &[&SoaCurve]) -> SoaCurve {
     let mut out = SoaCurve::zero();
-    exact_service_into(&SoaCurve::from_curve(c), hp, &mut Scratch::new(), &mut out);
+    exact_service_into(c, hp, &mut Scratch::new(), &mut out);
     out
 }
 
-/// The production chain on an ingest workload, given its higher-priority
-/// peers' bounds.
+/// The production chain on a workload, given its higher-priority peers'
+/// bounds.
 fn chain(
-    c: &Curve,
+    c: &SoaCurve,
     hp: &[SoaServiceBounds],
     b: i64,
     variant: SpnpAvailability,
@@ -31,7 +40,7 @@ fn chain(
     let upper: Vec<&SoaCurve> = hp.iter().map(|h| &h.upper).collect();
     let mut out = SoaServiceBounds::zeroed();
     spnp_bounds(
-        &SoaCurve::from_curve(c),
+        c,
         &lower,
         &upper,
         Time(b),
@@ -62,7 +71,7 @@ fn chain(
 ///   clamped to `[0, t]` and re-monotonized;
 /// * the upper bound is finally raised to the lower one.
 fn spnp_bounds_per_tick(
-    workload: &Curve,
+    workload: &SoaCurve,
     hp_lo: &[i64],
     hp_up: &[i64],
     b: i64,
@@ -143,20 +152,20 @@ fn spnp_bounds_per_tick(
 }
 
 /// Random workload on a longer lattice: up to 9 arrivals in `[0, 100)`.
-fn arb_long_workload() -> impl Strategy<Value = Curve> {
+fn arb_long_workload() -> impl Strategy<Value = SoaCurve> {
     (prop::collection::vec(0i64..100, 0..10), 1i64..8).prop_map(|(mut ts, tau)| {
         ts.sort();
         let times: Vec<Time> = ts.into_iter().map(Time).collect();
-        Curve::from_event_times(&times).scale(tau)
+        workload_of(&times, tau)
     })
 }
 
 /// Random workload curve: sorted arrival times × a small execution time.
-fn arb_workload() -> impl Strategy<Value = (Curve, i64)> {
+fn arb_workload() -> impl Strategy<Value = (SoaCurve, i64)> {
     (prop::collection::vec(0i64..60, 0..8), 1i64..6).prop_map(|(mut ts, tau)| {
         ts.sort();
         let times: Vec<Time> = ts.into_iter().map(Time).collect();
-        (Curve::from_event_times(&times).scale(tau), tau)
+        (workload_of(&times, tau), tau)
     })
 }
 
@@ -306,7 +315,7 @@ proptest! {
 }
 
 /// `c(t)` on `[0, h]` for each flow's workload, and `c(s⁻)` from it.
-fn ticks_of(c: &Curve, h: i64) -> Vec<i64> {
+fn ticks_of(c: &SoaCurve, h: i64) -> Vec<i64> {
     (0..=h).map(|t| c.eval(Time(t))).collect()
 }
 
@@ -329,7 +338,7 @@ fn clamp_running_max(v: impl Iterator<Item = i64>) -> Vec<i64> {
 /// * lower: `min(c(v⁻), c(t), t)`, clamped at 0 and re-monotonized;
 /// * upper: `min(c(s*) + τ, t, c(t))`, clamped at 0, re-monotonized and
 ///   raised to the lower bound.
-fn fcfs_bounds_per_tick(flows: &[Curve], me: usize, tau: i64, h: i64) -> (Vec<i64>, Vec<i64>) {
+fn fcfs_bounds_per_tick(flows: &[SoaCurve], me: usize, tau: i64, h: i64) -> (Vec<i64>, Vec<i64>) {
     let cs: Vec<Vec<i64>> = flows.iter().map(|c| ticks_of(c, h + 1)).collect();
     let g = |t: i64| cs.iter().map(|c| c[t as usize]).sum::<i64>();
     let c = &cs[me];
@@ -364,7 +373,7 @@ fn fcfs_bounds_per_tick(flows: &[Curve], me: usize, tau: i64, h: i64) -> (Vec<i6
 ///   and re-monotonized;
 /// * upper: `min(t, c(t))`, clamped at 0, re-monotonized and raised to the
 ///   lower bound.
-fn iwrr_bounds_per_tick(c: &Curve, q: i64, l: i64, h: i64) -> (Vec<i64>, Vec<i64>) {
+fn iwrr_bounds_per_tick(c: &SoaCurve, q: i64, l: i64, h: i64) -> (Vec<i64>, Vec<i64>) {
     let c = ticks_of(c, h);
     let c_left = |s: i64| if s == 0 { 0 } else { c[s as usize - 1] };
     let beta = |u: i64| q * (u / l - 1).max(0);
@@ -413,11 +422,10 @@ proptest! {
                     vec![(p, Time(*exec))],
                 );
                 b.set_weight(SubjobRef { job, index: 0 }, *weight);
-                workloads.push(Curve::from_event_times(&times).scale(*exec));
+                workloads.push(workload_of(&times, *exec));
             }
             let sys = b.build().unwrap();
-            let soa: Vec<SoaCurve> = workloads.iter().map(SoaCurve::from_curve).collect();
-            let refs: Vec<&SoaCurve> = soa.iter().collect();
+            let refs: Vec<&SoaCurve> = workloads.iter().collect();
             let policy = policy_for(kind);
             let horizon = Time(h);
             let ctx = policy
@@ -429,7 +437,7 @@ proptest! {
                 policy
                     .service_bounds(
                         &BoundsInputs {
-                            workload: &soa[me],
+                            workload: &workloads[me],
                             tau: Time(*exec),
                             weight: *weight,
                             blocking: Time::ZERO,

@@ -44,7 +44,7 @@ pub fn service_bounds_of(
 
 /// The first-hop arrival curve of `r`'s job over `window`.
 pub fn pattern(sys: &TaskSystem, r: SubjobRef, window: Time) -> SoaCurve {
-    SoaCurve::from_curve(&sys.job(r.job).arrival.arrival_curve(window))
+    sys.job(r.job).arrival.arrival_curve(window)
 }
 
 /// `k · c`, freshly allocated.

@@ -6,34 +6,32 @@
 //! functions, service functions, utilization functions — is a
 //! right-continuous piecewise-linear (PWL) function of time.
 //!
-//! ## One layout
+//! ## One curve type
 //!
-//! The analysis computes on one representation, the structure-of-arrays
+//! Every curve is one representation, the structure-of-arrays
 //! [`SoaCurve`] (three parallel columns of breakpoint starts, values and
-//! slopes), with the exact operations the theorems need:
+//! slopes): arrival patterns are built as `SoaCurve`s
+//! ([`SoaCurve::from_event_times_into`]), the analyses compute on them and
+//! reports hand them back. The exact operations the theorems need:
 //!
-//! * pointwise linear combination, k-way sums, minimum and maximum, prefix
-//!   ("running") extrema, shifts and departure extraction
-//!   `⌊S(t)/τ⌋` ([`soa`]), plus resumable monotone eval/inverse sweeps
-//!   ([`SoaCursor`]);
+//! * pointwise linear combination, k-way sums, minimum and maximum, shifts
+//!   and departure extraction `⌊S(t)/τ⌋` ([`soa`]), plus resumable
+//!   monotone eval/inverse sweeps ([`SoaCursor`]), whose
+//!   [`SoaCursor::inverse_at`] is the pseudo-inverse
+//!   `g⁻¹(y) = min { s : g(s) ≥ y }` of Definition 5;
 //! * the busy-window bound that Theorems 3, 5 and 6 share, in two fused
 //!   merge passes ([`busy`]);
 //! * FCFS on staircases: Theorem 7's utilization with both Theorem 8/9
 //!   serving frontiers in one pass, and each frontier bound in one more
 //!   ([`fcfs`]);
 //! * IWRR on staircases: the convolution of a workload with the strict
-//!   round-robin service curve as one recurrence pass ([`iwrr`]);
-//! * the pseudo-inverse `g⁻¹(y) = min { s : g(s) ≥ y }` at a point
-//!   ([`inverse`]).
+//!   round-robin service curve as one recurrence pass ([`iwrr`]).
 //!
 //! Every kernel writes into a caller-provided curve and draws its
 //! temporaries from a [`Scratch`], so a warm analysis allocates nothing.
-//! The array-of-structs [`Curve`] is the ingest and report type: arrival
-//! patterns are built as `Curve`s ([`counting`]), reports hand `Curve`s
-//! back, and [`SoaCurve::from_curve`] / [`SoaCurve::to_curve`] convert at
-//! those two boundaries. [`CurveArena`] interns ingest curves
-//! ([`intern`]). The lattice min-plus convolution ([`convolution`]) is a
-//! test oracle.
+//! [`SoaCurve::try_from_pieces`] builds a curve from checked
+//! `(start, value, slope)` pieces. The lattice min-plus convolution
+//! ([`convolution`]) is a test oracle.
 //!
 //! ## Exactness model: the tick lattice
 //!
@@ -53,21 +51,23 @@
 //! ## Quick example
 //!
 //! ```
-//! use rta_curves::{Curve, SoaCurve, Time};
+//! use rta_curves::{SoaCursor, SoaCurve, Time};
 //!
 //! // Arrival function of a job released at t = 0, 10, 20 (3 instances).
-//! let arr = Curve::from_event_times(&[Time(0), Time(10), Time(20)]);
+//! let mut arr = SoaCurve::zero();
+//! SoaCurve::from_event_times_into(&[Time(0), Time(10), Time(20)], &mut arr);
 //! assert_eq!(arr.eval(Time(0)), 1);
 //! assert_eq!(arr.eval(Time(15)), 2);
 //! // Pseudo-inverse: release time of the 2nd instance.
-//! assert_eq!(arr.inverse_at(2), Some(Time(10)));
+//! assert_eq!(SoaCursor::new(&arr).inverse_at(2), Some(Time(10)));
 //!
-//! // Workload function c(t) = f_arr(t) * tau with tau = 4, computed on
-//! // the analysis layout.
+//! // Workload function c(t) = f_arr(t) * tau with tau = 4.
 //! let mut c = SoaCurve::zero();
-//! SoaCurve::from_curve(&arr).scale_into(4, &mut c);
+//! arr.scale_into(4, &mut c);
 //! assert_eq!(c.eval(Time(25)), 12);
-//! assert_eq!(c.to_curve(), arr.scale(4));
+//! // The same curve from its (start, value, slope) pieces.
+//! let pieces = [(0, 4, 0), (10, 8, 0), (20, 12, 0)];
+//! assert_eq!(SoaCurve::try_from_pieces(&pieces), Ok(c));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -76,25 +76,17 @@
 pub mod arena;
 pub mod busy;
 pub mod convolution;
-pub mod counting;
-mod curve;
 pub mod fcfs;
-pub mod intern;
-pub mod inverse;
 pub mod iwrr;
-mod segment;
 pub mod soa;
 mod time;
 mod util;
 
 pub use arena::Scratch;
 pub use busy::{busy_window_into, WindowStart};
-pub use curve::Curve;
 pub use fcfs::{fcfs_context_into, frontier_bound_into};
-pub use intern::{CurveArena, CurveId};
 pub use iwrr::iwrr_bounds_into;
-pub use segment::Segment;
-pub use soa::{linear_combine_line_into, sum_many_into, SoaCursor, SoaCurve, SoaView};
+pub use soa::{sum_many_into, SoaCursor, SoaCurve, SoaView};
 pub use time::{Time, DEFAULT_TICKS_PER_UNIT};
 
 /// Error type for curve construction and operations.

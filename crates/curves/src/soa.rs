@@ -1,16 +1,16 @@
 //! Structure-of-arrays curve kernels.
 //!
 //! [`SoaCurve`] stores a normalized piecewise-linear function in three
-//! parallel arrays (`starts`, `values`, `slopes`). It is the one layout the
-//! analysis computes on: [`Curve`] is only the ingest and report type, and
-//! converts through [`SoaCurve::from_curve`] / [`SoaCurve::to_curve`]. The
-//! hot merge loops walk the breakpoint columns contiguously, keep both
-//! operands' active piece scalars in registers with `i64::MAX` sentinels
-//! for exhausted heads (no `Option` juggling in the merge), and write by
-//! index into pre-sized columns with the normalization predicate checked
-//! inline against a register-cached previous entry — no per-entry
-//! `Vec::push` length/capacity traffic. See [`linear_combine_into`] for the
-//! canonical shape.
+//! parallel arrays (`starts`, `values`, `slopes`). It is the one curve type
+//! of the workspace: arrival patterns are built as `SoaCurve`s
+//! ([`SoaCurve::from_event_times_into`]), the analyses compute on them and
+//! reports hand them back. The hot merge loops walk the breakpoint columns
+//! contiguously, keep both operands' active piece scalars in registers
+//! with `i64::MAX` sentinels for exhausted heads (no `Option` juggling in
+//! the merge), and write by index into pre-sized columns with the
+//! normalization predicate checked inline against a register-cached
+//! previous entry — no per-entry `Vec::push` length/capacity traffic. See
+//! [`linear_combine_into`] for the canonical shape.
 //!
 //! ## Exactness contract
 //!
@@ -25,16 +25,25 @@
 //! curves, dirty output buffers and error paths.
 
 use crate::util::{div_ceil, div_floor};
-use crate::{Curve, CurveError, Segment, Time};
+use crate::{CurveError, Time};
 
 /// A piecewise-linear curve in structure-of-arrays layout: three parallel
 /// arrays of breakpoint starts (ticks), values and slopes.
 ///
-/// Invariants match [`Curve`]: non-empty, first start at zero, strictly
-/// increasing starts, normalized (no segment continues its predecessor's
-/// line). Constructed from an AoS curve ([`SoaCurve::from_curve`]), from
-/// event times ([`SoaCurve::from_event_times_into`]) or as a kernel output;
-/// arbitrary raw construction is not exposed.
+/// It is the common representation for every cumulative function of the
+/// ICPP'98 analysis: arrival functions (`f_arr`), departure functions
+/// (`f_dep`), workload functions (`c`), service functions (`S`) and
+/// utilization functions (`U`). Piece `i` describes the curve on
+/// `[starts[i], starts[i + 1])` (the last piece extends to `+∞`) as
+/// `values[i] + slopes[i] · (t − starts[i])`; curves are right-continuous,
+/// so a jump sits at a breakpoint whenever the previous piece's line,
+/// extended to it, differs from the new piece's value.
+///
+/// Invariants, kept by every constructor and kernel: non-empty, first start
+/// at zero, strictly increasing starts, normalized (no piece continues its
+/// predecessor's line). Built from checked pieces
+/// ([`SoaCurve::try_from_pieces`]), from event times
+/// ([`SoaCurve::from_event_times_into`]) or as a kernel output.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SoaCurve {
     pub(crate) starts: Vec<i64>,
@@ -108,25 +117,32 @@ impl SoaCurve {
         }
     }
 
-    /// Convert an AoS curve, allocating fresh arrays.
-    pub fn from_curve(c: &Curve) -> SoaCurve {
-        let segs = c.segments();
-        SoaCurve {
-            starts: segs.iter().map(|s| s.start.ticks()).collect(),
-            values: segs.iter().map(|s| s.value).collect(),
-            slopes: segs.iter().map(|s| s.slope).collect(),
+    /// Build a curve from `(start, value, slope)` pieces, starts in ticks,
+    /// validating and normalizing: the pieces must be non-empty
+    /// ([`CurveError::Empty`]), start at zero
+    /// ([`CurveError::FirstSegmentNotAtZero`]) and have strictly increasing
+    /// starts ([`CurveError::UnsortedSegments`]); a piece that continues its
+    /// predecessor's line merges into it.
+    pub fn try_from_pieces(pieces: &[(i64, i64, i64)]) -> Result<SoaCurve, CurveError> {
+        match pieces.first() {
+            None => return Err(CurveError::Empty),
+            Some(&(t0, _, _)) if t0 != 0 => return Err(CurveError::FirstSegmentNotAtZero),
+            Some(_) => {}
         }
-    }
-
-    /// Convert back to an AoS [`Curve`], allocating. The curve invariants
-    /// are debug-checked at this boundary, so an SoA curve can never
-    /// silently hand an invariant-violating segment list to a report.
-    pub fn to_curve(&self) -> Curve {
-        Curve::from_normalized(
-            (0..self.len())
-                .map(|i| Segment::new(Time(self.starts[i]), self.values[i], self.slopes[i]))
-                .collect(),
-        )
+        if let Some(index) = (1..pieces.len()).find(|&i| pieces[i].0 <= pieces[i - 1].0) {
+            return Err(CurveError::UnsortedSegments { index });
+        }
+        let mut c = SoaCurve {
+            starts: Vec::new(),
+            values: Vec::new(),
+            slopes: Vec::new(),
+        };
+        c.begin(pieces.len());
+        for &(t, v, m) in pieces {
+            c.push(t, v, m);
+        }
+        c.finish();
+        Ok(c)
     }
 
     /// Overwrite `out` with the counting curve of a sorted sequence of
@@ -213,17 +229,6 @@ impl SoaCurve {
         self.slopes.extend_from_slice(&src.slopes);
     }
 
-    /// Drop all breakpoints strictly after `horizon`, extending the piece
-    /// active at `horizon` to infinity, in place. The result agrees with the
-    /// input on `[0, horizon]` (a normalized prefix of a normalized curve
-    /// needs no re-normalization).
-    pub fn truncate_after(&mut self, horizon: Time) {
-        let i = self.seg_index(horizon.ticks().max(0));
-        self.starts.truncate(i + 1);
-        self.values.truncate(i + 1);
-        self.slopes.truncate(i + 1);
-    }
-
     /// Clear all three arrays (keeping capacity) and reserve room for `cap`
     /// entries — the start of a write session.
     pub(crate) fn begin(&mut self, cap: usize) {
@@ -264,7 +269,7 @@ impl SoaCurve {
     }
 
     /// First integer `t` with `f(t) < f(t−1)`, if any.
-    pub fn first_decrease(&self) -> Option<Time> {
+    fn first_decrease(&self) -> Option<Time> {
         for i in 0..self.len() {
             // A decrease across the breakpoint comes before one inside the
             // piece.
@@ -290,8 +295,9 @@ impl SoaCurve {
         self.first_decrease().is_none()
     }
 
-    /// Check the curve is nondecreasing, returning a descriptive error if
-    /// not.
+    /// Check the curve is nondecreasing, returning
+    /// [`CurveError::NotMonotone`] at the first tick `t` with
+    /// `f(t) < f(t−1)` if not.
     pub fn require_nondecreasing(&self) -> Result<(), CurveError> {
         match self.first_decrease() {
             None => Ok(()),
@@ -323,16 +329,6 @@ impl SoaCurve {
         out.finish();
     }
 
-    /// Pointwise constant offset `self + v`, written into `out`.
-    pub fn add_const_into(&self, v: i64, out: &mut SoaCurve) {
-        let mut w = SoaWriter::new(out, self.len());
-        for i in 0..self.len() {
-            w.emit(self.starts[i], self.values[i] + v, self.slopes[i]);
-        }
-        w.finish();
-        out.finish();
-    }
-
     /// Horizontal shift right by `d ≥ 0` ticks, filling `[0, d)` with
     /// `fill`: `g(t) = f(t − d)` for `t ≥ d`, `g(t) = fill` for `t < d`.
     pub fn shift_right_into(&self, d: Time, fill: i64, out: &mut SoaCurve) {
@@ -359,79 +355,6 @@ impl SoaCurve {
         w.w = k + cnt;
         w.finish();
         out.finish();
-    }
-
-    /// Shared prefix-extremum kernel. The minimum logic runs in a
-    /// sign-folded domain (`max = true` negates every sample on read and
-    /// every output on write), which is exactly `−running_min(−f)` without
-    /// materializing either negation. On the lattice the running minimum of
-    /// a piece is attained at an integer endpoint, so each decreasing piece
-    /// is followed from the first tick it dips below the minimum so far.
-    fn running_extremum_into(&self, max: bool, out: &mut SoaCurve) {
-        let sign: i64 = if max { -1 } else { 1 };
-        // A curve already monotone in the accumulated direction is its own
-        // running extremum, and the general loop below would emit exactly
-        // its pieces back (monotone input never triggers a crossing). Near
-        // the fixpoint the chain tails are monotone almost always, so the
-        // scan-then-copy beats re-emitting piece by piece.
-        let mut monotone = sign * self.slopes[0] <= 0;
-        let mut i = 1;
-        while monotone && i < self.len() {
-            let prev_end =
-                self.values[i - 1] + self.slopes[i - 1] * (self.starts[i] - 1 - self.starts[i - 1]);
-            monotone = sign * self.slopes[i] <= 0 && sign * self.values[i] <= sign * prev_end;
-            i += 1;
-        }
-        if monotone {
-            return copy_view(self.view(), out);
-        }
-        let mut wr = SoaWriter::new(out, 2 * self.len());
-        let mut m = i64::MAX;
-        for i in 0..self.len() {
-            let next_start = self.starts.get(i + 1).copied();
-            let (value, slope) = (sign * self.values[i], sign * self.slopes[i]);
-            if slope >= 0 {
-                let new_m = m.min(value);
-                wr.emit(self.starts[i], sign * new_m, 0);
-                m = new_m;
-            } else {
-                if value <= m {
-                    wr.emit(self.starts[i], self.values[i], self.slopes[i]);
-                } else {
-                    wr.emit(self.starts[i], sign * m, 0);
-                    let off = div_floor(value - m, -slope) + 1;
-                    let tc = self.starts[i] + off;
-                    if next_start.is_none_or(|t1| tc < t1) {
-                        wr.emit(
-                            tc,
-                            self.values[i] + self.slopes[i] * (tc - self.starts[i]),
-                            self.slopes[i],
-                        );
-                    }
-                }
-                if let Some(t1) = next_start {
-                    let last = t1 - 1;
-                    if last >= self.starts[i] {
-                        m = m.min(
-                            sign * (self.values[i] + self.slopes[i] * (last - self.starts[i])),
-                        );
-                    }
-                }
-            }
-        }
-        wr.finish();
-        out.finish();
-    }
-
-    /// The running minimum `t ↦ min_{0 ≤ s ≤ t} f(s)` over the lattice,
-    /// written into `out` — the heart of Theorem 3.
-    pub fn running_min_into(&self, out: &mut SoaCurve) {
-        self.running_extremum_into(false, out);
-    }
-
-    /// The running maximum `t ↦ max_{0 ≤ s ≤ t} f(s)`, written into `out`.
-    pub fn running_max_into(&self, out: &mut SoaCurve) {
-        self.running_extremum_into(true, out);
     }
 
     /// Compute `t ↦ ⌊self(t)/τ⌋` on `[0, horizon]` as a counting curve —
@@ -501,27 +424,19 @@ impl SoaCurve {
     }
 
     // ------------------------------------------------------------------
-    // Binary-op sugar
+    // Pointwise extrema
     // ------------------------------------------------------------------
 
-    /// Pointwise sum `self + rhs`, written into `out`.
-    pub fn add_into(&self, rhs: &SoaCurve, out: &mut SoaCurve) {
-        linear_combine_into(self, 1, rhs, 1, out);
-    }
-
-    /// Pointwise difference `self − rhs`, written into `out`.
-    pub fn sub_into(&self, rhs: &SoaCurve, out: &mut SoaCurve) {
-        linear_combine_into(self, 1, rhs, -1, out);
-    }
-
-    /// Pointwise minimum with another curve, written into `out`.
+    /// Pointwise minimum with another curve, written into `out`, exact at
+    /// every integer tick.
     pub fn min_with_into(&self, rhs: &SoaCurve, out: &mut SoaCurve) {
-        pointwise_min_into(self, rhs, out);
+        extremum_into(self.view(), rhs.view(), false, out);
     }
 
-    /// Pointwise maximum with another curve, written into `out`.
+    /// Pointwise maximum with another curve, written into `out`, exact at
+    /// every integer tick.
     pub fn max_with_into(&self, rhs: &SoaCurve, out: &mut SoaCurve) {
-        pointwise_max_into(self, rhs, out);
+        extremum_into(self.view(), rhs.view(), true, out);
     }
 
     /// Clamp below: `max(self, v)`, written into `out` — e.g. forcing a
@@ -633,53 +548,21 @@ fn grow_columns(columns: [&mut Vec<i64>; 3], need: usize) {
 /// checked against a register-cached previous entry — no per-entry
 /// `Vec::push` length/capacity traffic and no second normalization pass.
 pub fn linear_combine_into(a: &SoaCurve, ca: i64, b: &SoaCurve, cb: i64, out: &mut SoaCurve) {
-    // A zero line folds away inside the fused kernel, including its
-    // one-piece dispatches, so this is the same merge term for term.
-    linear_combine_line_into(a, ca, b, cb, 0, 0, out);
-}
-
-/// `cc·c + lv + lm·t` — a scaled curve plus a line, one pass over `c`'s
-/// breakpoints. The affine term regroups exactly in integer arithmetic,
-/// so this matches the general merge against any one-piece operand that
-/// folds to the same `(lv, lm)`.
-fn combine_line(c: &SoaCurve, cc: i64, lv: i64, lm: i64, out: &mut SoaCurve) {
-    let mut wr = SoaWriter::new(out, c.len());
-    for i in 0..c.len() {
-        let t = c.starts[i];
-        wr.emit(t, cc * c.values[i] + lv + lm * t, cc * c.slopes[i] + lm);
-    }
-    wr.finish();
-    out.finish();
-}
-
-/// `ca·a + cb·b + lv + lm·t` in a single merge pass — the two-operand
-/// combine with an affine tail fused in. Pointwise linear combination is
-/// exact on the real line and the normalized representation of a
-/// piecewise-linear function is canonical, so fusing produces the same
-/// segments as staging the affine term as a separate pass, minus a full
-/// write+read of the intermediate.
-pub fn linear_combine_line_into(
-    a: &SoaCurve,
-    ca: i64,
-    b: &SoaCurve,
-    cb: i64,
-    lv: i64,
-    lm: i64,
-    out: &mut SoaCurve,
-) {
+    // A one-piece operand is a line: fold it into the other operand's
+    // single pass.
     if b.len() == 1 {
-        let (fv, fm) = (
-            lv + cb * (b.values[0] - b.slopes[0] * b.starts[0]),
-            lm + cb * b.slopes[0],
+        let (lv, lm) = (
+            cb * (b.values[0] - b.slopes[0] * b.starts[0]),
+            cb * b.slopes[0],
         );
-        return combine_line(a, ca, fv, fm, out);
+        return combine_line(a, ca, lv, lm, out);
     }
     if a.len() == 1 {
-        let (fv, fm) = (
-            lv + ca * (a.values[0] - a.slopes[0] * a.starts[0]),
-            lm + ca * a.slopes[0],
+        let (lv, lm) = (
+            ca * (a.values[0] - a.slopes[0] * a.starts[0]),
+            ca * a.slopes[0],
         );
-        return combine_line(b, cb, fv, fm, out);
+        return combine_line(b, cb, lv, lm, out);
     }
     let (sa, va, ma) = (
         a.starts.as_slice(),
@@ -703,7 +586,7 @@ pub fn linear_combine_line_into(
     let mut kbm = cb * mb[0];
     let mut na = sa.get(1).copied().unwrap_or(i64::MAX);
     let mut nb = sb.get(1).copied().unwrap_or(i64::MAX);
-    wr.emit(0, ka + kb + lv, kam + kbm + lm);
+    wr.emit(0, ka + kb, kam + kbm);
     loop {
         let t = na.min(nb);
         if t == i64::MAX {
@@ -721,15 +604,30 @@ pub fn linear_combine_line_into(
             kbm = cb * mb[ib];
             nb = sb.get(ib + 1).copied().unwrap_or(i64::MAX);
         }
-        let m = kam + kbm + lm;
-        wr.emit(t, ka + kb + lv + m * t, m);
+        let m = kam + kbm;
+        wr.emit(t, ka + kb + m * t, m);
+    }
+    wr.finish();
+    out.finish();
+}
+
+/// `cc·c + lv + lm·t` — a scaled curve plus a line, one pass over `c`'s
+/// breakpoints. The affine term regroups exactly in integer arithmetic,
+/// so this matches the general merge against a one-piece operand that
+/// folds to the same `(lv, lm)`.
+fn combine_line(c: &SoaCurve, cc: i64, lv: i64, lm: i64, out: &mut SoaCurve) {
+    let mut wr = SoaWriter::new(out, c.len());
+    for i in 0..c.len() {
+        let t = c.starts[i];
+        wr.emit(t, cc * c.values[i] + lv + lm * t, cc * c.slopes[i] + lm);
     }
     wr.finish();
     out.finish();
 }
 
 /// The pointwise sum of `curves`, written into `out` in a single k-way
-/// merge — equivalent to folding [`SoaCurve::add_into`] over the slice
+/// merge — equivalent to folding [`linear_combine_into`] with unit
+/// coefficients over the slice
 /// (pointwise addition is exact and the normalized segment representation
 /// is canonical, so the two agree segment for segment), but each input
 /// breakpoint is visited once instead of once per accumulation step. An
@@ -1049,21 +947,11 @@ fn extremum_with_affine(
     out.finish();
 }
 
-/// Pointwise minimum written into `out`, exact at every integer tick.
-pub fn pointwise_min_into(a: &SoaCurve, b: &SoaCurve, out: &mut SoaCurve) {
-    extremum_into(a.view(), b.view(), false, out);
-}
-
-/// Pointwise maximum written into `out`, exact at every integer tick.
-pub fn pointwise_max_into(a: &SoaCurve, b: &SoaCurve, out: &mut SoaCurve) {
-    extremum_into(a.view(), b.view(), true, out);
-}
-
 /// A forward-only cursor over a **nondecreasing** SoA curve, answering
 /// [`SoaCursor::eval`] and [`SoaCursor::inverse_at`] for monotone query
 /// sequences in amortized O(1) — the Theorem-1 and Eq. 12 instance sweeps
 /// read `f⁻¹(1), f⁻¹(2), …` this way instead of rescanning from the
-/// front. The inverse sweep touches only the `starts`/`values` columns
+/// front. A one-shot pseudo-inverse is `SoaCursor::new(&c).inverse_at(y)`. The inverse sweep touches only the `starts`/`values` columns
 /// until a sloped piece resolves the query, so a counting-curve sweep
 /// streams two flat arrays.
 #[derive(Clone, Debug)]
@@ -1113,7 +1001,8 @@ impl<'a> SoaCursor<'a> {
         self.curve.piece_eval(self.eval_idx, t.ticks())
     }
 
-    /// `curve.inverse_at(y)` — smallest integer `t ≥ 0` with `f(t) ≥ y` —
+    /// The pseudo-inverse `f⁻¹(y) = min { t ≥ 0 : f(t) ≥ y }` (Definition
+    /// 5) on the tick lattice, or `None` when the curve never reaches `y`,
     /// for a nondecreasing sequence of `y`.
     pub fn inverse_at(&mut self, y: i64) -> Option<Time> {
         #[cfg(debug_assertions)]
@@ -1157,12 +1046,8 @@ impl<'a> SoaCursor<'a> {
 mod tests {
     use super::*;
 
-    fn soa(segs: &[(i64, i64, i64)]) -> SoaCurve {
-        SoaCurve::from_curve(&Curve::from_segments(
-            segs.iter()
-                .map(|&(t, v, m)| Segment::new(Time(t), v, m))
-                .collect(),
-        ))
+    fn soa(pieces: &[(i64, i64, i64)]) -> SoaCurve {
+        SoaCurve::try_from_pieces(pieces).unwrap()
     }
 
     /// 0 on [0,5), 2 on [5,10), then slope 1.
@@ -1175,10 +1060,44 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_segments() {
-        for c in [Curve::zero(), Curve::identity(), staircase().to_curve()] {
-            assert_eq!(SoaCurve::from_curve(&c).to_curve(), c);
-        }
+    fn construction_validates() {
+        assert_eq!(SoaCurve::try_from_pieces(&[]), Err(CurveError::Empty));
+        assert_eq!(
+            SoaCurve::try_from_pieces(&[(1, 0, 0)]),
+            Err(CurveError::FirstSegmentNotAtZero)
+        );
+        assert_eq!(
+            SoaCurve::try_from_pieces(&[(0, 0, 0), (0, 1, 0)]),
+            Err(CurveError::UnsortedSegments { index: 1 })
+        );
+        assert_eq!(
+            SoaCurve::try_from_pieces(&[(0, 0, 0), (4, 1, 0), (3, 2, 0)]),
+            Err(CurveError::UnsortedSegments { index: 2 })
+        );
+    }
+
+    #[test]
+    fn construction_normalizes_continuations() {
+        // (5, 5, 1) continues the first line; (8, 9, 1) jumps by one.
+        let c = soa(&[(0, 0, 1), (5, 5, 1), (8, 9, 1)]);
+        assert_eq!(c.view().starts(), &[0, 8]);
+        assert_eq!(c.eval(Time(7)), 7);
+        assert_eq!(c.eval(Time(8)), 9);
+        assert_eq!(soa(&[(0, 0, 0), (3, 0, 0)]), SoaCurve::zero());
+    }
+
+    #[test]
+    fn monotonicity_detection() {
+        assert!(staircase().is_nondecreasing());
+        let dec = soa(&[(0, 10, 0), (3, 4, 0)]);
+        assert_eq!(dec.first_decrease(), Some(Time(3)));
+        // The first observable lattice decrease is at t = 1 (f(1) < f(0)).
+        let negslope = soa(&[(0, 0, -1)]);
+        assert_eq!(negslope.first_decrease(), Some(Time(1)));
+        assert!(negslope.require_nondecreasing().is_err());
+        // Monotone on the lattice although the first piece's line overshoots
+        // the second piece's start: values 0, 1, 2, 2, …
+        assert!(soa(&[(0, 0, 1), (3, 2, 0)]).is_nondecreasing());
     }
 
     #[test]
@@ -1191,16 +1110,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sorted")]
+    fn unsorted_events_panic() {
+        SoaCurve::from_event_times_into(&[Time(5), Time(2)], &mut SoaCurve::zero());
+    }
+
+    #[test]
     fn linear_combine_is_pointwise() {
         let (a, b) = (staircase(), soa(&[(0, 0, 1)]));
         let mut out = SoaCurve::zero();
         linear_combine_into(&a, 2, &b, -3, &mut out);
         for t in 0..=15 {
             assert_eq!(out.eval(Time(t)), 2 * a.eval(Time(t)) - 3 * t, "t={t}");
-        }
-        linear_combine_line_into(&a, 1, &b, 1, 7, -2, &mut out);
-        for t in 0..=15 {
-            assert_eq!(out.eval(Time(t)), a.eval(Time(t)) + t + 7 - 2 * t, "t={t}");
         }
     }
 
@@ -1209,33 +1130,17 @@ mod tests {
         // f = 2t, g = 7 (crossing at t = 3.5).
         let (f, g) = (soa(&[(0, 0, 2)]), soa(&[(0, 7, 0)]));
         let mut out = SoaCurve::zero();
-        pointwise_min_into(&f, &g, &mut out);
+        f.min_with_into(&g, &mut out);
         for t in 0..=10 {
             assert_eq!(out.eval(Time(t)), (2 * t).min(7), "t={t}");
         }
-        pointwise_max_into(&f, &g, &mut out);
+        f.max_with_into(&g, &mut out);
         for t in 0..=10 {
             assert_eq!(out.eval(Time(t)), (2 * t).max(7), "t={t}");
         }
         soa(&[(0, -5, 1)]).clamp_min_into(0, &mut out);
         for t in 0..=10 {
             assert_eq!(out.eval(Time(t)), (t - 5).max(0), "t={t}");
-        }
-    }
-
-    #[test]
-    fn running_extrema_follow_the_lattice() {
-        let c = soa(&[(0, 5, 1), (3, 8, -2), (7, 10, 0), (9, -1, -1)]);
-        let mut out = SoaCurve::zero();
-        c.running_min_into(&mut out);
-        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        let mut max = SoaCurve::zero();
-        c.running_max_into(&mut max);
-        for t in 0..=15 {
-            lo = lo.min(c.eval(Time(t)));
-            hi = hi.max(c.eval(Time(t)));
-            assert_eq!(out.eval(Time(t)), lo, "min t={t}");
-            assert_eq!(max.eval(Time(t)), hi, "max t={t}");
         }
     }
 
@@ -1256,7 +1161,7 @@ mod tests {
     }
 
     #[test]
-    fn shift_and_truncate_reindex_the_curve() {
+    fn shift_reindexes_the_curve() {
         let c = staircase();
         let mut out = SoaCurve::zero();
         c.shift_right_into(Time(3), 7, &mut out);
@@ -1264,23 +1169,35 @@ mod tests {
             let expect = if t < 3 { 7 } else { c.eval(Time(t - 3)) };
             assert_eq!(out.eval(Time(t)), expect, "shift t={t}");
         }
-        let mut tr = c.clone();
-        tr.truncate_after(Time(6));
-        assert_eq!(ticks(&tr, 6), ticks(&c, 6));
-        assert_eq!(tr.eval(Time(100)), 2); // plateau extended
     }
 
     #[test]
     fn cursor_matches_rescanning_queries() {
         let c = soa(&[(0, 0, 1), (3, 3, 0), (8, 5, 2), (12, 13, 0)]);
-        let aos = c.to_curve();
         let mut cur = SoaCursor::new(&c);
         for t in 0..=20 {
             assert_eq!(cur.eval(Time(t)), c.eval(Time(t)), "t={t}");
         }
         let mut cur = SoaCursor::new(&c);
         for y in 0..=16 {
-            assert_eq!(cur.inverse_at(y), aos.inverse_at(y), "y={y}");
+            let scan = (0..=20).map(Time).find(|&t| c.eval(t) >= y);
+            assert_eq!(cur.inverse_at(y), scan, "y={y}");
         }
+    }
+
+    #[test]
+    fn inverse_skips_plateaus_and_resolves_slopes() {
+        // 0 on [0, 5), then slope 2.
+        let c = soa(&[(0, 0, 0), (5, 0, 2)]);
+        assert_eq!(SoaCursor::new(&c).inverse_at(1), Some(Time(6)));
+        assert_eq!(SoaCursor::new(&c).inverse_at(3), Some(Time(7)));
+        let c = soa(&[(0, 0, 1), (3, 3, 0), (8, 3, 1)]);
+        assert_eq!(SoaCursor::new(&c).inverse_at(3), Some(Time(3)));
+        assert_eq!(SoaCursor::new(&c).inverse_at(4), Some(Time(9)));
+        let steps = soa(&[(0, 1, 0), (10, 3, 0), (25, 4, 0)]);
+        let mut cur = SoaCursor::new(&steps);
+        let got: Vec<_> = (0..=5).map(|y| cur.inverse_at(y)).collect();
+        let want = [Some(0), Some(0), Some(10), Some(10), Some(25), None];
+        assert_eq!(got, want.map(|t| t.map(Time)));
     }
 }

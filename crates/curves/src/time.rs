@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Neg, Rem, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Default number of ticks per abstract model-time unit.
 ///
@@ -29,8 +29,6 @@ impl Time {
     pub const ZERO: Time = Time(0);
     /// One single tick.
     pub const ONE: Time = Time(1);
-    /// The largest representable time; used as "never".
-    pub const MAX: Time = Time(i64::MAX);
 
     /// Raw tick count.
     #[inline]
@@ -129,22 +127,6 @@ impl Div<i64> for Time {
     }
 }
 
-impl Rem<i64> for Time {
-    type Output = Time;
-    #[inline]
-    fn rem(self, rhs: i64) -> Time {
-        Time(self.0 % rhs)
-    }
-}
-
-impl Neg for Time {
-    type Output = Time;
-    #[inline]
-    fn neg(self) -> Time {
-        Time(-self.0)
-    }
-}
-
 impl Sum for Time {
     fn sum<I: Iterator<Item = Time>>(iter: I) -> Time {
         Time(iter.map(|t| t.0).sum())
@@ -182,7 +164,6 @@ mod tests {
         assert_eq!(a - b, Time(18));
         assert_eq!(a * 2, Time(60));
         assert_eq!(a / 3, Time(10));
-        assert_eq!(-b, Time(-12));
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
     }
@@ -200,7 +181,7 @@ mod tests {
 
     #[test]
     fn saturating_ops() {
-        assert_eq!(Time::MAX.saturating_add(Time(1)), Time::MAX);
+        assert_eq!(Time(i64::MAX).saturating_add(Time(1)), Time(i64::MAX));
         assert_eq!(Time(i64::MIN).saturating_sub(Time(1)), Time(i64::MIN));
     }
 

@@ -10,33 +10,38 @@
 
 use proptest::prelude::*;
 use rta_curves::convolution::min_plus_convolve_lattice;
-use rta_curves::soa::{linear_combine_into, pointwise_max_into, pointwise_min_into};
+use rta_curves::soa::linear_combine_into;
 use rta_curves::{
-    busy_window_into, fcfs_context_into, frontier_bound_into, iwrr_bounds_into,
-    linear_combine_line_into, sum_many_into, Curve, CurveError, Scratch, Segment, SoaCursor,
-    SoaCurve, Time, WindowStart,
+    busy_window_into, fcfs_context_into, frontier_bound_into, iwrr_bounds_into, sum_many_into,
+    CurveError, Scratch, SoaCursor, SoaCurve, Time, WindowStart,
 };
 
 const HORIZON: i64 = 60;
 
-/// Strategy: an arbitrary PWL curve with small integer breakpoints, values
-/// and slopes (possibly negative, possibly with jumps); `rest` may be
-/// empty, so single-piece curves are covered.
-fn arb_curve() -> impl Strategy<Value = SoaCurve> {
+/// Strategy: the `(start, value, slope)` pieces of an arbitrary PWL curve
+/// with small integer breakpoints, values and slopes (possibly negative,
+/// possibly with jumps, possibly continuing their predecessor's line);
+/// `rest` may be empty, so single-piece curves are covered.
+fn arb_pieces() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
     (
         -20i64..20,
         -3i64..4,
         prop::collection::vec((1i64..12, -20i64..20, -3i64..4), 0..6),
     )
         .prop_map(|(v0, k0, rest)| {
-            let mut segs = vec![Segment::new(Time(0), v0, k0)];
+            let mut pieces = vec![(0, v0, k0)];
             let mut t = 0i64;
             for (gap, v, k) in rest {
                 t += gap;
-                segs.push(Segment::new(Time(t), v, k));
+                pieces.push((t, v, k));
             }
-            soa(segs)
+            pieces
         })
+}
+
+/// Strategy: an arbitrary PWL curve built from [`arb_pieces`].
+fn arb_curve() -> impl Strategy<Value = SoaCurve> {
+    arb_pieces().prop_map(|pieces| soa(&pieces))
 }
 
 /// Strategy: a long many-piece curve with values in a narrow band, so
@@ -49,27 +54,27 @@ fn arb_wide_curve() -> impl Strategy<Value = SoaCurve> {
         prop::collection::vec((1i64..5, -4i64..4, -2i64..3), 8..40),
     )
         .prop_map(|(v0, k0, rest)| {
-            let mut segs = vec![Segment::new(Time(0), v0, k0)];
+            let mut pieces = vec![(0, v0, k0)];
             let mut t = 0i64;
             for (gap, v, k) in rest {
                 t += gap;
-                segs.push(Segment::new(Time(t), v, k));
+                pieces.push((t, v, k));
             }
-            soa(segs)
+            soa(&pieces)
         })
 }
 
 /// A nondecreasing curve with nonnegative start and the given slope range
 /// (upward jumps of `0..8` at each breakpoint).
 fn cumulative(v0: i64, k0: i64, rest: Vec<(i64, i64, i64)>) -> SoaCurve {
-    let mut segs = vec![Segment::new(Time(0), v0, k0)];
+    let mut pieces = vec![(0, v0, k0)];
     let mut t = 0i64;
     for (gap, jump, k) in rest {
         t += gap;
-        let base = segs.last().unwrap().eval(Time(t));
-        segs.push(Segment::new(Time(t), base + jump, k));
+        let (t0, v, m) = *pieces.last().unwrap();
+        pieces.push((t, v + m * (t - t0) + jump, k));
     }
-    soa(segs)
+    soa(&pieces)
 }
 
 /// Strategy: a nondecreasing curve with nonnegative values (a cumulative
@@ -94,18 +99,22 @@ fn arb_service_shape() -> impl Strategy<Value = SoaCurve> {
         .prop_map(|(v0, k0, rest)| cumulative(v0, k0, rest))
 }
 
-fn soa(segs: Vec<Segment>) -> SoaCurve {
-    SoaCurve::from_curve(&Curve::from_segments(segs))
+fn soa(pieces: &[(i64, i64, i64)]) -> SoaCurve {
+    SoaCurve::try_from_pieces(pieces).unwrap()
 }
 
 /// A distinctive curve used to dirty outputs before kernel calls: the
 /// kernels must fully overwrite whatever was there.
 fn dirt() -> SoaCurve {
-    soa(vec![
-        Segment::new(Time(0), 17, -2),
-        Segment::new(Time(3), -9, 5),
-        Segment::new(Time(11), 40, 0),
-    ])
+    soa(&[(0, 17, -2), (3, -9, 5), (11, 40, 0)])
+}
+
+/// The value at tick `t` of the piece list `pieces` (sorted, first start
+/// at zero), straight from its definition: the line of the last piece
+/// starting at or before `t`.
+fn pieces_at(pieces: &[(i64, i64, i64)], t: i64) -> i64 {
+    let &(t0, v, m) = pieces.iter().rev().find(|p| p.0 <= t).unwrap();
+    v + m * (t - t0)
 }
 
 fn lattice(c: &SoaCurve) -> Vec<i64> {
@@ -134,18 +143,58 @@ fn brute_convolution(f: &SoaCurve, g: &SoaCurve, h: i64) -> Vec<i64> {
         .collect()
 }
 
+/// Strategy: raw pieces for the checked constructor — empty lists, nonzero
+/// first starts and out-of-order or repeated starts included.
+fn arb_raw_pieces() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
+    prop::collection::vec((-2i64..30, -9i64..10, -3i64..4), 0..6)
+}
+
 proptest! {
+    /// The checked constructor answers the first violated rule in order
+    /// (empty, first start, sortedness) and otherwise builds a normalized
+    /// curve equal at every tick to its pieces' definition, which its own
+    /// columns rebuild unchanged.
     #[test]
-    fn roundtrip_and_monotonicity_checks(c in arb_curve()) {
-        prop_assert_eq!(&SoaCurve::from_curve(&c.to_curve()), &c);
+    fn construction_checks_and_normalizes(raw in arb_raw_pieces(), sorted in arb_pieces()) {
+        let want = if raw.is_empty() {
+            Err(CurveError::Empty)
+        } else if raw[0].0 != 0 {
+            Err(CurveError::FirstSegmentNotAtZero)
+        } else if let Some(index) = (1..raw.len()).find(|&i| raw[i].0 <= raw[i - 1].0) {
+            Err(CurveError::UnsortedSegments { index })
+        } else {
+            Ok(())
+        };
+        let got = SoaCurve::try_from_pieces(&raw);
+        prop_assert_eq!(got.as_ref().map(|_| ()).map_err(Clone::clone), want);
+        for pieces in [&raw, &sorted] {
+            let Ok(c) = SoaCurve::try_from_pieces(pieces) else { continue };
+            let end = pieces.last().unwrap().0 + 3;
+            for t in 0..=end {
+                prop_assert_eq!(c.eval(Time(t)), pieces_at(pieces, t), "t={}", t);
+            }
+            let v = c.view();
+            for i in 1..v.len() {
+                let extended = v.values()[i - 1] + v.slopes()[i - 1] * (v.starts()[i] - v.starts()[i - 1]);
+                prop_assert!(v.slopes()[i] != v.slopes()[i - 1] || v.values()[i] != extended,
+                             "piece {} continues its predecessor", i);
+            }
+            let own: Vec<_> = (0..v.len()).map(|i| (v.starts()[i], v.values()[i], v.slopes()[i])).collect();
+            prop_assert_eq!(&soa(&own), &c);
+        }
+    }
+
+    #[test]
+    fn monotonicity_checks(c in arb_curve()) {
         // Beyond the last breakpoint one line remains, so a decrease shows
         // within two ticks of it or never.
         let end = last_start(&c) + 2;
         let first = (1..=end).find(|&t| c.eval(Time(t)) < c.eval(Time(t - 1))).map(Time);
-        prop_assert_eq!(c.first_decrease(), first);
         prop_assert_eq!(c.is_nondecreasing(), first.is_none());
-        prop_assert_eq!(c.require_nondecreasing().is_ok(), first.is_none());
-        prop_assert_eq!(c.to_curve().first_decrease(), first);
+        prop_assert_eq!(
+            c.require_nondecreasing(),
+            first.map_or(Ok(()), |at| Err(CurveError::NotMonotone { at }))
+        );
     }
 
     #[test]
@@ -155,26 +204,6 @@ proptest! {
         linear_combine_into(&a, ca, &b, cb, &mut out);
         for t in (0..=HORIZON).map(Time) {
             prop_assert_eq!(out.eval(t), ca * a.eval(t) + cb * b.eval(t), "t={}", t);
-        }
-        a.add_into(&b, &mut out);
-        for t in (0..=HORIZON).map(Time) {
-            prop_assert_eq!(out.eval(t), a.eval(t) + b.eval(t), "add t={}", t);
-        }
-        a.sub_into(&b, &mut out);
-        for t in (0..=HORIZON).map(Time) {
-            prop_assert_eq!(out.eval(t), a.eval(t) - b.eval(t), "sub t={}", t);
-        }
-    }
-
-    #[test]
-    fn fused_line_combine_matches_lattice(a in arb_curve(), b in arb_curve(),
-                                          ca in -3i64..4, cb in -3i64..4,
-                                          lv in -9i64..10, lm in -3i64..4) {
-        let mut out = dirt();
-        linear_combine_line_into(&a, ca, &b, cb, lv, lm, &mut out);
-        for t in 0..=HORIZON {
-            let expect = ca * a.eval(Time(t)) + cb * b.eval(Time(t)) + lv + lm * t;
-            prop_assert_eq!(out.eval(Time(t)), expect, "t={}", t);
         }
     }
 
@@ -194,14 +223,6 @@ proptest! {
     #[test]
     fn min_max_match_lattice(a in arb_curve(), b in arb_curve(), v in -6i64..7) {
         let mut out = dirt();
-        pointwise_min_into(&a, &b, &mut out);
-        for t in (0..=HORIZON).map(Time) {
-            prop_assert_eq!(out.eval(t), a.eval(t).min(b.eval(t)), "min t={}", t);
-        }
-        pointwise_max_into(&a, &b, &mut out);
-        for t in (0..=HORIZON).map(Time) {
-            prop_assert_eq!(out.eval(t), a.eval(t).max(b.eval(t)), "max t={}", t);
-        }
         a.min_with_into(&b, &mut out);
         for t in (0..=HORIZON).map(Time) {
             prop_assert_eq!(out.eval(t), a.eval(t).min(b.eval(t)), "min_with t={}", t);
@@ -223,64 +244,31 @@ proptest! {
         // way the short default strategy rarely does.
         let h = last_start(&a).max(last_start(&b)) + 3;
         let mut out = dirt();
-        pointwise_min_into(&a, &b, &mut out);
+        a.min_with_into(&b, &mut out);
         for t in (0..=h).map(Time) {
             prop_assert_eq!(out.eval(t), a.eval(t).min(b.eval(t)), "min t={}", t);
         }
-        pointwise_max_into(&a, &b, &mut out);
+        a.max_with_into(&b, &mut out);
         for t in (0..=h).map(Time) {
             prop_assert_eq!(out.eval(t), a.eval(t).max(b.eval(t)), "max t={}", t);
         }
-        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        let mut max = dirt();
-        a.running_min_into(&mut out);
-        a.running_max_into(&mut max);
-        for t in (0..=h).map(Time) {
-            lo = lo.min(a.eval(t));
-            hi = hi.max(a.eval(t));
-            prop_assert_eq!(out.eval(t), lo, "running_min t={}", t);
-            prop_assert_eq!(max.eval(t), hi, "running_max t={}", t);
-        }
     }
 
     #[test]
-    fn running_extrema_match_lattice(a in arb_curve()) {
-        let mut min = dirt();
-        let mut max = dirt();
-        a.running_min_into(&mut min);
-        a.running_max_into(&mut max);
-        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        for (t, v) in lattice(&a).into_iter().enumerate() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-            prop_assert_eq!(min.eval(Time(t as i64)), lo, "min t={}", t);
-            prop_assert_eq!(max.eval(Time(t as i64)), hi, "max t={}", t);
-        }
-        // Idempotence: a running extremum is its own running extremum.
-        let mut again = dirt();
-        min.running_min_into(&mut again);
-        prop_assert_eq!(lattice(&again), lattice(&min));
-        max.running_max_into(&mut again);
-        prop_assert_eq!(lattice(&again), lattice(&max));
-    }
-
-    #[test]
-    fn scale_and_offset_match_lattice(c in arb_curve(), k in -3i64..4, v in -6i64..7) {
+    fn scale_matches_lattice(c in arb_curve(), k in -3i64..4) {
         let mut out = dirt();
         c.scale_into(k, &mut out);
         for t in (0..=HORIZON).map(Time) {
             prop_assert_eq!(out.eval(t), k * c.eval(t), "scale t={}", t);
         }
-        c.add_const_into(v, &mut out);
-        for t in (0..=HORIZON).map(Time) {
-            prop_assert_eq!(out.eval(t), c.eval(t) + v, "offset t={}", t);
-        }
     }
 
     #[test]
     fn galois_connection(c in arb_cumulative(), y in 0i64..40) {
+        // The one-shot pseudo-inverse is the first tick reaching `y`, and
         // g(t) ≥ y  ⇔  g⁻¹(y) ≤ t  for nondecreasing g.
-        let inv = c.to_curve().inverse_at(y);
+        let inv = SoaCursor::new(&c).inverse_at(y);
+        prop_assert_eq!(inv, brute_inverse(&c, y, last_start(&c) + 40));
         for t in 0..=HORIZON {
             let reached = c.eval(Time(t)) >= y;
             let inv_le = inv.is_some_and(|i| i <= Time(t));
@@ -321,27 +309,13 @@ proptest! {
     }
 
     #[test]
-    fn truncate_agrees_before_horizon(c in arb_curve(), h in 0i64..HORIZON) {
-        let mut tr = c.clone();
-        tr.truncate_after(Time(h));
-        for t in 0..=h {
-            prop_assert_eq!(tr.eval(Time(t)), c.eval(Time(t)));
-        }
-        // Past the horizon the piece active at it extends unchanged.
-        let slope = tr.eval(Time(h + 1)) - tr.eval(Time(h));
-        prop_assert_eq!(tr.eval(Time(h + 9)), tr.eval(Time(h)) + 9 * slope);
-    }
-
-    #[test]
     fn monotone_ops_preserve_monotonicity(a in arb_cumulative(), b in arb_cumulative()) {
         let mut out = dirt();
-        a.add_into(&b, &mut out);
+        linear_combine_into(&a, 1, &b, 1, &mut out);
         prop_assert!(out.is_nondecreasing());
-        pointwise_min_into(&a, &b, &mut out);
+        a.min_with_into(&b, &mut out);
         prop_assert!(out.is_nondecreasing());
-        pointwise_max_into(&a, &b, &mut out);
-        prop_assert!(out.is_nondecreasing());
-        a.running_max_into(&mut out);
+        a.max_with_into(&b, &mut out);
         prop_assert!(out.is_nondecreasing());
     }
 
@@ -400,12 +374,10 @@ proptest! {
 #[test]
 fn degenerate_inputs() {
     let zero = SoaCurve::zero();
-    let konst = soa(vec![Segment::new(Time(0), -4, 0)]);
+    let konst = soa(&[(0, -4, 0)]);
     let mut out = dirt();
 
-    zero.add_into(&konst, &mut out);
-    assert_eq!(lattice(&out), vec![-4; HORIZON as usize + 1]);
-    konst.running_min_into(&mut out);
+    linear_combine_into(&zero, 1, &konst, 1, &mut out);
     assert_eq!(lattice(&out), vec![-4; HORIZON as usize + 1]);
     zero.shift_right_into(Time(5), 3, &mut out);
     assert_eq!(out.eval(Time(4)), 3);
@@ -419,18 +391,15 @@ fn degenerate_inputs() {
 
     // `set_affine` reuses whatever buffer was there.
     out.set_affine(7, 2);
-    assert_eq!(
-        out.to_curve(),
-        Curve::from_segments(vec![Segment::new(Time(0), 7, 2)])
-    );
+    assert_eq!(out, soa(&[(0, 7, 2)]));
 }
 
 /// Fallible kernels must leave `out` untouched on error, so a workspace
 /// slot never ends up holding a half-written curve.
 #[test]
 fn errors_leave_out_untouched() {
-    let decreasing = soa(vec![Segment::new(Time(0), 3, -1)]);
-    let negative = soa(vec![Segment::new(Time(0), -2, 1)]);
+    let decreasing = soa(&[(0, 3, -1)]);
+    let negative = soa(&[(0, -2, 1)]);
 
     let mut out = dirt();
     for bad in [&decreasing, &negative] {
@@ -445,22 +414,10 @@ fn errors_leave_out_untouched() {
 /// output keeps its previous contents.
 #[test]
 fn fcfs_kernels_refuse_what_is_not_a_staircase() {
-    let step = soa(vec![
-        Segment::new(Time(0), 2, 0),
-        Segment::new(Time(4), 6, 0),
-    ]);
-    let sloped = soa(vec![
-        Segment::new(Time(0), 2, 0),
-        Segment::new(Time(4), 6, 2),
-    ]);
-    let down = soa(vec![
-        Segment::new(Time(0), 6, 0),
-        Segment::new(Time(4), 2, 0),
-    ]);
-    let negative = soa(vec![
-        Segment::new(Time(0), -1, 0),
-        Segment::new(Time(4), 2, 0),
-    ]);
+    let step = soa(&[(0, 2, 0), (4, 6, 0)]);
+    let sloped = soa(&[(0, 2, 0), (4, 6, 2)]);
+    let down = soa(&[(0, 6, 0), (4, 2, 0)]);
+    let negative = soa(&[(0, -1, 0), (4, 2, 0)]);
     let (mut u, mut v1, mut v0) = (dirt(), dirt(), dirt());
     let mut context = |g: &SoaCurve| {
         let res = fcfs_context_into(g, Time(20), &mut u, &mut v1, &mut v0);
@@ -604,7 +561,7 @@ fn shared_scratch_and_out_survive_reuse() {
         for t in 0..=30 {
             assert_eq!(out.eval(Time(t)), want[t as usize], "busy #{i} t={t}");
         }
-        f.add_into(g, &mut out);
+        linear_combine_into(f, 1, g, 1, &mut out);
         for t in (0..=30).map(Time) {
             assert_eq!(out.eval(t), f.eval(t) + g.eval(t), "add #{i} t={t}");
         }
@@ -632,13 +589,13 @@ fn arb_steps() -> impl Strategy<Value = SoaCurve> {
         prop::collection::vec((1i64..10, -6i64..14), 0..8),
     )
         .prop_map(|(v0, rest)| {
-            let mut segs = vec![Segment::new(Time(0), v0, 0)];
+            let mut pieces = vec![(0, v0, 0)];
             let mut t = 0i64;
             for (gap, v) in rest {
                 t += gap;
-                segs.push(Segment::new(Time(t), v, 0));
+                pieces.push((t, v, 0));
             }
-            soa(segs)
+            soa(&pieces)
         })
 }
 
@@ -819,18 +776,9 @@ proptest! {
 /// previous contents.
 #[test]
 fn iwrr_kernel_refuses_what_is_not_a_staircase() {
-    let sloped = soa(vec![
-        Segment::new(Time(0), 2, 0),
-        Segment::new(Time(4), 6, 3),
-    ]);
-    let down = soa(vec![
-        Segment::new(Time(0), 6, 0),
-        Segment::new(Time(4), 2, 0),
-    ]);
-    let negative = soa(vec![
-        Segment::new(Time(0), -1, 0),
-        Segment::new(Time(4), 2, 0),
-    ]);
+    let sloped = soa(&[(0, 2, 0), (4, 6, 3)]);
+    let down = soa(&[(0, 6, 0), (4, 2, 0)]);
+    let negative = soa(&[(0, -1, 0), (4, 2, 0)]);
     for (c, err) in [
         (&sloped, CurveError::UnsupportedSlope { slope: 3 }),
         (&down, CurveError::NotMonotone { at: Time(4) }),

@@ -6,7 +6,7 @@
 //! release-time sequences for the pattern families used in the paper and its
 //! evaluation, plus a few standard bursty families.
 
-use rta_curves::{Curve, Time};
+use rta_curves::{SoaCurve, Time};
 
 /// Release-time pattern of a job's first subjob.
 #[derive(Clone, Debug, PartialEq)]
@@ -167,8 +167,10 @@ impl ArrivalPattern {
 
     /// The arrival function `f_arr` (Definition 1) on `[0, window]` as a
     /// counting curve.
-    pub fn arrival_curve(&self, window: Time) -> Curve {
-        Curve::from_event_times(&self.release_times(window))
+    pub fn arrival_curve(&self, window: Time) -> SoaCurve {
+        let mut c = SoaCurve::zero();
+        SoaCurve::from_event_times_into(&self.release_times(window), &mut c);
+        c
     }
 
     /// The classical transformation (i) of the paper's introduction:
@@ -223,8 +225,8 @@ mod tests {
             vec![Time(3), Time(13), Time(23), Time(33)]
         );
         let c = p.arrival_curve(Time(35));
-        assert_eq!(c.count_at(Time(2)), 0);
-        assert_eq!(c.count_at(Time(33)), 4);
+        assert_eq!(c.eval(Time(2)), 0);
+        assert_eq!(c.eval(Time(33)), 4);
     }
 
     #[test]
@@ -274,7 +276,7 @@ mod tests {
         let (cb, cp) = (p.arrival_curve(w), per.arrival_curve(w));
         let mut strictly = false;
         for t in (0..=w.ticks()).step_by(97) {
-            let (nb, np) = (cb.count_at(Time(t)), cp.count_at(Time(t)));
+            let (nb, np) = (cb.eval(Time(t)), cp.eval(Time(t)));
             assert!(nb >= np, "bursty count must dominate at t={t}");
             strictly |= nb > np;
         }
@@ -331,7 +333,7 @@ mod tests {
         let c = p.arrival_curve(Time(100));
         for d in 0i64..=60 {
             let classic = ((d + 1 + 4) as f64 / 10.0).ceil() as i64;
-            assert_eq!(c.count_at(Time(d)), classic, "Δ={d}");
+            assert_eq!(c.eval(Time(d)), classic, "Δ={d}");
         }
         // Zero jitter degenerates to plain periodic.
         let plain = ArrivalPattern::PeriodicJitter {
@@ -354,7 +356,7 @@ mod tests {
         assert_eq!(env, ArrivalPattern::SporadicEnvelope { min_gap: Time(1) });
         let (cb, ce) = (bursty.arrival_curve(Time(30)), env.arrival_curve(Time(30)));
         for t in 0..=30 {
-            assert!(ce.count_at(Time(t)) >= cb.count_at(Time(t)), "t={t}");
+            assert!(ce.eval(Time(t)) >= cb.eval(Time(t)), "t={t}");
         }
         // Degenerate cases yield no transformation.
         assert_eq!(

@@ -9,7 +9,7 @@ use rta_curves::Time;
 use rta_model::JobId;
 
 #[cfg(feature = "trace")]
-use rta_curves::{Curve, Segment};
+use rta_curves::SoaCurve;
 #[cfg(feature = "trace")]
 use rta_model::SubjobRef;
 #[cfg(feature = "trace")]
@@ -100,31 +100,14 @@ impl SimResult {
     /// Reconstruct the observed service function of a subjob from its
     /// serving intervals: slope 1 while serving, flat elsewhere.
     #[cfg(feature = "trace")]
-    pub fn observed_service(&self, r: SubjobRef) -> Curve {
-        let mut segs: Vec<Segment> = Vec::new();
-        let mut acc: i64 = 0;
-        if let Some(intervals) = self.service_intervals.get(&r) {
-            for &(from, to) in intervals {
-                debug_assert!(from <= to);
-                if from == to {
-                    continue;
-                }
-                // Contiguous intervals and intervals starting at 0 would
-                // duplicate the previous breakpoint — replace it instead.
-                if segs.last().map(|s| s.start) == Some(from) {
-                    segs.pop();
-                } else if segs.is_empty() && from > Time::ZERO {
-                    segs.push(Segment::new(Time::ZERO, 0, 0));
-                }
-                segs.push(Segment::new(from, acc, 1));
-                acc += (to - from).ticks();
-                segs.push(Segment::new(to, acc, 0));
-            }
-        }
-        if segs.is_empty() {
-            segs.push(Segment::new(Time::ZERO, 0, 0));
-        }
-        Curve::from_segments(segs)
+    pub fn observed_service(&self, r: SubjobRef) -> SoaCurve {
+        busy_curve(
+            self.service_intervals
+                .get(&r)
+                .into_iter()
+                .flatten()
+                .copied(),
+        )
     }
 
     /// Observed utilization function of a processor (Definition 7): total
@@ -139,7 +122,7 @@ impl SimResult {
         &self,
         sys: &rta_model::TaskSystem,
         p: rta_model::ProcessorId,
-    ) -> Curve {
+    ) -> SoaCurve {
         let mut intervals: Vec<(Time, Time)> = sys
             .subjobs_on(p)
             .into_iter()
@@ -147,39 +130,34 @@ impl SimResult {
             .flatten()
             .copied()
             .collect();
+        // Serving intervals of one processor never overlap.
         intervals.sort();
-        // Serving intervals of one processor never overlap; merge adjacent.
-        let mut segs: Vec<Segment> = Vec::new();
-        let mut acc = 0i64;
-        for (from, to) in intervals {
-            if from == to {
-                continue;
-            }
-            if segs.last().map(|s| s.start) == Some(from) {
-                segs.pop();
-            } else if segs.is_empty() && from > Time::ZERO {
-                segs.push(Segment::new(Time::ZERO, 0, 0));
-            }
-            segs.push(Segment::new(from, acc, 1));
-            acc += (to - from).ticks();
-            segs.push(Segment::new(to, acc, 0));
-        }
-        if segs.is_empty() {
-            segs.push(Segment::new(Time::ZERO, 0, 0));
-        }
-        Curve::from_segments(segs)
+        busy_curve(intervals.into_iter())
     }
+}
 
-    /// Observed departure (completion-count) curve of a subjob — available
-    /// without the `trace` feature: it needs completion times only.
-    pub fn observed_departures(&self, r: rta_model::SubjobRef) -> rta_curves::Curve {
-        let mut times: Vec<Time> = self.hop_completions[r.job.0]
-            .iter()
-            .filter_map(|inst| inst.get(r.index).copied().flatten())
-            .collect();
-        times.sort();
-        rta_curves::Curve::from_event_times(&times)
+/// The cumulative busy time of time-ordered, disjoint `(from, to)` serving
+/// intervals: slope 1 inside an interval, flat between them. An interval
+/// that starts where its predecessor ends continues it.
+#[cfg(feature = "trace")]
+fn busy_curve(intervals: impl Iterator<Item = (Time, Time)>) -> SoaCurve {
+    let mut pieces: Vec<(i64, i64, i64)> = vec![(0, 0, 0)];
+    let mut acc = 0i64;
+    for (from, to) in intervals {
+        debug_assert!(from <= to);
+        if from == to {
+            continue;
+        }
+        // A piece already starting at `from` (time zero, or the end of a
+        // contiguous predecessor) is replaced by the serving one.
+        if pieces.last().map(|p| p.0) == Some(from.ticks()) {
+            pieces.pop();
+        }
+        pieces.push((from.ticks(), acc, 1));
+        acc += (to - from).ticks();
+        pieces.push((to.ticks(), acc, 0));
     }
+    SoaCurve::try_from_pieces(&pieces).expect("serving intervals are time-ordered")
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The Monte-Carlo driver: deadline-failure probability, response
 //! distributions and bound tightness over many draws.
 //!
-//! Each draw runs the event loop behind a [`VerdictSink`] observer that
+//! Each draw runs the event loop behind a `VerdictSink` observer that
 //! tracks one bit per instance — *did it miss its deadline* — plus,
 //! optionally, the end-to-end responses, and folds the draw into a
 //! [`rta_core::wcdfp::WcdfpAccum`]. No stored draws: with

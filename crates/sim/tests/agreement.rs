@@ -124,7 +124,10 @@ fn exact_spp_service_curves_match_observed() {
             let observed = sim.observed_service(r);
             // Compare on a coarse grid plus all analytic breakpoints.
             let mut points: Vec<Time> = analytic
-                .breakpoints()
+                .view()
+                .starts()
+                .iter()
+                .map(|&t| Time(t))
                 .filter(|t| *t <= scfg.horizon)
                 .collect();
             points.extend((0..=20).map(|i| scfg.horizon * i / 20));

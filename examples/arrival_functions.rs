@@ -9,16 +9,16 @@ use bursty_rta::model::ArrivalPattern;
 
 fn plot(label: &str, pattern: &ArrivalPattern, window: Time, cols: usize) {
     let curve = pattern.arrival_curve(window);
-    let max = curve.count_at(window).max(1);
+    let max = curve.eval(window).max(1);
     println!(
         "{label}  ({} arrivals in [0, {window}])",
-        curve.count_at(window)
+        curve.eval(window)
     );
     for row in (1..=max).rev() {
         let mut line = format!("{row:>3} |");
         for c in 0..cols {
             let t = Time(window.ticks() * c as i64 / cols as i64);
-            line.push(if curve.count_at(t) >= row { '#' } else { ' ' });
+            line.push(if curve.eval(t) >= row { '#' } else { ' ' });
         }
         println!("{line}");
     }
@@ -62,7 +62,7 @@ fn main() {
     // every instance no later), which is exactly why it is harder to serve.
     let (cb, cp) = (bursty.arrival_curve(window), periodic.arrival_curve(window));
     for t in (0..=window.ticks()).step_by(250) {
-        assert!(cb.count_at(Time(t)) >= cp.count_at(Time(t)));
+        assert!(cb.eval(Time(t)) >= cp.eval(Time(t)));
     }
     println!("check: bursty arrival curve dominates the periodic one pointwise");
 }

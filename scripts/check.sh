@@ -12,6 +12,9 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, no deps, -D warnings: no stale or private intra-doc links)"
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q

@@ -105,7 +105,8 @@ fn run_files(paths: &[String]) -> i32 {
                 all_ok &= o.schedulable;
             }
             Err(e) => {
-                eprintln!("{path}: analysis failed: {e}");
+                // `ServiceError` already names the failed analysis.
+                eprintln!("{path}: {e}");
                 all_ok = false;
             }
         }

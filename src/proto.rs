@@ -227,10 +227,12 @@ pub enum Response {
         verdict_hits: u64,
         /// Verdicts that required an analysis.
         verdict_misses: u64,
-        /// Holistic runs started from a carried seed (the loops fixpoint
-        /// counts its reuse in `recomputed`/`reused`).
+        /// Analyses warm-started from a carried iterate: 0, since no
+        /// driver carries one (the loops fixpoint counts its reuse in
+        /// `recomputed`/`reused`).
         warm_starts: u64,
-        /// Curves interned in the tenant's arena.
+        /// First-hop arrival curves the tenant's session holds, at most
+        /// one per job.
         interned: usize,
         /// Tenants resident on this tenant's shard.
         tenants: usize,

@@ -137,3 +137,25 @@ fn zero_arrivals_job_is_trivially_schedulable() {
     assert!(r.jobs[0].responses.is_empty());
     assert_eq!(r.jobs[0].wcrt, Some(Time::ZERO));
 }
+
+/// `rta-admit <file>` on a file whose 2⁶¹-tick period wraps the arrival
+/// window exits 1 and names the failed analysis once on stderr.
+#[test]
+fn cli_reports_a_refused_file_once() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("window_overflow.txt");
+    std::fs::write(
+        &path,
+        "processor P spp\n\
+         job a deadline 100 periodic 2305843009213693952 0\nhop P 5\n\
+         job b deadline 100 periodic 100 0\nhop P 150\n",
+    )
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rta-admit"))
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.matches("analysis failed:").count(), 1, "{stderr}");
+    assert!(stderr.contains("arrival window"), "{stderr}");
+}

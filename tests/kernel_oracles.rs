@@ -4,7 +4,7 @@
 //! lattice.
 
 use bursty_rta::analysis::spp::exact_service_into;
-use bursty_rta::curves::{Curve, Scratch, SoaCursor, SoaCurve, Time};
+use bursty_rta::curves::{Scratch, SoaCursor, SoaCurve, Time};
 use proptest::prelude::*;
 
 /// A random bursty staircase: `n` event times in `[0, span)`, steps of
@@ -12,9 +12,11 @@ use proptest::prelude::*;
 fn arb_staircase(span: i64) -> impl Strategy<Value = SoaCurve> {
     (prop::collection::vec(0i64..span, 1..8), 1i64..5).prop_map(|(mut ts, tau)| {
         ts.sort();
-        SoaCurve::from_curve(
-            &Curve::from_event_times(&ts.into_iter().map(Time).collect::<Vec<_>>()).scale(tau),
-        )
+        let mut counts = SoaCurve::zero();
+        SoaCurve::from_event_times_into(&ts.into_iter().map(Time).collect::<Vec<_>>(), &mut counts);
+        let mut c = SoaCurve::zero();
+        counts.scale_into(tau, &mut c);
+        c
     })
 }
 
@@ -44,18 +46,22 @@ fn exact_service(work: &SoaCurve, hp: &[&SoaCurve]) -> SoaCurve {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Cursor sweeps return exactly what the front-rescanning queries do,
-    /// for both the pseudo-inverse and pointwise evaluation.
+    /// Cursor sweeps return exactly what the per-tick definitions do: the
+    /// pseudo-inverse is the first tick reaching `y`, found by a scan, and
+    /// the sweep's values are the curve's own.
     #[test]
     fn cursor_matches_rescanning_queries(c in arb_monotone(80), ymax in 1i64..120) {
-        let aos = c.to_curve();
+        // Past its last breakpoint the curve is flat or rises by ≥ 1 per
+        // tick, so a reachable level is reached within `ymax` more ticks.
+        let limit = c.view().starts().last().unwrap() + ymax + 1;
         let mut inv = SoaCursor::new(&c);
         for y in 0..=ymax {
-            prop_assert_eq!(inv.inverse_at(y), aos.inverse_at(y), "y={}", y);
+            let scan = (0..=limit).map(Time).find(|&t| c.eval(t) >= y);
+            prop_assert_eq!(inv.inverse_at(y), scan, "y={}", y);
         }
         let mut ev = SoaCursor::new(&c);
         for t in 0..=ymax {
-            prop_assert_eq!(ev.eval(Time(t)), aos.eval(Time(t)), "t={}", t);
+            prop_assert_eq!(ev.eval(Time(t)), c.eval(Time(t)), "t={}", t);
         }
     }
 

@@ -578,3 +578,48 @@ fn batch_past_the_cap_is_flushed_without_a_blank_line() {
     let lines = serve_lines(&requests);
     assert_eq!(lines, vec!["PONG".to_string(); 2 * MAX_BATCH_REQUESTS + 3]);
 }
+
+#[test]
+fn rejected_admits_leave_no_arrival_curves_behind() {
+    // Fifty rejected ADMITs with distinct periods against a one-job SPP
+    // tenant: each probe's arrival curve leaves with its job, so the
+    // tenant holds one curve, its own job's. An admitted and then removed
+    // job leaves it at one as well.
+    let mut input = String::from(
+        "LOAD t 2\nprocessor P spp\njob base deadline 100000 periodic 100000 0 hop P 1\n",
+    );
+    for i in 0..50 {
+        input += &format!(
+            "ADMIT t job c{i} deadline 10 periodic {} 0 hop P 50\n",
+            1000 + i
+        );
+    }
+    input += "STATS t\n\
+              ADMIT t job ok deadline 1000 periodic 1000 0 hop P 5\n\
+              STATS t\n\
+              REMOVE t ok\n\
+              STATS t\n";
+    let lines = serve_lines(&input);
+    assert_eq!(lines.len(), 56, "{lines:#?}");
+    assert_eq!(lines[0], "OK LOAD t gen=1 jobs=1 verdict=schedulable");
+    for (i, line) in lines[1..51].iter().enumerate() {
+        assert!(
+            line.ends_with(&format!("job=c{i} verdict=rejected jobs=1")),
+            "{line}"
+        );
+    }
+    let stats = |line: &str, jobs: usize, interned: usize| {
+        assert!(line.starts_with("OK STATS t "), "{line}");
+        assert!(line.contains(&format!(" jobs={jobs} ")), "{line}");
+        assert!(line.contains(&format!(" interned={interned} ")), "{line}");
+    };
+    stats(&lines[51], 1, 1);
+    assert!(
+        lines[52].ends_with("job=ok verdict=admitted jobs=2"),
+        "{}",
+        lines[52]
+    );
+    stats(&lines[53], 2, 2);
+    assert!(lines[54].starts_with("OK REMOVE t "), "{}", lines[54]);
+    stats(&lines[55], 1, 1);
+}

@@ -7,7 +7,7 @@
 //! Only the *first* stage qualifies for an exact check (its arrivals are
 //! known exactly); single-stage shops are therefore used.
 
-use bursty_rta::curves::{Curve, Time};
+use bursty_rta::curves::{SoaCurve, Time};
 use bursty_rta::model::jobshop::{generate, ShopArrivals, ShopConfig};
 use bursty_rta::model::priority::{assign_priorities, PriorityPolicy};
 use bursty_rta::model::{ProcessorId, SchedulerKind};
@@ -18,7 +18,7 @@ use rand::SeedableRng;
 /// Theorem 7 evaluated tick by tick on `[0, until]`:
 /// `U(t) = max(0, min(t, t + min_{0 ≤ s ≤ t} (G(s⁻) − s)))` with
 /// `G = Σ c` and `G(0⁻) = 0`.
-fn theorem7_utilization(workloads: &[Curve], until: Time) -> Vec<i64> {
+fn theorem7_utilization(workloads: &[SoaCurve], until: Time) -> Vec<i64> {
     let g = |t: i64| workloads.iter().map(|c| c.eval(Time(t))).sum::<i64>();
     let mut run = i64::MAX;
     (0..=until.ticks())
@@ -60,13 +60,15 @@ fn observed_utilization_matches_theorem7_for_all_schedulers() {
                     if refs.is_empty() {
                         continue;
                     }
-                    let workloads: Vec<Curve> = refs
+                    let workloads: Vec<SoaCurve> = refs
                         .iter()
                         .map(|r| {
-                            let job = sys.job(r.job);
-                            job.arrival
+                            let mut c = SoaCurve::zero();
+                            sys.job(r.job)
+                                .arrival
                                 .arrival_curve(scfg.window)
-                                .scale(sys.subjob(*r).exec.ticks())
+                                .scale_into(sys.subjob(*r).exec.ticks(), &mut c);
+                            c
                         })
                         .collect();
                     // Compare up to the point where horizon truncation can

@@ -84,62 +84,6 @@ fn sporadic_transformation_is_conservative_per_draw() {
     );
 }
 
-/// Transformation (ii): executing the bursty stream from a periodic server
-/// reservation. The server makes the stream invisible to the rest of the
-/// system but pays blackout latency: its response bound must dominate the
-/// dedicated-processor response, shrink with budget, and approach the
-/// dedicated case as the reservation approaches the whole processor.
-#[test]
-fn server_transformation_tradeoff() {
-    use bursty_rta::analysis::server::PeriodicServer;
-    use bursty_rta::curves::Curve;
-
-    let window = Time(2_000);
-    let horizon = Time(20_000);
-    let tau = Time(30);
-    let burst = ArrivalPattern::BurstTrain {
-        burst_len: 3,
-        intra_gap: Time(10),
-        train_period: Time(700),
-        offset: Time::ZERO,
-    };
-    let arr: Curve = burst.arrival_curve(window);
-
-    // Dedicated processor: exact analysis of the stream alone.
-    let mut b = SystemBuilder::new();
-    let p = b.add_processor("P1", SchedulerKind::Spp);
-    b.add_job("bursty", Time(10_000), burst.clone(), vec![(p, tau)]);
-    let mut sys = b.build().unwrap();
-    assign_priorities(&mut sys, PriorityPolicy::DeadlineMonotonic).unwrap();
-    let cfg = AnalysisConfig {
-        arrival_window: Some(window),
-        horizon: Some(horizon),
-        ..Default::default()
-    };
-    let dedicated = analyze_exact_spp(&sys, &cfg).unwrap().jobs[0].wcrt.unwrap();
-
-    let mut prev: Option<Time> = None;
-    for budget in [40i64, 80, 140, 200] {
-        let srv = PeriodicServer::new(Time(200), Time(budget));
-        let bound = srv
-            .response_bound(&arr, tau, horizon)
-            .expect("served within horizon");
-        assert!(
-            bound >= dedicated,
-            "budget {budget}: server bound {bound} below dedicated {dedicated}"
-        );
-        if let Some(prev) = prev {
-            assert!(bound <= prev, "bigger budget must not hurt");
-        }
-        prev = Some(bound);
-    }
-    // Full reservation = dedicated processor, exactly.
-    let full = PeriodicServer::new(Time(200), Time(200))
-        .response_bound(&arr, tau, horizon)
-        .unwrap();
-    assert_eq!(full, dedicated);
-}
-
 #[test]
 fn transformed_wcrt_dominates_direct_wcrt() {
     let window = Time(1_000);
